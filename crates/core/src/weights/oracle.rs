@@ -303,7 +303,9 @@ impl ZeroCountOracle for FunctionalOracle {
 
     fn query(&mut self, probes: &[Probe]) -> Vec<u64> {
         self.queries += 1;
-        cnnre_obs::counter("oracle.queries").inc();
+        if cnnre_obs::enabled() {
+            cnnre_obs::counter("oracle.queries").inc();
+        }
         let affected = self.affected_positions(probes);
         (0..self.geom.d_ofm)
             .map(|d| self.count_for(d, probes, &affected))
@@ -312,7 +314,9 @@ impl ZeroCountOracle for FunctionalOracle {
 
     fn query_filter(&mut self, filter: usize, probes: &[Probe]) -> u64 {
         self.queries += 1;
-        cnnre_obs::counter("oracle.queries").inc();
+        if cnnre_obs::enabled() {
+            cnnre_obs::counter("oracle.queries").inc();
+        }
         let affected = self.affected_positions(probes);
         self.count_for(filter, probes, &affected)
     }
@@ -422,7 +426,9 @@ impl ZeroCountOracle for AcceleratorOracle {
 
     fn query(&mut self, probes: &[Probe]) -> Vec<u64> {
         self.queries += 1;
-        cnnre_obs::counter("oracle.queries").inc();
+        if cnnre_obs::enabled() {
+            cnnre_obs::counter("oracle.queries").inc();
+        }
         // Each query runs the victim engine; suppress its event emission so
         // the weight attack's stream is not flooded with per-query
         // RunStarted markers.

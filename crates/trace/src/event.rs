@@ -149,10 +149,15 @@ impl Trace {
     }
 }
 
+/// Whether `block_bytes` is a positive multiple of a positive
+/// `element_bytes` — the geometry every [`Trace`] has.
+pub(crate) fn valid_geometry(block_bytes: u64, element_bytes: u64) -> bool {
+    element_bytes > 0 && block_bytes >= element_bytes && block_bytes.is_multiple_of(element_bytes)
+}
+
 fn check_geometry(block_bytes: u64, element_bytes: u64) {
-    assert!(element_bytes > 0, "element size must be positive");
     assert!(
-        block_bytes >= element_bytes && block_bytes.is_multiple_of(element_bytes),
+        valid_geometry(block_bytes, element_bytes),
         "block size must be a positive multiple of the element size"
     );
 }

@@ -87,6 +87,7 @@ pub fn read_csv<R: Read>(r: R) -> Result<Trace, TraceIoError> {
     };
     let block_bytes = parse_kv("block_bytes")?;
     let element_bytes = parse_kv("element_bytes")?;
+    check_geometry(block_bytes, element_bytes)?;
     let mut events = Vec::new();
     for (i, line) in lines.enumerate() {
         let line = line?;
@@ -117,6 +118,7 @@ pub fn read_csv<R: Read>(r: R) -> Result<Trace, TraceIoError> {
                 record: i + 1,
                 detail: format!("address: {e}"),
             })?;
+        check_aligned(addr, block_bytes, i + 1)?;
         let kind = match next("is_write")?.trim() {
             "0" => AccessKind::Read,
             "1" => AccessKind::Write,
@@ -131,6 +133,36 @@ pub fn read_csv<R: Read>(r: R) -> Result<Trace, TraceIoError> {
     }
     Ok(Trace::from_parts(events, block_bytes, element_bytes))
 }
+
+/// Rejects a header geometry [`Trace::from_parts`] would panic on.
+fn check_geometry(block_bytes: u64, element_bytes: u64) -> Result<(), TraceIoError> {
+    if !crate::event::valid_geometry(block_bytes, element_bytes) {
+        return Err(TraceIoError::Parse {
+            record: 0,
+            detail: format!(
+                "block_bytes={block_bytes} is not a positive multiple of \
+                 element_bytes={element_bytes}"
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// Rejects an address that is not a multiple of the block size: every
+/// transaction covers one whole block.
+fn check_aligned(addr: u64, block_bytes: u64, record: usize) -> Result<(), TraceIoError> {
+    if !addr.is_multiple_of(block_bytes) {
+        return Err(TraceIoError::Parse {
+            record,
+            detail: format!("address {addr:#x} is not aligned to the {block_bytes}-byte block"),
+        });
+    }
+    Ok(())
+}
+
+/// Events reserved up front by [`read_binary`]: a header's event count is
+/// outside input, so memory is committed only as records actually arrive.
+const BINARY_PREALLOC_EVENTS: usize = 1 << 16;
 
 const BINARY_MAGIC: &[u8; 8] = b"CNNRETR1";
 
@@ -174,8 +206,9 @@ pub fn read_binary<R: Read>(mut r: R) -> Result<Trace, TraceIoError> {
     };
     let block_bytes = read_u64(&mut r)?;
     let element_bytes = read_u64(&mut r)?;
+    check_geometry(block_bytes, element_bytes)?;
     let count = read_u64(&mut r)? as usize;
-    let mut events = Vec::with_capacity(count.min(1 << 24));
+    let mut events = Vec::with_capacity(count.min(BINARY_PREALLOC_EVENTS));
     for i in 0..count {
         let mut rec = [0u8; 17];
         r.read_exact(&mut rec).map_err(|e| TraceIoError::Parse {
@@ -196,6 +229,7 @@ pub fn read_binary<R: Read>(mut r: R) -> Result<Trace, TraceIoError> {
                 })
             }
         };
+        check_aligned(addr, block_bytes, i + 1)?;
         events.push(MemoryEvent { cycle, addr, kind });
     }
     Ok(Trace::from_parts(events, block_bytes, element_bytes))
@@ -248,6 +282,66 @@ mod tests {
         assert!(read_binary(&buf[..buf.len() - 3]).is_err());
         buf[0] = b'X';
         assert!(read_binary(&buf[..]).is_err());
+    }
+
+    /// A binary header (magic, block bytes, element bytes, event count).
+    fn binary_header(block_bytes: u64, element_bytes: u64, count: u64) -> Vec<u8> {
+        let mut buf = BINARY_MAGIC.to_vec();
+        for v in [block_bytes, element_bytes, count] {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        buf
+    }
+
+    fn is_parse_error(r: Result<Trace, TraceIoError>) -> bool {
+        matches!(r, Err(TraceIoError::Parse { .. }))
+    }
+
+    #[test]
+    fn csv_rejects_zero_element_size() {
+        let csv = "# block_bytes=64 element_bytes=0\ncycle,address,is_write\n";
+        assert!(is_parse_error(read_csv(csv.as_bytes())));
+    }
+
+    #[test]
+    fn csv_rejects_block_not_multiple_of_element() {
+        let csv = "# block_bytes=10 element_bytes=4\ncycle,address,is_write\n";
+        assert!(is_parse_error(read_csv(csv.as_bytes())));
+    }
+
+    #[test]
+    fn csv_rejects_unaligned_address() {
+        let csv = "# block_bytes=64 element_bytes=4\ncycle,address,is_write\n0,64,1\n1,65,0\n";
+        match read_csv(csv.as_bytes()) {
+            Err(TraceIoError::Parse { record, .. }) => assert_eq!(record, 3),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn binary_rejects_zero_element_size() {
+        assert!(is_parse_error(read_binary(&binary_header(64, 0, 0)[..])));
+    }
+
+    #[test]
+    fn binary_rejects_block_not_multiple_of_element() {
+        assert!(is_parse_error(read_binary(&binary_header(10, 4, 0)[..])));
+    }
+
+    #[test]
+    fn binary_rejects_unaligned_address() {
+        let mut buf = binary_header(64, 4, 1);
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        buf.extend_from_slice(&65u64.to_le_bytes());
+        buf.push(0);
+        assert!(is_parse_error(read_binary(&buf[..])));
+    }
+
+    #[test]
+    fn binary_huge_count_then_eof_is_an_error() {
+        assert!(is_parse_error(read_binary(
+            &binary_header(64, 4, u64::MAX)[..]
+        )));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! (which earlier layer's output each layer consumes), which reveals fire
 //! modules and bypass paths.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::segment::{segment_trace_with, Segment, SegmentConfig};
 use crate::{Addr, Cycle, Trace};
@@ -138,36 +138,65 @@ pub fn observe_with(trace: &Trace, config: SegmentConfig) -> TraceObservations {
     let segments = segment_trace_with(trace, config);
     let events = trace.events();
 
-    // Producer map: block address -> segment index that last wrote it.
-    // (Feature-map regions are written exactly once in the paper's model, so
-    // "last" and "only" coincide; we keep last-writer for robustness.)
-    let mut producer: BTreeMap<Addr, usize> = BTreeMap::new();
+    // Which segment last wrote each block. (Feature-map regions are written
+    // exactly once in the paper's model, so "last" and "only" coincide; we
+    // keep last-writer for robustness.)
+    let mut producer = ProducerRuns::new(trace.block_bytes());
     let mut layers = Vec::with_capacity(segments.len());
+    // Per-segment distinct written / read addresses; reused across
+    // segments so the pass allocates only when a segment outgrows them.
+    let mut written: Vec<Addr> = Vec::new();
+    let mut read: Vec<Addr> = Vec::new();
 
     for (idx, seg) in segments.iter().enumerate() {
-        let mut written: BTreeSet<Addr> = BTreeSet::new();
-        let mut ro_read: BTreeSet<Addr> = BTreeSet::new();
-        let mut ifm_read: BTreeMap<usize, BTreeSet<Addr>> = BTreeMap::new();
+        written.clear();
+        read.clear();
         for ev in &events[seg.first_event..seg.end_event] {
             if ev.kind.is_write() {
-                written.insert(ev.addr);
-            } else if let Some(&p) = producer.get(&ev.addr) {
-                ifm_read.entry(p).or_default().insert(ev.addr);
+                written.push(ev.addr);
             } else {
-                ro_read.insert(ev.addr);
+                read.push(ev.addr);
             }
         }
-        // Commit this segment's writes to the producer map *after* scanning
-        // it, so self-reads within a segment (which segmentation already
-        // rules out) would not self-reference.
-        for &a in &written {
-            producer.insert(a, idx);
+        written.sort_unstable();
+        written.dedup();
+        read.sort_unstable();
+        read.dedup();
+
+        // Every read is looked up against the writes of *earlier* segments
+        // only: this segment's runs are committed after the scan, so
+        // self-reads within a segment (which segmentation already rules
+        // out) would not self-reference.
+        let mut weight_blocks = 0u64;
+        let mut ifm_sources: Vec<IfmSource> = Vec::new();
+        for &a in &read {
+            match producer.writer_of(a) {
+                Some(p) => match ifm_sources.last_mut() {
+                    Some(s) if s.producer == p => s.blocks += 1,
+                    _ => ifm_sources.push(IfmSource {
+                        producer: p,
+                        blocks: 1,
+                    }),
+                },
+                None => weight_blocks += 1,
+            }
         }
-        let kind = if written.is_empty() && ro_read.is_empty() && ifm_read.is_empty() {
+        ifm_sources.sort_by_key(|s| s.producer);
+        ifm_sources.dedup_by(|later, kept| {
+            let same = later.producer == kept.producer;
+            if same {
+                kept.blocks += later.blocks;
+            }
+            same
+        });
+        producer.commit(&written, idx);
+
+        let has_ifm = !ifm_sources.is_empty();
+        let kind = if written.is_empty() && weight_blocks == 0 && !has_ifm {
             LayerKindHint::Other
-        } else if ro_read.is_empty() && ifm_read.is_empty() {
+        } else if weight_blocks == 0 && !has_ifm {
             LayerKindHint::Prologue
-        } else if !ro_read.is_empty() {
+        } else if weight_blocks > 0 {
             LayerKindHint::Compute
         } else if !written.is_empty() {
             LayerKindHint::Merge
@@ -179,14 +208,8 @@ pub fn observe_with(trace: &Trace, config: SegmentConfig) -> TraceObservations {
             segment: *seg,
             kind,
             ofm_blocks: written.len() as u64,
-            weight_blocks: ro_read.len() as u64,
-            ifm_sources: ifm_read
-                .into_iter()
-                .map(|(p, s)| IfmSource {
-                    producer: p,
-                    blocks: s.len() as u64,
-                })
-                .collect(),
+            weight_blocks,
+            ifm_sources,
             cycles: seg.cycles(),
         });
     }
@@ -228,6 +251,76 @@ pub fn observe_with(trace: &Trace, config: SegmentConfig) -> TraceObservations {
     TraceObservations {
         layers,
         elems_per_block: trace.elems_per_block(),
+    }
+}
+
+/// Which segment last wrote each address, stored as runs of consecutive
+/// blocks: a layer writes a few contiguous regions, so its thousands of
+/// blocks commit as a handful of entries.
+///
+/// An address is keyed as `(phase, index)` = `(addr % block, addr /
+/// block)`. Accelerator traces are block-aligned (phase 0 throughout); an
+/// unaligned address only ever shares a run with addresses of its own
+/// phase, so the runs of one phase never overlap and a predecessor lookup
+/// is exact for any trace.
+#[derive(Debug)]
+struct ProducerRuns {
+    block: u64,
+    /// `(phase, first index)` -> (last index, inclusive; writing segment).
+    runs: BTreeMap<(u64, u64), (u64, usize)>,
+}
+
+impl ProducerRuns {
+    fn new(block: u64) -> Self {
+        Self {
+            block,
+            runs: BTreeMap::new(),
+        }
+    }
+
+    fn key(&self, addr: Addr) -> (u64, u64) {
+        (addr % self.block, addr / self.block)
+    }
+
+    /// The segment that last wrote `addr`, if any.
+    fn writer_of(&self, addr: Addr) -> Option<usize> {
+        let (phase, index) = self.key(addr);
+        let (&(run_phase, _), &(last, writer)) = self.runs.range(..=(phase, index)).next_back()?;
+        (run_phase == phase && index <= last).then_some(writer)
+    }
+
+    /// Records `writer` as the last writer of every address in `written`
+    /// (sorted, distinct).
+    fn commit(&mut self, written: &[Addr], writer: usize) {
+        let block = self.block;
+        for run in written.chunk_by(|&a, &b| a.checked_add(block) == Some(b)) {
+            let (phase, first) = self.key(run[0]);
+            let (_, last) = self.key(run[run.len() - 1]);
+            self.insert(phase, first, last, writer);
+        }
+    }
+
+    /// Inserts the run `first..=last` of `phase`, trimming the older runs
+    /// it overwrites so the last writer wins.
+    fn insert(&mut self, phase: u64, first: u64, last: u64, writer: usize) {
+        // An older run that starts before this one and reaches into it
+        // keeps its head and, beyond `last`, its tail.
+        if let Some((&(p, start), &(end, w))) = self.runs.range(..(phase, first)).next_back() {
+            if p == phase && end >= first {
+                self.runs.insert((p, start), (first - 1, w));
+                if end > last {
+                    self.runs.insert((phase, last + 1), (end, w));
+                }
+            }
+        }
+        // Older runs that start inside this one keep only their tail.
+        while let Some((&key, &(end, w))) = self.runs.range((phase, first)..=(phase, last)).next() {
+            self.runs.remove(&key);
+            if end > last {
+                self.runs.insert((phase, last + 1), (end, w));
+            }
+        }
+        self.runs.insert((phase, first), (last, writer));
     }
 }
 
@@ -338,6 +431,57 @@ mod tests {
         assert!(!obs.size_matches(3, 32));
         assert!(!obs.size_matches(3, 49));
         assert_eq!(obs.element_bounds(0), (0, 0));
+    }
+
+    #[test]
+    fn a_later_writer_takes_over_the_blocks_it_overwrites() {
+        // Segment 1 writes A = blocks 0..8; segment 2 overwrites blocks
+        // 2..5 of A (plus 8..10); segment 3 reads 0..10.
+        let mut b = TraceBuilder::new(BLK, 4);
+        let mut t = 0;
+        record_n(&mut b, &mut t, 0x10_000, 1, AccessKind::Read); // w1
+        record_n(&mut b, &mut t, 0x0000, 8, AccessKind::Write);
+        record_n(&mut b, &mut t, 0x0000, 1, AccessKind::Read); // RAW
+        record_n(&mut b, &mut t, 2 * BLK, 3, AccessKind::Write);
+        record_n(&mut b, &mut t, 8 * BLK, 2, AccessKind::Write);
+        record_n(&mut b, &mut t, 0x30_000, 1, AccessKind::Read); // w3
+        record_n(&mut b, &mut t, 0x0000, 10, AccessKind::Read);
+        let obs = observe(&b.finish());
+        assert_eq!(obs.layers.len(), 3, "{:?}", obs.layers);
+        assert_eq!(obs.layers[1].ofm_blocks, 5);
+        assert_eq!(
+            obs.layers[2].ifm_sources,
+            vec![
+                IfmSource {
+                    producer: 0,
+                    blocks: 5
+                },
+                IfmSource {
+                    producer: 1,
+                    blocks: 5
+                }
+            ]
+        );
+    }
+
+    #[test]
+    fn producer_runs_split_on_overwrite() {
+        let mut runs = ProducerRuns::new(BLK);
+        let blocks = |r: std::ops::Range<u64>| r.map(|i| i * BLK).collect::<Vec<_>>();
+        runs.commit(&blocks(0..10), 0);
+        runs.commit(&blocks(3..5), 1);
+        runs.commit(&blocks(8..12), 2);
+        let writers: Vec<_> = (0..13).map(|i| runs.writer_of(i * BLK)).collect();
+        let (w0, w1, w2) = (Some(0), Some(1), Some(2));
+        assert_eq!(
+            writers,
+            [w0, w0, w0, w1, w1, w0, w0, w0, w2, w2, w2, w2, None]
+        );
+        // Off-grid addresses never alias a block of the grid.
+        assert_eq!(runs.writer_of(BLK + 1), None);
+        runs.commit(&[BLK + 1, 2 * BLK + 1], 3);
+        assert_eq!(runs.writer_of(2 * BLK + 1), Some(3));
+        assert_eq!(runs.writer_of(2 * BLK), w0);
     }
 
     #[test]

@@ -1,17 +1,25 @@
 //! Randomized property tests over trace analytics and defenses — invariants
 //! that must hold for *any* trace, not just accelerator-shaped ones.
 //! Driven by the in-tree seeded generator so they run without network
-//! access; each test sweeps a fixed number of deterministic cases.
+//! access; each test sweeps a fixed number of deterministic cases. The
+//! segmenter and `observe` are also checked, output for output, against
+//! straightforward reference implementations kept here.
 
 #![cfg(test)]
+
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use cnnre_tensor::rng::{Rng, SeedableRng, SmallRng};
 
 use crate::defense::{jitter_timing, pad_write_traffic, shuffle_within_window};
 use crate::io::{read_binary, read_csv, write_binary, write_csv};
-use crate::segment::{segment_trace, SegmentConfig, StreamingSegmenter};
+use crate::observe::{observe_with, IfmSource, LayerKindHint, LayerObservation, TraceObservations};
+use crate::segment::{
+    ro_region_contains, segment_trace, segment_trace_with, IntervalSet, Segment, SegmentConfig,
+    StreamingSegmenter,
+};
 use crate::stats::{TraceStats, TrafficProfile};
-use crate::{AccessKind, Trace, TraceBuilder};
+use crate::{AccessKind, Addr, MemoryEvent, Trace, TraceBuilder};
 
 const CASES: u64 = 128;
 
@@ -207,4 +215,228 @@ fn padding_only_adds_writes() {
         assert_eq!(stats.writes_before, trace.write_count());
         assert_eq!(stats.writes_after, padded.write_count());
     }
+}
+
+/// Reference segmenter: the straightforward formulation over std
+/// `HashSet`s (SipHash), kept to check the production segmenter against.
+fn reference_segment(trace: &Trace, config: SegmentConfig) -> Vec<Segment> {
+    let (block, slack) = (trace.block_bytes(), config.slack_bytes);
+    let mut global_written: HashSet<Addr> = HashSet::new();
+    let mut written_this: HashSet<Addr> = HashSet::new();
+    let mut ro_regions = IntervalSet::default();
+    let mut has_write = false;
+    let (mut seg_start, mut seg_start_cycle, mut prev_cycle) = (0, 0, 0);
+    let mut segments = Vec::new();
+    for (index, ev) in trace.events().iter().enumerate() {
+        let boundary = ev.kind.is_read()
+            && (written_this.contains(&ev.addr)
+                || (!global_written.contains(&ev.addr)
+                    && has_write
+                    && !ro_region_contains(&ro_regions, ev.addr, block, slack)));
+        if boundary && index > seg_start {
+            segments.push(Segment {
+                first_event: seg_start,
+                end_event: index,
+                start_cycle: seg_start_cycle,
+                end_cycle: prev_cycle,
+            });
+            seg_start = index;
+            written_this.clear();
+            ro_regions.clear();
+            has_write = false;
+        }
+        if index == seg_start {
+            seg_start_cycle = ev.cycle;
+        }
+        if ev.kind.is_write() {
+            global_written.insert(ev.addr);
+            written_this.insert(ev.addr);
+            has_write = true;
+        } else if !global_written.contains(&ev.addr) {
+            let _ = ro_regions.insert(ev.addr, block, slack);
+        }
+        prev_cycle = ev.cycle;
+    }
+    if trace.len() > seg_start {
+        segments.push(Segment {
+            first_event: seg_start,
+            end_event: trace.len(),
+            start_cycle: seg_start_cycle,
+            end_cycle: prev_cycle,
+        });
+    }
+    segments
+}
+
+/// Reference classification: per-segment `BTreeSet`s and a per-address
+/// `BTreeMap` of last writers, kept to check `observe_with` against.
+fn reference_observe(trace: &Trace, config: SegmentConfig) -> TraceObservations {
+    let segments = reference_segment(trace, config);
+    let events = trace.events();
+    let mut producer: BTreeMap<Addr, usize> = BTreeMap::new();
+    let mut layers: Vec<LayerObservation> = Vec::with_capacity(segments.len());
+    for (idx, seg) in segments.iter().enumerate() {
+        let mut written: BTreeSet<Addr> = BTreeSet::new();
+        let mut ro_read: BTreeSet<Addr> = BTreeSet::new();
+        let mut ifm_read: BTreeMap<usize, BTreeSet<Addr>> = BTreeMap::new();
+        for ev in &events[seg.first_event..seg.end_event] {
+            if ev.kind.is_write() {
+                written.insert(ev.addr);
+            } else if let Some(&p) = producer.get(&ev.addr) {
+                ifm_read.entry(p).or_default().insert(ev.addr);
+            } else {
+                ro_read.insert(ev.addr);
+            }
+        }
+        for &a in &written {
+            producer.insert(a, idx);
+        }
+        let kind = if written.is_empty() && ro_read.is_empty() && ifm_read.is_empty() {
+            LayerKindHint::Other
+        } else if ro_read.is_empty() && ifm_read.is_empty() {
+            LayerKindHint::Prologue
+        } else if !ro_read.is_empty() {
+            LayerKindHint::Compute
+        } else if !written.is_empty() {
+            LayerKindHint::Merge
+        } else {
+            LayerKindHint::Other
+        };
+        layers.push(LayerObservation {
+            index: idx,
+            segment: *seg,
+            kind,
+            ofm_blocks: written.len() as u64,
+            weight_blocks: ro_read.len() as u64,
+            ifm_sources: ifm_read
+                .into_iter()
+                .map(|(p, s)| IfmSource {
+                    producer: p,
+                    blocks: s.len() as u64,
+                })
+                .collect(),
+            cycles: seg.cycles(),
+        });
+    }
+    for i in 0..layers.len().saturating_sub(1) {
+        layers[i].cycles = layers[i + 1]
+            .segment
+            .start_cycle
+            .saturating_sub(layers[i].segment.start_cycle);
+    }
+    TraceObservations {
+        layers,
+        elems_per_block: trace.elems_per_block(),
+    }
+}
+
+/// Where a differential trace draws its fresh block indices from.
+#[derive(Debug, Clone, Copy)]
+enum AddrMode {
+    /// A few small clusters of blocks.
+    Clustered,
+    /// Anywhere in the address space.
+    Scattered,
+    /// Clusters, with about half the addresses off the block grid.
+    Unaligned,
+    /// The last few hundred blocks below `u64::MAX`.
+    NearMax,
+}
+
+/// A random time-ordered trace shaped like layer traffic: runs of
+/// consecutive blocks of one access kind, jumps back to blocks touched
+/// before (re-reads, RAW boundaries, and later segments overwriting an
+/// earlier segment's blocks), and jumps to fresh blocks.
+fn differential_trace(seed: u64, mode: AddrMode) -> Trace {
+    let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0xA076_1D64_78BD_642F) ^ 0xD1FF);
+    let block = [4u64, 32, 64][rng.gen_range(0usize..3)];
+    let max_index = u64::MAX / block;
+    let fresh = |rng: &mut SmallRng| match mode {
+        AddrMode::Clustered | AddrMode::Unaligned => {
+            rng.gen_range(0u64..6) * 4096 + rng.gen_range(0u64..64)
+        }
+        AddrMode::Scattered => rng.gen_range(0..max_index),
+        AddrMode::NearMax => max_index - rng.gen_range(0u64..300),
+    };
+    let n = rng.gen_range(0usize..600);
+    let mut touched: Vec<u64> = Vec::new();
+    let mut index = fresh(&mut rng);
+    let mut write = rng.gen_bool(0.5);
+    let mut cycle = 0u64;
+    let mut events = Vec::with_capacity(n);
+    for _ in 0..n {
+        if rng.gen_bool(0.15) {
+            write = !write;
+        }
+        let jump = rng.gen_range(0u32..10);
+        index = if jump < 6 {
+            index.saturating_add(1).min(max_index)
+        } else if jump < 9 && !touched.is_empty() {
+            touched[rng.gen_range(0..touched.len())]
+        } else {
+            fresh(&mut rng)
+        };
+        touched.push(index);
+        let phase = match mode {
+            AddrMode::Unaligned if rng.gen_bool(0.5) => rng.gen_range(0..block),
+            _ => 0,
+        };
+        cycle += rng.gen_range(0u64..4);
+        events.push(MemoryEvent {
+            cycle,
+            addr: index * block + phase,
+            kind: if write {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            },
+        });
+    }
+    Trace::from_parts(events, block, 4)
+}
+
+/// Checks segmentation and classification against the reference
+/// implementations at two slack settings.
+fn assert_matches_reference(trace: &Trace, label: &str) {
+    for slack_blocks in [1, 4] {
+        let config = SegmentConfig {
+            slack_bytes: trace.block_bytes() * slack_blocks,
+        };
+        assert_eq!(
+            segment_trace_with(trace, config),
+            reference_segment(trace, config),
+            "{label}: segmentation, slack {slack_blocks} blocks"
+        );
+        assert_eq!(
+            observe_with(trace, config),
+            reference_observe(trace, config),
+            "{label}: observations, slack {slack_blocks} blocks"
+        );
+    }
+}
+
+/// The production segmenter and classifier give exactly the reference
+/// implementations' output on random traces of every address shape.
+#[test]
+fn observe_matches_reference_on_random_traces() {
+    for mode in [
+        AddrMode::Clustered,
+        AddrMode::Scattered,
+        AddrMode::Unaligned,
+        AddrMode::NearMax,
+    ] {
+        for seed in 0..CASES {
+            let trace = differential_trace(seed, mode);
+            assert_matches_reference(&trace, &format!("{mode:?} seed {seed}"));
+        }
+    }
+}
+
+/// The same agreement on the golden LeNet trace.
+#[test]
+fn observe_matches_reference_on_golden_lenet_trace() {
+    let csv = include_str!("../../../tests/golden/lenet_trace.csv");
+    let trace = read_csv(csv.as_bytes()).expect("golden trace parses");
+    assert!(trace.len() > 100);
+    assert_matches_reference(&trace, "golden lenet");
 }

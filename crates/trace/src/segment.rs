@@ -22,10 +22,50 @@
 
 use std::collections::BTreeMap;
 use std::collections::HashSet; // lint:allow(hash-iter): membership-only sets below
+use std::hash::{BuildHasherDefault, Hasher};
 
 use cnnre_obs::{log_debug, Counter};
 
 use crate::{Addr, Cycle, MemoryEvent, Trace};
+
+/// A set of addresses that is only ever probed and filled, never iterated,
+/// so its (fixed) hash order cannot reach any output.
+// lint:allow(hash-iter): contains/insert/clear only, per-event hot path
+type AddrSet = HashSet<Addr, BuildHasherDefault<AddrHasher>>;
+
+/// Fixed-key hasher for `u64` addresses: one folded 64×64→128-bit
+/// multiply. Addresses are block multiples, so their low bits are all
+/// zero; folding the product's high half into its low half spreads every
+/// input bit over the bucket-index bits. Much cheaper per event than the
+/// default SipHash, and deterministic across processes.
+#[derive(Debug, Default, Clone, Copy)]
+struct AddrHasher(u64);
+
+impl AddrHasher {
+    const KEY: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    fn mix(&mut self, x: u64) {
+        let p = u128::from(self.0 ^ x) * u128::from(Self::KEY);
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+}
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only reached by non-`u64` keys, which these sets never hold.
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.mix(x);
+    }
+}
 
 /// A contiguous run of trace events attributed to one accelerator layer
 /// (or to the host's input staging, for the first segment).
@@ -84,20 +124,20 @@ impl SegmentConfig {
 
 /// Disjoint read-only interval set with slack-based clustering.
 #[derive(Debug, Default)]
-struct IntervalSet {
+pub(crate) struct IntervalSet {
     /// Map from interval start to inclusive interval end.
     intervals: BTreeMap<Addr, Addr>,
 }
 
 impl IntervalSet {
-    fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.intervals.clear();
     }
 
     /// Returns `true` when `addr` lies within `slack` of an existing
     /// interval (and extends that interval); `false` when a new interval had
     /// to be created.
-    fn insert(&mut self, addr: Addr, block: u64, slack: u64) -> bool {
+    pub(crate) fn insert(&mut self, addr: Addr, block: u64, slack: u64) -> bool {
         // Predecessor interval: the last interval starting at or before addr.
         let pred = self
             .intervals
@@ -106,7 +146,7 @@ impl IntervalSet {
             .map(|(&lo, &hi)| (lo, hi));
         if let Some((lo, hi)) = pred {
             if addr <= hi.saturating_add(slack) {
-                let new_hi = hi.max(addr + block - 1);
+                let new_hi = hi.max(addr.saturating_add(block - 1));
                 self.intervals.insert(lo, new_hi);
                 self.merge_forward(lo, slack);
                 return true;
@@ -119,13 +159,14 @@ impl IntervalSet {
             .next()
             .map(|(&lo, &hi)| (lo, hi));
         if let Some((lo, hi)) = succ {
-            if lo <= (addr + block - 1).saturating_add(slack) {
+            if lo <= addr.saturating_add(block - 1).saturating_add(slack) {
                 self.intervals.remove(&lo);
-                self.intervals.insert(addr, hi.max(addr + block - 1));
+                self.intervals
+                    .insert(addr, hi.max(addr.saturating_add(block - 1)));
                 return true;
             }
         }
-        self.intervals.insert(addr, addr + block - 1);
+        self.intervals.insert(addr, addr.saturating_add(block - 1));
         false
     }
 
@@ -223,10 +264,8 @@ pub fn segment_trace_with(trace: &Trace, config: SegmentConfig) -> Vec<Segment> 
 pub struct StreamingSegmenter {
     block: u64,
     slack: u64,
-    // lint:allow(hash-iter): contains/insert only, per-event hot path
-    global_written: HashSet<Addr>,
-    // lint:allow(hash-iter): contains/insert/clear only, per-event hot path
-    written_this: HashSet<Addr>,
+    global_written: AddrSet,
+    written_this: AddrSet,
     ro_regions: IntervalSet,
     has_write: bool,
     index: usize,
@@ -265,10 +304,8 @@ impl StreamingSegmenter {
         Self {
             block: block_bytes,
             slack: config.slack_bytes,
-            // lint:allow(hash-iter): membership-only, see field docs
-            global_written: HashSet::new(),
-            // lint:allow(hash-iter): membership-only, see field docs
-            written_this: HashSet::new(),
+            global_written: AddrSet::default(),
+            written_this: AddrSet::default(),
             ro_regions: IntervalSet::default(),
             has_write: false,
             index: 0,
@@ -377,14 +414,14 @@ impl StreamingSegmenter {
     }
 }
 
-fn ro_region_contains(set: &IntervalSet, addr: Addr, block: u64, slack: u64) -> bool {
+pub(crate) fn ro_region_contains(set: &IntervalSet, addr: Addr, block: u64, slack: u64) -> bool {
     if let Some((_, &hi)) = set.intervals.range(..=addr).next_back() {
         if addr <= hi.saturating_add(slack) {
             return true;
         }
     }
     if let Some((&lo, _)) = set.intervals.range(addr..).next() {
-        if lo <= (addr + block - 1).saturating_add(slack) {
+        if lo <= addr.saturating_add(block - 1).saturating_add(slack) {
             return true;
         }
     }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repository gate: formatting, lints, artifact audits, and the tier-1
-# test suite.
+# Repository gate: formatting, lints, artifact audits, the tier-1 test
+# suite, and the end-to-end benchmark's own tests.
 #
 # Usage: scripts/check.sh
 #
@@ -80,6 +80,11 @@ echo "==> tier-1 (multi-threaded solve): CNNRE_THREADS=4 cargo test -q"
 # determinism guarantees (byte-identical candidates, goldens, telemetry)
 # are exercised under real pool scheduling, not just --threads 1.
 CNNRE_THREADS=4 cargo test -q
+
+echo "==> e2e benchmark tests (smoke run of every workload and its checks)"
+# The benchmark is a package of its own (e2e/Cargo.toml has an empty
+# [workspace] table), so neither `cargo test` above reaches it.
+cargo test -q --offline --manifest-path e2e/Cargo.toml
 
 if [[ "${PERF_GATE:-0}" != "0" ]]; then
     echo "==> perf gate (opt-in via PERF_GATE=1)"
