@@ -123,51 +123,24 @@ pub fn parse_profile_flags() -> Option<(std::path::PathBuf, cnnre_obs::profile::
     Some((std::path::PathBuf::from(path), clock))
 }
 
-/// The `--events-out FILE` / `--events-tcp ADDR` flag pair shared by every
-/// experiment binary: enables the live attack-event stream, recording it
-/// for a `.evt` file and/or streaming it to a listening `cnnre-viz`
-/// session. Pass the returned path to [`write_events`] after the
-/// experiment.
+/// The `--events-out FILE` flag shared by every experiment binary: enables
+/// the attack-event stream and records it for a `.evt` file. Pass the
+/// returned path to [`write_events`] after the experiment. To watch a run
+/// live, serve it with `--serve-obs` and read `/events` instead.
 ///
 /// Exits with usage code 2 on a missing flag value.
 #[must_use]
 pub fn parse_event_flags() -> Option<std::path::PathBuf> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let out = match args.iter().position(|a| a == "--events-out") {
-        Some(pos) => {
-            let Some(path) = args.get(pos + 1) else {
-                eprintln!("--events-out needs a file path");
-                std::process::exit(2);
-            };
-            Some(std::path::PathBuf::from(path))
-        }
-        None => None,
+    let pos = args.iter().position(|a| a == "--events-out")?;
+    let Some(path) = args.get(pos + 1) else {
+        eprintln!("--events-out needs a file path");
+        std::process::exit(2);
     };
-    let tcp = match args.iter().position(|a| a == "--events-tcp") {
-        Some(pos) => {
-            let Some(addr) = args.get(pos + 1) else {
-                eprintln!("--events-tcp needs an address");
-                std::process::exit(2);
-            };
-            Some(addr.clone())
-        }
-        None => None,
-    };
-    if out.is_none() && tcp.is_none() {
-        return None;
-    }
     cnnre_obs::set_enabled(true);
     cnnre_obs::stream::set_enabled(true);
-    if out.is_some() {
-        cnnre_obs::stream::set_record(true);
-    }
-    if let Some(addr) = tcp {
-        // A dead viewer must never fail the experiment.
-        if let Err(e) = cnnre_obs::stream::connect(&addr) {
-            eprintln!("cannot connect event stream to {addr}: {e}");
-        }
-    }
-    out
+    cnnre_obs::stream::set_record(true);
+    Some(std::path::PathBuf::from(path))
 }
 
 /// The `--serve-obs ADDR` / `--serve-obs-hold` flag pair shared by every
@@ -226,14 +199,10 @@ pub fn finish_serve_obs(daemon: Option<(cnnre_attacks::obsd::ObsDaemon, bool)>) 
 }
 
 /// Drains the recorded event stream into the `.evt` file requested by
-/// [`parse_event_flags`] (no-op when `--events-out` was absent) and gives
-/// any live TCP clients a moment to drain.
+/// [`parse_event_flags`] (no-op when `--events-out` was absent).
 ///
 /// Exits with code 1 when the file cannot be written.
 pub fn write_events(path: Option<std::path::PathBuf>) {
-    if cnnre_obs::stream::enabled() {
-        cnnre_obs::stream::flush(500);
-    }
     let Some(path) = path else { return };
     let bytes = cnnre_obs::stream::take_recorded_bytes();
     let dropped = cnnre_obs::stream::dropped();

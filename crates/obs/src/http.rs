@@ -398,16 +398,21 @@ fn serve_events(stream: &mut TcpStream, req: &Request, state: &ServerState) -> i
     write_chunk(stream, &crate::stream::recorded_stream_snapshot())?;
     if req.query.get("follow").map(String::as_str) == Some("1") {
         let tap = crate::stream::LiveTap::attach();
-        while !state.is_shutdown() {
+        loop {
+            // Read the flag before draining, so frames emitted before
+            // shutdown began are still written by this last pass.
+            let done = state.is_shutdown();
             let frames = tap.take_queued();
-            if frames.is_empty() {
-                thread::sleep(FOLLOW_POLL);
-                continue;
-            }
             for f in &frames {
                 // A write error (client gone) propagates; dropping the tap
                 // detaches it and updates `events.clients` immediately.
                 write_chunk(stream, f)?;
+            }
+            if done {
+                break;
+            }
+            if frames.is_empty() {
+                thread::sleep(FOLLOW_POLL);
             }
         }
     }
@@ -659,7 +664,8 @@ fn decode_chunked(mut body: &[u8]) -> io::Result<Vec<u8>> {
         if size == 0 {
             return Ok(out);
         }
-        if body.len() < size + 2 {
+        // `size` comes from the server: compare without overflowing.
+        if body.len().saturating_sub(2) < size {
             return Err(bad_response("truncated chunk"));
         }
         out.extend_from_slice(&body[..size]);
@@ -696,6 +702,11 @@ mod tests {
         assert_eq!(body, b"wikipedia");
         assert!(decode_chunked(b"zz\r\n").is_err());
         assert!(decode_chunked(b"4\r\nwi").is_err());
+        let hostile = decode_chunked(b"ffffffffffffffff\r\nwiki\r\n0\r\n\r\n");
+        assert_eq!(
+            hostile.expect_err("a huge chunk size is refused").kind(),
+            io::ErrorKind::InvalidData
+        );
     }
 
     fn bind_test_server(options: ServerOptions) -> ObsServer {
@@ -704,6 +715,9 @@ mod tests {
 
     #[test]
     fn serves_all_five_endpoints_over_loopback() {
+        // Serialized with the tests that emit events, so the two /metrics
+        // scrapes below see the same registry.
+        let _guard = crate::test_lock();
         let server = bind_test_server(ServerOptions::default());
         let addr = server.addr().to_string();
         let (status, body) = get(&addr, "/health").expect("health");
@@ -726,6 +740,48 @@ mod tests {
             crate::stream::MAGIC,
             "events replay is a stream"
         );
+    }
+
+    #[test]
+    fn follow_bridges_live_frames_until_shutdown() {
+        use crate::stream::{self, EventPayload};
+        let _guard = crate::test_lock();
+        crate::set_enabled(true);
+        stream::set_enabled(true);
+        stream::set_record(false);
+        stream::reset();
+        let mut server = bind_test_server(ServerOptions::default());
+        let addr = server.addr().to_string();
+        let reader = thread::spawn(move || get(&addr, "/events?follow=1"));
+        // Emit only once the tap is attached, or the frames would miss it.
+        while crate::global().snapshot().get("events.clients") != Some(1.0) {
+            thread::sleep(Duration::from_millis(1));
+        }
+        let payloads = [
+            EventPayload::RunStarted {
+                label: "attack.follow_test".to_string(),
+            },
+            EventPayload::RunFinished { structures: 3 },
+        ];
+        for p in &payloads {
+            stream::emit(p.clone());
+        }
+        server.shutdown();
+        let (status, body) = reader.join().expect("reader joined").expect("follow body");
+        stream::set_enabled(false);
+        crate::set_enabled(false);
+        crate::global().reset();
+        stream::reset();
+        assert_eq!(status, 200);
+        let mut expected = stream::header();
+        for (seq, payload) in payloads.into_iter().enumerate() {
+            expected.extend(stream::encode_frame(&stream::AttackEvent {
+                seq: seq as u64,
+                cycle: 0,
+                payload,
+            }));
+        }
+        assert_eq!(body, expected, "replay header, then exactly the two frames");
     }
 
     #[test]

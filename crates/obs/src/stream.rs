@@ -4,11 +4,12 @@
 //! The pipeline emits incremental **attack events** — a trace segment was
 //! classified, a layer boundary was found, the candidate set narrowed, a
 //! weight was recovered — onto a global hub. Sinks consume the encoded
-//! stream either live (over localhost TCP, `cnnre … --events-tcp` paired
-//! with `cnnre-viz --listen`) or from a recorded `.evt` file
-//! (`--events-out`, replayed with `cnnre-viz --replay`). The same protocol
-//! doubles as the job-status stream for a future attack service, so it is
-//! versioned and forward-compatible from day one.
+//! stream either from a recorded `.evt` file (`--events-out`, replayed
+//! with `cnnre-viz --replay FILE`) or live over the HTTP plane
+//! (`--serve-obs`, `GET /events?follow=1`, or
+//! `cnnre-viz --replay http://ADDR/events`). The same protocol doubles as
+//! the job-status stream for a future attack service, so it is versioned
+//! and forward-compatible from day one.
 //!
 //! # Wire format (version 1)
 //!
@@ -33,18 +34,17 @@
 //! # Backpressure
 //!
 //! Emission never stalls the solver: the recording buffer is a bounded
-//! ring with drop-newest overflow, and every live TCP client has a bounded
-//! queue drained by a dedicated writer thread — a slow or disconnected
-//! client loses events (counted in `events.dropped`), it never blocks the
-//! emitting thread on a socket write.
+//! ring with drop-newest overflow, and every live HTTP follow tap has a
+//! bounded queue that its serving thread polls — a slow reader loses
+//! events (counted in `events.dropped`), and no socket write ever runs on
+//! the emitting thread.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, Read};
 
 use cnnre_model::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use cnnre_model::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use cnnre_model::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// First bytes of every event stream.
 pub const MAGIC: &[u8; 8] = b"CNNREEVT";
@@ -57,8 +57,8 @@ pub const VERSION: u8 = 1;
 /// the newest events and counts them in `events.dropped`.
 pub const RECORD_CAPACITY: usize = 1 << 16;
 
-/// Per-client queue capacity (frames) for live TCP sinks. Overflow drops
-/// the newest events for that client only.
+/// Per-tap queue capacity (frames) for live HTTP follow readers. Overflow
+/// drops the newest events for that tap only.
 pub const CLIENT_QUEUE_CAPACITY: usize = 1024;
 
 /// Upper bound a reader accepts for one frame body — a sanity cap against
@@ -635,7 +635,7 @@ pub fn decode_frame_body(body: &[u8]) -> Result<AttackEvent, StreamError> {
 }
 
 /// Incremental frame reader over any [`Read`] — a recorded `.evt` file or
-/// a live TCP socket.
+/// an HTTP response body.
 pub struct EventReader<R> {
     inner: R,
     header_read: bool,
@@ -766,21 +766,9 @@ pub fn suppress() -> SuppressGuard {
     SuppressGuard { _priv: () }
 }
 
-struct Client {
-    queue: Mutex<VecDeque<Vec<u8>>>,
-    ready: Condvar,
-    closed: AtomicBool,
-}
-
-impl Client {
-    fn new() -> Self {
-        Self {
-            queue: Mutex::new(VecDeque::with_capacity(64)),
-            ready: Condvar::new(),
-            closed: AtomicBool::new(false),
-        }
-    }
-}
+/// One live tap's bounded frame queue, shared between the hub and the
+/// [`LiveTap`] that drains it.
+type TapQueue = Arc<Mutex<VecDeque<Vec<u8>>>>;
 
 struct Hub {
     seq: AtomicU64,
@@ -788,7 +776,7 @@ struct Hub {
     recording: AtomicBool,
     dropped: AtomicU64,
     buffer: Mutex<VecDeque<Vec<u8>>>,
-    clients: Mutex<Vec<Arc<Client>>>,
+    taps: Mutex<Vec<TapQueue>>,
 }
 
 fn hub() -> &'static Hub {
@@ -799,7 +787,7 @@ fn hub() -> &'static Hub {
         recording: AtomicBool::new(false),
         dropped: AtomicU64::new(0),
         buffer: Mutex::new(VecDeque::new()),
-        clients: Mutex::new(Vec::new()),
+        taps: Mutex::new(Vec::new()),
     })
 }
 
@@ -885,25 +873,13 @@ fn emit_event(cycle: u64, payload: EventPayload) {
             crate::counter("events.dropped").inc();
         }
     }
-    let mut clients = lock(&h.clients);
-    // Acquire pairs with the Release store that closes a client (writer
-    // write-failure or `reset`): once closed is observed here the writer is
-    // done with its queue, so pruning may drop the last `Arc` reference.
-    // lint:allow(cr-relaxed-control): taint over-approximation — the lexer's
-    // statement slicing glues the recording branch above into this slice, so
-    // its Relaxed toggle load taints `clients`; the condition itself only
-    // reads `closed` with Acquire
-    if clients.iter().any(|c| c.closed.load(Ordering::Acquire)) {
-        clients.retain(|c| !c.closed.load(Ordering::Acquire)); // Acquire: see above
-        crate::gauge("events.clients").set(clients.len() as f64);
-    }
-    for client in clients.iter() {
-        let mut queue = lock(&client.queue);
+    for tap in lock(&h.taps).iter() {
+        // lint:allow(cr-lock-order): order is `taps` → tap queue; LiveTap
+        // takes only one of the two at a time, so nothing nests in reverse
+        let mut queue = lock(tap);
         if queue.len() < CLIENT_QUEUE_CAPACITY {
             queue.push_back(frame.clone());
-            client.ready.notify_one();
         } else {
-            drop(queue);
             h.dropped.fetch_add(1, Ordering::Relaxed);
             crate::counter("events.dropped").inc();
         }
@@ -916,7 +892,7 @@ pub fn set_record(on: bool) {
 }
 
 /// Events dropped so far by backpressure (recording overflow or a slow
-/// client), process-wide.
+/// tap), process-wide.
 #[must_use]
 pub fn dropped() -> u64 {
     hub().dropped.load(Ordering::Relaxed)
@@ -953,141 +929,40 @@ pub fn recorded_stream_snapshot() -> Vec<u8> {
     out
 }
 
-/// Drops every closed client and refreshes the `events.clients` gauge.
-/// Called from a writer thread's failure exit and from [`LiveTap`] detach,
-/// so a mid-run disconnect is reflected immediately instead of at the next
-/// emit (the emit path additionally prunes inline under its own lock).
-fn prune_closed() {
-    let mut clients = lock(&hub().clients);
-    // Acquire pairs with the Release store that closed the client; see
-    // the emit-path prune for the full protocol note.
-    clients.retain(|c| !c.closed.load(Ordering::Acquire));
-    crate::gauge("events.clients").set(clients.len() as f64);
-}
-
 /// A live tap on the hub for the HTTP `/events?follow=1` bridge: frames
 /// emitted after attach land in a bounded per-tap queue, drained by
 /// [`LiveTap::take_queued`] from the serving thread. Dropping the tap
-/// disconnects it and immediately updates `events.clients`.
+/// detaches it and immediately updates `events.clients`.
 pub(crate) struct LiveTap {
-    client: Arc<Client>,
+    queue: TapQueue,
 }
 
 impl LiveTap {
     /// Registers a new tap on the hub.
     pub(crate) fn attach() -> Self {
-        let client = Arc::new(Client::new());
-        register_client(Arc::clone(&client));
-        LiveTap { client }
+        let queue: TapQueue = Arc::new(Mutex::new(VecDeque::with_capacity(64)));
+        let mut taps = lock(&hub().taps);
+        taps.push(Arc::clone(&queue));
+        crate::gauge("events.clients").set(taps.len() as f64);
+        LiveTap { queue }
     }
 
     /// Drains every frame currently queued, without blocking.
     pub(crate) fn take_queued(&self) -> Vec<Vec<u8>> {
-        lock(&self.client.queue).drain(..).collect()
+        lock(&self.queue).drain(..).collect()
     }
 }
 
 impl Drop for LiveTap {
     fn drop(&mut self) {
-        {
-            // Close under the queue mutex — the same lost-wakeup-safe
-            // protocol as `reset`. Lock order is respected: this scope
-            // holds only `client.queue`, and `prune_closed` below holds
-            // only `clients`; the two are never nested.
-            let _queue = lock(&self.client.queue);
-            // Release pairs with the Acquire prune loads.
-            self.client.closed.store(true, Ordering::Release);
-            self.client.ready.notify_all();
-        }
-        prune_closed();
-    }
-}
-
-fn register_client(client: Arc<Client>) {
-    let mut clients = lock(&hub().clients);
-    clients.push(client);
-    crate::gauge("events.clients").set(clients.len() as f64);
-}
-
-fn writer_loop<W: Write>(client: &Client, sink: &mut W) {
-    loop {
-        let frame = {
-            let mut queue = lock(&client.queue);
-            loop {
-                if let Some(f) = queue.pop_front() {
-                    break f;
-                }
-                // Acquire pairs with the Release store in `reset`: observing
-                // closed under the queue mutex means no further frame will be
-                // queued, so exiting here cannot strand one (pop runs first).
-                if client.closed.load(Ordering::Acquire) {
-                    return;
-                }
-                queue = client
-                    .ready
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        if sink.write_all(&frame).is_err() {
-            // Release publishes the write failure to the Acquire `closed`
-            // loads on the emit-path prune and in `flush`.
-            client.closed.store(true, Ordering::Release);
-            // Prune now so `events.clients` reflects the disconnect
-            // immediately, not only at the next emit.
-            prune_closed();
-            return;
-        }
-    }
-}
-
-/// Connects a live TCP sink (e.g. a `cnnre-viz --listen` session): writes
-/// the stream header and registers a client whose bounded queue is drained
-/// by a dedicated writer thread — socket writes never run on the emitting
-/// thread.
-///
-/// # Errors
-///
-/// Returns the connect/handshake error; emission is unaffected by a
-/// failed connect.
-pub fn connect(addr: &str) -> io::Result<()> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.write_all(&header())?;
-    let client = Arc::new(Client::new());
-    register_client(Arc::clone(&client));
-    cnnre_model::thread::Builder::new()
-        .name("cnnre-events".to_string())
-        .spawn(move || {
-            let mut stream = stream;
-            writer_loop(&client, &mut stream);
-        })?;
-    Ok(())
-}
-
-/// Waits up to `max_wait_ms` milliseconds for all live client queues to
-/// drain (a best-effort flush before process exit). Returns immediately
-/// when there are no clients.
-pub fn flush(max_wait_ms: u64) {
-    for _ in 0..max_wait_ms {
-        let drained = {
-            let clients = lock(&hub().clients);
-            clients
-                .iter()
-                // lint:allow(cr-lock-order): documented order `clients` →
-                // `client.queue`, same as emit_event; no path acquires them
-                // in reverse, so the nesting cannot deadlock
-                // (Acquire on `closed`: pairs with the writer's Release.)
-                .all(|c| c.closed.load(Ordering::Acquire) || lock(&c.queue).is_empty())
-        };
-        if drained {
-            return;
-        }
-        cnnre_model::thread::sleep(std::time::Duration::from_millis(1));
+        let mut taps = lock(&hub().taps);
+        taps.retain(|q| !Arc::ptr_eq(q, &self.queue));
+        crate::gauge("events.clients").set(taps.len() as f64);
     }
 }
 
 /// Resets the hub: sequence and cycle counters to 0, recording buffer and
-/// drop counter cleared, all live clients disconnected. Tests and golden
+/// drop counter cleared, all live taps detached. Tests and golden
 /// recorders call this for deterministic streams.
 pub fn reset() {
     let h = hub();
@@ -1095,24 +970,7 @@ pub fn reset() {
     h.cycle.store(0, Ordering::Relaxed);
     h.dropped.store(0, Ordering::Relaxed);
     lock(&h.buffer).clear();
-    let mut clients = lock(&h.clients);
-    for c in clients.iter() {
-        // The store and notify run under the queue mutex: a writer that
-        // saw `closed` clear did so holding this mutex, so it is either
-        // already in `wait` (the notify wakes it) or will re-check after
-        // we release. An unlocked notify can land between its check and
-        // its wait and be lost forever — the model checker flags that
-        // protocol as an MC002 deadlock.
-        // lint:allow(cr-lock-order): documented order `clients` →
-        // `client.queue`, same as emit_event and flush; no path acquires
-        // them in reverse, so the nesting cannot deadlock
-        let _queue = lock(&c.queue);
-        // Release pairs with the writer's Acquire exit check: everything
-        // queued before this disconnect is visible to its final drain.
-        c.closed.store(true, Ordering::Release);
-        c.ready.notify_all();
-    }
-    clients.clear();
+    lock(&h.taps).clear();
     crate::gauge("events.clients").set(0.0);
 }
 
@@ -1376,99 +1234,39 @@ mod tests {
         crate::set_enabled(true);
         set_enabled(true);
         reset();
-        // A client with no writer thread models a stalled socket: its
-        // queue fills to capacity and every further event is dropped.
-        let client = Arc::new(Client::new());
-        register_client(Arc::clone(&client));
+        // A tap that is never drained models a stalled reader: its queue
+        // fills to capacity and every further event is dropped.
+        let tap = LiveTap::attach();
         let before = dropped();
         for i in 0..(CLIENT_QUEUE_CAPACITY + 100) {
             emit(EventPayload::RunFinished {
                 structures: i as u64,
             });
         }
-        assert_eq!(lock(&client.queue).len(), CLIENT_QUEUE_CAPACITY);
+        assert_eq!(tap.take_queued().len(), CLIENT_QUEUE_CAPACITY);
         assert_eq!(dropped() - before, 100);
+        drop(tap);
         reset();
         set_enabled(false);
         crate::set_enabled(false);
         crate::global().reset();
-    }
-
-    #[test]
-    fn tcp_sink_round_trips_over_localhost() {
-        let _guard = crate::test_lock();
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().expect("local addr").to_string();
-        crate::set_enabled(true);
-        set_enabled(true);
-        reset();
-        connect(&addr).expect("connect to own listener");
-        start_run("accel.run");
-        emit_at(
-            9,
-            EventPayload::LayerBoundary {
-                index: 0,
-                signal: BoundarySignal::Raw,
-            },
-        );
-        flush(1000);
-        reset(); // closes the client; the writer thread exits
-        set_enabled(false);
-        crate::set_enabled(false);
-        crate::global().reset();
-        let (sock, _) = listener.accept().expect("accept");
-        sock.set_read_timeout(Some(std::time::Duration::from_secs(5)))
-            .expect("timeout");
-        let mut reader = EventReader::new(sock);
-        let first = reader.next_event().expect("frame").expect("event");
-        assert!(matches!(first.payload, EventPayload::RunStarted { .. }));
-        let second = reader.next_event().expect("frame").expect("event");
-        assert_eq!(
-            second.payload,
-            EventPayload::LayerBoundary {
-                index: 0,
-                signal: BoundarySignal::Raw,
-            }
-        );
-        assert_eq!(second.cycle, 9);
-    }
-
-    #[test]
-    fn writer_failure_decrements_clients_gauge_without_an_emit() {
-        let _guard = crate::test_lock();
-        crate::set_enabled(true);
-        reset();
-        let client = Arc::new(Client::new());
-        register_client(Arc::clone(&client));
-        assert_eq!(crate::global().snapshot().get("events.clients"), Some(1.0));
-        lock(&client.queue).push_back(vec![1, 2, 3]);
-        struct FailSink;
-        impl Write for FailSink {
-            fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
-                Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer gone"))
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        // The writer hits the broken sink, closes the client, and prunes —
-        // no subsequent emit is needed for the gauge to drop.
-        writer_loop(&client, &mut FailSink);
-        assert_eq!(crate::global().snapshot().get("events.clients"), Some(0.0));
-        crate::set_enabled(false);
-        crate::global().reset();
-        reset();
     }
 
     #[test]
     fn reset_zeroes_the_clients_gauge() {
         let _guard = crate::test_lock();
         crate::set_enabled(true);
+        set_enabled(true);
         reset();
-        register_client(Arc::new(Client::new()));
+        let tap = LiveTap::attach();
         assert_eq!(crate::global().snapshot().get("events.clients"), Some(1.0));
         reset();
         assert_eq!(crate::global().snapshot().get("events.clients"), Some(0.0));
+        emit(EventPayload::RunFinished { structures: 1 });
+        assert!(tap.take_queued().is_empty(), "reset detaches the tap");
+        drop(tap);
+        assert_eq!(crate::global().snapshot().get("events.clients"), Some(0.0));
+        set_enabled(false);
         crate::set_enabled(false);
         crate::global().reset();
     }
@@ -1518,47 +1316,5 @@ mod tests {
         crate::set_enabled(false);
         crate::global().reset();
         reset();
-    }
-}
-
-#[cfg(all(test, feature = "model-check"))]
-mod model_tests {
-    use super::*;
-    use cnnre_model::{check, thread};
-
-    /// The producer→writer queue handoff on a fresh client: frames pushed
-    /// before the close are all delivered to the sink under every schedule
-    /// — `writer_loop` pops before it checks `closed`, so a disconnect
-    /// can never strand a queued frame.
-    #[test]
-    fn client_handoff_delivers_queued_frames_before_close() {
-        let stats = check(|| {
-            let client = Arc::new(Client::new());
-            let c2 = Arc::clone(&client);
-            let writer = thread::spawn(move || {
-                let mut sink = Vec::new();
-                writer_loop(&c2, &mut sink);
-                sink
-            });
-            for frame in [vec![1u8, 2], vec![3u8]] {
-                let mut queue = lock(&client.queue);
-                queue.push_back(frame);
-                client.ready.notify_one();
-            }
-            // Same close protocol as `reset`: store and notify under the
-            // queue mutex so the wakeup cannot fall into the writer's
-            // check-then-wait window.
-            {
-                let _queue = lock(&client.queue);
-                client.closed.store(true, Ordering::Release);
-                client.ready.notify_all();
-            }
-            let sink = writer.join().expect("writer joined");
-            assert_eq!(sink, vec![1, 2, 3], "a queued frame was stranded");
-        });
-        assert!(
-            stats.executions > 1,
-            "the handoff must explore several schedules"
-        );
     }
 }

@@ -1,19 +1,19 @@
-//! `cnnre-viz` — render the live attack-telemetry stream.
+//! `cnnre-viz` — render the attack-telemetry event stream.
 //!
 //! ```text
-//! cnnre-viz --replay <file.evt>  [--out-dir DIR] [--snapshots] [--metrics FILE]
-//! cnnre-viz --listen <addr>      [--out-dir DIR] [--snapshots] [--metrics FILE]
+//! cnnre-viz --replay <file.evt | http://HOST:PORT[/PATH]> [--out-dir DIR] [--snapshots] [--metrics FILE]
 //! ```
 //!
-//! `--replay` decodes a recorded event file; `--listen` binds a TCP
-//! listener, accepts one producer connection (`cnnre … --events-tcp`), and
-//! consumes events until the producer disconnects. Either way the final
-//! state is rendered into `<out-dir>/graph.dot`, `graph.svg`, and
-//! `timeline.svg`; with `--snapshots`, an incremental `graph_NNN.dot` is
-//! written every time a recovered-graph event confirms a new layer, so the
-//! directory shows the network growing as the attack converges.
+//! `--replay` decodes a recorded event file, or fetches the stream a run
+//! has recorded so far from its `--serve-obs` plane (the path defaults to
+//! `/events`). Either way the final state is rendered into
+//! `<out-dir>/graph.dot`, `graph.svg`, and `timeline.svg`; with
+//! `--snapshots`, an incremental `graph_NNN.dot` is written every time a
+//! recovered-graph event confirms a new layer, so the directory shows the
+//! network growing as the attack converges.
 //!
-//! Exit codes: 0 success, 1 stream/render failure, 2 usage error.
+//! Exit codes: 0 success, 1 stream/fetch/render failure (including a
+//! non-200 HTTP status), 2 usage error.
 
 use cnnre_obs::stream::{EventPayload, EventReader};
 use cnnre_viz::{dot, replay::ReplayState, timeline};
@@ -22,26 +22,24 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 struct Opts {
-    replay: Option<PathBuf>,
-    listen: Option<String>,
+    replay: String,
     out_dir: PathBuf,
     snapshots: bool,
     metrics: Option<PathBuf>,
 }
 
 const USAGE: &str = "usage:\n  \
-    cnnre-viz --replay <file.evt> [--out-dir DIR] [--snapshots] [--metrics FILE]\n  \
-    cnnre-viz --listen <addr>     [--out-dir DIR] [--snapshots] [--metrics FILE]\n\n\
-    --replay <file>   render a recorded event stream\n  \
-    --listen <addr>   accept one live producer (cnnre ... --events-tcp <addr>)\n  \
+    cnnre-viz --replay <file.evt | http://HOST:PORT[/PATH]> [--out-dir DIR] [--snapshots] [--metrics FILE]\n\n\
+    --replay <src>    render a recorded event file, or GET a stream from a\n                    \
+    --serve-obs plane (PATH defaults to /events)\n  \
     --out-dir <dir>   output directory (default: viz_out)\n  \
     --snapshots       write incremental graph_NNN.dot per confirmed layer\n  \
     --metrics <file>  write a viz.* metrics snapshot (JSON)";
 
 fn parse_args(args: &[String]) -> Result<Opts, String> {
+    let mut replay = None;
     let mut opts = Opts {
-        replay: None,
-        listen: None,
+        replay: String::new(),
         out_dir: PathBuf::from("viz_out"),
         snapshots: false,
         metrics: None,
@@ -50,12 +48,8 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--replay" => {
-                let v = it.next().ok_or("--replay needs a file argument")?;
-                opts.replay = Some(PathBuf::from(v));
-            }
-            "--listen" => {
-                let v = it.next().ok_or("--listen needs an address argument")?;
-                opts.listen = Some(v.clone());
+                let v = it.next().ok_or("--replay needs a file or URL argument")?;
+                replay = Some(v.clone());
             }
             "--out-dir" => {
                 let v = it.next().ok_or("--out-dir needs a directory argument")?;
@@ -70,11 +64,24 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    match (&opts.replay, &opts.listen) {
-        (Some(_), Some(_)) => Err("--replay and --listen are mutually exclusive".to_string()),
-        (None, None) => Err("one of --replay or --listen is required".to_string()),
-        _ => Ok(opts),
+    opts.replay = replay.ok_or("--replay is required")?;
+    Ok(opts)
+}
+
+/// Fetches `HOST:PORT[/PATH]`, an `http://` URL without its scheme (the
+/// path defaults to `/events`), with the in-tree HTTP client; any status
+/// other than 200 is an error.
+fn fetch(url: &str) -> Result<Vec<u8>, String> {
+    let (addr, path) = match url.find('/') {
+        Some(i) => url.split_at(i),
+        None => (url, "/events"),
+    };
+    let (status, body) =
+        cnnre_obs::http::get(addr, path).map_err(|e| format!("GET http://{url}: {e}"))?;
+    if status != 200 {
+        return Err(format!("GET http://{url}: HTTP {status}"));
     }
+    Ok(body)
 }
 
 /// Streams events from `source` into a replay state, writing incremental
@@ -123,30 +130,18 @@ fn run(opts: &Opts) -> Result<(), String> {
         .map_err(|e| format!("create {}: {e}", opts.out_dir.display()))?;
     let consumed = cnnre_obs::counter("viz.events.consumed");
     let snapshots_written = cnnre_obs::counter("viz.snapshots.written");
-    let state = if let Some(file) = &opts.replay {
-        let f = std::fs::File::open(file).map_err(|e| format!("open {}: {e}", file.display()))?;
+    let src = &opts.replay;
+    let state = if let Some(url) = src.strip_prefix("http://") {
+        let body = fetch(url)?;
+        consume(body.as_slice(), opts, &consumed, &snapshots_written)?
+    } else {
+        let f = std::fs::File::open(src).map_err(|e| format!("open {src}: {e}"))?;
         consume(
             std::io::BufReader::new(f),
             opts,
             &consumed,
             &snapshots_written,
         )?
-    } else if let Some(addr) = &opts.listen {
-        let listener =
-            std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-        eprintln!("cnnre-viz: listening on {addr}, waiting for a producer…");
-        let (sock, peer) = listener
-            .accept()
-            .map_err(|e| format!("accept on {addr}: {e}"))?;
-        eprintln!("cnnre-viz: producer connected from {peer}");
-        consume(
-            std::io::BufReader::new(sock),
-            opts,
-            &consumed,
-            &snapshots_written,
-        )?
-    } else {
-        unreachable!("parse_args guarantees a mode")
     };
     let graph = state
         .final_graph_run()

@@ -54,9 +54,10 @@ cargo test -q
 
 echo "==> live obs plane (serve-obs on loopback, scrape all endpoints, diff vs JSON export)"
 # Start a real experiment with the embedded scrape server on an
-# ephemeral port, learn the address from CNNRE_OBS_ADDR_FILE, probe all
-# five endpoints with the in-tree client (no curl), cross-check
-# /metrics against the end-of-run JSON export, and release the hold.
+# ephemeral port, learn the address from CNNRE_OBS_ADDR_FILE, render its
+# /events stream with cnnre-viz, probe all five endpoints with the
+# in-tree client (no curl), cross-check /metrics against the end-of-run
+# JSON export, and release the hold.
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$VIZ_TMP" "$OBS_TMP"' EXIT
 rm -f "$OBS_TMP/addr" "$OBS_TMP/BENCH_table3.json"
@@ -71,6 +72,9 @@ for _ in $(seq 1 600); do
     fi
     sleep 0.1
 done
+./target/release/cnnre-viz --replay "http://$(cat "$OBS_TMP/addr")/events" \
+    --out-dir "$OBS_TMP/viz"
+[[ -s "$OBS_TMP/viz/graph.dot" ]] || { echo "cnnre-viz rendered no graph.dot" >&2; exit 1; }
 ./target/release/cnnre obs-probe "$(cat "$OBS_TMP/addr")" \
     --against "$OBS_TMP/BENCH_table3.json" --quit
 wait "$OBS_PID"

@@ -10,7 +10,7 @@
 #     (steal/push races, empty steal, last-element race, shutdown,
 #     panic-in-task);
 #   - crates/obs: registry creation/increment race, profile ring slot
-#     claim race, stream hub client-queue handoff.
+#     claim race, HTTP server shutdown/quit protocol.
 #
 # Usage: scripts/model.sh
 set -euo pipefail
@@ -22,7 +22,7 @@ cargo test -q -p cnnre-model --features model-check
 echo "==> exec deque + thread pool (crates/core, model-check)"
 cargo test -q -p cnnre-attacks --features model-check --test model_exec
 
-echo "==> obs concurrent surfaces (registry, profile ring, stream hub)"
+echo "==> obs concurrent surfaces (registry, profile ring, HTTP server)"
 cargo test -q -p cnnre-obs --features model-check --lib
 
 echo "Model check passed."

@@ -37,7 +37,6 @@ fn main() {
     let metrics_path = take_flag_value(&mut args, "--metrics");
     let profile_path = take_flag_value(&mut args, "--profile-out");
     let events_path = take_flag_value(&mut args, "--events-out");
-    let events_tcp = take_flag_value(&mut args, "--events-tcp");
     let serve_obs = take_flag_value(&mut args, "--serve-obs");
     let serve_obs_hold = take_bool_flag(&mut args, "--serve-obs-hold");
     if serve_obs_hold && serve_obs.is_none() {
@@ -85,20 +84,11 @@ fn main() {
     if profile_path.is_some() {
         cnnre_obs::profile::set_enabled(true);
     }
-    if events_path.is_some() || events_tcp.is_some() {
+    if events_path.is_some() {
         // Streaming events also records the events.* counters.
         cnnre_obs::set_enabled(true);
         cnnre_obs::stream::set_enabled(true);
-        if events_path.is_some() {
-            cnnre_obs::stream::set_record(true);
-        }
-        if let Some(addr) = &events_tcp {
-            // A failed connect degrades to recording-only (if requested):
-            // the attack must never depend on the viewer being up.
-            if let Err(e) = cnnre_obs::stream::connect(addr) {
-                eprintln!("cannot connect event stream to {addr}: {e}");
-            }
-        }
+        cnnre_obs::stream::set_record(true);
     }
     // The live scrape server wants every signal source on: metrics (done
     // by obsd::serve itself), the profiler ring for /profile, and the
@@ -173,10 +163,6 @@ fn main() {
             bytes.len()
         );
     }
-    if events_tcp.is_some() {
-        // Give live clients a moment to drain before the process exits.
-        cnnre_obs::stream::flush(500);
-    }
     if let Some(path) = metrics_path {
         // Deterministic export: wall-clock metrics are excluded so two
         // identical seeded runs write byte-identical files.
@@ -248,11 +234,10 @@ fn print_usage() {
          --profile-clock C    timeline clock domain: wall|cycles|both (default both)\n  \
          --events-out FILE    record the live attack-event stream to a replayable .evt file\n                       \
          (view with `cnnre-viz --replay FILE`)\n  \
-         --events-tcp ADDR    stream attack events to a listening viewer\n                       \
-         (start `cnnre-viz --listen ADDR` first)\n  \
          --serve-obs ADDR     serve live observability over HTTP while running:\n                       \
          /metrics /profile /progress /events /health\n                       \
-         (scrape with `cnnre obs-probe` or any Prometheus client)\n  \
+         (scrape with `cnnre obs-probe` or any Prometheus client;\n                       \
+         watch events with `cnnre-viz --replay http://ADDR/events`)\n  \
          --serve-obs-hold     keep serving after the run until a scraper sends GET /quit\n  \
          --log-level LEVEL    stderr verbosity: error|warn|info|debug|trace|off\n                       \
          (also settable via the CNNRE_LOG environment variable)\n\n\

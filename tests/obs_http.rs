@@ -2,7 +2,8 @@
 //! LeNet pipeline (trace generation plus structure recovery, the paper's
 //! Fig. 3 setting) must be byte-identical across consecutive scrapes —
 //! the scrape must not perturb itself — and match the checked-in
-//! `tests/golden/lenet_metrics.prom`; and the whole CLI flow
+//! `tests/golden/lenet_metrics.prom`, while `/events` serves exactly
+//! `tests/golden/lenet_events.evt`; and the whole CLI flow
 //! (`--serve-obs` + `--serve-obs-hold` + `obs-probe --against --quit`)
 //! must hand shake end to end as two real processes.
 //!
@@ -101,9 +102,12 @@ fn live_scrape_is_deterministic_and_matches_golden() {
     );
     let (status, body) = get(&addr, "/events").expect("events");
     assert_eq!(status, 200);
-    assert!(body.starts_with(cnnre_obs::stream::MAGIC));
-    let events = cnnre_obs::stream::read_stream(body.as_slice()).expect("replay decodes");
-    assert!(!events.is_empty(), "the replay carries the recorded run");
+    let golden_events = std::fs::read(golden_path("lenet_events.evt")).expect("golden .evt exists");
+    assert!(
+        body == golden_events,
+        "/events must serve the recording of the golden pipeline byte for byte \
+         (tests/golden/lenet_events.evt)"
+    );
 
     daemon.shutdown();
 
