@@ -10,7 +10,7 @@
 
 use cnnre_nn::layer::Linear;
 
-use crate::weights::search::{find_crossings, SearchConfig};
+use crate::weights::search::{find_monotone_crossings, SearchConfig};
 
 /// The adversary's per-output zero/non-zero observation for an FC layer.
 pub trait FcZeroCountOracle {
@@ -121,6 +121,10 @@ impl FcRatioRecovery {
 }
 
 /// Recovers every `w_ji/b_j` of the FC layer behind `oracle`.
+///
+/// Each search watches one neuron against one probed input, whose count
+/// `w·x + b > 0` is monotone on each side of zero, so it uses
+/// [`find_monotone_crossings`].
 pub fn recover_fc_ratios(
     oracle: &mut dyn FcZeroCountOracle,
     search: &SearchConfig,
@@ -129,7 +133,7 @@ pub fn recover_fc_ratios(
     let mut ratios = vec![None; n_in * n_out];
     for i in 0..n_in {
         for j in 0..n_out {
-            let crossings = find_crossings(|v| u64::from(oracle.query(i, v)[j]), search);
+            let crossings = find_monotone_crossings(|v| u64::from(oracle.query(i, v)[j]), search);
             ratios[j * n_in + i] = match crossings[..] {
                 [] => Some(0.0),
                 [single] => Some(-1.0 / single.x),
@@ -170,11 +174,52 @@ mod tests {
         Linear::from_parts(n_in, n_out, w, b).expect("victim fc")
     }
 
+    /// [`recover_fc_ratios`] on the full probe grid, as a reference.
+    fn full_grid_reference(layer: &Linear) -> FcRatioRecovery {
+        let mut oracle = FunctionalFcOracle::new(layer.clone());
+        let (n_in, n_out) = (layer.in_features(), layer.out_features());
+        let mut ratios = vec![None; n_in * n_out];
+        for i in 0..n_in {
+            for j in 0..n_out {
+                let crossings = crate::weights::search::find_crossings(
+                    |v| u64::from(oracle.query(i, v)[j]),
+                    &SearchConfig::default(),
+                );
+                ratios[j * n_in + i] = match crossings[..] {
+                    [] => Some(0.0),
+                    [single] => Some(-1.0 / single.x),
+                    _ => None,
+                };
+            }
+        }
+        FcRatioRecovery {
+            out_features: n_out,
+            in_features: n_in,
+            ratios,
+            queries: oracle.query_count(),
+        }
+    }
+
+    /// Recovers `layer` and checks the ratios against the full-grid
+    /// reference bit for bit, with fewer queries.
+    fn recover_and_compare(layer: &Linear) -> FcRatioRecovery {
+        let mut oracle = FunctionalFcOracle::new(layer.clone());
+        let rec = recover_fc_ratios(&mut oracle, &SearchConfig::default());
+        let reference = full_grid_reference(layer);
+        assert_eq!(rec.ratios, reference.ratios);
+        assert!(
+            2 * rec.queries < reference.queries,
+            "{} queries vs {} on the full grid",
+            rec.queries,
+            reference.queries
+        );
+        rec
+    }
+
     #[test]
     fn recovers_all_fc_ratios_precisely() {
         let layer = victim(1, false);
-        let mut oracle = FunctionalFcOracle::new(layer.clone());
-        let rec = recover_fc_ratios(&mut oracle, &SearchConfig::default());
+        let rec = recover_and_compare(&layer);
         assert!(rec.ratios.iter().all(Option::is_some));
         let err = rec.max_ratio_error(&layer);
         assert!(err < 2f64.powi(-10), "max error {err:.3e}");
@@ -183,8 +228,7 @@ mod tests {
     #[test]
     fn identifies_fc_zero_weights() {
         let layer = victim(2, true);
-        let mut oracle = FunctionalFcOracle::new(layer.clone());
-        let rec = recover_fc_ratios(&mut oracle, &SearchConfig::default());
+        let rec = recover_and_compare(&layer);
         for j in 0..4 {
             for i in 0..6 {
                 if layer.weights()[j * 6 + i] == 0.0 {
@@ -201,8 +245,7 @@ mod tests {
         // baseline dead, upward. Both recover.
         for seed in [3u64, 4, 5] {
             let layer = victim(seed, false);
-            let mut oracle = FunctionalFcOracle::new(layer.clone());
-            let rec = recover_fc_ratios(&mut oracle, &SearchConfig::default());
+            let rec = recover_and_compare(&layer);
             assert!(rec.max_ratio_error(&layer) < 2f64.powi(-10), "seed {seed}");
         }
     }

@@ -8,7 +8,11 @@
 //!    input, observe per-filter non-zero output counts from the write
 //!    transactions);
 //! 2. [`find_crossings`] binary-searches the probe values at which output
-//!    pixels cross the pruning boundary (Equation (9));
+//!    pixels cross the pruning boundary (Equation (9)) from a full probe
+//!    grid; [`find_monotone_crossings`] finds the same crossings with far
+//!    fewer grid probes when the count is monotone on each side of zero
+//!    (one unpinned probe into a plain or max-pooled layer, or an FC
+//!    neuron);
 //! 3. [`recover_ratios`] drives Algorithm 2 (generalized: isolation probes
 //!    plus descending iteration and a virtual-model predictor) to assign
 //!    one `w/b` per weight and identify exact zeros;
@@ -29,7 +33,7 @@ pub use oracle::{
 pub use recover::{
     recover_ratios, recover_ratios_parallel, RatioRecovery, RecoveredFilter, RecoveryConfig,
 };
-pub use search::{find_crossings, Crossing, SearchConfig};
+pub use search::{find_crossings, find_monotone_crossings, Crossing, SearchConfig};
 pub use threshold::{
     full_weights, full_weights_with_threshold, recover_bias, BiasRecovery, ThresholdControl,
 };

@@ -31,7 +31,7 @@ use crate::exec::map_ordered;
 use crate::weights::oracle::{
     FunctionalOracle, LayerGeometry, MergedOrder, Probe, ZeroCountOracle,
 };
-use crate::weights::search::{find_crossings, Crossing, SearchConfig};
+use crate::weights::search::{find_crossings, find_monotone_crossings, Crossing, SearchConfig};
 
 /// Recovery configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -931,6 +931,45 @@ fn finish_recovery(
     }
 }
 
+/// Whether a query of one probe value plus `pins` has a count that is
+/// monotone on each side of zero, so [`find_monotone_crossings`] returns
+/// exactly what [`find_crossings`] would (the argument is on that
+/// function): no pins, no pooling or max pooling, and a non-negative
+/// threshold.
+fn count_is_monotone(geom: &LayerGeometry, pins: &[Probe]) -> bool {
+    matches!(geom.pool, None | Some((PoolKind::Max, ..)))
+        && geom.threshold >= 0.0
+        && pins.is_empty()
+}
+
+/// The crossing search for one probe position plus `pins`: the monotone
+/// search where [`count_is_monotone`] holds, the full grid otherwise.
+fn search_crossings(
+    geom: &LayerGeometry,
+    t: &Target,
+    pins: &[Probe],
+    mut count: impl FnMut(&[Probe]) -> u64,
+    cfg: &SearchConfig,
+) -> Vec<Crossing> {
+    let mut probes = Vec::with_capacity(pins.len() + 1);
+    probes.push(Probe {
+        c: t.c,
+        y: t.y,
+        x: t.x,
+        value: 0.0,
+    });
+    probes.extend_from_slice(pins);
+    let query = |v: f32| {
+        probes[0].value = v;
+        count(&probes)
+    };
+    if count_is_monotone(geom, pins) {
+        find_monotone_crossings(query, cfg)
+    } else {
+        find_crossings(query, cfg)
+    }
+}
+
 /// Crossings of the virtual model for the given probe set.
 fn virtual_crossings(
     geom: &LayerGeometry,
@@ -941,18 +980,12 @@ fn virtual_crossings(
     cfg: &RecoveryConfig,
 ) -> Vec<Crossing> {
     let mut virt = virtual_oracle(geom, filter, bias_positive);
-    find_crossings(
-        |v| {
-            let mut probes = Vec::with_capacity(pins.len() + 1);
-            probes.push(Probe {
-                c: t.c,
-                y: t.y,
-                x: t.x,
-                value: v,
-            });
-            probes.extend_from_slice(pins);
-            virt.query_filter(0, &probes)
-        },
+    let virt_geom = virt.geometry();
+    search_crossings(
+        &virt_geom,
+        t,
+        pins,
+        |probes| virt.query_filter(0, probes),
         &cfg.search,
     )
 }
@@ -1050,18 +1083,11 @@ fn recover_one(
             .is_none_or(|(fy, fx)| filter.ratio(t.c, fy, fx).is_some())
     });
     if all_cotaps_known {
-        let observed = find_crossings(
-            |v| {
-                oracle.query_filter(
-                    d,
-                    &[Probe {
-                        c: t.c,
-                        y: t.y,
-                        x: t.x,
-                        value: v,
-                    }],
-                )
-            },
+        let observed = search_crossings(
+            geom,
+            t,
+            &[],
+            |probes| oracle.query_filter(d, probes),
             &cfg.search,
         );
         let predicted = virtual_crossings(geom, filter, bias_positive, t, &[], cfg);
@@ -1098,18 +1124,11 @@ fn recover_one(
     // Pinned path: drive every other corner tap far negative so the
     // target's crossing is exposed (Equation (10), generalized).
     let pins = build_pins(geom, filter, bias_positive, t)?;
-    let observed2 = find_crossings(
-        |v| {
-            let mut probes = Vec::with_capacity(pins.probes.len() + 1);
-            probes.push(Probe {
-                c: t.c,
-                y: t.y,
-                x: t.x,
-                value: v,
-            });
-            probes.extend_from_slice(&pins.probes);
-            oracle.query_filter(d, &probes)
-        },
+    let observed2 = search_crossings(
+        geom,
+        t,
+        &pins.probes,
+        |probes| oracle.query_filter(d, probes),
         &cfg.search,
     );
     let predicted2 = virtual_crossings(geom, filter, bias_positive, t, &pins.probes, cfg);
@@ -1363,5 +1382,156 @@ mod tests {
             "err {}",
             recovery.max_ratio_error(conv.weights(), conv.bias())
         );
+    }
+
+    /// Runs both searches for a single probe at every input pixel of every
+    /// filter; they must agree exactly, and the monotone one must send
+    /// fewer queries in total.
+    fn assert_monotone_search_is_exact(oracle: &mut dyn ZeroCountOracle) {
+        let geom = oracle.geometry();
+        assert!(count_is_monotone(&geom, &[]), "{geom:?}");
+        let cfg = SearchConfig::default();
+        let (mut full_queries, mut mono_queries) = (0u64, 0u64);
+        for d in 0..geom.d_ofm {
+            for c in 0..geom.input.c {
+                for y in 0..geom.input.h {
+                    for x in 0..geom.input.w {
+                        let mut search = |monotone: bool| {
+                            let start = oracle.query_count();
+                            let count = |value| oracle.query_filter(d, &[Probe { c, y, x, value }]);
+                            let crossings = if monotone {
+                                find_monotone_crossings(count, &cfg)
+                            } else {
+                                find_crossings(count, &cfg)
+                            };
+                            (crossings, oracle.query_count() - start)
+                        };
+                        let (full, nf) = search(false);
+                        let (mono, nm) = search(true);
+                        assert_eq!(mono, full, "filter {d} pixel ({c},{y},{x}) of {geom:?}");
+                        full_queries += nf;
+                        mono_queries += nm;
+                    }
+                }
+            }
+        }
+        assert!(
+            2 * mono_queries < full_queries,
+            "{mono_queries} vs {full_queries} queries for {geom:?}"
+        );
+    }
+
+    #[test]
+    fn monotone_search_is_exact_on_functional_oracles() {
+        let layers = [
+            make_geom(Shape3::new(2, 7, 7), 2, 3, 1, 0, None),
+            make_geom(
+                Shape3::new(1, 9, 9),
+                2,
+                3,
+                1,
+                0,
+                Some((PoolKind::Max, 2, 2, 0)),
+            ),
+            make_geom(
+                Shape3::new(1, 11, 11),
+                2,
+                3,
+                2,
+                0,
+                Some((PoolKind::Max, 3, 2, 0)),
+            ),
+        ];
+        let mut rng = SmallRng::seed_from_u64(0x15);
+        for base in layers {
+            for (negative_bias, threshold) in [(true, 0.0), (false, 0.0), (false, 0.25)] {
+                let geom = LayerGeometry { threshold, ..base };
+                let conv = victim(&geom, &mut rng, 0.3, negative_bias);
+                assert_monotone_search_is_exact(&mut FunctionalOracle::new(conv, geom));
+            }
+        }
+    }
+
+    #[test]
+    fn monotone_search_is_exact_on_the_accelerator_oracle() {
+        let geom = make_geom(Shape3::new(1, 6, 6), 2, 3, 1, 0, None);
+        let mut rng = SmallRng::seed_from_u64(0x16);
+        let conv = victim(&geom, &mut rng, 0.3, true);
+        assert_monotone_search_is_exact(&mut crate::weights::oracle::AcceleratorOracle::new(
+            conv, geom,
+        ));
+    }
+
+    #[test]
+    fn pinned_and_average_pooled_searches_keep_the_full_grid() {
+        // Probe at (1, 1) of a 3×3 input under a 2×2 filter: tap (0, 0)
+        // sees weight -1, tap (1, 1) weight +1. A pin of 3 at (0, 0) lifts
+        // only tap (0, 0) to offset +2, so on x > 0 one tap switches on
+        // at 1 and the other off at 2: the count goes 1, 2, 1.
+        let geom = make_geom(Shape3::new(1, 3, 3), 1, 2, 1, 0, None);
+        let weights = Tensor4::from_vec(Shape4::new(1, 1, 2, 2), vec![1.0, 0.0, 0.0, -1.0])
+            .expect("2x2 filter");
+        let conv = Conv2d::from_parts(weights, vec![-1.0], 1, 0).expect("victim conv");
+        let mut oracle = FunctionalOracle::new(conv, geom);
+        let pins = [Probe {
+            c: 0,
+            y: 0,
+            x: 0,
+            value: 3.0,
+        }];
+        let t = Target {
+            c: 0,
+            i: 0,
+            j: 0,
+            y: 1,
+            x: 1,
+            tap: (1, 1),
+            corner: Vec::new(),
+        };
+        let cfg = SearchConfig::default();
+        let mut pinned_count = |v: f32| {
+            oracle.query_filter(
+                0,
+                &[
+                    Probe {
+                        c: 0,
+                        y: 1,
+                        x: 1,
+                        value: v,
+                    },
+                    pins[0],
+                ],
+            )
+        };
+        let full = find_crossings(&mut pinned_count, &cfg);
+        assert_eq!(full.len(), 2, "{full:?}");
+        assert!(find_monotone_crossings(&mut pinned_count, &cfg).is_empty());
+        assert!(!count_is_monotone(&geom, &pins));
+        let searched = search_crossings(
+            &geom,
+            &t,
+            &pins,
+            |probes| oracle.query_filter(0, probes),
+            &cfg,
+        );
+        assert_eq!(searched, full);
+
+        let mut avg = make_geom(
+            Shape3::new(1, 12, 12),
+            1,
+            3,
+            1,
+            0,
+            Some((PoolKind::Avg, 2, 2, 0)),
+        );
+        assert!(!count_is_monotone(&avg, &[]));
+        avg.order = MergedOrder::PoolThenAct;
+        assert!(!count_is_monotone(&avg, &[]));
+        let negative_threshold = LayerGeometry {
+            threshold: -0.5,
+            ..geom
+        };
+        assert!(!count_is_monotone(&negative_threshold, &[]));
+        assert!(count_is_monotone(&geom, &[]));
     }
 }

@@ -5,6 +5,13 @@
 //! where some output pixel's pre-activation crosses the pruning threshold
 //! (`Σ w·x + b = 0` for plain ReLU). The search samples a sign-symmetric
 //! geometric grid and bisects every step to locate the crossing points.
+//!
+//! [`find_crossings`] probes every grid point; a pair of crossings that
+//! cancel exactly between two neighbouring grid points stays invisible to
+//! it (the geometric grid keeps that unlikely). [`find_monotone_crossings`]
+//! fills the same grid with far fewer probes when the count is known to be
+//! monotone on each side of zero; such a count has no cancelling pairs, so
+//! it finds exactly what the full grid finds.
 
 /// One located step of the count function.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,9 +74,9 @@ impl SearchConfig {
     }
 }
 
-/// Finds all steps of `count(x)` for `x` over both signs of the configured
-/// range. `count` must be deterministic.
-pub fn find_crossings(mut count: impl FnMut(f32) -> u64, cfg: &SearchConfig) -> Vec<Crossing> {
+/// The sign-symmetric geometric probe grid: `grid` points per sign from
+/// `x_min` to `x_max`, plus `0` at index `grid`.
+fn probe_grid(cfg: &SearchConfig) -> Vec<f64> {
     let mut xs: Vec<f64> = Vec::with_capacity(2 * cfg.grid + 1);
     let ratio = (f64::from(cfg.x_max) / f64::from(cfg.x_min)).powf(1.0 / (cfg.grid - 1) as f64);
     for i in (0..cfg.grid).rev() {
@@ -79,18 +86,92 @@ pub fn find_crossings(mut count: impl FnMut(f32) -> u64, cfg: &SearchConfig) -> 
     for i in 0..cfg.grid {
         xs.push(f64::from(cfg.x_min) * ratio.powi(i as i32));
     }
+    xs
+}
 
+/// Finds all steps of `count(x)` for `x` over both signs of the configured
+/// range. `count` must be deterministic.
+pub fn find_crossings(mut count: impl FnMut(f32) -> u64, cfg: &SearchConfig) -> Vec<Crossing> {
+    let xs = probe_grid(cfg);
+    let counts: Vec<u64> = xs.iter().map(|&x| count(x as f32)).collect();
+    refine_grid(&mut count, &xs, &counts, cfg, xs.len() as u64)
+}
+
+/// [`find_crossings`] for a count that is monotone on each side of `x = 0`:
+/// the same grid, but filled by bisecting over grid *indices* from the
+/// three probes at `-x_max`, `0` and `x_max`. An index range whose two end
+/// counts are equal takes that count without a probe, since a monotone
+/// count cannot leave a value and return to it. Every inferred count is
+/// the one a probe would have returned, so the unchanged refinement sees
+/// identical inputs and the result is bit-identical to [`find_crossings`]
+/// — same brackets, same refinement steps — with far fewer grid probes
+/// when the count has few steps.
+///
+/// Why a single-probe count of one filter is monotone: a probe of value
+/// `x` makes every conv tap it reaches `fl(b + fl(w_k·x))`, monotone in
+/// `x`, and all taps of the filter share the bias `b` and the threshold
+/// `t`. On either side
+/// of zero, with `b <= t` every tap is off at `x = 0` and either stays off
+/// or switches on once; with `b > t` every tap starts on and either stays
+/// on or switches off once. All taps that change on one side thus move
+/// the same way and their sum is monotone. A max-pool output is on iff any
+/// tap in its window is on — an OR of same-direction steps, monotone too.
+/// The argument needs `t >= 0` (so "on" is exactly `v > t`), and it breaks
+/// for:
+///
+/// * extra pinned pixels, which give taps different offsets `b + pin` so
+///   their steps can point in opposite directions and cancel in count;
+/// * average pooling, whose f32 window sum is affine in `x` only up to
+///   rounding.
+///
+/// Those searches must keep [`find_crossings`]. A count that is not
+/// monotone can make this search miss crossing pairs that cancel between
+/// its probes.
+pub fn find_monotone_crossings(
+    mut count: impl FnMut(f32) -> u64,
+    cfg: &SearchConfig,
+) -> Vec<Crossing> {
+    let xs = probe_grid(cfg);
+    let (zero, last) = (cfg.grid, xs.len() - 1);
+    let mut counts = vec![0u64; xs.len()];
+    for k in [0, zero, last] {
+        counts[k] = count(xs[k] as f32);
+    }
+    let mut probes = 3u64;
+    let mut open = vec![(0, zero), (zero, last)];
+    while let Some((lo, hi)) = open.pop() {
+        if counts[lo] == counts[hi] {
+            let c = counts[lo];
+            counts[lo + 1..hi].fill(c);
+        } else if hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            counts[mid] = count(xs[mid] as f32);
+            probes += 1;
+            open.extend([(lo, mid), (mid, hi)]);
+        }
+    }
+    refine_grid(&mut count, &xs, &counts, cfg, probes)
+}
+
+/// Refines every grid cell whose end counts differ and records the search
+/// counters; `grid_probes` is the number of grid probes actually sent.
+fn refine_grid(
+    count: &mut impl FnMut(f32) -> u64,
+    xs: &[f64],
+    counts: &[u64],
+    cfg: &SearchConfig,
+    grid_probes: u64,
+) -> Vec<Crossing> {
     // No span here: crossing searches run from pool workers during the
     // parallel weights attack, and per-search span events would interleave
     // nondeterministically in the profile stream. The `weights.search.*`
     // counters below are atomic sums, so they stay schedule-independent;
     // the enclosing `attack.weights` span carries the wall-clock story.
-    let counts: Vec<u64> = xs.iter().map(|&x| count(x as f32)).collect();
     let mut crossings = Vec::new();
     let mut steps = 0u64;
     for w in 0..xs.len() - 1 {
         refine(
-            &mut count,
+            count,
             xs[w],
             xs[w + 1],
             counts[w],
@@ -103,8 +184,7 @@ pub fn find_crossings(mut count: impl FnMut(f32) -> u64, cfg: &SearchConfig) -> 
     }
     if cnnre_obs::enabled() {
         let reg = cnnre_obs::global();
-        reg.counter("weights.search.grid_probes")
-            .add(xs.len() as u64);
+        reg.counter("weights.search.grid_probes").add(grid_probes);
         reg.counter("weights.search.refine_steps").add(steps);
         reg.counter("weights.search.crossings")
             .add(crossings.len() as u64);
@@ -114,8 +194,8 @@ pub fn find_crossings(mut count: impl FnMut(f32) -> u64, cfg: &SearchConfig) -> 
 
 /// Recursively splits `[lo, hi]` until every step is bracketed to
 /// tolerance, so a cell hiding several crossings yields them all. (Pairs
-/// that cancel exactly between two probe points remain invisible — the
-/// geometric grid keeps that unlikely.)
+/// that cancel exactly between two probe points remain invisible; see the
+/// module doc.)
 #[allow(clippy::too_many_arguments)]
 fn refine(
     count: &mut impl FnMut(f32) -> u64,
@@ -148,6 +228,8 @@ fn refine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cnnre_tensor::rng::{Rng, SeedableRng, SmallRng};
+    use std::cell::Cell;
 
     #[test]
     fn locates_single_step() {
@@ -207,5 +289,128 @@ mod tests {
             let rel = (crossings[0].x - x_true).abs() / x_true.abs().max(1e-6);
             assert!(rel < 1e-2 || (crossings[0].x - x_true).abs() < 1e-4);
         }
+    }
+
+    /// A count that is monotone on each side of zero: `base` at `x = 0`,
+    /// then every step `(p, m)` with `p > 0` adds `sign_pos·m` once
+    /// `x > p`, and every step with `p <= 0` adds `sign_neg·m` once
+    /// `x < p`.
+    struct StepCount {
+        base: i64,
+        sign_pos: i64,
+        sign_neg: i64,
+        steps: Vec<(f64, i64)>,
+    }
+
+    impl StepCount {
+        fn at(&self, x: f32) -> u64 {
+            let x = f64::from(x);
+            let mut c = self.base;
+            for &(p, m) in &self.steps {
+                if p > 0.0 && x > p {
+                    c += self.sign_pos * m;
+                } else if p <= 0.0 && x < p {
+                    c += self.sign_neg * m;
+                }
+            }
+            c as u64
+        }
+    }
+
+    /// Random steps of both signs: some coincident, some exactly on grid
+    /// points (including `0`), some beyond `±x_max`; zero steps gives a
+    /// constant function.
+    fn random_step_count(rng: &mut SmallRng, cfg: &SearchConfig) -> StepCount {
+        let grid: Vec<f64> = probe_grid(cfg)
+            .iter()
+            .map(|&x| f64::from(x as f32))
+            .collect();
+        let x_max = f64::from(cfg.x_max);
+        let mut steps: Vec<(f64, i64)> = Vec::new();
+        for _ in 0..rng.gen_range(0..9usize) {
+            let p = match rng.gen_range(0..4u32) {
+                0 => grid[rng.gen_range(0..grid.len())],
+                1 if !steps.is_empty() => steps[rng.gen_range(0..steps.len())].0,
+                2 => rng.gen_range(1.0..4.0) * x_max * if rng.gen_bool(0.5) { 1.0 } else { -1.0 },
+                _ => {
+                    let mag = 10f64.powf(rng.gen_range(-4.5..3.7f64));
+                    if rng.gen_bool(0.5) {
+                        mag
+                    } else {
+                        -mag
+                    }
+                }
+            };
+            steps.push((p, rng.gen_range(1..4i64)));
+        }
+        let sign = |rng: &mut SmallRng| if rng.gen_bool(0.5) { 1 } else { -1 };
+        StepCount {
+            base: 100,
+            sign_pos: sign(rng),
+            sign_neg: sign(rng),
+            steps,
+        }
+    }
+
+    #[test]
+    fn monotone_search_equals_full_grid_on_random_step_functions() {
+        let cfg = SearchConfig::default();
+        let mut rng = SmallRng::seed_from_u64(0x5eed_0015);
+        let (mut full_total, mut mono_total) = (0u64, 0u64);
+        for case in 0..400 {
+            let f = random_step_count(&mut rng, &cfg);
+            let full_probes = Cell::new(0u64);
+            let full = find_crossings(
+                |x| {
+                    full_probes.set(full_probes.get() + 1);
+                    f.at(x)
+                },
+                &cfg,
+            );
+            let mono_probes = Cell::new(0u64);
+            let mono = find_monotone_crossings(
+                |x| {
+                    mono_probes.set(mono_probes.get() + 1);
+                    f.at(x)
+                },
+                &cfg,
+            );
+            assert_eq!(mono, full, "case {case}: steps {:?}", f.steps);
+            assert!(
+                mono_probes.get() < full_probes.get(),
+                "case {case}: {} probes vs {}",
+                mono_probes.get(),
+                full_probes.get()
+            );
+            full_total += full_probes.get();
+            mono_total += mono_probes.get();
+        }
+        assert!(2 * mono_total < full_total, "{mono_total} vs {full_total}");
+    }
+
+    #[test]
+    fn monotone_search_probes_three_points_for_a_constant() {
+        let cfg = SearchConfig::default();
+        let probes = Cell::new(0u64);
+        let crossings = find_monotone_crossings(
+            |_| {
+                probes.set(probes.get() + 1);
+                7
+            },
+            &cfg,
+        );
+        assert!(crossings.is_empty());
+        assert_eq!(probes.get(), 3);
+    }
+
+    #[test]
+    fn monotone_search_misses_a_cancelling_pair() {
+        // Up at 1, down at 2: not monotone on x > 0, so the end counts
+        // agree and the monotone search infers a flat side. This is why
+        // only provably monotone counts may use it.
+        let cfg = SearchConfig::default();
+        let f = |x: f32| u64::from(x > 1.0) + u64::from(x < 2.0);
+        assert_eq!(find_crossings(f, &cfg).len(), 2);
+        assert!(find_monotone_crossings(f, &cfg).is_empty());
     }
 }
