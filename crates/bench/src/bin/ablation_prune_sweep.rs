@@ -2,20 +2,18 @@
 //!
 //! `CNNRE_QUICK=1` shrinks the victim for a fast smoke run.
 fn main() {
-    let out = cnnre_bench::parse_out_flag();
-    let events = cnnre_bench::parse_event_flags();
-    let profile = cnnre_bench::parse_profile_flags();
-    let obs = cnnre_bench::parse_serve_obs_flag();
-    let quick = std::env::var_os("CNNRE_QUICK").is_some();
-    let (filters, input_w) = if quick { (4, 39) } else { (16, 79) };
+    let (harness, _) =
+        cnnre_bench::Harness::from_args(cnnre_bench::MetricsFile::Bench("ablation_prune_sweep"));
+    let (filters, input_w) = if cnnre_bench::quick_mode() {
+        (4, 39)
+    } else {
+        (16, 79)
+    };
     let fractions = [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9];
     let points = cnnre_bench::experiments::ablation_prune_sweep::run(filters, input_w, &fractions);
     println!(
         "{}",
         cnnre_bench::experiments::ablation_prune_sweep::render(&points)
     );
-    cnnre_bench::write_profile(profile);
-    cnnre_bench::write_events(events);
-    cnnre_bench::write_out(out, "ablation_prune_sweep");
-    cnnre_bench::finish_serve_obs(obs);
+    harness.finish(0);
 }

@@ -1,13 +1,8 @@
 //! Regenerates the zero-pruning traffic ablation.
 fn main() {
-    let out = cnnre_bench::parse_out_flag();
-    let events = cnnre_bench::parse_event_flags();
-    let profile = cnnre_bench::parse_profile_flags();
-    let obs = cnnre_bench::parse_serve_obs_flag();
+    let (harness, _) =
+        cnnre_bench::Harness::from_args(cnnre_bench::MetricsFile::Bench("ablation_pruning"));
     let rows = cnnre_bench::experiments::ablation::run();
     println!("{}", cnnre_bench::experiments::ablation::render(&rows));
-    cnnre_bench::write_profile(profile);
-    cnnre_bench::write_events(events);
-    cnnre_bench::write_out(out, "ablation_pruning");
-    cnnre_bench::finish_serve_obs(obs);
+    harness.finish(0);
 }

@@ -1,16 +1,11 @@
 //! Every trace-level mitigation vs. the structure attack, side by side.
 fn main() {
-    let out = cnnre_bench::parse_out_flag();
-    let events = cnnre_bench::parse_event_flags();
-    let profile = cnnre_bench::parse_profile_flags();
-    let obs = cnnre_bench::parse_serve_obs_flag();
+    let (harness, _) =
+        cnnre_bench::Harness::from_args(cnnre_bench::MetricsFile::Bench("defense_matrix"));
     let (baseline, rows) = cnnre_bench::experiments::defense_matrix::run();
     println!(
         "{}",
         cnnre_bench::experiments::defense_matrix::render(baseline, &rows)
     );
-    cnnre_bench::write_profile(profile);
-    cnnre_bench::write_events(events);
-    cnnre_bench::write_out(out, "defense_matrix");
-    cnnre_bench::finish_serve_obs(obs);
+    harness.finish(0);
 }

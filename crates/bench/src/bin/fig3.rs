@@ -2,10 +2,7 @@
 use std::io::Write;
 
 fn main() {
-    let out = cnnre_bench::parse_out_flag();
-    let events = cnnre_bench::parse_event_flags();
-    let profile = cnnre_bench::parse_profile_flags();
-    let obs = cnnre_bench::parse_serve_obs_flag();
+    let (harness, _) = cnnre_bench::Harness::from_args(cnnre_bench::MetricsFile::Bench("fig3"));
     let fig = cnnre_bench::experiments::fig3::run(97);
     println!("{}", cnnre_bench::experiments::fig3::render(&fig));
     let path = std::env::temp_dir().join("cnnre_fig3_trace.csv");
@@ -16,8 +13,5 @@ fn main() {
         }
         println!("full series written to {}", path.display());
     }
-    cnnre_bench::write_profile(profile);
-    cnnre_bench::write_events(events);
-    cnnre_bench::write_out(out, "fig3");
-    cnnre_bench::finish_serve_obs(obs);
+    harness.finish(0);
 }

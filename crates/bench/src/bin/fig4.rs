@@ -2,10 +2,7 @@
 use cnnre_bench::experiments::fig4;
 
 fn main() {
-    let out = cnnre_bench::parse_out_flag();
-    let events = cnnre_bench::parse_event_flags();
-    let profile = cnnre_bench::parse_profile_flags();
-    let obs = cnnre_bench::parse_serve_obs_flag();
+    let (harness, _) = cnnre_bench::Harness::from_args(cnnre_bench::MetricsFile::Bench("fig4"));
     let cfg = if cnnre_bench::quick_mode() {
         fig4::RankingConfig::quick()
     } else {
@@ -13,8 +10,5 @@ fn main() {
     };
     let fig = fig4::run(&cfg);
     println!("{}", fig4::render(&fig));
-    cnnre_bench::write_profile(profile);
-    cnnre_bench::write_events(events);
-    cnnre_bench::write_out(out, "fig4");
-    cnnre_bench::finish_serve_obs(obs);
+    harness.finish(0);
 }

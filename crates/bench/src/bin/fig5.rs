@@ -2,10 +2,7 @@
 use cnnre_bench::experiments::fig5;
 
 fn main() {
-    let out = cnnre_bench::parse_out_flag();
-    let events = cnnre_bench::parse_event_flags();
-    let profile = cnnre_bench::parse_profile_flags();
-    let obs = cnnre_bench::parse_serve_obs_flag();
+    let (harness, _) = cnnre_bench::Harness::from_args(cnnre_bench::MetricsFile::Bench("fig5"));
     let cfg = if cnnre_bench::quick_mode() {
         fig5::RankingConfig::quick()
     } else {
@@ -13,8 +10,5 @@ fn main() {
     };
     let fig = fig5::run(&cfg);
     println!("{}", fig5::render(&fig));
-    cnnre_bench::write_profile(profile);
-    cnnre_bench::write_events(events);
-    cnnre_bench::write_out(out, "fig5");
-    cnnre_bench::finish_serve_obs(obs);
+    harness.finish(0);
 }

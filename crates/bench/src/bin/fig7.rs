@@ -2,11 +2,7 @@
 use cnnre_bench::experiments::fig7;
 
 fn main() {
-    cnnre_bench::parse_threads_flag();
-    let out = cnnre_bench::parse_out_flag();
-    let events = cnnre_bench::parse_event_flags();
-    let profile = cnnre_bench::parse_profile_flags();
-    let obs = cnnre_bench::parse_serve_obs_flag();
+    let (harness, _) = cnnre_bench::Harness::from_args(cnnre_bench::MetricsFile::Bench("fig7"));
     let cfg = if cnnre_bench::quick_mode() {
         fig7::Fig7Config::quick()
     } else {
@@ -14,8 +10,5 @@ fn main() {
     };
     let fig = fig7::run(&cfg);
     println!("{}", fig7::render(&fig));
-    cnnre_bench::write_profile(profile);
-    cnnre_bench::write_events(events);
-    cnnre_bench::write_out(out, "fig7");
-    cnnre_bench::finish_serve_obs(obs);
+    harness.finish(0);
 }

@@ -20,11 +20,18 @@
 //! `scripts/perf_gate.sh` for the end-to-end gate over fig3/fig7/table3.
 
 use cnnre_bench::gate::{compare, compare_speedup, GateConfig};
+use cnnre_bench::harness::{take_flag, take_flag_value};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let take_value = |args: &mut Vec<String>, name: &str| {
+        take_flag_value(args, name).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    };
     let mut cfg = GateConfig::default();
-    if let Some(v) = take_flag_value(&mut args, "--rel-tol") {
+    if let Some(v) = take_value(&mut args, "--rel-tol") {
         match v.parse::<f64>() {
             Ok(t) if t >= 0.0 => cfg.rel_tol = t,
             _ => {
@@ -33,15 +40,9 @@ fn main() {
             }
         }
     }
-    let report_path = take_flag_value(&mut args, "--report");
-    let floors_path = take_flag_value(&mut args, "--floors");
-    let speedup_mode = match args.iter().position(|a| a == "--speedup") {
-        Some(pos) => {
-            args.remove(pos);
-            true
-        }
-        None => false,
-    };
+    let report_path = take_value(&mut args, "--report");
+    let floors_path = take_value(&mut args, "--floors");
+    let speedup_mode = take_flag(&mut args, "--speedup");
     let read = |path: &String| match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => {
@@ -93,17 +94,4 @@ fn main() {
         }
     }
     std::process::exit(i32::from(failed));
-}
-
-/// Removes `name <value>` from `args`, returning the value; exits 2 when
-/// the flag is present without a value.
-fn take_flag_value(args: &mut Vec<String>, name: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == name)?;
-    if pos + 1 >= args.len() {
-        eprintln!("{name} needs a value");
-        std::process::exit(2);
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Some(value)
 }

@@ -1,13 +1,7 @@
 //! Regenerates the paper's Table 4.
 fn main() {
-    let out = cnnre_bench::parse_out_flag();
-    let events = cnnre_bench::parse_event_flags();
-    let profile = cnnre_bench::parse_profile_flags();
-    let obs = cnnre_bench::parse_serve_obs_flag();
+    let (harness, _) = cnnre_bench::Harness::from_args(cnnre_bench::MetricsFile::Bench("table4"));
     let t = cnnre_bench::experiments::table4::run();
     println!("{}", cnnre_bench::experiments::table4::render(&t));
-    cnnre_bench::write_profile(profile);
-    cnnre_bench::write_events(events);
-    cnnre_bench::write_out(out, "table4");
-    cnnre_bench::finish_serve_obs(obs);
+    harness.finish(0);
 }

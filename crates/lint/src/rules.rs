@@ -12,13 +12,9 @@ use std::collections::BTreeSet;
 
 /// Wall-clock reads are permitted only here: `obs::span` measures wall
 /// time by design (and tags it `wall_ns` so deterministic exports drop
-/// it), the profile recorder timestamps events against one process epoch,
-/// and the bench harness exists to measure wall time.
-const WALLCLOCK_ALLOWED: [&str; 3] = [
-    "crates/obs/src/span.rs",
-    "crates/obs/src/bench.rs",
-    "crates/obs/src/profile.rs",
-];
+/// it), and the profile recorder timestamps events against one process
+/// epoch.
+const WALLCLOCK_ALLOWED: [&str; 2] = ["crates/obs/src/span.rs", "crates/obs/src/profile.rs"];
 
 /// Obs recording calls whose first argument is a full metric name subject
 /// to the DESIGN.md §10 schema. `count` is `obs::profile::count`, the
@@ -34,9 +30,9 @@ const SPAN_CALLS: [&str; 2] = ["span", "span_labelled"];
 /// of `cnnre_obs::catalog::KNOWN_PREFIXES` — the lint crate is
 /// zero-dependency, so the list is duplicated and the root
 /// `tests/metric_catalog.rs` drift test keeps the two in lock-step.
-pub const METRIC_PREFIXES: [&str; 16] = [
-    "accel", "trace", "solver", "oracle", "weights", "attack", "train", "bench", "span", "profile",
-    "fig4", "fig5", "events", "viz", "exec", "http",
+pub const METRIC_PREFIXES: [&str; 15] = [
+    "accel", "trace", "solver", "oracle", "weights", "attack", "train", "span", "profile", "fig4",
+    "fig5", "events", "viz", "exec", "http",
 ];
 
 /// Crates whose `src/` trees are deterministic attack paths: their exports

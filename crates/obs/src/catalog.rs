@@ -18,7 +18,7 @@
 /// One catalogue row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MetricDef {
-    /// Metric name (or name pattern, for the derived span/bench families
+    /// Metric name (or name pattern, for the derived span family
     /// where `<path>` stands for a dotted span path).
     pub name: &'static str,
     /// Kind: `counter`, `series`, `sample` (profile-stream counter
@@ -31,8 +31,8 @@ pub struct MetricDef {
 /// Known subsystem prefixes (first name segment). The `metric-name` lint
 /// rule rejects literals outside this set.
 pub const KNOWN_PREFIXES: &[&str] = &[
-    "accel", "trace", "solver", "oracle", "weights", "attack", "train", "bench", "span", "profile",
-    "fig4", "fig5", "events", "viz", "exec", "http",
+    "accel", "trace", "solver", "oracle", "weights", "attack", "train", "span", "profile", "fig4",
+    "fig5", "events", "viz", "exec", "http",
 ];
 
 /// Every metric the in-tree instrumentation records, sorted by name.
@@ -81,21 +81,6 @@ pub const METRICS: &[MetricDef] = &[
         name: "accel.tiles.refills",
         kind: "counter",
         help: "on-chip buffer tile refills",
-    },
-    MetricDef {
-        name: "bench.<group>.<name>.mean.wall_ns",
-        kind: "counter (derived)",
-        help: "bench harness mean iteration time (wall clock, advisory)",
-    },
-    MetricDef {
-        name: "bench.<group>.<name>.median.wall_ns",
-        kind: "counter (derived)",
-        help: "bench harness median iteration time (wall clock, advisory)",
-    },
-    MetricDef {
-        name: "bench.<group>.<name>.min.wall_ns",
-        kind: "counter (derived)",
-        help: "bench harness fastest iteration time (wall clock, advisory)",
     },
     MetricDef {
         name: "events.bytes",

@@ -26,88 +26,15 @@ use cnn_reveng::nn::models;
 use cnn_reveng::nn::Network;
 use cnn_reveng::tensor::{init, Shape3, Shape4};
 use cnn_reveng::trace::defense::{obfuscate, OramConfig};
+use cnnre_bench::{Harness, MetricsFile};
 use cnnre_tensor::rng::SmallRng;
 use cnnre_tensor::rng::{Rng, SeedableRng};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
     // Global flags, accepted by every subcommand and stripped before
     // dispatch. `--metrics` turns the otherwise-free instrumentation on;
     // `--profile-out` additionally records the full span-tree timeline.
-    let metrics_path = take_flag_value(&mut args, "--metrics");
-    let profile_path = take_flag_value(&mut args, "--profile-out");
-    let events_path = take_flag_value(&mut args, "--events-out");
-    let serve_obs = take_flag_value(&mut args, "--serve-obs");
-    let serve_obs_hold = take_bool_flag(&mut args, "--serve-obs-hold");
-    if serve_obs_hold && serve_obs.is_none() {
-        eprintln!("--serve-obs-hold needs --serve-obs ADDR");
-        std::process::exit(2);
-    }
-    if let Some(threads) = take_flag_value(&mut args, "--threads") {
-        // Installed before any config is built, so `SolverConfig::default`
-        // and `RecoveryConfig::default` pick the worker count up. Attack
-        // output and recorded artifacts are byte-identical at any thread
-        // count (DESIGN.md §13); only wall clock changes.
-        match threads.parse::<usize>() {
-            Ok(n) if n >= 1 => {
-                cnn_reveng::attacks::exec::set_default_threads(n);
-            }
-            _ => {
-                eprintln!("--threads needs a positive integer worker count");
-                std::process::exit(2);
-            }
-        }
-    }
-    let profile_clock = match take_flag_value(&mut args, "--profile-clock") {
-        Some(v) => match cnnre_obs::profile::ClockDomain::parse(&v) {
-            Some(c) => c,
-            None => {
-                eprintln!("unknown profile clock '{v}' (wall|cycles|both)");
-                std::process::exit(2);
-            }
-        },
-        None => cnnre_obs::profile::ClockDomain::Both,
-    };
-    if let Some(level) = take_flag_value(&mut args, "--log-level") {
-        match cnnre_obs::log::Level::parse(&level) {
-            Some(Some(l)) => cnnre_obs::log::set_level(l),
-            Some(None) => cnnre_obs::log::set_off(),
-            None => {
-                eprintln!("unknown log level '{level}' (error|warn|info|debug|trace|off)");
-                std::process::exit(2);
-            }
-        }
-    }
-    if metrics_path.is_some() || profile_path.is_some() {
-        cnnre_obs::set_enabled(true);
-    }
-    if profile_path.is_some() {
-        cnnre_obs::profile::set_enabled(true);
-    }
-    if events_path.is_some() {
-        // Streaming events also records the events.* counters.
-        cnnre_obs::set_enabled(true);
-        cnnre_obs::stream::set_enabled(true);
-        cnnre_obs::stream::set_record(true);
-    }
-    // The live scrape server wants every signal source on: metrics (done
-    // by obsd::serve itself), the profiler ring for /profile, and the
-    // recorded event stream for /events replay.
-    let mut obs_daemon = match &serve_obs {
-        Some(addr) => {
-            cnnre_obs::profile::set_enabled(true);
-            cnnre_obs::stream::set_enabled(true);
-            cnnre_obs::stream::set_record(true);
-            match cnn_reveng::attacks::obsd::serve(addr) {
-                Ok(d) => Some(d),
-                Err(e) => {
-                    eprintln!("cannot serve observability on {addr}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        None => None,
-    };
+    let (harness, args) = Harness::from_args(MetricsFile::Deterministic);
     let code = match args.first().map(String::as_str) {
         Some("trace") => cmd_trace(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),
@@ -130,89 +57,7 @@ fn main() {
             2
         }
     };
-    if let Some(path) = profile_path {
-        // The timeline export: Chrome Trace Event JSON by default, folded
-        // flamegraph stacks when the path says so. The cycle-domain track
-        // is synthesized from attached cycles, so it is byte-deterministic
-        // across identical seeded runs; the wall track is not.
-        let dropped = cnnre_obs::profile::dropped();
-        let events = cnnre_obs::profile::take();
-        let rendered = if path.ends_with(".folded") || path.ends_with(".txt") {
-            cnnre_obs::profile::folded_stacks(&events, profile_clock)
-        } else {
-            cnnre_obs::profile::chrome_trace(&events, profile_clock)
-        };
-        if let Err(e) = std::fs::write(&path, rendered) {
-            eprintln!("cannot write profile to {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "profile written to {path} ({} events, {dropped} dropped)",
-            events.len()
-        );
-    }
-    if let Some(path) = events_path {
-        let bytes = cnnre_obs::stream::take_recorded_bytes();
-        let dropped = cnnre_obs::stream::dropped();
-        if let Err(e) = std::fs::write(&path, &bytes) {
-            eprintln!("cannot write events to {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "events written to {path} ({} bytes, {dropped} dropped)",
-            bytes.len()
-        );
-    }
-    if let Some(path) = metrics_path {
-        // Deterministic export: wall-clock metrics are excluded so two
-        // identical seeded runs write byte-identical files.
-        let snapshot = cnnre_obs::global().snapshot();
-        if let Err(e) = snapshot.write_json(std::path::Path::new(&path), false) {
-            eprintln!("cannot write metrics to {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("metrics written to {path}");
-    }
-    if let Some(daemon) = &obs_daemon {
-        if serve_obs_hold && code == 0 {
-            eprintln!(
-                "cnnre: run finished; still serving http://{} until GET /quit (--serve-obs-hold)",
-                daemon.addr()
-            );
-            daemon.wait_quit();
-        }
-    }
-    if let Some(mut daemon) = obs_daemon.take() {
-        // Explicit: process::exit below skips destructors, and the daemon
-        // owns live sockets plus a worker pool.
-        daemon.shutdown();
-    }
-    std::process::exit(code);
-}
-
-/// Removes `name <value>` from `args`, returning the value. Exits with
-/// usage code 2 when the flag is present but the value is missing.
-fn take_flag_value(args: &mut Vec<String>, name: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == name)?;
-    if pos + 1 >= args.len() {
-        eprintln!("{name} needs a value");
-        std::process::exit(2);
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Some(value)
-}
-
-/// Removes the bare flag `name` from `args`, returning whether it was
-/// present.
-fn take_bool_flag(args: &mut Vec<String>, name: &str) -> bool {
-    match args.iter().position(|a| a == name) {
-        Some(pos) => {
-            args.remove(pos);
-            true
-        }
-        None => false,
-    }
+    harness.finish(code);
 }
 
 fn print_usage() {
@@ -311,10 +156,17 @@ fn cmd_trace(args: &[String]) -> i32 {
     );
     print!("{}", exec.summary(AccelConfig::default().pe_count()));
     if args.iter().any(|a| a == "--stats") {
-        let stats = cnn_reveng::trace::stats::TraceStats::compute(&exec.trace, 16);
+        // Spanned so `--profile-out` times the attacker's offline analyses.
+        let stats = {
+            let _span = cnnre_obs::span("trace.stats");
+            cnn_reveng::trace::stats::TraceStats::compute(&exec.trace, 16)
+        };
         print!("{}", stats.render());
         let window = (exec.trace.duration() / 40).max(1);
-        let profile = cnn_reveng::trace::stats::TrafficProfile::compute(&exec.trace, window);
+        let profile = {
+            let _span = cnnre_obs::span("trace.traffic_profile");
+            cnn_reveng::trace::stats::TrafficProfile::compute(&exec.trace, window)
+        };
         println!("traffic ({window}-cycle windows):");
         print!("{}", profile.render(40));
     }
