@@ -23,6 +23,7 @@ use cnnre_accel::{AccelConfig, Accelerator, RegionKind, Schedule};
 use cnnre_nn::layer::{Conv2d, PoolKind};
 use cnnre_nn::{Network, NetworkBuilder};
 use cnnre_tensor::{Shape3, Tensor3};
+use core::ops::Range;
 
 /// One non-zero input pixel of a crafted probe input.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,6 +109,70 @@ pub trait ZeroCountOracle {
     fn query_count(&self) -> u64;
 }
 
+/// The outputs `lo..=hi` (`hi` clamped to `last`) whose `k`-wide window,
+/// at stride `s` and per-side padding `pad`, covers input position `pos`;
+/// none when `lo > hi`.
+pub(crate) fn covering(pos: usize, k: usize, s: usize, pad: usize, last: usize) -> (usize, usize) {
+    (
+        (pos + pad).saturating_sub(k - 1).div_ceil(s),
+        ((pos + pad) / s).min(last),
+    )
+}
+
+/// The input rows (or columns) inside `0..n` of the `k`-wide window of
+/// output `out`, at stride `s` and per-side padding `pad`.
+pub(crate) fn window_cells(out: usize, k: usize, s: usize, pad: usize, n: usize) -> Range<usize> {
+    let start = out * s;
+    start.saturating_sub(pad)..(start + k).min(n + pad).saturating_sub(pad)
+}
+
+/// The pruned layer's output at one final position: `tap(cy, cx)` gives
+/// the conv value of each tap of the position's pool window that exists,
+/// visited row-major over `rows × cols` (one tap when the layer has no
+/// merged pool). Activation and pooling follow `geom.pool`, `geom.order`
+/// and `geom.threshold`. [`FunctionalOracle`] and the weight attack's
+/// virtual model both evaluate windows here, so their f32 arithmetic
+/// cannot drift apart.
+pub(crate) fn window_output(
+    geom: &LayerGeometry,
+    rows: Range<usize>,
+    cols: Range<usize>,
+    mut tap: impl FnMut(usize, usize) -> f32,
+) -> f32 {
+    let act = |v: f32| if v > geom.threshold { v } else { 0.0 };
+    let Some((kind, f_p, ..)) = geom.pool else {
+        return act(tap(rows.start, cols.start));
+    };
+    let mut m = f32::NEG_INFINITY;
+    let mut sum = 0.0f32;
+    let mut any = false;
+    for cy in rows {
+        for cx in cols.clone() {
+            let mut v = tap(cy, cx);
+            if geom.order == MergedOrder::ActThenPool {
+                v = act(v);
+            }
+            m = m.max(v);
+            sum += v;
+            any = true;
+        }
+    }
+    let pooled = match kind {
+        PoolKind::Max => {
+            if any {
+                m
+            } else {
+                0.0
+            }
+        }
+        PoolKind::Avg => sum / (f_p * f_p) as f32,
+    };
+    match geom.order {
+        MergedOrder::ActThenPool => pooled.max(0.0),
+        MergedOrder::PoolThenAct => act(pooled),
+    }
+}
+
 /// Fast functional model of the pruned layer.
 #[derive(Debug, Clone)]
 pub struct FunctionalOracle {
@@ -161,7 +226,6 @@ impl FunctionalOracle {
 
     fn rebuild_baseline(&mut self) {
         let out_w = self.out_w;
-        let bias = self.conv.bias().to_vec();
         self.baseline = (0..self.geom.d_ofm)
             .map(|d| {
                 (0..out_w * out_w)
@@ -169,7 +233,7 @@ impl FunctionalOracle {
                         let (py, px) = (i / out_w, i % out_w);
                         // lint:allow(float-eq): models the pruning hardware,
                         // which keys on bit-exact post-ReLU zeros.
-                        self.final_value(d, py, px, &[], bias[d]) != 0.0
+                        self.final_value(d, py, px, &[]) != 0.0
                     })
                     .collect()
             })
@@ -196,56 +260,18 @@ impl FunctionalOracle {
         acc
     }
 
-    fn act(&self, v: f32) -> f32 {
-        if v > self.geom.threshold {
-            v
-        } else {
-            0.0
-        }
-    }
-
     /// Final output value of filter `d` at post-pool position `(py, px)`.
-    /// `bias_only_value` short-circuits positions unaffected by the probes.
-    fn final_value(&self, d: usize, py: usize, px: usize, probes: &[Probe], _bias: f32) -> f32 {
-        let conv_w = self.conv_w;
-        match self.geom.pool {
-            None => self.act(self.conv_value(d, py, px, probes)),
-            Some((kind, f_p, s_p, p_p)) => {
-                let mut m = f32::NEG_INFINITY;
-                let mut sum = 0.0f32;
-                let mut any = false;
-                for fy in 0..f_p {
-                    for fx in 0..f_p {
-                        let cy = (py * s_p + fy) as isize - p_p as isize;
-                        let cx = (px * s_p + fx) as isize - p_p as isize;
-                        if cy < 0 || cx < 0 || cy as usize >= conv_w || cx as usize >= conv_w {
-                            continue;
-                        }
-                        let mut v = self.conv_value(d, cy as usize, cx as usize, probes);
-                        if self.geom.order == MergedOrder::ActThenPool {
-                            v = self.act(v);
-                        }
-                        m = m.max(v);
-                        sum += v;
-                        any = true;
-                    }
-                }
-                let pooled = match kind {
-                    PoolKind::Max => {
-                        if any {
-                            m
-                        } else {
-                            0.0
-                        }
-                    }
-                    PoolKind::Avg => sum / (f_p * f_p) as f32,
-                };
-                match self.geom.order {
-                    MergedOrder::ActThenPool => pooled.max(0.0),
-                    MergedOrder::PoolThenAct => self.act(pooled),
-                }
-            }
-        }
+    fn final_value(&self, d: usize, py: usize, px: usize, probes: &[Probe]) -> f32 {
+        let (rows, cols) = match self.geom.pool {
+            None => (py..py + 1, px..px + 1),
+            Some((_, f_p, s_p, p_p)) => (
+                window_cells(py, f_p, s_p, p_p, self.conv_w),
+                window_cells(px, f_p, s_p, p_p, self.conv_w),
+            ),
+        };
+        window_output(&self.geom, rows, cols, |cy, cx| {
+            self.conv_value(d, cy, cx, probes)
+        })
     }
 
     /// Post-pool positions affected by the probes.
@@ -256,10 +282,10 @@ impl FunctionalOracle {
         let mut conv_pos = std::collections::BTreeSet::new();
         for probe in probes {
             // Conv outputs whose window covers (y, x): oy·s ≤ y+p ≤ oy·s+f−1.
-            let lo = |v: usize| (v + p).saturating_sub(f - 1).div_ceil(s);
-            let hi = |v: usize| ((v + p) / s).min(conv_w.saturating_sub(1));
-            for oy in lo(probe.y)..=hi(probe.y) {
-                for ox in lo(probe.x)..=hi(probe.x) {
+            let (y0, y1) = covering(probe.y, f, s, p, conv_w - 1);
+            let (x0, x1) = covering(probe.x, f, s, p, conv_w - 1);
+            for oy in y0..=y1 {
+                for ox in x0..=x1 {
                     conv_pos.insert((oy, ox));
                 }
             }
@@ -269,10 +295,10 @@ impl FunctionalOracle {
             Some((_, f_p, s_p, p_p)) => {
                 let mut pooled = std::collections::BTreeSet::new();
                 for (cy, cx) in conv_pos {
-                    let lo = |v: usize| (v + p_p).saturating_sub(f_p - 1).div_ceil(s_p);
-                    let hi = |v: usize| ((v + p_p) / s_p).min(out_w.saturating_sub(1));
-                    for py in lo(cy)..=hi(cy) {
-                        for px in lo(cx)..=hi(cx) {
+                    let (y0, y1) = covering(cy, f_p, s_p, p_p, out_w - 1);
+                    let (x0, x1) = covering(cx, f_p, s_p, p_p, out_w - 1);
+                    for py in y0..=y1 {
+                        for px in x0..=x1 {
                             pooled.insert((py, px));
                         }
                     }
@@ -289,7 +315,7 @@ impl FunctionalOracle {
             let was = self.baseline[d][py * out_w + px];
             // lint:allow(float-eq): same exact-zero pruning model as the
             // baseline map above.
-            let now = self.final_value(d, py, px, probes, 0.0) != 0.0;
+            let now = self.final_value(d, py, px, probes) != 0.0;
             count += i64::from(now) - i64::from(was);
         }
         count.max(0) as u64

@@ -21,15 +21,23 @@
 //! model*: the same pruned-layer pipeline evaluated over the recovered
 //! `w/b` values with a unit-magnitude bias (crossing positions only depend
 //! on the ratios). Any unpredicted crossing belongs to the target weight.
+//! The virtual model is the attacker's own arithmetic, not a query: each
+//! search builds a `VirtualProbe` holding only the pool windows its probe
+//! set reaches, with the target's taps kept as `b + w·x` plus fixed pin
+//! terms in the victim model's f32 order and every other tap a constant.
+//! Its counts, and so its crossings, are bit-identical to those of a
+//! whole-layer [`crate::weights::FunctionalOracle`] built from the ratios,
+//! and it spends no victim queries.
 
 use cnnre_model::sync::Arc;
-use cnnre_nn::layer::{Conv2d, PoolKind};
-use cnnre_tensor::{Shape4, Tensor4};
+use cnnre_nn::layer::PoolKind;
+use cnnre_tensor::Tensor4;
+use core::ops::Range;
 
 use crate::exec::map_ordered;
 
 use crate::weights::oracle::{
-    FunctionalOracle, LayerGeometry, MergedOrder, Probe, ZeroCountOracle,
+    covering, window_cells, window_output, LayerGeometry, MergedOrder, Probe, ZeroCountOracle,
 };
 use crate::weights::search::{find_crossings, find_monotone_crossings, Crossing, SearchConfig};
 
@@ -171,38 +179,199 @@ impl RatioRecovery {
     }
 }
 
-/// Builds the adversary's virtual model of one filter from recovered
-/// ratios: weights = `w/|b|` values (unknowns set to 0), bias = `±1`, so
-/// the virtual pre-activation values equal the true ones divided by `|b|`
-/// — sign-faithful, hence crossing positions coincide.
-fn virtual_oracle(
-    geom: &LayerGeometry,
-    filter: &RecoveredFilter,
-    bias_positive: bool,
-) -> FunctionalOracle {
-    let (d_ifm, f) = (geom.input.c, geom.f);
-    let sign = if bias_positive { 1.0f32 } else { -1.0 };
-    let mut w = Tensor4::zeros(Shape4::new(1, d_ifm, f, f));
-    for c in 0..d_ifm {
-        for i in 0..f {
-            for j in 0..f {
-                w[(0, c, i, j)] = sign * filter.ratio(c, i, j).unwrap_or(0.0) as f32;
+/// One conv tap of a [`VirtualProbe`] window.
+#[derive(Debug, Clone, Copy)]
+enum Tap {
+    /// A tap the target pixel does not reach: its value is fixed.
+    Const(f32),
+    /// A tap the target pixel reaches through virtual weight `w`, plus the
+    /// pin terms `terms` (a range of [`VirtualProbe::terms`]).
+    Live { w: f32, terms: (usize, usize) },
+}
+
+/// The adversary's virtual model of one filter, restricted to one crossing
+/// search: the target pixel at `x` plus fixed pins (the paper's Eq. (9)).
+///
+/// Virtual weights are the recovered `w/|b|` values (unknowns are 0) and
+/// the bias is `±1`, so every virtual pre-activation is the true one
+/// divided by `|b|` — sign-faithful, hence crossing positions coincide. A
+/// non-zero pruning threshold `t` is equivalent to the bias `b' = b − t`
+/// compared against zero, and the ratios are already in `b'` units, so the
+/// virtual model always runs at threshold 0.
+///
+/// Only the pool windows the probes reach are held, in window order. A
+/// tap the target reaches evaluates as `((b + w·x) + term₁) + …`, the f32
+/// order of a layer-wide sparse evaluation with the target probe first;
+/// every other tap is a constant; a window with no live tap folds into
+/// `base`. Windows go through [`window_output`], as the victim's
+/// functional model does, so the counts are exactly those of a whole-layer
+/// model built from the same ratios, and a count allocates nothing.
+#[derive(Debug)]
+struct VirtualProbe {
+    /// The layer geometry with one filter at threshold 0.
+    geom: LayerGeometry,
+    bias: f32,
+    /// Pin terms `fl(w_k·v_k)` of the live taps, in pin order.
+    terms: Vec<f32>,
+    /// The taps of every window holding a live tap, in window order, each
+    /// window's taps row-major.
+    taps: Vec<Tap>,
+    /// Each window holding a live tap: its first tap in `taps`, and its
+    /// rows and columns of taps.
+    windows: Vec<(usize, usize, usize)>,
+    /// Non-zero outputs that do not depend on `x`.
+    base: u64,
+}
+
+impl VirtualProbe {
+    fn new(
+        geom: &LayerGeometry,
+        filter: &RecoveredFilter,
+        bias_positive: bool,
+        t: &Target,
+        pins: &[Probe],
+    ) -> Self {
+        let geom = LayerGeometry {
+            d_ofm: 1,
+            threshold: 0.0,
+            ..*geom
+        };
+        let bias = if bias_positive { 1.0f32 } else { -1.0 };
+        // lint:allow(panic): recover_ratios asserts the geometry up front
+        let conv_w = geom.conv_out_w().expect("valid geometry");
+        let (f, s, p) = (geom.f, geom.s, geom.p);
+        // The virtual weight through which pixel (c, y, x) reaches tap
+        // (vy, vx), if it does.
+        let weight = |c: usize, y: usize, x: usize, (vy, vx): (usize, usize)| {
+            let fy = (y + p).checked_sub(vy * s).filter(|&fy| fy < f)?;
+            let fx = (x + p).checked_sub(vx * s).filter(|&fx| fx < f)?;
+            Some(bias * filter.ratio(c, fy, fx).unwrap_or(0.0) as f32)
+        };
+        // Every reached conv tap, sorted, with its value.
+        let mut reached: Vec<(usize, usize)> = Vec::new();
+        for (y, x) in core::iter::once((t.y, t.x)).chain(pins.iter().map(|q| (q.y, q.x))) {
+            let (y0, y1) = covering(y, f, s, p, conv_w - 1);
+            let (x0, x1) = covering(x, f, s, p, conv_w - 1);
+            reached.extend((y0..=y1).flat_map(|vy| (x0..=x1).map(move |vx| (vy, vx))));
+        }
+        reached.sort_unstable();
+        reached.dedup();
+        let mut terms = Vec::new();
+        let values: Vec<Tap> = reached
+            .iter()
+            .map(|&v| {
+                let pin_terms = pins
+                    .iter()
+                    .filter_map(|q| Some(weight(q.c, q.y, q.x, v)? * q.value));
+                match weight(t.c, t.y, t.x, v) {
+                    Some(w) => {
+                        let lo = terms.len();
+                        terms.extend(pin_terms);
+                        Tap::Live {
+                            w,
+                            terms: (lo, terms.len()),
+                        }
+                    }
+                    None => Tap::Const(pin_terms.fold(bias, |acc, term| acc + term)),
+                }
+            })
+            .collect();
+        let tap_at = |cy: usize, cx: usize| match reached.binary_search(&(cy, cx)) {
+            Ok(k) => values[k],
+            Err(_) => Tap::Const(bias),
+        };
+        let mut probe = Self {
+            geom,
+            bias,
+            terms,
+            taps: Vec::new(),
+            windows: Vec::new(),
+            base: 0,
+        };
+        // The affected windows in window order, each with its valid taps in
+        // row-major order; then the number of windows with a valid tap.
+        let (affected, valid) = match geom.pool {
+            None => {
+                for &(cy, cx) in &reached {
+                    probe.add_window(cy..cy + 1, cx..cx + 1, tap_at);
+                }
+                (reached.len(), conv_w * conv_w)
             }
+            Some((_, f_p, s_p, p_p)) => {
+                // lint:allow(panic): recover_ratios asserts the geometry up front
+                let out_w = geom.final_out_w().expect("valid geometry");
+                let cells = |pw: usize| window_cells(pw, f_p, s_p, p_p, conv_w);
+                let mut pooled: Vec<(usize, usize)> = Vec::new();
+                for &(cy, cx) in &reached {
+                    let (y0, y1) = covering(cy, f_p, s_p, p_p, out_w - 1);
+                    let (x0, x1) = covering(cx, f_p, s_p, p_p, out_w - 1);
+                    pooled.extend((y0..=y1).flat_map(|py| (x0..=x1).map(move |px| (py, px))));
+                }
+                pooled.sort_unstable();
+                pooled.dedup();
+                for &(py, px) in &pooled {
+                    probe.add_window(cells(py), cells(px), tap_at);
+                }
+                let rows = (0..out_w).filter(|&pw| !cells(pw).is_empty()).count();
+                (pooled.len(), rows * rows)
+            }
+        };
+        // Unaffected windows keep their baseline: every valid window is on
+        // when the bias is positive, and off otherwise.
+        if bias_positive {
+            probe.base += (valid - affected) as u64;
+        }
+        probe
+    }
+
+    /// Adds the affected window over conv `rows × cols`: kept when a tap is
+    /// live, otherwise evaluated once into `base`.
+    fn add_window(
+        &mut self,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        tap_at: impl Fn(usize, usize) -> Tap,
+    ) {
+        let lo = self.taps.len();
+        let window = (lo, rows.len(), cols.len());
+        self.taps.extend(
+            rows.flat_map(|cy| cols.clone().map(move |cx| (cy, cx)))
+                .map(|(cy, cx)| tap_at(cy, cx)),
+        );
+        if self.taps[lo..]
+            .iter()
+            .any(|tap| matches!(tap, Tap::Live { .. }))
+        {
+            self.windows.push(window);
+        } else {
+            self.base += u64::from(self.is_on(window, 0.0));
+            self.taps.truncate(lo);
         }
     }
-    let conv =
-        // lint:allow(panic): w was allocated as exactly (1, c, f, f) above
-        Conv2d::from_parts(w, vec![sign], geom.s, geom.p).expect("virtual filter construction");
-    // A non-zero pruning threshold t is equivalent to shifting the bias to
-    // b' = b − t and comparing against zero; the recovery operates in
-    // b'-normalized units throughout (ratios come out as w/b'), so the
-    // virtual model always runs at threshold 0.
-    let virt_geom = LayerGeometry {
-        d_ofm: 1,
-        threshold: 0.0,
-        ..*geom
-    };
-    FunctionalOracle::new(conv, virt_geom)
+
+    /// Whether `window` is non-zero with the target pixel at `x`.
+    fn is_on(&self, (lo, rows, cols): (usize, usize, usize), x: f32) -> bool {
+        let value = |r: usize, c: usize| match self.taps[lo + r * cols + c] {
+            Tap::Const(v) => v,
+            Tap::Live { w, terms: (t0, t1) } => self.terms[t0..t1]
+                .iter()
+                .fold(self.bias + w * x, |acc, &term| acc + term),
+        };
+        // lint:allow(float-eq): models the pruning hardware, which keys on
+        // bit-exact post-ReLU zeros.
+        window_output(&self.geom, 0..rows, 0..cols, value) != 0.0
+    }
+
+    /// The virtual filter's non-zero output count with the target pixel at
+    /// `x`.
+    fn count(&self, x: f32) -> u64 {
+        let on = self
+            .windows
+            .iter()
+            .filter(|&&window| self.is_on(window, x))
+            .count();
+        self.base + on as u64
+    }
 }
 
 fn crossings_match(a: f64, b: f64, cfg: &RecoveryConfig) -> bool {
@@ -302,12 +471,6 @@ fn make_target_near_origin(geom: &LayerGeometry, c: usize, i: usize, j: usize) -
     make_target_at(geom, c, i, j, (t_r, t_c))
 }
 
-/// Pin pixels driving the corner taps to a large constant so the target's
-/// crossing is unmasked (the paper's Equation (10) generalized): one pixel
-/// per corner tap, each placed so that every contribution to any corner tap
-/// (and to the target tap) goes through an already-recovered weight; the
-/// pixel values solve a small linear system that sets each corner tap to
-/// `-PIN_STRENGTH` (in `|b|` units).
 /// All anchor strategies for one weight, in preference order: bottom-right
 /// corner, near-origin, and the two mixed row/column combinations (plus
 /// off-by-one variants for pooled layers, which shuffle the window-mate
@@ -367,145 +530,176 @@ fn affected_taps(geom: &LayerGeometry, t: &Target) -> Vec<(usize, usize)> {
 
 const PIN_STRENGTH: f64 = 1e9;
 
-struct PinSet {
-    probes: Vec<Probe>,
-    /// Total pin contribution to the target tap, in units of `b`
-    /// (`Σ (w/b)·v`).
-    target_contribution_over_b: f64,
+/// A pin pixel `(channel, py, px, a, b2, tap)`: it reaches pinned tap
+/// `tap` through weight `(channel, a, b2)`.
+type Pin = (usize, usize, usize, usize, usize, (usize, usize));
+
+/// The taps one pinned attempt must drive down, and what a pin pixel must
+/// satisfy to take part.
+struct PinSearch<'a> {
+    geom: &'a LayerGeometry,
+    filter: &'a RecoveredFilter,
+    t: &'a Target,
+    /// Taps to pin, in pin order.
+    pin_taps: Vec<(usize, usize)>,
+    /// Taps at which every pin's contribution must be known: the pinned
+    /// taps (the linear system), the target's window-mates (an
+    /// uncontrolled huge contribution there could light the target's
+    /// window permanently) and the target tap (the crossing formula). Taps
+    /// reached outside the target's windows only gain constant offsets,
+    /// which shift no crossing the analysis depends on.
+    must_be_known: Vec<(usize, usize)>,
 }
 
+impl<'a> PinSearch<'a> {
+    fn new(
+        geom: &'a LayerGeometry,
+        filter: &'a RecoveredFilter,
+        bias_positive: bool,
+        t: &'a Target,
+    ) -> Self {
+        let affected = affected_taps(geom, t);
+        // Taps to pin:
+        //  * affected taps whose weight is not yet recovered (their crossings
+        //    would be indistinguishable from the target's);
+        //  * taps sharing a pooling window with the target that are either
+        //    affected (max-pool masking) or alive at baseline (positive bias).
+        let is_unknown = |v: (usize, usize)| {
+            t.probe_weight_at(geom, v)
+                .is_some_and(|(fy, fx)| filter.ratio(t.c, fy, fx).is_none())
+        };
+        let mut pin_taps: Vec<(usize, usize)> = affected
+            .iter()
+            .copied()
+            .filter(|&v| is_unknown(v))
+            .collect();
+        for &v in &t.corner {
+            if (bias_positive || affected.contains(&v)) && !pin_taps.contains(&v) {
+                pin_taps.push(v);
+            }
+        }
+        let must_be_known = pin_taps
+            .iter()
+            .copied()
+            .chain(t.corner.iter().copied())
+            .chain(core::iter::once(t.tap))
+            .collect();
+        Self {
+            geom,
+            filter,
+            t,
+            pin_taps,
+            must_be_known,
+        }
+    }
+
+    /// The recovered ratio of weight `(ch, fy, fx)`: `Some(0.0)` outside
+    /// the filter, `None` for the target and for unrecovered weights.
+    fn known(&self, ch: usize, fy: isize, fx: isize) -> Option<f64> {
+        let f = self.geom.f;
+        if fy < 0 || fx < 0 || fy as usize >= f || fx as usize >= f {
+            return Some(0.0); // outside the filter: zero contribution
+        }
+        if ch == self.t.c && (fy as usize, fx as usize) == (self.t.i, self.t.j) {
+            return None; // the unknown target weight
+        }
+        self.filter.ratio(ch, fy as usize, fx as usize)
+    }
+
+    /// The ratio through which a pixel reaching tap `u` via weight
+    /// `(ch, a, b2)` reaches tap `v`.
+    fn contribution_via(
+        &self,
+        ch: usize,
+        (a, b2): (usize, usize),
+        (uy, ux): (usize, usize),
+        (vy, vx): (usize, usize),
+    ) -> Option<f64> {
+        let s = self.geom.s as isize;
+        let fy = a as isize + s * (uy as isize - vy as isize);
+        let fx = b2 as isize + s * (ux as isize - vx as isize);
+        self.known(ch, fy, fx)
+    }
+
+    /// The first admissible pin for tap `u`, scanning the target's channel
+    /// first, then the others in order, and weights in descending raster
+    /// order. A pin is admissible when it reaches `u` through a known
+    /// non-zero weight, lies inside the input, is neither the target pixel
+    /// nor an already `taken` pixel, reaches every `must_be_known` tap
+    /// through a known weight, and leaves the target tap structurally
+    /// untouched (its weight there falls outside the filter or is a known
+    /// zero): pin magnitudes are enormous, and an f32 compensation of a
+    /// huge contribution at the target tap would destroy the crossing
+    /// position entirely. The cheap target-tap test runs first.
+    fn first_pin(&self, u: (usize, usize), taken: &[Pin]) -> Option<Pin> {
+        let (geom, t) = (self.geom, self.t);
+        let others = (0..geom.input.c).filter(|&ch| ch != t.c);
+        let channels = core::iter::once(t.c).chain(others);
+        let weights = (0..geom.f)
+            .rev()
+            .flat_map(|a| (0..geom.f).rev().map(move |b2| (a, b2)));
+        channels
+            .flat_map(|ch| weights.clone().map(move |ab| (ch, ab)))
+            .find_map(|(ch, (a, b2))| {
+                if self.contribution_via(ch, (a, b2), u, t.tap) != Some(0.0) {
+                    return None;
+                }
+                let r = self.known(ch, a as isize, b2 as isize)?;
+                // lint:allow(float-eq): recovered weights use exact 0.0 as
+                // the "known pruned" sentinel.
+                if r == 0.0 {
+                    return None;
+                }
+                let py = (u.0 * geom.s + a).checked_sub(geom.p)?;
+                let px = (u.1 * geom.s + b2).checked_sub(geom.p)?;
+                let admissible = py < geom.input.h
+                    && px < geom.input.w
+                    && !(ch == t.c && (py, px) == (t.y, t.x))
+                    && !taken
+                        .iter()
+                        .any(|&(qc, qy, qx, ..)| (qc, qy, qx) == (ch, py, px))
+                    && self
+                        .must_be_known
+                        .iter()
+                        .all(|&v| self.contribution_via(ch, (a, b2), u, v).is_some());
+                admissible.then_some((ch, py, px, a, b2, u))
+            })
+    }
+
+    /// One pin per pinned tap, in pin order; `None` when a tap has no
+    /// admissible pin.
+    fn select(&self) -> Option<Vec<Pin>> {
+        let mut pins: Vec<Pin> = Vec::with_capacity(self.pin_taps.len());
+        for &u in &self.pin_taps {
+            let pin = self.first_pin(u, &pins)?;
+            pins.push(pin);
+        }
+        Some(pins)
+    }
+}
+
+/// Pin pixels driving the corner taps to a large constant so the target's
+/// crossing is unmasked (the paper's Equation (10) generalized): one pixel
+/// per corner tap, each placed so that every contribution to any corner tap
+/// (and to the target tap) goes through an already-recovered weight; the
+/// pixel values solve a small linear system that sets each corner tap to
+/// `-PIN_STRENGTH` (in `|b|` units). Pins may use any input channel whose
+/// weights are recovered where the pin reaches the constrained taps —
+/// other channels' filters give an independent pin vocabulary.
 fn build_pins(
     geom: &LayerGeometry,
     filter: &RecoveredFilter,
     bias_positive: bool,
     t: &Target,
-) -> Option<PinSet> {
-    let affected = affected_taps(geom, t);
-    // Taps to pin:
-    //  * affected taps whose weight is not yet recovered (their crossings
-    //    would be indistinguishable from the target's);
-    //  * taps sharing a pooling window with the target that are either
-    //    affected (max-pool masking) or alive at baseline (positive bias).
-    let is_unknown = |v: (usize, usize)| {
-        t.probe_weight_at(geom, v)
-            .is_some_and(|(fy, fx)| filter.ratio(t.c, fy, fx).is_none())
-    };
-    let mut pin_taps: Vec<(usize, usize)> = Vec::new();
-    for &v in &affected {
-        if is_unknown(v) {
-            pin_taps.push(v);
-        }
-    }
-    for &v in &t.corner {
-        if (bias_positive || affected.contains(&v)) && !pin_taps.contains(&v) {
-            pin_taps.push(v);
-        }
-    }
-    if pin_taps.is_empty() {
-        return Some(PinSet {
-            probes: Vec::new(),
-            target_contribution_over_b: 0.0,
-        });
-    }
-    let known = |ch: usize, fy: isize, fx: isize| -> Option<f64> {
-        if fy < 0 || fx < 0 || fy as usize >= geom.f || fx as usize >= geom.f {
-            return Some(0.0); // outside the filter: zero contribution
-        }
-        if ch == t.c && (fy as usize, fx as usize) == (t.i, t.j) {
-            return None; // the unknown target weight
-        }
-        filter.ratio(ch, fy as usize, fx as usize)
-    };
-    // Pins must have known contributions at every pinned tap (the linear
-    // system below), at the target tap (the crossing formula), and at every
-    // other tap sharing a pooling window with the target (an uncontrolled
-    // huge contribution there could light the target's window permanently).
-    // Taps reached outside the target's windows only gain constant offsets,
-    // which shift no crossing the analysis depends on.
-    let must_be_known: Vec<(usize, usize)> = pin_taps
-        .iter()
-        .copied()
-        .chain(t.corner.iter().copied())
-        .chain(core::iter::once(t.tap))
-        .collect();
-    let contribution_via = |ch: usize,
-                            a: usize,
-                            b2: usize,
-                            (uy, ux): (usize, usize),
-                            (vy, vx): (usize, usize)|
-     -> Option<f64> {
-        let fy = a as isize + geom.s as isize * (uy as isize - vy as isize);
-        let fx = b2 as isize + geom.s as isize * (ux as isize - vx as isize);
-        known(ch, fy, fx)
-    };
-    // Candidate pin pixels "attached" to tap u: position hits u through a
-    // known non-zero weight, and hits every constrained tap through a known
-    // weight. Pins whose contribution to the *target* tap is exactly zero
-    // are preferred (they leave the target's crossing in place).
-    // (channel, py, px, a, b2, tap): pins may use any input channel whose
-    // weights are recovered where the pin reaches the constrained taps —
-    // other channels' filters give an independent pin vocabulary.
-    type Pin = (usize, usize, usize, usize, usize, (usize, usize));
-    let mut pin_pos: Vec<Pin> = Vec::new();
-    let candidates_for = |u: (usize, usize), taken: &[Pin]| -> Vec<Pin> {
-        let mut out = Vec::new();
-        let mut channels: Vec<usize> = (0..geom.input.c).collect();
-        channels.sort_by_key(|&ch| if ch == t.c { 0 } else { 1 });
-        for ch in channels {
-            for a in (0..geom.f).rev() {
-                for b2 in (0..geom.f).rev() {
-                    let Some(r) = known(ch, a as isize, b2 as isize) else {
-                        continue;
-                    };
-                    // lint:allow(float-eq): recovered weights use exact 0.0
-                    // as the "known pruned" sentinel.
-                    if r == 0.0 {
-                        continue;
-                    }
-                    let py = (u.0 * geom.s + a).checked_sub(geom.p);
-                    let px = (u.1 * geom.s + b2).checked_sub(geom.p);
-                    let (Some(py), Some(px)) = (py, px) else {
-                        continue;
-                    };
-                    if py >= geom.input.h || px >= geom.input.w {
-                        continue;
-                    }
-                    if ch == t.c && (py, px) == (t.y, t.x) {
-                        continue;
-                    }
-                    if taken
-                        .iter()
-                        .any(|&(qc, qy, qx, ..)| (qc, qy, qx) == (ch, py, px))
-                    {
-                        continue;
-                    }
-                    if must_be_known
-                        .iter()
-                        .all(|&v| contribution_via(ch, a, b2, u, v).is_some())
-                    {
-                        out.push((ch, py, px, a, b2, u));
-                    }
-                }
-            }
-        }
-        out
-    };
-    for &u in &pin_taps {
-        let cands = candidates_for(u, &pin_pos);
-        // The pin must leave the target tap structurally untouched (its
-        // receptive weight there falls outside the filter or is a known
-        // zero): pin magnitudes are enormous, and an f32 compensation of a
-        // huge contribution at the target tap would destroy the crossing
-        // position entirely.
-        let zero_target = cands
-            .into_iter()
-            .find(|&(ch, _, _, a, b2, _)| contribution_via(ch, a, b2, u, t.tap) == Some(0.0))?;
-        pin_pos.push(zero_target);
-    }
+) -> Option<Vec<Probe>> {
+    #[cfg(test)]
+    tests::record_pin_attempt(geom, filter, bias_positive, t);
+    let search = PinSearch::new(geom, filter, bias_positive, t);
+    let pin_pos = search.select()?;
     let contribution = |(ch, py, px): (usize, usize, usize), (vy, vx): (usize, usize)| -> f64 {
         let fy = (py + geom.p) as isize - (vy * geom.s) as isize;
         let fx = (px + geom.p) as isize - (vx * geom.s) as isize;
-        known(ch, fy, fx).unwrap_or(0.0)
+        search.known(ch, fy, fx).unwrap_or(0.0)
     };
     // Solve M·v = rhs: each pinned tap forced to -PIN_STRENGTH (in b units;
     // the bias sign converts "far below the pruning threshold" into the
@@ -514,26 +708,24 @@ fn build_pins(
     let n = pin_pos.len();
     let mut m = vec![vec![0.0f64; n]; n];
     let rhs = vec![-PIN_STRENGTH * sign; n];
-    for (row, &u) in pin_taps.iter().enumerate() {
+    for (row, &u) in search.pin_taps.iter().enumerate() {
         for (col, &(ch, py, px, ..)) in pin_pos.iter().enumerate() {
             m[row][col] = contribution((ch, py, px), u);
         }
     }
     let v = solve_linear(m, rhs)?;
-    let probes: Vec<Probe> = pin_pos
-        .iter()
-        .zip(&v)
-        .map(|(&(ch, py, px, ..), &val)| Probe {
-            c: ch,
-            y: py,
-            x: px,
-            value: val as f32,
-        })
-        .collect();
-    Some(PinSet {
-        probes,
-        target_contribution_over_b: 0.0,
-    })
+    Some(
+        pin_pos
+            .iter()
+            .zip(&v)
+            .map(|(&(ch, py, px, ..), &val)| Probe {
+                c: ch,
+                y: py,
+                x: px,
+                value: val as f32,
+            })
+            .collect(),
+    )
 }
 
 /// Gaussian elimination with partial pivoting; `None` when singular.
@@ -607,20 +799,20 @@ fn ratio_from_crossing(
 }
 
 /// Pin contribution relevant to the crossing formula: for max pooling (and
-/// no pooling) only the target tap matters; for sum-based average pooling
-/// the whole last window contributes.
+/// no pooling) only the target tap matters, and pins leave it untouched;
+/// for sum-based average pooling the whole last window contributes.
 fn formula_pin_term(
     geom: &LayerGeometry,
     t: &Target,
-    pins: &PinSet,
+    pins: &[Probe],
     filter: &RecoveredFilter,
 ) -> f64 {
     match (geom.pool, geom.order) {
         (Some((PoolKind::Avg, _, _, _)), MergedOrder::PoolThenAct) => {
             // Sum of pin contributions over the last window's taps.
-            let mut total = pins.target_contribution_over_b;
+            let mut total = 0.0;
             for &(vy, vx) in &t.corner {
-                for probe in &pins.probes {
+                for probe in pins {
                     let fy = (probe.y + geom.p) as isize - (vy * geom.s) as isize;
                     let fx = (probe.x + geom.p) as isize - (vx * geom.s) as isize;
                     if fy >= 0
@@ -638,7 +830,7 @@ fn formula_pin_term(
             }
             total
         }
-        _ => pins.target_contribution_over_b,
+        _ => 0.0,
     }
 }
 
@@ -700,7 +892,7 @@ pub fn recover_ratios(oracle: &mut dyn ZeroCountOracle, cfg: &RecoveryConfig) ->
 /// (DESIGN.md §13).
 ///
 /// The oracle must be cheaply cloneable with an independent query counter
-/// per clone (e.g. [`FunctionalOracle`]); stateful hardware-backed oracles
+/// per clone (e.g. [`crate::weights::FunctionalOracle`]); stateful hardware-backed oracles
 /// stay on the sequential `&mut dyn` entry point.
 ///
 /// # Panics
@@ -912,8 +1104,8 @@ fn finish_recovery(
         reg.counter("weights.zero_identified").add(zeros);
         reg.counter("weights.unrecovered").add(unrecovered);
         // `oracle.queries` counts every ZeroCountOracle query in the
-        // process, including the attacker's own virtual-oracle simulations;
-        // this is the victim-facing subset (the paper's cost metric).
+        // process; this is the share of this attack (the paper's cost
+        // metric). The virtual model is not an oracle and sends none.
         reg.counter("oracle.victim_queries").add(total_queries);
     }
     cnnre_obs::log_info!(
@@ -942,8 +1134,24 @@ fn count_is_monotone(geom: &LayerGeometry, pins: &[Probe]) -> bool {
         && pins.is_empty()
 }
 
-/// The crossing search for one probe position plus `pins`: the monotone
-/// search where [`count_is_monotone`] holds, the full grid otherwise.
+/// The crossing search of `count(x)` for one probe position plus `pins`:
+/// the monotone search where [`count_is_monotone`] holds, the full grid
+/// otherwise.
+fn search(
+    geom: &LayerGeometry,
+    pins: &[Probe],
+    count: impl FnMut(f32) -> u64,
+    cfg: &SearchConfig,
+) -> Vec<Crossing> {
+    if count_is_monotone(geom, pins) {
+        find_monotone_crossings(count, cfg)
+    } else {
+        find_crossings(count, cfg)
+    }
+}
+
+/// The crossing search of a probe-set count: the target pixel at the
+/// searched value, followed by `pins`.
 fn search_crossings(
     geom: &LayerGeometry,
     t: &Target,
@@ -963,11 +1171,7 @@ fn search_crossings(
         probes[0].value = v;
         count(&probes)
     };
-    if count_is_monotone(geom, pins) {
-        find_monotone_crossings(query, cfg)
-    } else {
-        find_crossings(query, cfg)
-    }
+    search(geom, pins, query, cfg)
 }
 
 /// Crossings of the virtual model for the given probe set.
@@ -979,15 +1183,11 @@ fn virtual_crossings(
     pins: &[Probe],
     cfg: &RecoveryConfig,
 ) -> Vec<Crossing> {
-    let mut virt = virtual_oracle(geom, filter, bias_positive);
-    let virt_geom = virt.geometry();
-    search_crossings(
-        &virt_geom,
-        t,
-        pins,
-        |probes| virt.query_filter(0, probes),
-        &cfg.search,
-    )
+    if cnnre_obs::enabled() {
+        cnnre_obs::counter("weights.virtual.searches").inc();
+    }
+    let virt = VirtualProbe::new(geom, filter, bias_positive, t, pins);
+    search(&virt.geom, pins, |x| virt.count(x), &cfg.search)
 }
 
 /// Whether the observed and predicted crossing sets coincide one-to-one,
@@ -1127,11 +1327,11 @@ fn recover_one(
     let observed2 = search_crossings(
         geom,
         t,
-        &pins.probes,
+        &pins,
         |probes| oracle.query_filter(d, probes),
         &cfg.search,
     );
-    let predicted2 = virtual_crossings(geom, filter, bias_positive, t, &pins.probes, cfg);
+    let predicted2 = virtual_crossings(geom, filter, bias_positive, t, &pins, cfg);
     let unmatched2: Vec<Crossing> = observed2
         .iter()
         .copied()
@@ -1155,7 +1355,7 @@ fn recover_one(
         for sentinel in [1.0, -1.0, 0.05, -0.05] {
             let mut trial = filter.clone();
             trial.set(t.c, t.i, t.j, Some(sentinel));
-            let control = virtual_crossings(geom, &trial, bias_positive, t, &pins.probes, cfg);
+            let control = virtual_crossings(geom, &trial, bias_positive, t, &pins, cfg);
             let visible = control
                 .iter()
                 .any(|p| !predicted2.iter().any(|q| crossings_match(p.x, q.x, cfg)));
@@ -1171,7 +1371,7 @@ fn recover_one(
         let ratio = ratio_from_crossing(geom, t, filter, cand.x, pin_term);
         let mut trial = filter.clone();
         trial.set(t.c, t.i, t.j, Some(ratio));
-        let verify = virtual_crossings(geom, &trial, bias_positive, t, &pins.probes, cfg);
+        let verify = virtual_crossings(geom, &trial, bias_positive, t, &pins, cfg);
         if sets_match(&observed2, &verify, cfg) {
             return Some(ratio);
         }
@@ -1182,9 +1382,102 @@ fn recover_one(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weights::oracle::FunctionalOracle;
+    use cnnre_nn::layer::Conv2d;
     use cnnre_tensor::rng::SmallRng;
     use cnnre_tensor::rng::{Rng, SeedableRng};
-    use cnnre_tensor::Shape3;
+    use cnnre_tensor::{Shape3, Shape4};
+    use std::cell::RefCell;
+
+    /// One pinned attempt: the inputs of a `build_pins` call.
+    type PinAttempt = (LayerGeometry, RecoveredFilter, bool, Target);
+
+    thread_local! {
+        /// `build_pins` calls on this thread while recording is on.
+        static PIN_ATTEMPTS: RefCell<Option<Vec<PinAttempt>>> = const { RefCell::new(None) };
+    }
+
+    pub(super) fn record_pin_attempt(
+        geom: &LayerGeometry,
+        filter: &RecoveredFilter,
+        bias_positive: bool,
+        t: &Target,
+    ) {
+        PIN_ATTEMPTS.with(|log| {
+            if let Some(log) = log.borrow_mut().as_mut() {
+                log.push((*geom, filter.clone(), bias_positive, t.clone()));
+            }
+        });
+    }
+
+    /// The reference virtual model: a whole-layer [`FunctionalOracle`]
+    /// over the recovered ratios.
+    fn virtual_oracle(
+        geom: &LayerGeometry,
+        filter: &RecoveredFilter,
+        bias_positive: bool,
+    ) -> FunctionalOracle {
+        let (d_ifm, f) = (geom.input.c, geom.f);
+        let sign = if bias_positive { 1.0f32 } else { -1.0 };
+        let mut w = Tensor4::zeros(Shape4::new(1, d_ifm, f, f));
+        for c in 0..d_ifm {
+            for i in 0..f {
+                for j in 0..f {
+                    w[(0, c, i, j)] = sign * filter.ratio(c, i, j).unwrap_or(0.0) as f32;
+                }
+            }
+        }
+        let conv = Conv2d::from_parts(w, vec![sign], geom.s, geom.p).expect("virtual filter");
+        let virt_geom = LayerGeometry {
+            d_ofm: 1,
+            threshold: 0.0,
+            ..*geom
+        };
+        FunctionalOracle::new(conv, virt_geom)
+    }
+
+    /// Asserts that [`VirtualProbe`] gives the whole-layer model's counts
+    /// at `values` and its crossings, for target `t` plus `pins`.
+    fn assert_virtual_probe_exact(
+        geom: &LayerGeometry,
+        filter: &RecoveredFilter,
+        bias_positive: bool,
+        t: &Target,
+        pins: &[Probe],
+        values: &[f32],
+    ) {
+        let mut reference = virtual_oracle(geom, filter, bias_positive);
+        let virt_geom = reference.geometry();
+        let probe = VirtualProbe::new(geom, filter, bias_positive, t, pins);
+        let mut probes = vec![Probe {
+            c: t.c,
+            y: t.y,
+            x: t.x,
+            value: 0.0,
+        }];
+        probes.extend_from_slice(pins);
+        for &x in values {
+            probes[0].value = x;
+            assert_eq!(
+                probe.count(x),
+                reference.query_filter(0, &probes),
+                "x = {x}, target {t:?}, pins {pins:?}, {geom:?}"
+            );
+        }
+        let cfg = RecoveryConfig::default();
+        let expected = search_crossings(
+            &virt_geom,
+            t,
+            pins,
+            |probes| reference.query_filter(0, probes),
+            &cfg.search,
+        );
+        assert_eq!(
+            virtual_crossings(geom, filter, bias_positive, t, pins, &cfg),
+            expected,
+            "target {t:?}, pins {pins:?}, {geom:?}"
+        );
+    }
 
     fn make_geom(
         input: Shape3,
@@ -1533,5 +1826,291 @@ mod tests {
         };
         assert!(!count_is_monotone(&negative_threshold, &[]));
         assert!(count_is_monotone(&geom, &[]));
+    }
+
+    #[test]
+    fn virtual_probe_matches_the_whole_layer_model() {
+        let pooled = |input, f, s, p, pool, order| LayerGeometry {
+            order,
+            ..make_geom(input, 1, f, s, p, Some(pool))
+        };
+        let max22 = (PoolKind::Max, 2, 2, 0);
+        let avg22 = (PoolKind::Avg, 2, 2, 0);
+        let (act_pool, pool_act) = (MergedOrder::ActThenPool, MergedOrder::PoolThenAct);
+        // (geometry, positive bias)
+        let layers = [
+            (make_geom(Shape3::new(2, 10, 10), 1, 3, 1, 0, None), false),
+            (make_geom(Shape3::new(1, 11, 11), 1, 3, 2, 1, None), false),
+            (
+                pooled(Shape3::new(2, 12, 12), 3, 1, 0, max22, act_pool),
+                false,
+            ),
+            (
+                pooled(
+                    Shape3::new(1, 23, 23),
+                    5,
+                    2,
+                    0,
+                    (PoolKind::Max, 3, 2, 0),
+                    act_pool,
+                ),
+                false,
+            ),
+            (
+                pooled(Shape3::new(1, 12, 12), 3, 1, 0, avg22, act_pool),
+                false,
+            ),
+            (
+                pooled(Shape3::new(2, 12, 12), 3, 1, 0, avg22, pool_act),
+                false,
+            ),
+            (
+                pooled(Shape3::new(1, 12, 12), 3, 1, 0, max22, act_pool),
+                true,
+            ),
+            (
+                LayerGeometry {
+                    threshold: 0.25,
+                    ..pooled(Shape3::new(1, 13, 13), 3, 1, 1, max22, act_pool)
+                },
+                true,
+            ),
+        ];
+        let values = [
+            -4096.0, -3.5, -0.75, -1e-4, 0.0, 2e-3, 0.5, 1.25, 9.0, 4096.0,
+        ];
+        let mut rng = SmallRng::seed_from_u64(0x17);
+        let mut pinned = 0;
+        for (geom, positive) in layers {
+            let conv = victim(&geom, &mut rng, 0.3, !positive);
+            let b = f64::from(conv.bias()[0]) - f64::from(geom.threshold);
+            let truth = |c, i, j| f64::from(conv.weights()[(0, c, i, j)]) / b;
+            for c in 0..geom.input.c {
+                for i in 0..geom.f {
+                    for j in 0..geom.f {
+                        // Mid-attack state: the target and every third weight
+                        // unknown, the rest recovered; then the verification
+                        // state, with the target filled in.
+                        let mut filter = RecoveredFilter::new(geom.input.c, geom.f);
+                        for (k, r) in filter.ratios.iter_mut().enumerate() {
+                            let (kc, ki, kj) =
+                                (k / (geom.f * geom.f), k / geom.f % geom.f, k % geom.f);
+                            if k % 3 != 0 {
+                                *r = Some(truth(kc, ki, kj));
+                            }
+                        }
+                        filter.set(c, i, j, None);
+                        let mut trial = filter.clone();
+                        trial.set(c, i, j, Some(truth(c, i, j)));
+                        for t in candidate_targets(&geom, c, i, j).into_iter().flatten() {
+                            for state in [&filter, &trial] {
+                                assert_virtual_probe_exact(
+                                    &geom,
+                                    state,
+                                    positive,
+                                    &t,
+                                    &[],
+                                    &values,
+                                );
+                            }
+                            // Two moderate pins near the target pixel (one may
+                            // land on it): their terms are the size of the
+                            // target's, so the f32 summation order shows.
+                            let near = |rng: &mut SmallRng, v: usize, len: usize| {
+                                (v + rng.gen_range(0..2 * geom.f))
+                                    .saturating_sub(geom.f)
+                                    .min(len - 1)
+                            };
+                            let moderate: Vec<Probe> = (0..2)
+                                .map(|_| Probe {
+                                    c: rng.gen_range(0..geom.input.c),
+                                    y: near(&mut rng, t.y, geom.input.h),
+                                    x: near(&mut rng, t.x, geom.input.w),
+                                    value: rng.gen_range(-3.0..3.0),
+                                })
+                                .collect();
+                            assert_virtual_probe_exact(
+                                &geom, &trial, positive, &t, &moderate, &values,
+                            );
+                            let Some(pins) = build_pins(&geom, &filter, positive, &t) else {
+                                continue;
+                            };
+                            pinned += usize::from(!pins.is_empty());
+                            for state in [&filter, &trial] {
+                                assert_virtual_probe_exact(
+                                    &geom, state, positive, &t, &pins, &values,
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(pinned > 100, "only {pinned} pinned probe sets");
+    }
+
+    /// The reference pin selection: every admissible candidate collected,
+    /// then the first with a zero target-tap contribution kept.
+    fn reference_pins(
+        geom: &LayerGeometry,
+        filter: &RecoveredFilter,
+        bias_positive: bool,
+        t: &Target,
+    ) -> Option<Vec<Pin>> {
+        let affected = affected_taps(geom, t);
+        let is_unknown = |v: (usize, usize)| {
+            t.probe_weight_at(geom, v)
+                .is_some_and(|(fy, fx)| filter.ratio(t.c, fy, fx).is_none())
+        };
+        let mut pin_taps: Vec<(usize, usize)> = Vec::new();
+        for &v in &affected {
+            if is_unknown(v) {
+                pin_taps.push(v);
+            }
+        }
+        for &v in &t.corner {
+            if (bias_positive || affected.contains(&v)) && !pin_taps.contains(&v) {
+                pin_taps.push(v);
+            }
+        }
+        let known = |ch: usize, fy: isize, fx: isize| -> Option<f64> {
+            if fy < 0 || fx < 0 || fy as usize >= geom.f || fx as usize >= geom.f {
+                return Some(0.0);
+            }
+            if ch == t.c && (fy as usize, fx as usize) == (t.i, t.j) {
+                return None;
+            }
+            filter.ratio(ch, fy as usize, fx as usize)
+        };
+        let must_be_known: Vec<(usize, usize)> = pin_taps
+            .iter()
+            .copied()
+            .chain(t.corner.iter().copied())
+            .chain(core::iter::once(t.tap))
+            .collect();
+        let contribution_via = |ch: usize,
+                                a: usize,
+                                b2: usize,
+                                (uy, ux): (usize, usize),
+                                (vy, vx): (usize, usize)|
+         -> Option<f64> {
+            let fy = a as isize + geom.s as isize * (uy as isize - vy as isize);
+            let fx = b2 as isize + geom.s as isize * (ux as isize - vx as isize);
+            known(ch, fy, fx)
+        };
+        let candidates_for = |u: (usize, usize), taken: &[Pin]| -> Vec<Pin> {
+            let mut out = Vec::new();
+            let mut channels: Vec<usize> = (0..geom.input.c).collect();
+            channels.sort_by_key(|&ch| if ch == t.c { 0 } else { 1 });
+            for ch in channels {
+                for a in (0..geom.f).rev() {
+                    for b2 in (0..geom.f).rev() {
+                        let Some(r) = known(ch, a as isize, b2 as isize) else {
+                            continue;
+                        };
+                        if r == 0.0 {
+                            continue;
+                        }
+                        let py = (u.0 * geom.s + a).checked_sub(geom.p);
+                        let px = (u.1 * geom.s + b2).checked_sub(geom.p);
+                        let (Some(py), Some(px)) = (py, px) else {
+                            continue;
+                        };
+                        if py >= geom.input.h || px >= geom.input.w {
+                            continue;
+                        }
+                        if ch == t.c && (py, px) == (t.y, t.x) {
+                            continue;
+                        }
+                        if taken
+                            .iter()
+                            .any(|&(qc, qy, qx, ..)| (qc, qy, qx) == (ch, py, px))
+                        {
+                            continue;
+                        }
+                        if must_be_known
+                            .iter()
+                            .all(|&v| contribution_via(ch, a, b2, u, v).is_some())
+                        {
+                            out.push((ch, py, px, a, b2, u));
+                        }
+                    }
+                }
+            }
+            out
+        };
+        let mut pin_pos: Vec<Pin> = Vec::new();
+        for &u in &pin_taps {
+            let zero_target = candidates_for(u, &pin_pos)
+                .into_iter()
+                .find(|&(ch, _, _, a, b2, _)| contribution_via(ch, a, b2, u, t.tap) == Some(0.0))?;
+            pin_pos.push(zero_target);
+        }
+        Some(pin_pos)
+    }
+
+    #[test]
+    fn pin_scan_selects_the_reference_pin() {
+        let max = |f_p| Some((PoolKind::Max, f_p, 2, 0));
+        let mut avg = make_geom(
+            Shape3::new(1, 12, 12),
+            2,
+            3,
+            1,
+            0,
+            Some((PoolKind::Avg, 2, 2, 0)),
+        );
+        avg.order = MergedOrder::PoolThenAct;
+        // The pooled recovery fixtures above, a two-channel layer (pins
+        // from other channels) and a positive bias under a raised
+        // threshold: (geometry, seed, negative bias).
+        let fixtures = [
+            (
+                make_geom(Shape3::new(1, 12, 12), 2, 3, 1, 0, max(2)),
+                4,
+                true,
+            ),
+            (
+                make_geom(Shape3::new(1, 23, 23), 2, 5, 2, 0, max(3)),
+                5,
+                true,
+            ),
+            (avg, 6, true),
+            (
+                make_geom(Shape3::new(2, 12, 12), 2, 3, 1, 0, max(2)),
+                10,
+                true,
+            ),
+            (
+                LayerGeometry {
+                    threshold: 0.25,
+                    ..make_geom(Shape3::new(1, 12, 12), 2, 3, 1, 0, max(2))
+                },
+                11,
+                false,
+            ),
+        ];
+        PIN_ATTEMPTS.with(|log| *log.borrow_mut() = Some(Vec::new()));
+        for (geom, seed, negative_bias) in fixtures {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let conv = victim(&geom, &mut rng, 0.0, negative_bias);
+            let mut oracle = FunctionalOracle::new(conv, geom);
+            let _ = recover_ratios(&mut oracle, &RecoveryConfig::default());
+        }
+        let attempts = PIN_ATTEMPTS
+            .with(|log| log.borrow_mut().take())
+            .expect("recording");
+        let mut pins_placed = 0;
+        for (geom, filter, bias_positive, t) in &attempts {
+            let expected = reference_pins(geom, filter, *bias_positive, t);
+            let selected = PinSearch::new(geom, filter, *bias_positive, t).select();
+            assert_eq!(selected, expected, "target {t:?} of {geom:?}");
+            pins_placed += selected.map_or(0, |pins| pins.len());
+        }
+        assert!(
+            attempts.len() > 100 && pins_placed > 100,
+            "{} attempts, {pins_placed} pins",
+            attempts.len()
+        );
     }
 }

@@ -175,7 +175,7 @@ pub const METRICS: &[MetricDef] = &[
     MetricDef {
         name: "oracle.queries",
         kind: "counter",
-        help: "zero-count oracle queries, victim and virtual",
+        help: "zero-count oracle queries answered by a victim oracle",
     },
     MetricDef {
         name: "oracle.victim_queries",
@@ -341,6 +341,11 @@ pub const METRICS: &[MetricDef] = &[
         name: "weights.unrecovered",
         kind: "counter",
         help: "weights the attack could not recover",
+    },
+    MetricDef {
+        name: "weights.virtual.searches",
+        kind: "counter",
+        help: "crossing searches of the attacker's virtual model (no victim queries)",
     },
     MetricDef {
         name: "weights.zero_identified",

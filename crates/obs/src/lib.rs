@@ -32,7 +32,7 @@
 //! accel.layer.compute_cycles    series    per-stage compute-busy cycles
 //! trace.segments.accepted       counter   RAW boundaries accepted
 //! solver.candidates_per_layer   series    surviving candidates per layer
-//! oracle.queries                counter   weight-attack oracle queries
+//! oracle.queries                counter   victim oracle queries
 //! ```
 //!
 //! Metrics whose final name segment is `wall_ns` carry wall-clock time and

@@ -758,8 +758,8 @@ impl Drop for SuppressGuard {
 
 /// Suppresses event emission on the current thread until the returned
 /// guard is dropped. Used by sanitizer hooks (the `audit-hooks` re-runs of
-/// segmentation) and virtual-model simulations whose events would
-/// duplicate or pollute the attack's own stream.
+/// segmentation) and the weight attack's per-query victim-engine runs,
+/// whose events would duplicate or pollute the attack's own stream.
 #[must_use]
 pub fn suppress() -> SuppressGuard {
     SUPPRESS.with(|s| s.set(s.get() + 1));

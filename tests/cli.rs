@@ -209,6 +209,7 @@ fn metrics_flag_writes_weight_attack_profile() {
         "\"oracle.victim_queries\":",
         "\"weights.recovered\":",
         "\"weights.search.refine_steps\":",
+        "\"weights.virtual.searches\":",
     ] {
         assert!(json.contains(key), "metrics missing {key}:\n{json}");
     }
