@@ -14,7 +14,7 @@
 
 use std::path::{Path, PathBuf};
 
-use cnnre_attacks::obsd::ObsDaemon;
+use cnnre_obs::http::ObsServer;
 use cnnre_obs::log::Level;
 use cnnre_obs::profile::ClockDomain;
 
@@ -134,7 +134,7 @@ pub fn take_flag(args: &mut Vec<String>, name: &str) -> bool {
 pub struct Harness {
     metrics: MetricsFile,
     flags: GlobalFlags,
-    daemon: Option<ObsDaemon>,
+    daemon: Option<ObsServer>,
 }
 
 impl Harness {
@@ -148,7 +148,7 @@ impl Harness {
     /// enable the instrumentation when any file is requested, the
     /// profiler ring for `--profile-out`, the recorded event stream for
     /// `--events-out`, and all three plus the HTTP daemon
-    /// ([`cnnre_attacks::obsd`]) for `--serve-obs`. Output is byte-identical
+    /// ([`cnnre_obs::http::serve`]) for `--serve-obs`. Output is byte-identical
     /// at any thread count (DESIGN.md §13).
     ///
     /// Exits with usage code 2 on a bad flag and with 1 when the
@@ -181,7 +181,7 @@ impl Harness {
             cnnre_obs::stream::set_record(true);
         }
         let daemon = flags.serve_obs.as_deref().map(|addr| {
-            cnnre_attacks::obsd::serve(addr).unwrap_or_else(|e| {
+            cnnre_obs::http::serve(addr).unwrap_or_else(|e| {
                 eprintln!("cannot serve observability on {addr}: {e}");
                 std::process::exit(1);
             })

@@ -1,9 +1,8 @@
-//! Parallel-execution primitives powering the multi-threaded attack
-//! engines (ROADMAP item 1): a bounded work-stealing [`deque`], a small
-//! [`ThreadPool`], and the deterministic drivers the solvers run on —
-//! [`map_ordered`] (ordered fork/join reduction) and [`Memo`] (shared
-//! compute-once cache) — all written exclusively against the
-//! `cnnre_model` sync shims.
+//! Parallel-execution primitives for the multi-threaded attack engines:
+//! [`map_ordered`] (an ordered fork/join map over a list known up
+//! front), [`Memo`] (a shared compute-once cache) and the process-wide
+//! worker-count knob ([`default_threads`]), all written exclusively
+//! against the `cnnre_model` sync shims.
 //!
 //! In release builds the shims are transparent `std` re-exports (the
 //! perf gate pins this); under the `model-check` feature the protocols
@@ -14,34 +13,15 @@
 //! escapes that certification.
 //!
 //! The structure solver (Eq. (1)–(8) candidate enumeration and chain
-//! assembly) and the weights attack (per-filter crossing search)
-//! schedule their shards through [`map_ordered`], which spawns on
-//! [`ThreadPool::spawn`] and joins with [`ThreadPool::join`]; the chain
-//! solver shares per-`(node, interface)` candidate sets through
+//! assembly) and the weights attack (per-filter crossing search) fan
+//! their independent shards out through [`map_ordered`], which spawns
+//! its workers for the one call and joins them before returning; the
+//! chain solver shares per-`(node, interface)` candidate sets through
 //! [`Memo`]. DESIGN.md §13 documents why these drivers keep candidate
 //! output and telemetry byte-identical at any `--threads` value.
-//!
-//! # Pool invariants (the certified contract)
-//!
-//! * **Injector never blocks.** [`ThreadPool::spawn`] pushes into an
-//!   unbounded mutex-guarded queue; workers batch-refill their local
-//!   deques from it so the lock stays cool.
-//! * **LIFO local, FIFO steal.** A worker drains its own deque newest
-//!   first (cache warmth) and steals oldest first from siblings, the
-//!   classic work-stealing discipline.
-//! * **Panic containment.** A panicking job is caught with
-//!   `catch_unwind`, counted, and never kills its worker;
-//!   [`ThreadPool::join`] returns the contained-panic count so drivers
-//!   like [`map_ordered`] can re-raise one failure deterministically.
-//! * **Drop drains.** Dropping the pool finishes all queued work before
-//!   stopping the workers — no job is silently discarded.
 
 #![deny(missing_docs)]
 
-mod deque;
 mod par;
-mod pool;
 
-pub use deque::{deque, Stealer, Worker};
 pub use par::{default_threads, map_ordered, set_default_threads, Memo};
-pub use pool::ThreadPool;

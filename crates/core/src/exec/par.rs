@@ -22,9 +22,9 @@
 
 use std::collections::BTreeMap;
 
+use cnnre_model::sync::atomic::{AtomicUsize, Ordering};
 use cnnre_model::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-
-use super::pool::ThreadPool;
+use cnnre_model::thread;
 
 /// Explicit worker-count override installed by [`set_default_threads`].
 static OVERRIDE: OnceLock<usize> = OnceLock::new();
@@ -64,22 +64,29 @@ fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Maps `f` over `items` on a work-stealing [`ThreadPool`] of up to
-/// `threads` workers, returning the results **in item order** (each task
-/// writes the slot of its input index — a deterministic ordered
-/// reduction).
+/// Maps `f` over `items` on up to `threads` workers, returning the
+/// results **in item order** (each result lands in the slot of its input
+/// index — a deterministic ordered reduction).
 ///
 /// With `threads <= 1` (or fewer than two items) the closure runs inline
 /// on the caller, so the sequential path is structurally identical to a
-/// plain `map` and shares no pool machinery at all.
+/// plain `map` and spawns nothing.
+///
+/// Otherwise `threads.min(items.len())` workers are spawned for this one
+/// call. Each worker claims the next unclaimed index from a shared
+/// counter, runs the closure on that item, and keeps `(index, result)`
+/// until the caller joins it. Every worker re-enters the caller's
+/// [`cnnre_obs::run::task_ctx`], so spans opened inside `f` parent under
+/// the caller's span.
 ///
 /// The closure receives `(index, item)`; results are returned as if by
 /// `items.into_iter().enumerate().map(f).collect()`.
 ///
 /// # Panics
 ///
-/// Panics when a task panics (the pool contains the panic per job and
-/// this driver re-raises it as one failure after all tasks finish).
+/// Panics when a task panics: the caller joins every worker first (the
+/// surviving workers run the remaining items), then re-raises the
+/// failure once.
 pub fn map_ordered<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send + 'static,
@@ -94,31 +101,60 @@ where
             .collect();
     }
     let n = items.len();
-    let pool = ThreadPool::new(threads.min(n));
-    let slots: Arc<Mutex<Vec<Option<R>>>> = Arc::new(Mutex::new((0..n).map(|_| None).collect()));
-    let f = Arc::new(f);
-    for (i, item) in items.into_iter().enumerate() {
-        let slots = Arc::clone(&slots);
-        let f = Arc::clone(&f);
-        pool.spawn(move || {
-            let result = f(i, item);
-            lock(&slots)[i] = Some(result);
-        });
-    }
-    let panicked = pool.join();
-    assert!(
-        panicked == 0,
-        "map_ordered: {panicked} task(s) panicked (contained by the pool)"
+    let items: Arc<Vec<Mutex<Option<T>>>> = Arc::new(
+        items
+            .into_iter()
+            .map(|item| Mutex::new(Some(item)))
+            .collect(),
     );
-    drop(pool);
-    let results = lock(&slots)
-        .drain(..)
-        .enumerate()
-        // lint:allow(panic): a missing slot after a clean join is a driver
-        // bug, not a recoverable condition
-        .map(|(i, r)| r.unwrap_or_else(|| panic!("map_ordered: task {i} left no result")))
+    let next = Arc::new(AtomicUsize::new(0));
+    let f = Arc::new(f);
+    let ctx = cnnre_obs::run::task_ctx();
+    let workers: Vec<_> = (0..threads.min(n))
+        .map(|_| {
+            let (items, next, f, ctx) = (
+                Arc::clone(&items),
+                Arc::clone(&next),
+                Arc::clone(&f),
+                ctx.clone(),
+            );
+            thread::spawn(move || {
+                let _ctx = ctx.map(cnnre_obs::run::enter);
+                let mut done = Vec::new();
+                loop {
+                    // Relaxed: the counter publishes nothing but distinct
+                    // indices; each item moves through its slot's mutex
+                    // and each result through the join.
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(i).and_then(|slot| lock(slot).take()) else {
+                        break;
+                    };
+                    done.push((i, f(i, item)));
+                }
+                done
+            })
+        })
         .collect();
-    results
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let mut panicked = 0;
+    for worker in workers {
+        match worker.join() {
+            Ok(done) => {
+                for (i, result) in done {
+                    slots[i] = Some(result);
+                }
+            }
+            Err(_) => panicked += 1,
+        }
+    }
+    assert!(panicked == 0, "map_ordered: {panicked} worker(s) panicked");
+    slots
+        .into_iter()
+        .enumerate()
+        // lint:allow(panic): every index below `n` is claimed exactly once,
+        // so a missing slot after a clean join is a bug here
+        .map(|(i, r)| r.unwrap_or_else(|| panic!("map_ordered: task {i} left no result")))
+        .collect()
 }
 
 /// A ready or in-flight memo entry.
@@ -147,7 +183,7 @@ struct MemoInner<K, V> {
 /// recomputing.
 ///
 /// Distinct keys compute concurrently (the lock is dropped around the
-/// closure), so memoized stages still scale on the pool. Because every
+/// closure), so memoized stages still scale across workers. Because every
 /// key is computed exactly once, the hit/miss tallies are
 /// schedule-independent: `misses()` equals the number of distinct keys
 /// ever requested and `hits()` the remaining lookups, whatever the

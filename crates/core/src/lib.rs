@@ -14,21 +14,17 @@
 //!   on zero-crossing points (§4, Algorithm 2), plus full weight recovery
 //!   when a tunable activation threshold is available;
 //! * [`assumptions`] — the paper's Table-1 threat-model matrix as types;
-//! * [`exec`] — the parallel execution layer the attacks run on: a
-//!   work-stealing deque and thread pool plus the deterministic drivers
-//!   (`map_ordered`, `Memo`) that shard the solver and the weights
-//!   attack across workers, built only on the `cnnre-model` shims and
-//!   certified by exhaustive model checking. Candidate output and
-//!   telemetry stay byte-identical at any thread count (DESIGN.md §13);
-//! * [`obsd`] — the embeddable live-observability daemon: the
-//!   `cnnre_obs::http` scrape server wired onto the certified exec pool
-//!   (DESIGN.md §14), behind the CLI's `--serve-obs` flag.
+//! * [`exec`] — the parallel execution layer the attacks run on: the
+//!   deterministic primitives (`map_ordered`, `Memo`) that fan the solver
+//!   and the weights attack out across workers, built only on the
+//!   `cnnre-model` shims and certified by exhaustive model checking.
+//!   Candidate output and telemetry stay byte-identical at any thread
+//!   count (DESIGN.md §13).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod assumptions;
 pub mod exec;
-pub mod obsd;
 pub mod structure;
 pub mod weights;

@@ -339,7 +339,7 @@ fn record_enumeration_metrics(
     );
 }
 
-/// Owned context a parallel root-exploration task needs (pool tasks are
+/// Owned context a parallel root-exploration task needs (worker tasks are
 /// `'static`, so everything is cloned out of the coordinator's borrows;
 /// the memo handle is shared, all other fields are read-only).
 struct RootCtx {
@@ -474,7 +474,7 @@ fn recurse(
                 .position(|n| matches!(n.kind, ObservedKind::Compute(_)))
                 == Some(i);
             // Only the root solve may shard internally: deeper layers are
-            // solved from inside pool tasks, and a nested pool would
+            // solved from inside worker tasks, and a nested fan-out would
             // oversubscribe the workers without helping wall clock.
             let solve_cfg = if first_compute {
                 cfg.layer
@@ -503,7 +503,7 @@ fn recurse(
             let entry_branches = *branches;
             // `branches_so_far` is always "branches consumed by roots
             // 0..k" — whether the roots ran inline (sequential path) or
-            // on the pool (the coordinator replays the same prefix sums
+            // on workers (the coordinator replays the same prefix sums
             // in root order), so both paths emit identical telemetry.
             let progress = |k: usize, branches_so_far: u64| {
                 if top {
@@ -536,7 +536,7 @@ fn recurse(
             };
             if first_compute && cfg.layer.threads > 1 && total > 1 {
                 // Parallel root fan-out: every top-level candidate explores
-                // its subtree as an independent pool task with local
+                // its subtree as an independent worker task with local
                 // accumulators; the coordinator then merges in root order,
                 // so structures, telemetry, and the cap error come out
                 // byte-identical to the sequential walk (DESIGN.md §13).
@@ -596,7 +596,7 @@ fn recurse(
     Ok(())
 }
 
-/// Explores one top-level candidate subtree as a pool task: clones the
+/// Explores one top-level candidate subtree as a worker task: clones the
 /// coordinator's prefix, pushes the root's choice/interface, and runs the
 /// ordinary sequential `recurse` with fresh local accumulators. Workers
 /// emit no telemetry (deeper nodes are never the first compute layer) and

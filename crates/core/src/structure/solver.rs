@@ -288,7 +288,7 @@ pub fn solve_conv_layer(
 
 /// One shard of the enumeration grid: all `(D_OFM, F, S, P)` assignments
 /// for a fixed `(input interface, W_OFM)` pair. Pure — touches no shared
-/// state, so shards run on pool workers; Equations (2)–(3) window bounds
+/// state, so shards run on parallel workers; Equations (2)–(3) window bounds
 /// are recomputed per shard from the same observation.
 fn solve_conv_shard(
     obs: &ObservedLayer,

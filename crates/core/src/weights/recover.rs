@@ -52,7 +52,7 @@ pub struct RecoveryConfig {
     /// Absolute matching tolerance (for crossings near zero).
     pub match_abs_tol: f64,
     /// Worker count for [`recover_ratios_parallel`] (filters are recovered
-    /// as independent pool tasks via [`crate::exec::map_ordered`]).
+    /// as independent worker tasks via [`crate::exec::map_ordered`]).
     /// Defaults to [`crate::exec::default_threads`]; the sequential
     /// [`recover_ratios`] entry point ignores it.
     pub threads: usize,
@@ -883,7 +883,7 @@ pub fn recover_ratios(oracle: &mut dyn ZeroCountOracle, cfg: &RecoveryConfig) ->
 }
 
 /// The parallel whole-layer attack: every filter is recovered as an
-/// independent pool task against its own clone of `oracle` (filter `d`'s
+/// independent worker task against its own clone of `oracle` (filter `d`'s
 /// probes, pins, and virtual model depend only on filter `d`'s state, so
 /// the decomposition is exact). The coordinator then replays the
 /// sequential telemetry from the per-filter query marks, so recovered
@@ -962,7 +962,7 @@ fn pass1_split(geom: &LayerGeometry) -> (Vec<WeightPos>, Vec<WeightPos>) {
 }
 
 /// Recovers every weight of filter `d` — the independent unit of work both
-/// entry points are built on. Emits no telemetry itself (pool tasks must
+/// entry points are built on. Emits no telemetry itself (worker tasks must
 /// stay silent so the profile/event streams keep a deterministic order);
 /// the coordinator replays progress from the returned query marks.
 fn recover_filter(

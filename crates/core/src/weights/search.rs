@@ -162,7 +162,7 @@ fn refine_grid(
     cfg: &SearchConfig,
     grid_probes: u64,
 ) -> Vec<Crossing> {
-    // No span here: crossing searches run from pool workers during the
+    // No span here: crossing searches run on parallel workers during the
     // parallel weights attack, and per-search span events would interleave
     // nondeterministically in the profile stream. The `weights.search.*`
     // counters below are atomic sums, so they stay schedule-independent;

@@ -1,111 +1,67 @@
-//! Normal-mode exec tests: the same deque/pool on real OS threads (the
-//! shims in their std-transparent configuration, or in fallback mode when
-//! the workspace test build has model-check unified on).
+//! Normal-mode tests of the `map_ordered` fan-out on real OS threads:
+//! ordered results, a task panic re-raised once after the other items
+//! ran, and run-context propagation into the workers. They live in a
+//! test binary of their own because the obs state they toggle is
+//! process-global.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use cnnre_attacks::exec::{deque, ThreadPool};
+use cnnre_attacks::exec::map_ordered;
 
 #[test]
-fn deque_pops_lifo_and_steals_fifo() {
-    let (mut w, s) = deque::<u32>(8);
-    for v in [1, 2, 3] {
-        w.push(v).expect("capacity 8");
-    }
-    assert_eq!(s.steal(), Some(1), "steal takes the oldest");
-    assert_eq!(w.pop(), Some(3), "pop takes the newest");
-    assert_eq!(w.pop(), Some(2));
-    assert_eq!(w.pop(), None);
-    assert_eq!(s.steal(), None);
+fn map_ordered_runs_many_items_in_order() {
+    let ran = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&ran);
+    let out = map_ordered(4, (0..200u64).collect(), move |i, x| {
+        counter.fetch_add(1, Ordering::Relaxed);
+        (i, x * 3)
+    });
+    let expected: Vec<(usize, u64)> = (0..200u64).map(|x| (x as usize, x * 3)).collect();
+    assert_eq!(out, expected);
+    assert_eq!(ran.load(Ordering::Relaxed), 200, "every item runs once");
 }
 
 #[test]
-fn deque_rejects_overflow_and_recovers() {
-    let (mut w, _s) = deque::<u32>(2);
-    w.push(1).expect("capacity 2");
-    w.push(2).expect("capacity 2");
-    assert_eq!(w.push(3), Err(3), "full deque returns the value");
-    assert_eq!(w.pop(), Some(2));
-    w.push(4).expect("slot freed");
-    assert_eq!(w.len(), 2);
-}
-
-#[test]
-fn deque_concurrent_fuzz_delivers_every_item() {
-    let (mut w, s) = deque::<u32>(64);
-    let taken = Arc::new(Mutex::new(Vec::new()));
-    let thieves: Vec<_> = (0..3)
-        .map(|_| {
-            let s = s.clone();
-            let taken = Arc::clone(&taken);
-            std::thread::spawn(move || {
-                for _ in 0..200 {
-                    if let Some(v) = s.steal() {
-                        taken.lock().unwrap_or_else(PoisonError::into_inner).push(v);
-                    }
-                    std::thread::yield_now();
-                }
-            })
+fn map_ordered_reraises_a_task_panic_after_the_others_run() {
+    let ran = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&ran);
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        map_ordered(2, (0..10u32).collect(), move |_, x| {
+            assert!(x != 3, "seeded panic on item 3");
+            counter.fetch_add(1, Ordering::Relaxed);
+            x
         })
-        .collect();
-    let mut kept = Vec::new();
-    for v in 0..100u32 {
-        let mut item = v;
-        while let Err(back) = w.push(item) {
-            item = back;
-            if let Some(got) = w.pop() {
-                kept.push(got);
-            }
-        }
-        if v % 3 == 0 {
-            if let Some(got) = w.pop() {
-                kept.push(got);
-            }
-        }
-    }
-    while let Some(got) = w.pop() {
-        kept.push(got);
-    }
-    for t in thieves {
-        t.join().expect("thief joined");
-    }
-    // Whatever the thieves missed is still in the deque.
-    while let Some(got) = w.pop() {
-        kept.push(got);
-    }
-    let mut all = taken.lock().unwrap_or_else(PoisonError::into_inner).clone();
-    all.extend(kept);
-    all.sort_unstable();
-    let expected: Vec<u32> = (0..100).collect();
-    assert_eq!(all, expected, "every pushed item is delivered exactly once");
+    }));
+    let payload = result.expect_err("a task panic must surface");
+    let message = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+        .unwrap_or_default();
+    assert!(message.starts_with("map_ordered:"), "got {message:?}");
+    assert_eq!(
+        ran.load(Ordering::Relaxed),
+        9,
+        "the other nine items still run before the panic is re-raised"
+    );
 }
 
 #[test]
-fn pool_executes_many_jobs() {
-    let counter = Arc::new(Mutex::new(0u32));
-    let pool = ThreadPool::new(4);
-    for _ in 0..200 {
-        let counter = Arc::clone(&counter);
-        pool.spawn(move || {
-            *counter.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-        });
-    }
-    assert_eq!(pool.join(), 0);
-    assert_eq!(*counter.lock().unwrap_or_else(PoisonError::into_inner), 200);
-}
-
-#[test]
-fn pool_contains_panics_and_keeps_working() {
-    let counter = Arc::new(Mutex::new(0u32));
-    let pool = ThreadPool::new(2);
-    for i in 0..10 {
-        let counter = Arc::clone(&counter);
-        pool.spawn(move || {
-            assert!(i % 2 == 0, "seeded panic on odd jobs");
-            *counter.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-        });
-    }
-    assert_eq!(pool.join(), 5, "five odd jobs panic");
-    assert_eq!(pool.panicked(), 5);
-    assert_eq!(*counter.lock().unwrap_or_else(PoisonError::into_inner), 5);
+fn map_ordered_workers_parent_spans_under_the_caller() {
+    cnnre_obs::set_enabled(true);
+    let run = cnnre_obs::run::begin("exec.fan_out");
+    let paths = {
+        let _caller = cnnre_obs::span("caller");
+        map_ordered(2, vec![0u8; 4], |_, _| {
+            let child = cnnre_obs::span("child");
+            child.path().to_owned()
+        })
+    };
+    drop(run);
+    cnnre_obs::set_enabled(false);
+    cnnre_obs::global().reset();
+    cnnre_obs::run::reset();
+    assert_eq!(paths, vec!["caller.child"; 4]);
 }

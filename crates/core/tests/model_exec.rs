@@ -1,106 +1,16 @@
 //! Model certification of the exec primitives: every interleaving of the
-//! deque and pool protocols within the preemption bound is explored, and
-//! any data race, deadlock, lost item, or broken invariant fails with a
-//! deterministic replay schedule.
+//! `Memo` and `map_ordered` protocols within the preemption bound is
+//! explored, and any data race, deadlock, lost item, or broken invariant
+//! fails with a deterministic replay schedule.
 
 #![cfg(feature = "model-check")]
 
-use cnnre_attacks::exec::{deque, map_ordered, Memo, ThreadPool};
+use cnnre_attacks::exec::{map_ordered, Memo};
 use cnnre_model::sync::{Arc, Mutex};
 use cnnre_model::{check, thread};
 
 fn locked<T: Copy>(m: &Mutex<T>) -> T {
     *m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Steal/push races: with a thief running against the owner's push/pop,
-/// every item is delivered exactly once under every schedule.
-#[test]
-fn deque_push_steal_delivers_each_item_once() {
-    let stats = check(|| {
-        let (mut worker, stealer) = deque::<u32>(4);
-        let t = thread::spawn(move || {
-            let mut got = Vec::new();
-            if let Some(v) = stealer.steal() {
-                got.push(v);
-            }
-            if let Some(v) = stealer.steal() {
-                got.push(v);
-            }
-            got
-        });
-        worker.push(1).expect("capacity 4");
-        worker.push(2).expect("capacity 4");
-        let mut seen = Vec::new();
-        while let Some(v) = worker.pop() {
-            seen.push(v);
-        }
-        let stolen = t.join().expect("thief joined");
-        seen.extend(stolen);
-        seen.sort_unstable();
-        assert_eq!(seen, vec![1, 2], "items lost or duplicated");
-    });
-    assert!(
-        stats.executions > 1,
-        "contended deque must explore several schedules"
-    );
-}
-
-/// Empty steals: a thief racing the owner's first push either gets that
-/// item or nothing — never garbage, never a hang.
-#[test]
-fn deque_empty_steal_is_clean() {
-    check(|| {
-        let (mut worker, stealer) = deque::<u32>(2);
-        let t = thread::spawn(move || stealer.steal());
-        worker.push(9).expect("capacity 2");
-        let stolen = t.join().expect("thief joined");
-        let popped = worker.pop();
-        match (stolen, popped) {
-            (Some(9), None) | (None, Some(9)) => {}
-            other => panic!("item delivered {other:?} times"),
-        }
-        assert_eq!(worker.pop(), None);
-    });
-}
-
-/// The last-element race: owner pop and thief steal compete on one item;
-/// exactly one side wins under every schedule.
-#[test]
-fn deque_last_element_goes_to_exactly_one_side() {
-    check(|| {
-        let (mut worker, stealer) = deque::<u32>(2);
-        worker.push(7).expect("capacity 2");
-        let t = thread::spawn(move || stealer.steal());
-        let popped = worker.pop();
-        let stolen = t.join().expect("thief joined");
-        assert!(
-            popped.is_some() ^ stolen.is_some(),
-            "last element popped={popped:?} stolen={stolen:?}"
-        );
-    });
-}
-
-/// Pool lifecycle: spawn → execute on workers → join → shutdown, with
-/// every handoff (injector lock, condvar wakeup, deque transfer) explored.
-#[test]
-fn pool_runs_every_job_and_shuts_down() {
-    check(|| {
-        let counter = Arc::new(Mutex::new(0u32));
-        let pool = ThreadPool::new(2);
-        for _ in 0..2 {
-            let counter = Arc::clone(&counter);
-            pool.spawn(move || {
-                *counter
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) += 1;
-            });
-        }
-        let panicked = pool.join();
-        assert_eq!(panicked, 0);
-        assert_eq!(locked(&counter), 2, "a job was lost");
-        drop(pool); // clean shutdown under every schedule
-    });
 }
 
 /// Memo same-key race: two threads racing on one key run the compute
@@ -158,9 +68,9 @@ fn memo_distinct_keys_compute_concurrently() {
     });
 }
 
-/// Ordered reduction on the real pool: under every schedule the output
-/// vector matches the sequential map byte for byte, whatever worker ran
-/// which item.
+/// Ordered reduction over two workers: under every schedule the output
+/// vector matches the sequential map byte for byte, whatever worker
+/// claimed which item.
 #[test]
 fn map_ordered_is_schedule_independent() {
     let stats = check(|| {
@@ -169,27 +79,6 @@ fn map_ordered_is_schedule_independent() {
     });
     assert!(
         stats.executions > 1,
-        "the pooled map must explore several schedules"
+        "the parallel map must explore several schedules"
     );
-}
-
-/// Panic-in-task: a panicking job is contained and counted; the worker
-/// survives and later work still runs.
-#[test]
-fn pool_contains_panicking_jobs() {
-    check(|| {
-        let counter = Arc::new(Mutex::new(0u32));
-        let pool = ThreadPool::new(1);
-        pool.spawn(|| panic!("seeded job panic"));
-        let counter2 = Arc::clone(&counter);
-        pool.spawn(move || {
-            *counter2
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) += 1;
-        });
-        let panicked = pool.join();
-        assert_eq!(panicked, 1, "the panic must be contained and counted");
-        assert_eq!(locked(&counter), 1, "work after the panic must still run");
-        drop(pool);
-    });
 }

@@ -30,9 +30,9 @@ const SPAN_CALLS: [&str; 2] = ["span", "span_labelled"];
 /// of `cnnre_obs::catalog::KNOWN_PREFIXES` — the lint crate is
 /// zero-dependency, so the list is duplicated and the root
 /// `tests/metric_catalog.rs` drift test keeps the two in lock-step.
-pub const METRIC_PREFIXES: [&str; 15] = [
+pub const METRIC_PREFIXES: [&str; 14] = [
     "accel", "trace", "solver", "oracle", "weights", "attack", "train", "span", "profile", "fig4",
-    "fig5", "events", "viz", "exec", "http",
+    "fig5", "events", "viz", "http",
 ];
 
 /// Crates whose `src/` trees are deterministic attack paths: their exports

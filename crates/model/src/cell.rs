@@ -7,9 +7,8 @@
 //! MC001. In normal builds it degrades to a plain reader–writer lock —
 //! safe, modestly priced, and semantically identical.
 //!
-//! Use it for the payload slots of lock-free structures (e.g. the
-//! work-stealing deque's buffer) where the *protocol*, not a lock, is
-//! supposed to order access.
+//! Use it for the payload slots of lock-free structures where the
+//! *protocol*, not a lock, is supposed to order access.
 
 #[cfg(not(feature = "model-check"))]
 mod imp {

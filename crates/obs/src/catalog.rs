@@ -32,7 +32,7 @@ pub struct MetricDef {
 /// rule rejects literals outside this set.
 pub const KNOWN_PREFIXES: &[&str] = &[
     "accel", "trace", "solver", "oracle", "weights", "attack", "train", "span", "profile", "fig4",
-    "fig5", "events", "viz", "exec", "http",
+    "fig5", "events", "viz", "http",
 ];
 
 /// Every metric the in-tree instrumentation records, sorted by name.
@@ -101,26 +101,6 @@ pub const METRICS: &[MetricDef] = &[
         name: "events.emitted",
         kind: "counter",
         help: "attack events emitted onto the live telemetry stream",
-    },
-    MetricDef {
-        name: "exec.pool.queue_depth",
-        kind: "gauge",
-        help: "jobs waiting in the work-stealing pool injector (volatile)",
-    },
-    MetricDef {
-        name: "exec.pool.steals",
-        kind: "counter",
-        help: "successful cross-worker steals in the pool (volatile)",
-    },
-    MetricDef {
-        name: "exec.pool.tasks_inflight",
-        kind: "gauge",
-        help: "spawned pool jobs not yet finished (volatile)",
-    },
-    MetricDef {
-        name: "exec.pool.workers_parked",
-        kind: "gauge",
-        help: "pool workers parked waiting for work (volatile)",
     },
     MetricDef {
         name: "fig4.candidate_accuracy",

@@ -1,4 +1,5 @@
-//! Snapshot exporters: flat JSON, JSON-lines, and an ASCII summary table.
+//! Snapshot exporters: sorted JSON, a flat `BENCH_*.json` object, and the
+//! Prometheus text exposition format.
 //!
 //! All exports are **deterministic** given the same metric values: keys are
 //! sorted (the snapshot map is a `BTreeMap`), number formatting is fixed,
@@ -58,13 +59,11 @@ pub fn is_wall_clock(name: &str) -> bool {
 /// scheduling, or scrape traffic rather than on the attack computation, so
 /// deterministic exports (and the default `/metrics` rendering) drop it.
 ///
-/// Volatile families: `*.wall_ns` (wall clock), `exec.pool.*` (live pool
-/// gauges — queue depth and steal counts are schedule-dependent), and
-/// `http.*` (scrape-server traffic — including them would make a scrape
-/// perturb the next scrape).
+/// Volatile families: `*.wall_ns` (wall clock) and `http.*` (scrape-server
+/// traffic — including them would make a scrape perturb the next scrape).
 #[must_use]
 pub fn is_volatile(name: &str) -> bool {
-    is_wall_clock(name) || name.starts_with("exec.pool.") || name.starts_with("http.")
+    is_wall_clock(name) || name.starts_with("http.")
 }
 
 /// Mangles a dotted metric name into the Prometheus exposition charset:
@@ -103,8 +102,8 @@ impl Snapshot {
     /// Serializes to a single pretty-printed JSON object, keys sorted.
     ///
     /// With `include_wall_clock == false`, [volatile](is_volatile) metrics
-    /// (`*.wall_ns` wall-clock timings, live `exec.pool.*` gauges, `http.*`
-    /// scrape-traffic counters) are dropped, making the output
+    /// (`*.wall_ns` wall-clock timings, `http.*` scrape-traffic metrics)
+    /// are dropped, making the output
     /// deterministic across identical seeded runs at any thread count.
     #[must_use]
     pub fn to_json(&self, include_wall_clock: bool) -> String {
@@ -144,26 +143,6 @@ impl Snapshot {
             }
         }
         out.push_str("\n}\n");
-        out
-    }
-
-    /// Serializes as JSON-lines: one `{"name": ..., "value": ...}` object
-    /// per metric per line, keys sorted. Series export their full array.
-    #[must_use]
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in &self.entries {
-            out.push_str("{\"name\": ");
-            json::push_str(&mut out, name);
-            out.push_str(", \"value\": ");
-            match value {
-                MetricValue::Counter(c) => json::push_u64(&mut out, *c),
-                MetricValue::Gauge(g) => json::push_f64(&mut out, *g),
-                MetricValue::Series(s) => json::push_f64_array(&mut out, s),
-                MetricValue::Histogram(h) => json::push_f64(&mut out, h.mean),
-            }
-            out.push_str("}\n");
-        }
         out
     }
 
@@ -259,48 +238,6 @@ impl Snapshot {
         out
     }
 
-    /// A human-readable fixed-width summary table.
-    #[must_use]
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        let width = self
-            .entries
-            .keys()
-            .map(String::len)
-            .max()
-            .unwrap_or(6)
-            .max(6);
-        let _ = writeln!(out, "{:width$}  value", "metric");
-        let _ = writeln!(out, "{}  {}", "-".repeat(width), "-".repeat(24));
-        for (name, value) in &self.entries {
-            let rendered = match value {
-                MetricValue::Counter(c) => format!("{c}"),
-                MetricValue::Gauge(g) => format!("{g:.4}"),
-                MetricValue::Series(s) => {
-                    let mut r = String::from("[");
-                    for (i, v) in s.iter().enumerate() {
-                        if i == 8 {
-                            let _ = write!(r, ", ... {} total", s.len());
-                            break;
-                        }
-                        if i > 0 {
-                            r.push_str(", ");
-                        }
-                        let _ = write!(r, "{v}");
-                    }
-                    r.push(']');
-                    r
-                }
-                MetricValue::Histogram(h) => format!(
-                    "n={} mean={:.2} p50={:.2} p99={:.2}",
-                    h.count, h.mean, h.p50, h.p99
-                ),
-            };
-            let _ = writeln!(out, "{name:width$}  {rendered}");
-        }
-        out
-    }
-
     /// Writes [`Snapshot::to_json`] output to `path`.
     ///
     /// # Errors
@@ -308,15 +245,6 @@ impl Snapshot {
     /// Propagates file-system errors.
     pub fn write_json(&self, path: &Path, include_wall_clock: bool) -> io::Result<()> {
         std::fs::write(path, self.to_json(include_wall_clock))
-    }
-
-    /// Writes [`Snapshot::to_bench_json`] output to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-system errors.
-    pub fn write_bench_json(&self, path: &Path, experiment: &str) -> io::Result<()> {
-        std::fs::write(path, self.to_bench_json(experiment))
     }
 }
 
@@ -335,7 +263,7 @@ mod tests {
         r.series("solver.candidates_per_layer").push(3.0);
         r.counter("span.total.wall_ns").add(999);
         r.counter("http.requests").add(5);
-        r.gauge("exec.pool.queue_depth").set(3.0);
+        r.gauge("http.connections").set(3.0);
         crate::set_enabled(false);
         r.snapshot()
     }
@@ -348,7 +276,7 @@ mod tests {
         assert!(det.contains("\"solver.candidates_per_layer\": [18,3]"));
         assert!(!det.contains("wall_ns"));
         assert!(!det.contains("http.requests"));
-        assert!(!det.contains("exec.pool.queue_depth"));
+        assert!(!det.contains("http.connections"));
         let full = s.to_json(true);
         assert!(full.contains("\"span.total.wall_ns\": 999"));
         assert!(full.contains("\"http.requests\": 5"));
@@ -357,16 +285,6 @@ mod tests {
         let b = det.find("attack.error").unwrap();
         let c = det.find("solver.candidates_per_layer").unwrap();
         assert!(a < b && b < c);
-    }
-
-    #[test]
-    fn jsonl_is_one_object_per_line() {
-        let s = sample();
-        let jl = s.to_jsonl();
-        assert_eq!(jl.lines().count(), s.entries.len());
-        assert!(jl
-            .lines()
-            .all(|l| l.starts_with("{\"name\": ") && l.ends_with('}')));
     }
 
     #[test]
@@ -379,10 +297,10 @@ mod tests {
     }
 
     #[test]
-    fn volatile_covers_wall_clock_pool_and_http() {
+    fn volatile_covers_wall_clock_and_http() {
         assert!(is_volatile("span.total.wall_ns"));
-        assert!(is_volatile("exec.pool.steals"));
         assert!(is_volatile("http.requests"));
+        assert!(is_volatile("http.connections"));
         assert!(!is_volatile("accel.dram.writes"));
         assert!(!is_volatile("events.clients"));
     }
@@ -417,21 +335,10 @@ mod tests {
         assert!(prom.contains("# TYPE cnnre_attack_error gauge\ncnnre_attack_error 0.25\n"));
         assert!(prom.contains("cnnre_solver_candidates_per_layer_count 2\n"));
         assert!(prom.contains("cnnre_solver_candidates_per_layer_sum 21\n"));
-        assert!(
-            !prom.contains("wall_ns") && !prom.contains("http_") && !prom.contains("exec_pool")
-        );
+        assert!(!prom.contains("wall_ns") && !prom.contains("http_"));
         let full = s.to_prometheus(true);
         assert!(full.contains("cnnre_http_requests 5\n"));
-        assert!(full.contains("cnnre_exec_pool_queue_depth 3\n"));
+        assert!(full.contains("cnnre_http_connections 3\n"));
         assert!(full.contains("cnnre_span_total_wall_ns 999\n"));
-    }
-
-    #[test]
-    fn table_mentions_every_metric() {
-        let s = sample();
-        let t = s.to_table();
-        for name in s.entries.keys() {
-            assert!(t.contains(name.as_str()), "{name} missing from\n{t}");
-        }
     }
 }

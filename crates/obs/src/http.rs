@@ -15,8 +15,7 @@
 //!   `--profile-out` still sees everything at exit). Defaults to the
 //!   deterministic cycle domain.
 //! * `/progress` — JSON: the run table ([`crate::run::list`]), the latest
-//!   `*.progress.*` telemetry samples, and the `exec.pool.*` / `events.*`
-//!   gauges.
+//!   `*.progress.*` telemetry samples, and the `events.*` gauges.
 //! * `/events` — the recorded event stream (header + frames) as a chunked
 //!   response; `?follow=1` keeps the connection open and bridges live
 //!   frames from the [`crate::stream`] hub until shutdown.
@@ -28,19 +27,34 @@
 //!
 //! # Threading model
 //!
-//! The accept loop runs on its own named thread; each admitted connection
-//! is dispatched through a pluggable [`Executor`] — the embedding daemon
-//! (`cnnre_attacks::obsd`) supplies the certified `exec` pool, and
-//! [`thread_executor`] is a thread-per-connection fallback. Connections
-//! are **bounded**: past [`ServerOptions::max_connections`] the listener
-//! answers `503` inline and drops the connection (drop-newest, counted by
-//! `http.dropped`), so a scrape storm cannot pile work onto the pool.
+//! The accept loop runs on its own named thread and serves each admitted
+//! connection on a named thread of its own. Connections are **bounded**:
+//! past [`ServerOptions::max_connections`] the listener answers `503`
+//! inline and drops the connection (drop-newest, counted by
+//! `http.dropped`), so a scrape storm cannot pile up serving threads.
 //!
 //! Shutdown is certified under the model checker (see the in-module model
 //! tests): [`ObsServer::shutdown`] marks the state, wakes the blocking
 //! accept with a loopback self-connect, joins the acceptor, and waits for
 //! in-flight connections to drain — no new connection is admitted after
 //! shutdown and no active one is abandoned.
+//!
+//! # The daemon
+//!
+//! The CLI (`--serve-obs ADDR`) and every bench binary start the server
+//! through [`serve`] around their run:
+//!
+//! ```no_run
+//! let mut daemon = cnnre_obs::http::serve("127.0.0.1:0").expect("bind");
+//! // ... run the attack; scrape /metrics, /progress, ... meanwhile ...
+//! daemon.shutdown();
+//! ```
+//!
+//! [`serve`] force-enables metric collection (a scrape server with an
+//! empty registry is useless), allows `/quit`, publishes the bound address
+//! to the file named by [`ADDR_FILE_ENV`] (how subprocess tests and
+//! `scripts/check.sh` learn an ephemeral port), and prints a listening
+//! line to stderr.
 //!
 //! A minimal scrape client ([`get`]) lives here too, so tests and
 //! `scripts/check.sh` can probe the endpoints without `curl`.
@@ -64,25 +78,9 @@ const IO_TIMEOUT: Duration = Duration::from_secs(5);
 /// Poll interval of the `/events?follow=1` bridge loop.
 const FOLLOW_POLL: Duration = Duration::from_millis(10);
 
-/// A unit of connection-serving work handed to an [`Executor`].
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Pluggable connection dispatcher: the daemon wires the certified exec
-/// pool in here (the obs crate cannot depend on it), and
-/// [`thread_executor`] is the standalone fallback.
-pub type Executor = Arc<dyn Fn(Job) + Send + Sync>;
-
-/// A thread-per-connection [`Executor`] for standalone use and tests.
-#[must_use]
-pub fn thread_executor() -> Executor {
-    Arc::new(|job: Job| {
-        // On spawn failure the dropped job's ticket restores the
-        // connection count (see ConnTicket).
-        let _ = thread::Builder::new()
-            .name("cnnre-obsd-conn".to_string())
-            .spawn(job);
-    })
-}
+/// Environment variable naming a file [`serve`] writes its bound address
+/// to (useful with `127.0.0.1:0` ephemeral ports).
+pub const ADDR_FILE_ENV: &str = "CNNRE_OBS_ADDR_FILE";
 
 /// Server tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -202,8 +200,8 @@ impl ServerState {
     }
 }
 
-/// Restores the connection count when a serving job finishes — or when an
-/// executor drops the job without running it (pool teardown), so
+/// Restores the connection count when a serving thread finishes — or when
+/// its spawn fails and the closure holding the ticket is dropped unrun, so
 /// [`ServerState::wait_idle`] can never be stranded.
 struct ConnTicket {
     state: Arc<ServerState>,
@@ -388,8 +386,8 @@ fn route(
 
 /// `/events`: chunked replay of the recorded stream, then (with
 /// `?follow=1`) a live bridge draining a [`crate::stream::LiveTap`] until
-/// shutdown or client disconnect. The follow loop occupies one executor
-/// slot for its whole lifetime — the connection cap bounds how many.
+/// shutdown or client disconnect. The follow loop occupies its connection
+/// thread for its whole lifetime — the connection cap bounds how many.
 fn serve_events(stream: &mut TcpStream, req: &Request, state: &ServerState) -> io::Result<()> {
     stream.write_all(
         b"HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\n\
@@ -420,7 +418,7 @@ fn serve_events(stream: &mut TcpStream, req: &Request, state: &ServerState) -> i
 }
 
 /// The `/progress` body: run table, latest `*.progress.*` samples from
-/// the profiler ring, and the live pool/event metric families.
+/// the profiler ring, and the live event metric family.
 fn progress_json() -> String {
     let mut out = String::from("{\n  \"runs\": [");
     for (i, run) in crate::run::list().iter().enumerate() {
@@ -446,8 +444,6 @@ fn progress_json() -> String {
     }
     push_scalar_map(&mut out, latest.iter().map(|(k, v)| (k.as_str(), *v)));
     let snap = crate::global().snapshot();
-    out.push_str("},\n  \"pool\": {");
-    push_scalar_map(&mut out, prefixed_scalars(&snap, "exec.pool."));
     out.push_str("},\n  \"events\": {");
     push_scalar_map(&mut out, prefixed_scalars(&snap, "events."));
     out.push_str("}\n}\n");
@@ -494,19 +490,19 @@ pub struct ObsServer {
 
 impl ObsServer {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and starts
-    /// the accept loop, dispatching connections through `executor`.
+    /// the accept loop.
     ///
     /// # Errors
     ///
     /// Propagates bind and thread-spawn failures.
-    pub fn bind(addr: &str, executor: Executor, options: ServerOptions) -> io::Result<Self> {
+    pub fn bind(addr: &str, options: ServerOptions) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let state = Arc::new(ServerState::new());
         let accept_state = Arc::clone(&state);
         let acceptor = thread::Builder::new()
             .name("cnnre-obsd-accept".to_string())
-            .spawn(move || accept_loop(&listener, &accept_state, &executor, options))?;
+            .spawn(move || accept_loop(&listener, &accept_state, options))?;
         Ok(Self {
             addr: local,
             state,
@@ -558,12 +554,7 @@ impl Drop for ObsServer {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    state: &Arc<ServerState>,
-    executor: &Executor,
-    options: ServerOptions,
-) {
+fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>, options: ServerOptions) {
     for conn in listener.incoming() {
         if state.is_shutdown() {
             break;
@@ -573,8 +564,8 @@ fn accept_loop(
             if state.is_shutdown() {
                 break;
             }
-            // At the cap: answer inline and drop — newest loses, the
-            // serving pool never queues unbounded scrape work.
+            // At the cap: answer inline and drop — newest loses, so the
+            // serving threads never outnumber the cap.
             crate::counter("http.dropped").inc();
             let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
             let _ = write_response(
@@ -590,11 +581,42 @@ fn accept_loop(
         let ticket = ConnTicket {
             state: Arc::clone(state),
         };
-        executor(Box::new(move || {
-            serve_connection(stream, &ticket.state, options);
-            drop(ticket);
-        }));
+        // On spawn failure the dropped closure's ticket restores the
+        // connection count.
+        let _ = thread::Builder::new()
+            .name("cnnre-obsd-conn".to_string())
+            .spawn(move || {
+                serve_connection(stream, &ticket.state, options);
+                drop(ticket);
+            });
     }
+}
+
+/// Binds `addr` and starts serving the scrape endpoints with `/quit`
+/// allowed (the daemon exists to be probed). Enables global metric
+/// collection as a side effect; see the module docs.
+///
+/// # Errors
+///
+/// Propagates bind and thread-spawn failures from the server, and a
+/// failed write of the [`ADDR_FILE_ENV`] file.
+pub fn serve(addr: &str) -> io::Result<ObsServer> {
+    crate::set_enabled(true);
+    let server = ObsServer::bind(
+        addr,
+        ServerOptions {
+            allow_quit: true,
+            ..ServerOptions::default()
+        },
+    )?;
+    let bound = server.addr();
+    if let Ok(path) = std::env::var(ADDR_FILE_ENV) {
+        if !path.is_empty() {
+            std::fs::write(&path, format!("{bound}\n"))?;
+        }
+    }
+    eprintln!("cnnre-obsd: serving /metrics /profile /progress /events /health on http://{bound}");
+    Ok(server)
 }
 
 // ---------------------------------------------------------------------------
@@ -710,7 +732,7 @@ mod tests {
     }
 
     fn bind_test_server(options: ServerOptions) -> ObsServer {
-        ObsServer::bind("127.0.0.1:0", thread_executor(), options).expect("bind loopback")
+        ObsServer::bind("127.0.0.1:0", options).expect("bind loopback")
     }
 
     #[test]
@@ -828,6 +850,35 @@ mod tests {
         assert_eq!(server.active_connections(), 0);
         // The listener is gone: connects now fail or are reset.
         assert!(get(&addr, "/health").is_err());
+    }
+
+    #[test]
+    fn daemon_serves_and_shuts_down() {
+        let _guard = crate::test_lock();
+        let mut daemon = serve("127.0.0.1:0").expect("bind loopback");
+        assert!(crate::enabled(), "serve enables metric collection");
+        let addr = daemon.addr().to_string();
+        let (status, body) = get(&addr, "/health").expect("health");
+        assert_eq!(status, 200);
+        assert!(String::from_utf8_lossy(&body).contains("\"status\": \"ok\""));
+        let (status, _) = get(&addr, "/metrics").expect("metrics");
+        assert_eq!(status, 200);
+        daemon.shutdown();
+        daemon.shutdown();
+        assert!(get(&addr, "/health").is_err());
+        crate::set_enabled(false);
+    }
+
+    #[test]
+    fn quit_scrape_wakes_the_hold_loop() {
+        let _guard = crate::test_lock();
+        let mut daemon = serve("127.0.0.1:0").expect("bind loopback");
+        let addr = daemon.addr().to_string();
+        let (status, _) = get(&addr, "/quit").expect("quit");
+        assert_eq!(status, 200);
+        daemon.wait_quit();
+        daemon.shutdown();
+        crate::set_enabled(false);
     }
 }
 

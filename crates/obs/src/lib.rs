@@ -11,8 +11,8 @@
 //!   accelerator cycles;
 //! * a leveled stderr [logger](log) gated by the `CNNRE_LOG` environment
 //!   variable (and the CLI `--log-level` flag);
-//! * [exporters](export): JSON-lines, a flat `BENCH_*.json`-compatible
-//!   snapshot, and a human ASCII summary table.
+//! * [exporters](export): sorted JSON, a flat `BENCH_*.json`-compatible
+//!   snapshot, and the Prometheus text format [served live](http).
 //!
 //! # Cost model
 //!

@@ -2,48 +2,40 @@
 //!
 //! A **run** is one top-level attack invocation (an `Accelerator::run`,
 //! a `recover_structures`, a weight recovery). [`begin`] opens a run: it
-//! allocates a process-unique run id, snapshots the registry as the run's
-//! baseline, and installs a [`RunCtx`] in a thread-local so everything the
-//! calling thread does — and every pool task it spawns, via [`task_ctx`] /
-//! [`enter`] — is attributed to that run.
+//! allocates a process-unique run id, records it in the run table
+//! ([`list`], served on `/progress`), and installs a [`RunCtx`] in a
+//! thread-local so everything the calling thread does — and every worker
+//! it fans out to, via [`task_ctx`] / [`enter`] — is attributed to that
+//! run.
 //!
 //! # Propagation rules
 //!
 //! * [`begin`] installs the context on the *calling* thread and captures
 //!   the innermost open span path as the run's parent span.
-//! * `exec::par` task spawns capture [`task_ctx`] — the spawning thread's
-//!   context with `parent_span` refreshed to the spawning thread's
-//!   innermost span — and the pool worker re-installs it with [`enter`]
-//!   for the duration of the job. A span opened on a worker with an empty
-//!   span stack therefore parents under the spawning thread's span path
-//!   instead of starting a fresh root.
-//! * Contexts restore on guard drop (LIFO), so nested runs and re-entrant
-//!   pool use are well-defined: the innermost run wins.
+//! * `exec::map_ordered` captures [`task_ctx`] before it spawns — the
+//!   calling thread's context with `parent_span` refreshed to its
+//!   innermost span — and each worker re-installs it with [`enter`] for
+//!   its lifetime. A span opened on a worker with an empty span stack
+//!   therefore parents under the calling thread's span path instead of
+//!   starting a fresh root.
+//! * Contexts restore on guard drop (LIFO), so nested runs and nested
+//!   fan-outs are well-defined: the innermost run wins.
 //!
-//! Per-run registry reads use [`delta`]: counters are reported relative to
-//! the run's baseline snapshot and series drop their baseline prefix,
-//! while gauges and histograms report current values (they have no
-//! meaningful subtraction). Runs that execute concurrently both observe
-//! global metric traffic, so deltas over-count shared metrics in that
-//! case — attribution is exact for the common one-run-at-a-time shape.
-//!
+//! Opening a run costs one table entry.
 //! When observability is disabled ([`crate::enabled`] is false), [`begin`]
-//! is inert: no id is allocated, no baseline snapshot is taken, and no
-//! context is installed, so the attack hot path pays nothing.
+//! is inert: no id is allocated and no context is installed, so the
+//! attack hot path pays nothing.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 
 use cnnre_model::sync::atomic::{AtomicU64, Ordering};
 use cnnre_model::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-use crate::export::{MetricValue, Snapshot};
 
 /// The run table keeps at most this many entries; when full, the oldest
 /// *inactive* entry is evicted (active runs are never evicted).
 const MAX_RUNS: usize = 64;
 
-/// The context propagated from a run's owning thread into pool tasks.
+/// The context propagated from a run's owning thread into its workers.
 #[derive(Clone, Debug)]
 pub struct RunCtx {
     /// Process-unique run id (1-based; ids are never reused).
@@ -68,7 +60,6 @@ struct RunEntry {
     id: u64,
     label: String,
     active: bool,
-    baseline: Snapshot,
 }
 
 thread_local! {
@@ -99,7 +90,6 @@ pub fn begin(label: &str) -> RunGuard {
         };
     }
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-    let baseline = crate::global().snapshot();
     {
         let mut t = lock_table();
         if t.len() >= MAX_RUNS {
@@ -112,7 +102,6 @@ pub fn begin(label: &str) -> RunGuard {
                 id,
                 label: label.to_owned(),
                 active: true,
-                baseline,
             });
         }
     }
@@ -158,7 +147,7 @@ impl Drop for RunGuard {
     }
 }
 
-/// Installs `ctx` on this thread for the guard's lifetime (the pool-worker
+/// Installs `ctx` on this thread for the guard's lifetime (the worker
 /// side of context propagation); the previous context restores on drop.
 #[must_use]
 pub fn enter(ctx: RunCtx) -> CtxGuard {
@@ -216,33 +205,6 @@ pub fn list() -> Vec<RunInfo> {
             active: e.active,
         })
         .collect()
-}
-
-/// The registry delta attributable to run `id`: counters minus the run's
-/// baseline (saturating), series with their baseline prefix dropped,
-/// gauges and histograms as currently observed. `None` for unknown ids.
-/// See the module docs for the concurrent-runs caveat.
-#[must_use]
-pub fn delta(id: u64) -> Option<Snapshot> {
-    let baseline = {
-        let t = lock_table();
-        t.iter().find(|e| e.id == id)?.baseline.clone()
-    };
-    let now = crate::global().snapshot();
-    let mut entries = BTreeMap::new();
-    for (name, value) in now.entries {
-        let adjusted = match (&value, baseline.entries.get(&name)) {
-            (MetricValue::Counter(c), Some(MetricValue::Counter(b))) => {
-                MetricValue::Counter(c.saturating_sub(*b))
-            }
-            (MetricValue::Series(s), Some(MetricValue::Series(b))) => {
-                MetricValue::Series(s.iter().skip(b.len()).copied().collect())
-            }
-            _ => value,
-        };
-        entries.insert(name, adjusted);
-    }
-    Some(Snapshot { entries })
 }
 
 /// Clears the run table and resets this thread's context (test teardown).
@@ -311,30 +273,6 @@ mod tests {
         });
         let path = worker.join().unwrap_or_else(|_| String::new());
         assert_eq!(path, "ctx_run_spawner.worker_side");
-        drop(run);
-        crate::set_enabled(false);
-        crate::global().reset();
-        reset();
-    }
-
-    #[test]
-    fn delta_subtracts_counter_baseline_and_slices_series() {
-        let _guard = crate::test_lock();
-        crate::set_enabled(true);
-        crate::global().reset();
-        reset();
-        crate::counter("attack.delta_probe").add(10);
-        crate::series("attack.delta_series").push(1.0);
-        let run = begin("delta_run");
-        crate::counter("attack.delta_probe").add(3);
-        crate::series("attack.delta_series").push(2.0);
-        let d = delta(run.id()).expect("run is known");
-        assert_eq!(
-            d.entries.get("attack.delta_probe"),
-            Some(&MetricValue::Counter(3))
-        );
-        assert_eq!(d.get_series("attack.delta_series"), Some(&[2.0][..]));
-        assert!(delta(run.id() + 1000).is_none());
         drop(run);
         crate::set_enabled(false);
         crate::global().reset();

@@ -36,7 +36,7 @@ thread_local! {
 }
 
 /// The calling thread's innermost open span path, if any (the anchor
-/// [`crate::run::task_ctx`] hands to pool tasks).
+/// [`crate::run::task_ctx`] hands to workers).
 pub(crate) fn current_path() -> Option<String> {
     SPAN_STACK.with(|s| s.borrow().last().cloned())
 }
@@ -75,7 +75,7 @@ impl SpanGuard {
                 let path = match stack.last() {
                     Some(parent) => format!("{parent}.{name}"),
                     // Root span on this thread: nest under the run context's
-                    // parent span, if a pool task propagated one here.
+                    // parent span, if a fan-out propagated one here.
                     None => match crate::run::current_parent() {
                         Some(parent) => format!("{parent}.{name}"),
                         None => name.to_owned(),

@@ -63,21 +63,19 @@ fn teardown() {
 #[test]
 fn live_scrape_is_deterministic_and_matches_golden() {
     golden_pipeline();
-    let mut daemon = cnn_reveng::attacks::obsd::serve("127.0.0.1:0").expect("bind loopback");
+    let mut daemon = cnnre_obs::http::serve("127.0.0.1:0").expect("bind loopback");
     let addr = daemon.addr().to_string();
 
     // Scrape-during-live-registry determinism: the first scrape records
-    // http.* and exec.pool.* activity of its own, yet the second scrape
-    // must render byte-identically because those families are volatile.
+    // http.* activity of its own, yet the second scrape must render
+    // byte-identically because that family is volatile.
     let (status, first) = get(&addr, "/metrics").expect("first scrape");
     assert_eq!(status, 200);
     let (_, second) = get(&addr, "/metrics").expect("second scrape");
     assert_eq!(first, second, "scraping /metrics must not perturb it");
     let text = String::from_utf8_lossy(&first).into_owned();
     assert!(
-        !text.contains("_wall_ns")
-            && !text.contains("cnnre_http_")
-            && !text.contains("cnnre_exec_pool_"),
+        !text.contains("_wall_ns") && !text.contains("cnnre_http_"),
         "volatile families must be excluded from the default exposition"
     );
     let (_, with_volatile) = get(&addr, "/metrics?volatile=1").expect("volatile scrape");
