@@ -22,7 +22,7 @@ use std::io::Read;
 use std::process::ExitCode;
 
 use cnnre_audit::{AuditReport, Tolerances};
-use cnnre_trace::io::{read_binary, read_csv};
+use cnnre_trace::io::{read_binary_unordered, read_csv_unordered};
 use cnnre_trace::Trace;
 
 /// First bytes of the binary trace container (`trace::io`).
@@ -217,7 +217,8 @@ fn parse_args(args: &[String]) -> Result<Option<Opts>, String> {
 }
 
 /// Loads a trace, auto-detecting the binary container by its magic bytes
-/// and falling back to CSV.
+/// and falling back to CSV. Cycles running backwards are read, not
+/// rejected, so the audit can report them as T001.
 fn load_trace(path: &str) -> Result<Trace, String> {
     let mut f = fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
     let mut magic = [0u8; 8];
@@ -225,10 +226,10 @@ fn load_trace(path: &str) -> Result<Trace, String> {
     drop(f);
     if n == 8 && &magic == BINARY_MAGIC {
         let f = fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-        read_binary(f).map_err(|e| format!("{path}: {e:?}"))
+        read_binary_unordered(f).map_err(|e| format!("{path}: {e:?}"))
     } else {
         let f = fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-        read_csv(f).map_err(|e| format!("{path}: {e:?}"))
+        read_csv_unordered(f).map_err(|e| format!("{path}: {e:?}"))
     }
 }
 

@@ -12,12 +12,12 @@ use cnnre_audit::{candidates, differential, parse_candidates, trace, AuditReport
 use cnnre_nn::models::lenet;
 use cnnre_nn::Network;
 use cnnre_tensor::rng::{SeedableRng, SmallRng};
-use cnnre_trace::io::read_csv;
+use cnnre_trace::io::read_csv_unordered;
 use cnnre_trace::Trace;
 
 fn fixture_trace(name: &str) -> Trace {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
-    read_csv(File::open(&path).expect("fixture exists")).expect("fixture parses")
+    read_csv_unordered(File::open(&path).expect("fixture exists")).expect("fixture parses")
 }
 
 fn fixture_candidates(name: &str) -> AuditReport {

@@ -68,8 +68,24 @@ pub fn write_csv<W: Write>(trace: &Trace, mut w: W) -> Result<(), TraceIoError> 
 ///
 /// # Errors
 ///
-/// Returns [`TraceIoError`] on I/O failure or malformed content.
+/// Returns [`TraceIoError`] on I/O failure or malformed content, including
+/// a record whose cycle is below its predecessor's: the segmenter requires
+/// events in time order.
 pub fn read_csv<R: Read>(r: R) -> Result<Trace, TraceIoError> {
+    parse_csv(r, true)
+}
+
+/// [`read_csv`] that accepts cycles running backwards, for tools that
+/// diagnose corrupted traces (`cnnre-audit`'s T001).
+///
+/// # Errors
+///
+/// Returns [`TraceIoError`] on I/O failure or malformed content.
+pub fn read_csv_unordered<R: Read>(r: R) -> Result<Trace, TraceIoError> {
+    parse_csv(r, false)
+}
+
+fn parse_csv<R: Read>(r: R, ordered: bool) -> Result<Trace, TraceIoError> {
     let mut lines = BufReader::new(r).lines();
     let header = lines.next().ok_or(TraceIoError::Parse {
         record: 0,
@@ -119,6 +135,9 @@ pub fn read_csv<R: Read>(r: R) -> Result<Trace, TraceIoError> {
                 detail: format!("address: {e}"),
             })?;
         check_aligned(addr, block_bytes, i + 1)?;
+        if ordered {
+            check_ordered(cycle, events.last(), i + 1)?;
+        }
         let kind = match next("is_write")?.trim() {
             "0" => AccessKind::Read,
             "1" => AccessKind::Write,
@@ -160,6 +179,21 @@ fn check_aligned(addr: u64, block_bytes: u64, record: usize) -> Result<(), Trace
     Ok(())
 }
 
+/// Rejects a cycle below the previous event's.
+fn check_ordered(
+    cycle: u64,
+    prev: Option<&MemoryEvent>,
+    record: usize,
+) -> Result<(), TraceIoError> {
+    match prev {
+        Some(p) if cycle < p.cycle => Err(TraceIoError::Parse {
+            record,
+            detail: format!("cycle {cycle} is below the previous record's {}", p.cycle),
+        }),
+        _ => Ok(()),
+    }
+}
+
 /// Events reserved up front by [`read_binary`]: a header's event count is
 /// outside input, so memory is committed only as records actually arrive.
 const BINARY_PREALLOC_EVENTS: usize = 1 << 16;
@@ -189,8 +223,23 @@ pub fn write_binary<W: Write>(trace: &Trace, mut w: W) -> Result<(), TraceIoErro
 ///
 /// # Errors
 ///
+/// Returns [`TraceIoError`] on I/O failure or malformed content, including
+/// a record whose cycle is below its predecessor's.
+pub fn read_binary<R: Read>(r: R) -> Result<Trace, TraceIoError> {
+    parse_binary(r, true)
+}
+
+/// [`read_binary`] that accepts cycles running backwards, for tools that
+/// diagnose corrupted traces.
+///
+/// # Errors
+///
 /// Returns [`TraceIoError`] on I/O failure or malformed content.
-pub fn read_binary<R: Read>(mut r: R) -> Result<Trace, TraceIoError> {
+pub fn read_binary_unordered<R: Read>(r: R) -> Result<Trace, TraceIoError> {
+    parse_binary(r, false)
+}
+
+fn parse_binary<R: Read>(mut r: R, ordered: bool) -> Result<Trace, TraceIoError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != BINARY_MAGIC {
@@ -230,6 +279,9 @@ pub fn read_binary<R: Read>(mut r: R) -> Result<Trace, TraceIoError> {
             }
         };
         check_aligned(addr, block_bytes, i + 1)?;
+        if ordered {
+            check_ordered(cycle, events.last(), i + 1)?;
+        }
         events.push(MemoryEvent { cycle, addr, kind });
     }
     Ok(Trace::from_parts(events, block_bytes, element_bytes))
@@ -335,6 +387,34 @@ mod tests {
         buf.extend_from_slice(&65u64.to_le_bytes());
         buf.push(0);
         assert!(is_parse_error(read_binary(&buf[..])));
+    }
+
+    #[test]
+    fn csv_rejects_time_running_backwards() {
+        let csv =
+            "# block_bytes=64 element_bytes=4\ncycle,address,is_write\n5,0,1\n5,64,0\n4,128,0\n";
+        match read_csv(csv.as_bytes()) {
+            Err(TraceIoError::Parse { record, .. }) => assert_eq!(record, 4),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        let t = read_csv_unordered(csv.as_bytes()).expect("unordered read accepts it");
+        assert_eq!(t.events()[2].cycle, 4);
+    }
+
+    #[test]
+    fn binary_rejects_time_running_backwards() {
+        let mut buf = binary_header(64, 4, 3);
+        for (cycle, addr) in [(5u64, 0u64), (5, 64), (4, 128)] {
+            buf.extend_from_slice(&cycle.to_le_bytes());
+            buf.extend_from_slice(&addr.to_le_bytes());
+            buf.push(0);
+        }
+        match read_binary(&buf[..]) {
+            Err(TraceIoError::Parse { record, .. }) => assert_eq!(record, 3),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        let t = read_binary_unordered(&buf[..]).expect("unordered read accepts it");
+        assert_eq!(t.events()[2].cycle, 4);
     }
 
     #[test]

@@ -5,10 +5,13 @@
 //! the memory access pattern"* — plus the inter-layer connection structure
 //! (which earlier layer's output each layer consumes), which reveals fire
 //! modules and bypass paths.
+//!
+//! [`observe`] makes one pass over the events: it drives the
+//! [`StreamingSegmenter`] and tallies each segment as its events arrive.
+//! The segmenter reports every read with the segment that last wrote the
+//! address, so classification keeps no last-writer map of its own.
 
-use std::collections::BTreeMap;
-
-use crate::segment::{segment_trace_with, Segment, SegmentConfig};
+use crate::segment::{Access, Segment, SegmentConfig, StreamingSegmenter};
 use crate::{Addr, Cycle, Trace};
 
 /// Why a segment was classified the way it was.
@@ -109,6 +112,9 @@ impl TraceObservations {
 
 /// Segments a trace and extracts per-layer observations.
 ///
+/// One pass over the events drives a [`StreamingSegmenter`] and tallies
+/// each segment's footprints as its events arrive.
+///
 /// # Example
 ///
 /// ```
@@ -133,86 +139,32 @@ pub fn observe(trace: &Trace) -> TraceObservations {
 }
 
 /// [`observe`] with explicit segmentation configuration.
+///
+/// The pass runs under the `trace.segment` span, as [`segment_trace_with`]
+/// does, and is checked by the same `audit-hooks` assertion.
+///
+/// [`segment_trace_with`]: crate::segment::segment_trace_with
 #[must_use]
 pub fn observe_with(trace: &Trace, config: SegmentConfig) -> TraceObservations {
-    let segments = segment_trace_with(trace, config);
-    let events = trace.events();
-
-    // Which segment last wrote each block. (Feature-map regions are written
-    // exactly once in the paper's model, so "last" and "only" coincide; we
-    // keep last-writer for robustness.)
-    let mut producer = ProducerRuns::new(trace.block_bytes());
-    let mut layers = Vec::with_capacity(segments.len());
-    // Per-segment distinct written / read addresses; reused across
-    // segments so the pass allocates only when a segment outgrows them.
-    let mut written: Vec<Addr> = Vec::new();
-    let mut read: Vec<Addr> = Vec::new();
-
-    for (idx, seg) in segments.iter().enumerate() {
-        written.clear();
-        read.clear();
-        for ev in &events[seg.first_event..seg.end_event] {
-            if ev.kind.is_write() {
-                written.push(ev.addr);
-            } else {
-                read.push(ev.addr);
-            }
+    let mut span = cnnre_obs::span("trace.segment");
+    span.add_cycles(trace.duration());
+    let mut segmenter = StreamingSegmenter::new(trace.block_bytes(), config);
+    let mut tally = Tally::default();
+    let mut layers: Vec<LayerObservation> = Vec::new();
+    for ev in trace.events() {
+        let (completed, access) = segmenter.step(*ev);
+        if let Some(seg) = completed {
+            layers.push(tally.close(layers.len(), seg));
         }
-        written.sort_unstable();
-        written.dedup();
-        read.sort_unstable();
-        read.dedup();
-
-        // Every read is looked up against the writes of *earlier* segments
-        // only: this segment's runs are committed after the scan, so
-        // self-reads within a segment (which segmentation already rules
-        // out) would not self-reference.
-        let mut weight_blocks = 0u64;
-        let mut ifm_sources: Vec<IfmSource> = Vec::new();
-        for &a in &read {
-            match producer.writer_of(a) {
-                Some(p) => match ifm_sources.last_mut() {
-                    Some(s) if s.producer == p => s.blocks += 1,
-                    _ => ifm_sources.push(IfmSource {
-                        producer: p,
-                        blocks: 1,
-                    }),
-                },
-                None => weight_blocks += 1,
-            }
-        }
-        ifm_sources.sort_by_key(|s| s.producer);
-        ifm_sources.dedup_by(|later, kept| {
-            let same = later.producer == kept.producer;
-            if same {
-                kept.blocks += later.blocks;
-            }
-            same
-        });
-        producer.commit(&written, idx);
-
-        let has_ifm = !ifm_sources.is_empty();
-        let kind = if written.is_empty() && weight_blocks == 0 && !has_ifm {
-            LayerKindHint::Other
-        } else if weight_blocks == 0 && !has_ifm {
-            LayerKindHint::Prologue
-        } else if weight_blocks > 0 {
-            LayerKindHint::Compute
-        } else if !written.is_empty() {
-            LayerKindHint::Merge
-        } else {
-            LayerKindHint::Other
-        };
-        layers.push(LayerObservation {
-            index: idx,
-            segment: *seg,
-            kind,
-            ofm_blocks: written.len() as u64,
-            weight_blocks,
-            ifm_sources,
-            cycles: seg.cycles(),
-        });
+        tally.add(access, ev.addr);
     }
+    if let Some(seg) = segmenter.finish() {
+        layers.push(tally.close(layers.len(), seg));
+    }
+    #[cfg(feature = "audit-hooks")]
+    crate::audit::assert_well_formed(trace, &layers.iter().map(|l| l.segment).collect::<Vec<_>>());
+    drop(span);
+
     // A layer's execution time is boundary-to-boundary: from its first
     // transaction to the next layer's first transaction. (The span of its
     // own events alone misses the trailing compute that overlaps no DMA.)
@@ -223,9 +175,10 @@ pub fn observe_with(trace: &Trace, config: SegmentConfig) -> TraceObservations {
             .saturating_sub(layers[i].segment.start_cycle);
     }
     if cnnre_obs::stream::enabled() {
-        // Classification is post-hoc (it needs the whole trace), so every
-        // SegmentClassified event is stamped at the trace's end cycle —
-        // after all LayerBoundary events, keeping the stream monotone.
+        // A layer's cycles are final only once the next layer starts, so
+        // every SegmentClassified event goes out after the pass, stamped at
+        // the trace's end cycle — after all LayerBoundary events, keeping
+        // the stream monotone.
         use cnnre_obs::stream::{EventPayload, SegmentKind};
         for obs in &layers {
             let kind = match obs.kind {
@@ -254,73 +207,69 @@ pub fn observe_with(trace: &Trace, config: SegmentConfig) -> TraceObservations {
     }
 }
 
-/// Which segment last wrote each address, stored as runs of consecutive
-/// blocks: a layer writes a few contiguous regions, so its thousands of
-/// blocks commit as a handful of entries.
-///
-/// An address is keyed as `(phase, index)` = `(addr % block, addr /
-/// block)`. Accelerator traces are block-aligned (phase 0 throughout); an
-/// unaligned address only ever shares a run with addresses of its own
-/// phase, so the runs of one phase never overlap and a predecessor lookup
-/// is exact for any trace.
-#[derive(Debug)]
-struct ProducerRuns {
-    block: u64,
-    /// `(phase, first index)` -> (last index, inclusive; writing segment).
-    runs: BTreeMap<(u64, u64), (u64, usize)>,
+/// The current segment's footprints, tallied event by event. The vectors
+/// are reused across segments, so the pass allocates only when a segment
+/// outgrows them.
+#[derive(Debug, Default)]
+struct Tally {
+    /// Distinct addresses written.
+    ofm_blocks: u64,
+    /// Never-written addresses read (with repeats).
+    ro_reads: Vec<Addr>,
+    /// Feature-map reads as (producing segment, address), with repeats.
+    fm_reads: Vec<(usize, Addr)>,
 }
 
-impl ProducerRuns {
-    fn new(block: u64) -> Self {
-        Self {
-            block,
-            runs: BTreeMap::new(),
+impl Tally {
+    fn add(&mut self, access: Access, addr: Addr) {
+        match access {
+            Access::Write { first } => self.ofm_blocks += u64::from(first),
+            Access::Read { producer: None } => self.ro_reads.push(addr),
+            Access::Read { producer: Some(p) } => self.fm_reads.push((p, addr)),
         }
     }
 
-    fn key(&self, addr: Addr) -> (u64, u64) {
-        (addr % self.block, addr / self.block)
-    }
+    /// Classifies the completed segment `seg` (ordinal `index`) and resets
+    /// the tally for the next one.
+    fn close(&mut self, index: usize, seg: Segment) -> LayerObservation {
+        self.ro_reads.sort_unstable();
+        self.ro_reads.dedup();
+        self.fm_reads.sort_unstable();
+        self.fm_reads.dedup();
+        let weight_blocks = self.ro_reads.len() as u64;
+        let ofm_blocks = std::mem::take(&mut self.ofm_blocks);
+        let ifm_sources: Vec<IfmSource> = self
+            .fm_reads
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| IfmSource {
+                producer: run[0].0,
+                blocks: run.len() as u64,
+            })
+            .collect();
+        self.ro_reads.clear();
+        self.fm_reads.clear();
 
-    /// The segment that last wrote `addr`, if any.
-    fn writer_of(&self, addr: Addr) -> Option<usize> {
-        let (phase, index) = self.key(addr);
-        let (&(run_phase, _), &(last, writer)) = self.runs.range(..=(phase, index)).next_back()?;
-        (run_phase == phase && index <= last).then_some(writer)
-    }
-
-    /// Records `writer` as the last writer of every address in `written`
-    /// (sorted, distinct).
-    fn commit(&mut self, written: &[Addr], writer: usize) {
-        let block = self.block;
-        for run in written.chunk_by(|&a, &b| a.checked_add(block) == Some(b)) {
-            let (phase, first) = self.key(run[0]);
-            let (_, last) = self.key(run[run.len() - 1]);
-            self.insert(phase, first, last, writer);
+        let has_ifm = !ifm_sources.is_empty();
+        let kind = if ofm_blocks == 0 && weight_blocks == 0 && !has_ifm {
+            LayerKindHint::Other
+        } else if weight_blocks == 0 && !has_ifm {
+            LayerKindHint::Prologue
+        } else if weight_blocks > 0 {
+            LayerKindHint::Compute
+        } else if ofm_blocks > 0 {
+            LayerKindHint::Merge
+        } else {
+            LayerKindHint::Other
+        };
+        LayerObservation {
+            index,
+            segment: seg,
+            kind,
+            ofm_blocks,
+            weight_blocks,
+            ifm_sources,
+            cycles: seg.cycles(),
         }
-    }
-
-    /// Inserts the run `first..=last` of `phase`, trimming the older runs
-    /// it overwrites so the last writer wins.
-    fn insert(&mut self, phase: u64, first: u64, last: u64, writer: usize) {
-        // An older run that starts before this one and reaches into it
-        // keeps its head and, beyond `last`, its tail.
-        if let Some((&(p, start), &(end, w))) = self.runs.range(..(phase, first)).next_back() {
-            if p == phase && end >= first {
-                self.runs.insert((p, start), (first - 1, w));
-                if end > last {
-                    self.runs.insert((phase, last + 1), (end, w));
-                }
-            }
-        }
-        // Older runs that start inside this one keep only their tail.
-        while let Some((&key, &(end, w))) = self.runs.range((phase, first)..=(phase, last)).next() {
-            self.runs.remove(&key);
-            if end > last {
-                self.runs.insert((phase, last + 1), (end, w));
-            }
-        }
-        self.runs.insert((phase, first), (last, writer));
     }
 }
 
@@ -462,26 +411,6 @@ mod tests {
                 }
             ]
         );
-    }
-
-    #[test]
-    fn producer_runs_split_on_overwrite() {
-        let mut runs = ProducerRuns::new(BLK);
-        let blocks = |r: std::ops::Range<u64>| r.map(|i| i * BLK).collect::<Vec<_>>();
-        runs.commit(&blocks(0..10), 0);
-        runs.commit(&blocks(3..5), 1);
-        runs.commit(&blocks(8..12), 2);
-        let writers: Vec<_> = (0..13).map(|i| runs.writer_of(i * BLK)).collect();
-        let (w0, w1, w2) = (Some(0), Some(1), Some(2));
-        assert_eq!(
-            writers,
-            [w0, w0, w0, w1, w1, w0, w0, w0, w2, w2, w2, w2, None]
-        );
-        // Off-grid addresses never alias a block of the grid.
-        assert_eq!(runs.writer_of(BLK + 1), None);
-        runs.commit(&[BLK + 1, 2 * BLK + 1], 3);
-        assert_eq!(runs.writer_of(2 * BLK + 1), Some(3));
-        assert_eq!(runs.writer_of(2 * BLK), w0);
     }
 
     #[test]

@@ -15,8 +15,7 @@ use crate::defense::{jitter_timing, pad_write_traffic, shuffle_within_window};
 use crate::io::{read_binary, read_csv, write_binary, write_csv};
 use crate::observe::{observe_with, IfmSource, LayerKindHint, LayerObservation, TraceObservations};
 use crate::segment::{
-    ro_region_contains, segment_trace, segment_trace_with, IntervalSet, Segment, SegmentConfig,
-    StreamingSegmenter,
+    segment_trace, segment_trace_with, Segment, SegmentConfig, StreamingSegmenter,
 };
 use crate::stats::{TraceStats, TrafficProfile};
 use crate::{AccessKind, Addr, MemoryEvent, Trace, TraceBuilder};
@@ -217,13 +216,69 @@ fn padding_only_adds_writes() {
     }
 }
 
+/// Reference read-only regions: a plain `BTreeMap` from interval start to
+/// inclusive end, probed and extended with slack, independent of the
+/// production `IntervalSet` and its cursor.
+#[derive(Default)]
+struct RefRegions(BTreeMap<Addr, Addr>);
+
+impl RefRegions {
+    /// Whether `addr` lies within `slack` of an existing region.
+    fn contains(&self, addr: Addr, block: u64, slack: u64) -> bool {
+        let near_pred = (self.0.range(..=addr).next_back())
+            .is_some_and(|(_, &hi)| addr <= hi.saturating_add(slack));
+        let near_succ = (self.0.range(addr..).next())
+            .is_some_and(|(&lo, _)| lo <= addr.saturating_add(block - 1).saturating_add(slack));
+        near_pred || near_succ
+    }
+
+    /// Adds `addr`'s block, extending a region it lies within `slack` of and
+    /// merging regions that come within `slack` of each other.
+    fn insert(&mut self, addr: Addr, block: u64, slack: u64) {
+        let end = addr.saturating_add(block - 1);
+        let pred = self.0.range(..=addr).next_back().map(|(&lo, &hi)| (lo, hi));
+        let lo = match pred {
+            Some((lo, hi)) if addr <= hi.saturating_add(slack) => {
+                self.0.insert(lo, hi.max(end));
+                lo
+            }
+            _ => {
+                let succ = self.0.range(addr..).next().map(|(&lo, &hi)| (lo, hi));
+                match succ {
+                    Some((lo, hi)) if lo <= end.saturating_add(slack) => {
+                        self.0.remove(&lo);
+                        self.0.insert(addr, hi.max(end));
+                    }
+                    _ => {
+                        self.0.insert(addr, end);
+                    }
+                }
+                addr
+            }
+        };
+        // Swallow every later region the grown one now reaches.
+        loop {
+            let hi = self.0[&lo];
+            let next = self.0.range(lo..).nth(1).map(|(&l, &h)| (l, h));
+            match next {
+                Some((nl, nh)) if nl <= hi.saturating_add(slack) => {
+                    self.0.remove(&nl);
+                    self.0.insert(lo, hi.max(nh));
+                }
+                _ => break,
+            }
+        }
+    }
+}
+
 /// Reference segmenter: the straightforward formulation over std
-/// `HashSet`s (SipHash), kept to check the production segmenter against.
+/// `HashSet`s (SipHash) and [`RefRegions`], kept to check the production
+/// segmenter against.
 fn reference_segment(trace: &Trace, config: SegmentConfig) -> Vec<Segment> {
     let (block, slack) = (trace.block_bytes(), config.slack_bytes);
     let mut global_written: HashSet<Addr> = HashSet::new();
     let mut written_this: HashSet<Addr> = HashSet::new();
-    let mut ro_regions = IntervalSet::default();
+    let mut ro_regions = RefRegions::default();
     let mut has_write = false;
     let (mut seg_start, mut seg_start_cycle, mut prev_cycle) = (0, 0, 0);
     let mut segments = Vec::new();
@@ -232,7 +287,7 @@ fn reference_segment(trace: &Trace, config: SegmentConfig) -> Vec<Segment> {
             && (written_this.contains(&ev.addr)
                 || (!global_written.contains(&ev.addr)
                     && has_write
-                    && !ro_region_contains(&ro_regions, ev.addr, block, slack)));
+                    && !ro_regions.contains(ev.addr, block, slack)));
         if boundary && index > seg_start {
             segments.push(Segment {
                 first_event: seg_start,
@@ -242,7 +297,7 @@ fn reference_segment(trace: &Trace, config: SegmentConfig) -> Vec<Segment> {
             });
             seg_start = index;
             written_this.clear();
-            ro_regions.clear();
+            ro_regions = RefRegions::default();
             has_write = false;
         }
         if index == seg_start {
@@ -253,7 +308,7 @@ fn reference_segment(trace: &Trace, config: SegmentConfig) -> Vec<Segment> {
             written_this.insert(ev.addr);
             has_write = true;
         } else if !global_written.contains(&ev.addr) {
-            let _ = ro_regions.insert(ev.addr, block, slack);
+            ro_regions.insert(ev.addr, block, slack);
         }
         prev_cycle = ev.cycle;
     }
@@ -341,6 +396,41 @@ enum AddrMode {
     Unaligned,
     /// The last few hundred blocks below `u64::MAX`.
     NearMax,
+    /// Long ascending read runs over a few regions that grow into each
+    /// other; see [`streaming_blocks`].
+    Streaming,
+}
+
+/// `AddrMode::Streaming`'s (block index, is write) sequence: two or three
+/// read regions a few blocks apart, each read in long ascending runs until
+/// they grow into each other, with backward reads, writes into the read
+/// regions and runs of output writes mixed in.
+fn streaming_blocks(rng: &mut SmallRng, n: usize) -> Vec<(u64, bool)> {
+    let gap = rng.gen_range(4u64..40);
+    let mut heads: Vec<u64> = (0..rng.gen_range(2u64..4))
+        .map(|k| 1000 + k * gap)
+        .collect();
+    let mut blocks = Vec::with_capacity(n + 24);
+    while blocks.len() < n {
+        let r = rng.gen_range(0..heads.len());
+        let head = &mut heads[r];
+        match rng.gen_range(0u32..10) {
+            0 => blocks.push((head.saturating_sub(rng.gen_range(1..=gap)), false)),
+            1 => blocks.push((head.saturating_sub(rng.gen_range(0..=gap)), true)),
+            2 => {
+                let start = 100_000 + rng.gen_range(0u64..64);
+                blocks.extend((0..rng.gen_range(1u64..8)).map(|i| (start + i, true)));
+            }
+            _ => {
+                for _ in 0..rng.gen_range(1u32..24) {
+                    blocks.push((*head, false));
+                    *head += 1;
+                }
+            }
+        }
+    }
+    blocks.truncate(n);
+    blocks
 }
 
 /// A random time-ordered trace shaped like layer traffic: runs of
@@ -351,8 +441,27 @@ fn differential_trace(seed: u64, mode: AddrMode) -> Trace {
     let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0xA076_1D64_78BD_642F) ^ 0xD1FF);
     let block = [4u64, 32, 64][rng.gen_range(0usize..3)];
     let max_index = u64::MAX / block;
+    if let AddrMode::Streaming = mode {
+        let n = rng.gen_range(0usize..600);
+        let mut cycle = 0u64;
+        let events = (streaming_blocks(&mut rng, n).into_iter())
+            .map(|(index, write)| {
+                cycle += rng.gen_range(0u64..4);
+                MemoryEvent {
+                    cycle,
+                    addr: index * block,
+                    kind: if write {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    },
+                }
+            })
+            .collect();
+        return Trace::from_parts(events, block, 4);
+    }
     let fresh = |rng: &mut SmallRng| match mode {
-        AddrMode::Clustered | AddrMode::Unaligned => {
+        AddrMode::Clustered | AddrMode::Unaligned | AddrMode::Streaming => {
             rng.gen_range(0u64..6) * 4096 + rng.gen_range(0u64..64)
         }
         AddrMode::Scattered => rng.gen_range(0..max_index),
@@ -424,6 +533,7 @@ fn observe_matches_reference_on_random_traces() {
         AddrMode::Scattered,
         AddrMode::Unaligned,
         AddrMode::NearMax,
+        AddrMode::Streaming,
     ] {
         for seed in 0..CASES {
             let trace = differential_trace(seed, mode);

@@ -19,19 +19,28 @@
 //!
 //! Both signals are pure functions of (address, read/write, time) — exactly
 //! the threat model's observables.
+//!
+//! The segmenter keeps one map from each written address to the ordinal of
+//! the segment that last wrote it. A read whose writer is the current
+//! segment is a RAW signal; a read with no writer is a weight fetch and goes
+//! into the current segment's read-only `IntervalSet`, whose insert also
+//! answers the fresh-region probe. One lookup or insert per event, so
+//! [`crate::observe`] can classify each segment in the same pass.
 
 use std::collections::BTreeMap;
-use std::collections::HashSet; // lint:allow(hash-iter): membership-only sets below
+use std::collections::HashMap; // lint:allow(hash-iter): probe/insert-only map below
 use std::hash::{BuildHasherDefault, Hasher};
 
+use cnnre_obs::stream::BoundarySignal;
 use cnnre_obs::{log_debug, Counter};
 
 use crate::{Addr, Cycle, MemoryEvent, Trace};
 
-/// A set of addresses that is only ever probed and filled, never iterated,
-/// so its (fixed) hash order cannot reach any output.
-// lint:allow(hash-iter): contains/insert/clear only, per-event hot path
-type AddrSet = HashSet<Addr, BuildHasherDefault<AddrHasher>>;
+/// Address → ordinal of the segment that last wrote it. Only ever probed
+/// and filled, never iterated, so its (fixed) hash order cannot reach any
+/// output.
+// lint:allow(hash-iter): get/insert only, per-event hot path
+type WriterMap = HashMap<Addr, usize, BuildHasherDefault<AddrHasher>>;
 
 /// Fixed-key hasher for `u64` addresses: one folded 64×64→128-bit
 /// multiply. Addresses are block multiples, so their low bits are all
@@ -56,7 +65,7 @@ impl Hasher for AddrHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        // Only reached by non-`u64` keys, which these sets never hold.
+        // Only reached by non-`u64` keys, which this map never holds.
         for &b in bytes {
             self.mix(u64::from(b));
         }
@@ -123,21 +132,63 @@ impl SegmentConfig {
 }
 
 /// Disjoint read-only interval set with slack-based clustering.
+///
+/// Invariant: consecutive intervals are always more than `slack` apart
+/// (`next.lo > hi + slack`). Creating an interval requires it, and
+/// `merge_forward` restores it after an interval grows. So an address within
+/// `slack` of an interval's end lies before the next interval's start, and
+/// the interval the last insert landed in can be held in a cursor: an insert
+/// that extends it without reaching the next interval touches no tree node.
 #[derive(Debug, Default)]
 pub(crate) struct IntervalSet {
-    /// Map from interval start to inclusive interval end.
+    /// Map from interval start to inclusive interval end. The entry of the
+    /// cursor's interval may hold a stale end until the cursor is written
+    /// back.
     intervals: BTreeMap<Addr, Addr>,
+    cursor: Option<Cursor>,
+}
+
+/// The interval the last insert landed in, with its authoritative end.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    lo: Addr,
+    hi: Addr,
+    /// Start of the next interval, if any.
+    next: Option<Addr>,
 }
 
 impl IntervalSet {
     pub(crate) fn clear(&mut self) {
         self.intervals.clear();
+        self.cursor = None;
     }
 
     /// Returns `true` when `addr` lies within `slack` of an existing
     /// interval (and extends that interval); `false` when a new interval had
     /// to be created.
     pub(crate) fn insert(&mut self, addr: Addr, block: u64, slack: u64) -> bool {
+        if let Some(c) = &mut self.cursor {
+            if c.lo <= addr && addr <= c.hi.saturating_add(slack) {
+                let hi = c.hi.max(addr.saturating_add(block - 1));
+                if c.next.is_none_or(|n| n > hi.saturating_add(slack)) {
+                    c.hi = hi;
+                    return true;
+                }
+            }
+            self.intervals.insert(c.lo, c.hi);
+        }
+        let (landed, extended) = self.insert_slow(addr, block, slack);
+        self.cursor = Some(Cursor {
+            lo: landed,
+            hi: self.intervals[&landed],
+            next: self.intervals.range(landed..).nth(1).map(|(&l, _)| l),
+        });
+        extended
+    }
+
+    /// The tree path of [`Self::insert`]: returns the start of the interval
+    /// `addr` landed in, and whether that interval already existed.
+    fn insert_slow(&mut self, addr: Addr, block: u64, slack: u64) -> (Addr, bool) {
         // Predecessor interval: the last interval starting at or before addr.
         let pred = self
             .intervals
@@ -149,7 +200,7 @@ impl IntervalSet {
                 let new_hi = hi.max(addr.saturating_add(block - 1));
                 self.intervals.insert(lo, new_hi);
                 self.merge_forward(lo, slack);
-                return true;
+                return (lo, true);
             }
         }
         // Successor interval: the first interval starting after addr.
@@ -163,11 +214,11 @@ impl IntervalSet {
                 self.intervals.remove(&lo);
                 self.intervals
                     .insert(addr, hi.max(addr.saturating_add(block - 1)));
-                return true;
+                return (addr, true);
             }
         }
         self.intervals.insert(addr, addr.saturating_add(block - 1));
-        false
+        (addr, false)
     }
 
     /// Merges the interval starting at `lo` with any successors it now
@@ -264,16 +315,27 @@ pub fn segment_trace_with(trace: &Trace, config: SegmentConfig) -> Vec<Segment> 
 pub struct StreamingSegmenter {
     block: u64,
     slack: u64,
-    global_written: AddrSet,
-    written_this: AddrSet,
+    writers: WriterMap,
     ro_regions: IntervalSet,
     has_write: bool,
+    /// Ordinal of the current segment: the number of accepted boundaries.
+    ordinal: usize,
     index: usize,
     seg_start: usize,
     seg_start_cycle: Cycle,
     prev_cycle: Cycle,
-    boundaries: u64,
     obs: SegmenterObs,
+}
+
+/// What one event was, as [`StreamingSegmenter::step`] saw it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Access {
+    /// A write; `first` when the current segment had not written the
+    /// address before.
+    Write { first: bool },
+    /// A read, with the ordinal of the earlier segment that last wrote the
+    /// address (`None` for a never-written, read-only address).
+    Read { producer: Option<usize> },
 }
 
 /// Hoisted metric handles for the segmenter's hot path.
@@ -304,15 +366,14 @@ impl StreamingSegmenter {
         Self {
             block: block_bytes,
             slack: config.slack_bytes,
-            global_written: AddrSet::default(),
-            written_this: AddrSet::default(),
+            writers: WriterMap::default(),
             ro_regions: IntervalSet::default(),
             has_write: false,
+            ordinal: 0,
             index: 0,
             seg_start: 0,
             seg_start_cycle: 0,
             prev_cycle: 0,
-            boundaries: 0,
             obs: SegmenterObs::new(),
         }
     }
@@ -326,106 +387,116 @@ impl StreamingSegmenter {
     /// Feeds the next event (events must arrive in time order). Returns
     /// the just-*completed* segment when this event opens a new one.
     pub fn push(&mut self, ev: MemoryEvent) -> Option<Segment> {
+        self.step(ev).0
+    }
+
+    /// [`Self::push`], also returning what the event was. The access
+    /// belongs to the segment the event lands in, which is the new one when
+    /// a segment completes.
+    ///
+    /// Inside one segment every read of an address sees the same producer:
+    /// a write followed by a read of the same address is a RAW boundary.
+    pub(crate) fn step(&mut self, ev: MemoryEvent) -> (Option<Segment>, Access) {
         self.obs.events.inc();
-        let mut completed = None;
-        let mut boundary = false;
-        let mut raw_signal = false;
-        if ev.kind.is_read() {
-            if self.written_this.contains(&ev.addr) {
-                boundary = true; // RAW on an address produced by this segment
-                raw_signal = true;
-            } else if !self.global_written.contains(&ev.addr) {
-                // Probe without committing: would this start a fresh RO
-                // region? (Committed below after any boundary handling.)
-                let fresh = !ro_region_contains(&self.ro_regions, ev.addr, self.block, self.slack);
-                if fresh && self.has_write {
-                    boundary = true;
+        let mut signal = None;
+        let producer = if ev.kind.is_read() {
+            let producer = self.writers.get(&ev.addr).copied();
+            match producer {
+                // RAW on an address produced by this segment.
+                Some(w) if w == self.ordinal => signal = Some(BoundarySignal::Raw),
+                Some(_) => {}
+                // A never-written read joins the read-only regions; the
+                // insert's answer is the fresh-region probe.
+                None => {
+                    let known = self.ro_regions.insert(ev.addr, self.block, self.slack);
+                    if !known && self.has_write {
+                        signal = Some(BoundarySignal::FreshRegion);
+                    }
                 }
             }
-        }
-        if boundary && self.index > self.seg_start {
-            if raw_signal {
-                self.obs.raw_accepted.inc();
-            } else {
-                self.obs.fresh_accepted.inc();
+            producer
+        } else {
+            None
+        };
+        let completed = match signal {
+            Some(signal) if self.index > self.seg_start => Some(self.close(ev, signal)),
+            Some(_) => {
+                // A boundary signal on the very first event of a segment
+                // carries no information — suppressed.
+                self.obs.rejected.inc();
+                None
             }
-            log_debug!(
-                "trace.segment",
-                "boundary at event {} cycle {} ({})",
-                self.index,
-                ev.cycle,
-                if raw_signal { "RAW" } else { "fresh region" }
-            );
-            if cnnre_obs::stream::enabled() {
-                cnnre_obs::stream::emit_at(
-                    ev.cycle,
-                    cnnre_obs::stream::EventPayload::LayerBoundary {
-                        index: self.boundaries,
-                        signal: if raw_signal {
-                            cnnre_obs::stream::BoundarySignal::Raw
-                        } else {
-                            cnnre_obs::stream::BoundarySignal::FreshRegion
-                        },
-                    },
-                );
-            }
-            self.boundaries += 1;
-            completed = Some(Segment {
-                first_event: self.seg_start,
-                end_event: self.index,
-                start_cycle: self.seg_start_cycle,
-                end_cycle: self.prev_cycle,
-            });
-            self.seg_start = self.index;
-            self.written_this.clear();
-            self.ro_regions.clear();
-            self.has_write = false;
-        } else if boundary {
-            // A boundary signal on the very first event of a segment
-            // carries no information — suppressed.
-            self.obs.rejected.inc();
-        }
+            None => None,
+        };
         if self.index == self.seg_start {
             self.seg_start_cycle = ev.cycle;
         }
         // Apply the event to the (possibly fresh) segment state.
-        if ev.kind.is_write() {
-            self.global_written.insert(ev.addr);
-            self.written_this.insert(ev.addr);
+        let access = if ev.kind.is_write() {
             self.has_write = true;
-        } else if !self.global_written.contains(&ev.addr) {
-            let _ = self.ro_regions.insert(ev.addr, self.block, self.slack);
-        }
+            let first = self.writers.insert(ev.addr, self.ordinal) != Some(self.ordinal);
+            Access::Write { first }
+        } else {
+            Access::Read { producer }
+        };
         self.prev_cycle = ev.cycle;
         self.index += 1;
-        completed
+        (completed, access)
+    }
+
+    /// Accepts a boundary at `ev`: reports it and returns the completed
+    /// segment, leaving the state of a fresh one that `ev` opens.
+    fn close(&mut self, ev: MemoryEvent, signal: BoundarySignal) -> Segment {
+        let raw = signal == BoundarySignal::Raw;
+        if raw {
+            self.obs.raw_accepted.inc();
+        } else {
+            self.obs.fresh_accepted.inc();
+        }
+        log_debug!(
+            "trace.segment",
+            "boundary at event {} cycle {} ({})",
+            self.index,
+            ev.cycle,
+            if raw { "RAW" } else { "fresh region" }
+        );
+        if cnnre_obs::stream::enabled() {
+            cnnre_obs::stream::emit_at(
+                ev.cycle,
+                cnnre_obs::stream::EventPayload::LayerBoundary {
+                    index: self.ordinal as u64,
+                    signal,
+                },
+            );
+        }
+        let segment = self.current();
+        self.ordinal += 1;
+        self.seg_start = self.index;
+        self.ro_regions.clear();
+        if !raw {
+            // The fresh region's first block opens the new segment's set.
+            let _ = self.ro_regions.insert(ev.addr, self.block, self.slack);
+        }
+        self.has_write = false;
+        segment
     }
 
     /// Closes the stream, returning the trailing segment (if any events
     /// arrived since the last boundary).
     #[must_use]
     pub fn finish(self) -> Option<Segment> {
-        (self.index > self.seg_start).then_some(Segment {
+        (self.index > self.seg_start).then(|| self.current())
+    }
+
+    /// The current segment, up to the last event consumed.
+    const fn current(&self) -> Segment {
+        Segment {
             first_event: self.seg_start,
             end_event: self.index,
             start_cycle: self.seg_start_cycle,
             end_cycle: self.prev_cycle,
-        })
-    }
-}
-
-pub(crate) fn ro_region_contains(set: &IntervalSet, addr: Addr, block: u64, slack: u64) -> bool {
-    if let Some((_, &hi)) = set.intervals.range(..=addr).next_back() {
-        if addr <= hi.saturating_add(slack) {
-            return true;
         }
     }
-    if let Some((&lo, _)) = set.intervals.range(addr..).next() {
-        if lo <= addr.saturating_add(block - 1).saturating_add(slack) {
-            return true;
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -584,6 +655,34 @@ mod tests {
         for addr in [256u64, 320, 384, 448, 512, 576, 640, 704, 768, 832, 896] {
             assert!(s.insert(addr, 64, 64), "addr {addr}");
         }
+        assert_eq!(s.intervals.len(), 1);
+
+        // The cursor: extend it, insert backwards, then bridge regions.
+        // A = [0,63], C = [512,575], then B = [256,319] in the cursor.
+        let mut s = IntervalSet::default();
+        assert!(!s.insert(0, 64, 64));
+        assert!(!s.insert(512, 64, 64));
+        assert!(!s.insert(256, 64, 64));
+        // Extending B short of C's reach touches no tree node: B grows to
+        // [256,383], then [256,447].
+        assert!(s.insert(320, 64, 64));
+        assert!(s.insert(384, 64, 64));
+        // Backwards inserts grow B's start towards A: [192,447], [128,447].
+        assert!(s.insert(192, 64, 64));
+        assert!(s.insert(128, 64, 64));
+        assert_eq!(s.intervals.len(), 3);
+        // Extending A bridges it to B.
+        assert!(s.insert(64, 64, 64)); // [0,447]
+        assert_eq!(s.intervals.len(), 2);
+        // Extending the cursor into C's reach merges them.
+        assert!(s.insert(448, 64, 64)); // [0,575]
+        assert_eq!(s.intervals.len(), 1);
+        assert!(s.insert(600, 64, 64)); // [0,663], in the cursor only
+        assert!(!s.insert(1024, 64, 64)); // writes [0,663] back
+        assert!(s.insert(700, 64, 64)); // within slack of the written-back end
+        assert_eq!(s.intervals.len(), 2);
+        s.clear();
+        assert!(!s.insert(600, 64, 64));
         assert_eq!(s.intervals.len(), 1);
     }
 

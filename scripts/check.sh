@@ -22,6 +22,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The e2e benchmark is a package of its own (see the last stage), so the
+# workspace-level fmt and clippy above do not reach it.
+echo "==> cargo fmt --check, cargo clippy (e2e benchmark package)"
+cargo fmt --manifest-path e2e/Cargo.toml -- --check
+cargo clippy --offline --manifest-path e2e/Cargo.toml --all-targets -- -D warnings
+
 echo "==> cnnre-lint (static analysis incl. test trees, report in $LINT_REPORT)"
 cargo run --quiet -p cnnre-lint -- --include-tests --format json --out "$LINT_REPORT"
 
