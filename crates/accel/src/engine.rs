@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 
 use cnnre_nn::layer::PoolKind;
 use cnnre_nn::{Network, NodeId, Op};
-use cnnre_obs::{log_debug, Counter, Series};
+use cnnre_obs::log_debug;
 use cnnre_tensor::Tensor3;
 use cnnre_trace::{AccessKind, Cycle, Trace, TraceBuilder};
 
@@ -47,6 +47,9 @@ pub struct StageReport {
     pub read_transactions: u64,
     /// DRAM write transactions issued.
     pub write_transactions: u64,
+    /// Cycles the PE array was busy, at most `end_cycle - start_cycle`;
+    /// the rest of the stage is memory stall.
+    pub compute_cycles: u64,
     /// Non-zero elements of the output feature map (known only when the
     /// engine computed values).
     pub ofm_nonzeros: Option<u64>,
@@ -243,37 +246,6 @@ pub fn audit_finished_trace(trace: &cnnre_trace::Trace) {
     );
 }
 
-/// Hoisted metric handles — looked up once per run so the per-transaction
-/// cost is a single relaxed atomic load when observability is disabled.
-struct RunnerObs {
-    dram_reads: Counter,
-    dram_writes: Counter,
-    tile_refills: Counter,
-    ofm_emitted: Counter,
-    ofm_pruned: Counter,
-    compute_cycles: Series,
-    stall_cycles: Series,
-    stage_reads: Series,
-    stage_writes: Series,
-}
-
-impl RunnerObs {
-    fn new() -> Self {
-        let reg = cnnre_obs::global();
-        Self {
-            dram_reads: reg.counter("accel.dram.reads"),
-            dram_writes: reg.counter("accel.dram.writes"),
-            tile_refills: reg.counter("accel.tiles.refills"),
-            ofm_emitted: reg.counter("accel.ofm.elems_emitted"),
-            ofm_pruned: reg.counter("accel.ofm.elems_pruned"),
-            compute_cycles: reg.series("accel.layer.compute_cycles"),
-            stall_cycles: reg.series("accel.layer.stall_cycles"),
-            stage_reads: reg.series("accel.layer.read_transactions"),
-            stage_writes: reg.series("accel.layer.write_transactions"),
-        }
-    }
-}
-
 struct Runner<'a> {
     net: &'a Network,
     cfg: &'a AccelConfig,
@@ -285,10 +257,12 @@ struct Runner<'a> {
     prefix: BTreeMap<usize, Vec<u32>>,
     reads: u64,
     writes: u64,
+    tile_refills: u64,
+    ofm_emitted: u64,
+    ofm_pruned: u64,
     /// Compute-busy cycles of the stage currently executing.
     stage_compute: u64,
     reports: Vec<StageReport>,
-    obs: RunnerObs,
 }
 
 impl<'a> Runner<'a> {
@@ -308,9 +282,11 @@ impl<'a> Runner<'a> {
             prefix: BTreeMap::new(),
             reads: 0,
             writes: 0,
+            tile_refills: 0,
+            ofm_emitted: 0,
+            ofm_pruned: 0,
             stage_compute: 0,
             reports: Vec::new(),
-            obs: RunnerObs::new(),
         }
     }
 
@@ -318,6 +294,16 @@ impl<'a> Runner<'a> {
         self.stage_host_input();
         for stage in self.sched.stages() {
             self.run_stage(stage);
+        }
+        // The run's tallies reach the registry once, and only while
+        // observability is on: a disabled run looks nothing up.
+        if cnnre_obs::enabled() {
+            let reg = cnnre_obs::global();
+            reg.counter("accel.dram.reads").add(self.reads);
+            reg.counter("accel.dram.writes").add(self.writes);
+            reg.counter("accel.tiles.refills").add(self.tile_refills);
+            reg.counter("accel.ofm.elems_emitted").add(self.ofm_emitted);
+            reg.counter("accel.ofm.elems_pruned").add(self.ofm_pruned);
         }
     }
 
@@ -341,14 +327,8 @@ impl<'a> Runner<'a> {
             self.tb.record(self.cycle, b * blk, kind);
             self.cycle += self.cfg.mem_cycles_per_block;
             match kind {
-                AccessKind::Read => {
-                    self.reads += 1;
-                    self.obs.dram_reads.inc();
-                }
-                AccessKind::Write => {
-                    self.writes += 1;
-                    self.obs.dram_writes.inc();
-                }
+                AccessKind::Read => self.reads += 1,
+                AccessKind::Write => self.writes += 1,
             }
         }
     }
@@ -414,11 +394,11 @@ impl<'a> Runner<'a> {
         if let Some(pfx) = self.prefix.get(&node.index()) {
             let a = u64::from(pfx[range.start]);
             let b = u64::from(pfx[range.end]);
-            self.obs.ofm_emitted.add(b - a);
-            self.obs.ofm_pruned.add(range.len() as u64 - (b - a));
+            self.ofm_emitted += b - a;
+            self.ofm_pruned += range.len() as u64 - (b - a);
             self.emit(binding.base + a * elem, (b - a) * elem, AccessKind::Write);
         } else {
-            self.obs.ofm_emitted.add(range.len() as u64);
+            self.ofm_emitted += range.len() as u64;
             self.emit(
                 binding.base + range.start as u64 * elem,
                 (range.end - range.start) as u64 * elem,
@@ -488,27 +468,9 @@ impl<'a> Runner<'a> {
                 .filter(|&&v| v != 0.0)
                 .count() as u64
         });
-        // Per-stage observability: the series gate internally on the global
-        // enabled flag, and the log line gates on the stderr level — the
-        // two are independent (`CNNRE_LOG=debug` works without `--metrics`).
         let total = self.cycle - start_cycle;
         stage_span.add_cycles(total);
-        let busy = self.stage_compute.min(total);
-        self.obs.compute_cycles.push(busy as f64);
-        self.obs.stall_cycles.push((total - busy) as f64);
-        self.obs.stage_reads.push((self.reads - reads0) as f64);
-        self.obs.stage_writes.push((self.writes - writes0) as f64);
-        log_debug!(
-            "accel",
-            "stage {}: {} cycles ({} compute, {} stalled), {} reads, {} writes",
-            stage.name,
-            total,
-            busy,
-            total - busy,
-            self.reads - reads0,
-            self.writes - writes0
-        );
-        self.reports.push(StageReport {
+        let report = StageReport {
             name: stage.name.clone(),
             output_node: stage.output,
             start_cycle,
@@ -516,8 +478,20 @@ impl<'a> Runner<'a> {
             macs,
             read_transactions: self.reads - reads0,
             write_transactions: self.writes - writes0,
+            compute_cycles: self.stage_compute.min(total),
             ofm_nonzeros: nonzeros,
-        });
+        };
+        log_debug!(
+            "accel",
+            "stage {}: {} cycles ({} compute, {} stalled), {} reads, {} writes",
+            report.name,
+            total,
+            report.compute_cycles,
+            total - report.compute_cycles,
+            report.read_transactions,
+            report.write_transactions
+        );
+        self.reports.push(report);
     }
 
     fn run_conv_stage(
@@ -601,7 +575,7 @@ impl<'a> Runner<'a> {
             while d0 < conv.d_ofm() {
                 let d1 = (d0 + ch_tile).min(conv.d_ofm());
                 let tile_start = self.cycle;
-                self.obs.tile_refills.inc();
+                self.tile_refills += 1;
                 // Weights first (filters d0..d1 are contiguous in DRAM).
                 self.emit(
                     weight_region.base + (d0 * filter_elems) as u64 * elem,
@@ -662,7 +636,7 @@ impl<'a> Runner<'a> {
         while o0 < out_len {
             let o1 = (o0 + tile).min(out_len);
             let tile_start = self.cycle;
-            self.obs.tile_refills.inc();
+            self.tile_refills += 1;
             self.emit(
                 weight_region.base + (o0 * in_len) as u64 * elem,
                 ((o1 - o0) * in_len) as u64 * elem,

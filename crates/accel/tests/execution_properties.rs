@@ -146,6 +146,22 @@ fn stage_cycles_respect_compute_and_memory_bounds() {
                 "memory floor violated for {}",
                 st.name
             );
+            // The compute/stall split: busy cycles fit inside the stage,
+            // and a stage that does MACs keeps the PE array busy.
+            assert!(
+                st.compute_cycles <= cycles,
+                "stage {} computes {} cycles of {}",
+                st.name,
+                st.compute_cycles,
+                cycles
+            );
+            if st.macs > 0 {
+                assert!(
+                    st.compute_cycles > 0,
+                    "stage {} has MACs but no compute",
+                    st.name
+                );
+            }
         }
     });
 }

@@ -155,8 +155,8 @@ impl Rule {
                  total_cmp, an epsilon compare, or justify exactness"
             }
             Rule::MetricName => {
-                "string literals passed to obs::counter/gauge/histogram/\
-                 series/span must match the metric schema: lowercase dotted \
+                "string literals passed to obs::counter/gauge/series/\
+                 span must match the metric schema: lowercase dotted \
                  path, known subsystem prefix, `_ns` only as `.wall_ns`"
             }
             Rule::CtBranch => {

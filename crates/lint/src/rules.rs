@@ -19,7 +19,7 @@ const WALLCLOCK_ALLOWED: [&str; 2] = ["crates/obs/src/span.rs", "crates/obs/src/
 /// Obs recording calls whose first argument is a full metric name subject
 /// to the DESIGN.md §10 schema. `count` is `obs::profile::count`, the
 /// timeline-sample emitter.
-const METRIC_CALLS: [&str; 5] = ["counter", "gauge", "histogram", "series", "count"];
+const METRIC_CALLS: [&str; 4] = ["counter", "gauge", "series", "count"];
 
 /// Obs span constructors whose first argument is a *path fragment*: the
 /// exported metric becomes `span.<path>.cycles` / `.calls` / `.wall_ns`,
@@ -919,7 +919,7 @@ mod tests {
         // `_ns` spelled wrong.
         let d = diags(
             "crates/core/src/x.rs",
-            "fn f() { cnnre_obs::histogram(\"trace.segment_ns\").record(1.0); }",
+            "fn f() { cnnre_obs::gauge(\"trace.segment_ns\").set(1.0); }",
         );
         assert_eq!(rules_of(&d), [Rule::MetricName]);
         // profile::count takes full names too.

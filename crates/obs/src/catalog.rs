@@ -48,26 +48,6 @@ pub const METRICS: &[MetricDef] = &[
         help: "DRAM write transactions issued by the engine",
     },
     MetricDef {
-        name: "accel.layer.compute_cycles",
-        kind: "series",
-        help: "per-stage compute-busy cycles, in execution order",
-    },
-    MetricDef {
-        name: "accel.layer.read_transactions",
-        kind: "series",
-        help: "per-stage DRAM read transactions",
-    },
-    MetricDef {
-        name: "accel.layer.stall_cycles",
-        kind: "series",
-        help: "per-stage memory-stall cycles",
-    },
-    MetricDef {
-        name: "accel.layer.write_transactions",
-        kind: "series",
-        help: "per-stage DRAM write transactions",
-    },
-    MetricDef {
         name: "accel.ofm.elems_emitted",
         kind: "counter",
         help: "output feature-map elements written back to DRAM",
@@ -436,7 +416,7 @@ mod tests {
         assert!(!valid_metric_name("unknown_prefix.metric"));
         assert!(!valid_metric_name("accel..empty"));
         assert!(!valid_metric_name("accel.cycle_ns")); // _ns but not wall_ns
-        assert!(valid_metric_name("accel.layer.compute_cycles"));
+        assert!(valid_metric_name("accel.ofm.elems_pruned"));
         assert!(valid_metric_name("span.<path>.wall_ns"));
     }
 

@@ -12,7 +12,6 @@ use std::io;
 use std::path::Path;
 
 use crate::json;
-use crate::registry::HistogramStats;
 
 /// The exported value of one metric.
 #[derive(Clone, Debug, PartialEq)]
@@ -23,19 +22,16 @@ pub enum MetricValue {
     Gauge(f64),
     /// Ordered series values.
     Series(Vec<f64>),
-    /// Histogram summary statistics.
-    Histogram(HistogramStats),
 }
 
 impl MetricValue {
-    /// A scalar view: counters and gauges as themselves, histograms as
-    /// their mean, series as their last value.
+    /// A scalar view: counters and gauges as themselves, series as their
+    /// last value.
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Self::Counter(c) => Some(*c as f64),
             Self::Gauge(g) => Some(*g),
-            Self::Histogram(h) => Some(h.mean),
             Self::Series(s) => s.last().copied(),
         }
     }
@@ -124,22 +120,6 @@ impl Snapshot {
                 MetricValue::Counter(c) => json::push_u64(&mut out, *c),
                 MetricValue::Gauge(g) => json::push_f64(&mut out, *g),
                 MetricValue::Series(s) => json::push_f64_array(&mut out, s),
-                MetricValue::Histogram(h) => {
-                    out.push_str("{\"count\": ");
-                    json::push_u64(&mut out, h.count);
-                    for (k, v) in [
-                        ("min", h.min),
-                        ("max", h.max),
-                        ("mean", h.mean),
-                        ("p50", h.p50),
-                        ("p90", h.p90),
-                        ("p99", h.p99),
-                    ] {
-                        let _ = write!(out, ", \"{k}\": ");
-                        json::push_f64(&mut out, v);
-                    }
-                    out.push('}');
-                }
             }
         }
         out.push_str("\n}\n");
@@ -176,10 +156,8 @@ impl Snapshot {
     /// `# TYPE` headers followed by the samples, names mangled by
     /// [`prometheus_name`], ordered by dotted metric name.
     ///
-    /// Counters and gauges map directly; histograms render as a summary
-    /// (`{quantile="0.5|0.9|0.99"}` plus `_sum`/`_count`); series render
-    /// as `_count`/`_sum` gauges (the full array has no Prometheus
-    /// shape).
+    /// Counters and gauges map directly; series render as `_count`/`_sum`
+    /// gauges (the full array has no Prometheus shape).
     ///
     /// With `include_volatile == false` — the `/metrics` default —
     /// [volatile](is_volatile) metrics are dropped, so two scrapes of a
@@ -217,20 +195,6 @@ impl Snapshot {
                     let _ = writeln!(out, "# TYPE {pname}_sum gauge");
                     let _ = write!(out, "{pname}_sum ");
                     json::push_f64(&mut out, s.iter().sum());
-                    out.push('\n');
-                }
-                MetricValue::Histogram(h) => {
-                    let _ = writeln!(out, "# TYPE {pname} summary");
-                    for (q, v) in [("0.5", h.p50), ("0.9", h.p90), ("0.99", h.p99)] {
-                        let _ = write!(out, "{pname}{{quantile=\"{q}\"}} ");
-                        json::push_f64(&mut out, v);
-                        out.push('\n');
-                    }
-                    let _ = write!(out, "{pname}_sum ");
-                    json::push_f64(&mut out, h.mean * h.count as f64);
-                    out.push('\n');
-                    let _ = write!(out, "{pname}_count ");
-                    json::push_u64(&mut out, h.count);
                     out.push('\n');
                 }
             }

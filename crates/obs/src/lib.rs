@@ -5,8 +5,7 @@
 //! `metrics` stacks are off the table. The crate provides four things:
 //!
 //! * a global, thread-safe [`Registry`] of named [counters](Counter),
-//!   [gauges](Gauge), [histograms](Histogram) and per-layer/per-epoch
-//!   [series](Series);
+//!   [gauges](Gauge) and per-layer/per-epoch [series](Series);
 //! * hierarchical [`span`]s that record wall-clock time *and* simulated
 //!   accelerator cycles;
 //! * a leveled stderr [logger](log) gated by the `CNNRE_LOG` environment
@@ -29,11 +28,14 @@
 //! ```text
 //! accel.dram.reads              counter   DRAM read transactions
 //! accel.dram.writes             counter   DRAM write transactions
-//! accel.layer.compute_cycles    series    per-stage compute-busy cycles
-//! trace.segments.accepted       counter   RAW boundaries accepted
+//! trace.segment.events          counter   trace events consumed by the segmenter
 //! solver.candidates_per_layer   series    surviving candidates per layer
 //! oracle.queries                counter   victim oracle queries
 //! ```
+//!
+//! The registry holds no per-stage accelerator series: per-layer cycles,
+//! compute/stall split and DRAM traffic come from `Execution::stages`
+//! (`cnnre_accel::StageReport`) and from the profile's `stage` spans.
 //!
 //! Metrics whose final name segment is `wall_ns` carry wall-clock time and
 //! are therefore nondeterministic; deterministic exports drop them (see
@@ -68,7 +70,7 @@ pub mod span;
 pub mod stream;
 
 pub use export::Snapshot;
-pub use registry::{global, Counter, Gauge, Histogram, HistogramStats, Registry, Series};
+pub use registry::{global, Counter, Gauge, Registry, Series};
 pub use span::SpanGuard;
 
 use cnnre_model::sync::atomic::{AtomicBool, Ordering};
@@ -108,12 +110,6 @@ pub fn counter(name: &str) -> Counter {
 #[must_use]
 pub fn gauge(name: &str) -> Gauge {
     global().gauge(name)
-}
-
-/// Shorthand for [`global()`]`.histogram(name)`.
-#[must_use]
-pub fn histogram(name: &str) -> Histogram {
-    global().histogram(name)
 }
 
 /// Shorthand for [`global()`]`.series(name)`.

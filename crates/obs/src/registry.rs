@@ -1,9 +1,11 @@
-//! The metric registry: named counters, gauges, histograms, and series.
+//! The metric registry: named counters, gauges and series.
 //!
 //! Handles are cheap `Arc` clones; recording through a handle never takes
 //! the registry lock. The lock is only held while *looking up or creating*
-//! a metric, so hot loops should hoist the handle out of the loop (all the
-//! in-tree instrumentation does).
+//! a metric; a lookup that finds the metric does not allocate. Hot loops
+//! still should not look metrics up per event: the accelerator engine and
+//! the trace segmenter tally in plain locals and add each total once, when
+//! the run ends, and only while observability is enabled.
 
 use std::collections::BTreeMap;
 
@@ -59,103 +61,6 @@ impl Gauge {
     }
 }
 
-/// A sample-recording metric with percentile queries.
-///
-/// Stores every sample (the workloads here record at most a few thousand
-/// per run); snapshots report count/min/max/mean and p50/p90/p99.
-#[derive(Clone, Debug)]
-pub struct Histogram(Arc<Mutex<Vec<f64>>>);
-
-impl Histogram {
-    /// Records one sample. No-op while observability is disabled, and NaN
-    /// samples are dropped.
-    pub fn record(&self, v: f64) {
-        if crate::enabled() && !v.is_nan() {
-            self.0
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(v);
-        }
-    }
-
-    /// Number of recorded samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner).len()
-    }
-
-    /// Whether no samples have been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) by nearest-rank on the sorted
-    /// samples, or `None` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `q` is not within `[0, 1]`.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        let mut v = self
-            .0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        if v.is_empty() {
-            return None;
-        }
-        v.sort_by(f64::total_cmp);
-        let rank = ((q * v.len() as f64).ceil() as usize).clamp(1, v.len());
-        Some(v[rank - 1])
-    }
-
-    pub(crate) fn stats(&self) -> Option<HistogramStats> {
-        let v = self
-            .0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        if v.is_empty() {
-            return None;
-        }
-        let mut sorted = v;
-        sorted.sort_by(f64::total_cmp);
-        let n = sorted.len();
-        let rank = |q: f64| sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
-        Some(HistogramStats {
-            count: n as u64,
-            min: sorted[0],
-            max: sorted[n - 1],
-            mean: sorted.iter().sum::<f64>() / n as f64,
-            p50: rank(0.5),
-            p90: rank(0.9),
-            p99: rank(0.99),
-        })
-    }
-}
-
-/// Summary statistics of a [`Histogram`] at snapshot time.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HistogramStats {
-    /// Number of samples.
-    pub count: u64,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Median (nearest-rank).
-    pub p50: f64,
-    /// 90th percentile (nearest-rank).
-    pub p90: f64,
-    /// 99th percentile (nearest-rank).
-    pub p99: f64,
-}
-
 /// An append-only ordered sequence — per-layer or per-epoch values that
 /// must export as a JSON array in recording order.
 #[derive(Clone, Debug)]
@@ -198,7 +103,6 @@ impl Series {
 enum Metric {
     Counter(Counter),
     Gauge(Gauge),
-    Histogram(Histogram),
     Series(Series),
 }
 
@@ -218,6 +122,18 @@ impl Registry {
         Self::default()
     }
 
+    /// The metric `name`, created by `make` on a miss. A hit only takes
+    /// the lock: the name is copied into the map on insertion alone.
+    fn metric(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
+        let mut m = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(metric) = m.get(name) {
+            return metric.clone();
+        }
+        let metric = make();
+        m.insert(name.to_owned(), metric.clone());
+        metric
+    }
+
     /// Returns the counter `name`, creating it on first use.
     ///
     /// # Panics
@@ -225,12 +141,10 @@ impl Registry {
     /// Panics when `name` already names a metric of a different kind.
     #[must_use]
     pub fn counter(&self, name: &str) -> Counter {
-        let mut m = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
-        match m
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Counter(Counter(Arc::new(AtomicU64::new(0)))))
-        {
-            Metric::Counter(c) => c.clone(),
+        match self.metric(name, || {
+            Metric::Counter(Counter(Arc::new(AtomicU64::new(0))))
+        }) {
+            Metric::Counter(c) => c,
             // lint:allow(panic): documented `# Panics` contract; a kind collision is a
             // programming error (covered by `kind_mismatch_panics`)
             other => panic!("metric {name:?} is not a counter: {other:?}"),
@@ -244,34 +158,13 @@ impl Registry {
     /// Panics when `name` already names a metric of a different kind.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut m = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
-        match m
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Gauge(Gauge(Arc::new(AtomicU64::new(0f64.to_bits())))))
-        {
-            Metric::Gauge(g) => g.clone(),
+        match self.metric(name, || {
+            Metric::Gauge(Gauge(Arc::new(AtomicU64::new(0f64.to_bits()))))
+        }) {
+            Metric::Gauge(g) => g,
             // lint:allow(panic): documented `# Panics` contract; a kind collision is a
             // programming error (covered by `kind_mismatch_panics`)
             other => panic!("metric {name:?} is not a gauge: {other:?}"),
-        }
-    }
-
-    /// Returns the histogram `name`, creating it on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `name` already names a metric of a different kind.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Histogram {
-        let mut m = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
-        match m
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Histogram(Histogram(Arc::new(Mutex::new(Vec::new())))))
-        {
-            Metric::Histogram(h) => h.clone(),
-            // lint:allow(panic): documented `# Panics` contract; a kind collision is a
-            // programming error (covered by `kind_mismatch_panics`)
-            other => panic!("metric {name:?} is not a histogram: {other:?}"),
         }
     }
 
@@ -282,12 +175,10 @@ impl Registry {
     /// Panics when `name` already names a metric of a different kind.
     #[must_use]
     pub fn series(&self, name: &str) -> Series {
-        let mut m = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
-        match m
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Series(Series(Arc::new(Mutex::new(Vec::new())))))
-        {
-            Metric::Series(s) => s.clone(),
+        match self.metric(name, || {
+            Metric::Series(Series(Arc::new(Mutex::new(Vec::new()))))
+        }) {
+            Metric::Series(s) => s,
             // lint:allow(panic): documented `# Panics` contract; a kind collision is a
             // programming error (covered by `kind_mismatch_panics`)
             other => panic!("metric {name:?} is not a series: {other:?}"),
@@ -303,10 +194,6 @@ impl Registry {
             let value = match metric {
                 Metric::Counter(c) => MetricValue::Counter(c.get()),
                 Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                Metric::Histogram(h) => match h.stats() {
-                    Some(s) => MetricValue::Histogram(s),
-                    None => continue, // empty histograms don't export
-                },
                 Metric::Series(s) => MetricValue::Series(s.values()),
             };
             entries.insert(name.clone(), value);
@@ -362,11 +249,9 @@ mod tests {
         r.counter("x").add(5);
         r.gauge("g").set(1.0);
         r.series("s").push(1.0);
-        r.histogram("h").record(1.0);
         assert_eq!(r.counter("x").get(), 0);
         assert_eq!(r.gauge("g").get(), 0.0);
         assert!(r.series("s").is_empty());
-        assert!(r.histogram("h").is_empty());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Integration tests for the observability layer: concurrency
-//! losslessness, snapshot determinism, and histogram edge cases.
+//! losslessness and snapshot determinism.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread;
@@ -86,9 +86,6 @@ fn seeded_workload(seed: u64) {
         global()
             .series("it.det.series")
             .push((next() % 1000) as f64 / 10.0);
-        global()
-            .histogram("it.det.hist")
-            .record((next() % 500) as f64);
     }
     global().gauge("it.det.gauge").set((next() % 100) as f64);
 }
@@ -140,56 +137,13 @@ fn wall_clock_metrics_are_excluded_from_deterministic_export() {
 }
 
 #[test]
-fn histogram_percentile_edge_cases() {
-    let _guard = lock();
-    set_enabled(true);
-    global().reset();
-
-    // Empty histogram: no quantiles, and it is omitted from snapshots.
-    let h = global().histogram("it.hist.empty");
-    assert_eq!(h.quantile(0.5), None);
-    assert!(global().snapshot().get("it.hist.empty").is_none());
-
-    // Single sample: every quantile is that sample.
-    let h1 = global().histogram("it.hist.one");
-    h1.record(7.5);
-    for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-        assert_eq!(h1.quantile(q), Some(7.5), "q={q}");
-    }
-
-    // Two samples: low quantiles take the first, high quantiles the second.
-    let h2 = global().histogram("it.hist.two");
-    h2.record(10.0);
-    h2.record(20.0);
-    assert_eq!(h2.quantile(0.5), Some(10.0));
-    assert_eq!(h2.quantile(0.51), Some(20.0));
-    assert_eq!(h2.quantile(1.0), Some(20.0));
-
-    // 1..=100: nearest-rank percentiles land on exact values regardless of
-    // insertion order.
-    let h100 = global().histogram("it.hist.hundred");
-    for v in (1..=100).rev() {
-        h100.record(f64::from(v));
-    }
-    assert_eq!(h100.quantile(0.50), Some(50.0));
-    assert_eq!(h100.quantile(0.90), Some(90.0));
-    assert_eq!(h100.quantile(0.99), Some(99.0));
-    assert_eq!(h100.quantile(1.0), Some(100.0));
-
-    global().reset();
-    set_enabled(false);
-}
-
-#[test]
 fn disabled_instrumentation_records_nothing() {
     let _guard = lock();
     set_enabled(false);
     global().reset();
     global().counter("it.disabled.counter").add(5);
     global().series("it.disabled.series").push(1.0);
-    global().histogram("it.disabled.hist").record(1.0);
     assert_eq!(global().counter("it.disabled.counter").get(), 0);
     assert!(global().series("it.disabled.series").values().is_empty());
-    assert_eq!(global().histogram("it.disabled.hist").quantile(0.5), None);
     global().reset();
 }

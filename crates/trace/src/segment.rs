@@ -31,8 +31,8 @@ use std::collections::BTreeMap;
 use std::collections::HashMap; // lint:allow(hash-iter): probe/insert-only map below
 use std::hash::{BuildHasherDefault, Hasher};
 
+use cnnre_obs::log_debug;
 use cnnre_obs::stream::BoundarySignal;
-use cnnre_obs::{log_debug, Counter};
 
 use crate::{Addr, Cycle, MemoryEvent, Trace};
 
@@ -320,11 +320,15 @@ pub struct StreamingSegmenter {
     has_write: bool,
     /// Ordinal of the current segment: the number of accepted boundaries.
     ordinal: usize,
+    /// How many of the accepted boundaries were RAW; the rest were fresh
+    /// read-only regions.
+    raw_accepted: u64,
+    /// Boundary signals suppressed on a segment's first event.
+    rejected: u64,
     index: usize,
     seg_start: usize,
     seg_start_cycle: Cycle,
     prev_cycle: Cycle,
-    obs: SegmenterObs,
 }
 
 /// What one event was, as [`StreamingSegmenter::step`] saw it.
@@ -338,27 +342,6 @@ pub(crate) enum Access {
     Read { producer: Option<usize> },
 }
 
-/// Hoisted metric handles for the segmenter's hot path.
-#[derive(Debug)]
-struct SegmenterObs {
-    events: Counter,
-    raw_accepted: Counter,
-    fresh_accepted: Counter,
-    rejected: Counter,
-}
-
-impl SegmenterObs {
-    fn new() -> Self {
-        let reg = cnnre_obs::global();
-        Self {
-            events: reg.counter("trace.segment.events"),
-            raw_accepted: reg.counter("trace.segment.raw_boundaries_accepted"),
-            fresh_accepted: reg.counter("trace.segment.fresh_region_boundaries_accepted"),
-            rejected: reg.counter("trace.segment.boundaries_rejected"),
-        }
-    }
-}
-
 impl StreamingSegmenter {
     /// Creates a segmenter for events at the given block granularity.
     #[must_use]
@@ -370,11 +353,12 @@ impl StreamingSegmenter {
             ro_regions: IntervalSet::default(),
             has_write: false,
             ordinal: 0,
+            raw_accepted: 0,
+            rejected: 0,
             index: 0,
             seg_start: 0,
             seg_start_cycle: 0,
             prev_cycle: 0,
-            obs: SegmenterObs::new(),
         }
     }
 
@@ -397,7 +381,6 @@ impl StreamingSegmenter {
     /// Inside one segment every read of an address sees the same producer:
     /// a write followed by a read of the same address is a RAW boundary.
     pub(crate) fn step(&mut self, ev: MemoryEvent) -> (Option<Segment>, Access) {
-        self.obs.events.inc();
         let mut signal = None;
         let producer = if ev.kind.is_read() {
             let producer = self.writers.get(&ev.addr).copied();
@@ -423,7 +406,7 @@ impl StreamingSegmenter {
             Some(_) => {
                 // A boundary signal on the very first event of a segment
                 // carries no information — suppressed.
-                self.obs.rejected.inc();
+                self.rejected += 1;
                 None
             }
             None => None,
@@ -448,11 +431,7 @@ impl StreamingSegmenter {
     /// segment, leaving the state of a fresh one that `ev` opens.
     fn close(&mut self, ev: MemoryEvent, signal: BoundarySignal) -> Segment {
         let raw = signal == BoundarySignal::Raw;
-        if raw {
-            self.obs.raw_accepted.inc();
-        } else {
-            self.obs.fresh_accepted.inc();
-        }
+        self.raw_accepted += u64::from(raw);
         log_debug!(
             "trace.segment",
             "boundary at event {} cycle {} ({})",
@@ -482,9 +461,20 @@ impl StreamingSegmenter {
     }
 
     /// Closes the stream, returning the trailing segment (if any events
-    /// arrived since the last boundary).
+    /// arrived since the last boundary). The stream's tallies reach the
+    /// registry here, once, and only while observability is on.
     #[must_use]
     pub fn finish(self) -> Option<Segment> {
+        if cnnre_obs::enabled() {
+            let reg = cnnre_obs::global();
+            reg.counter("trace.segment.events").add(self.index as u64);
+            reg.counter("trace.segment.raw_boundaries_accepted")
+                .add(self.raw_accepted);
+            reg.counter("trace.segment.fresh_region_boundaries_accepted")
+                .add(self.ordinal as u64 - self.raw_accepted);
+            reg.counter("trace.segment.boundaries_rejected")
+                .add(self.rejected);
+        }
         (self.index > self.seg_start).then(|| self.current())
     }
 

@@ -88,7 +88,7 @@ wait "$OBS_PID"
 echo "==> tier-1 (multi-threaded solve): CNNRE_THREADS=4 cargo test -q"
 # Re-run the suite with the parallel solver/oracle engines engaged so the
 # determinism guarantees (byte-identical candidates, goldens, telemetry)
-# are exercised under real pool scheduling, not just --threads 1.
+# are exercised under multi-worker scheduling, not just --threads 1.
 CNNRE_THREADS=4 cargo test -q
 
 echo "==> e2e benchmark tests (smoke run of every workload and its checks)"

@@ -494,8 +494,8 @@ fn cmd_obs_probe(args: &[String]) -> i32 {
 
 /// Cross-checks the `/metrics` Prometheus text against a flat JSON
 /// metrics export: every deterministic scalar `"name": value` line must
-/// agree with the `cnnre_`-mangled sample. Series/histogram families are
-/// skipped (their exposition shape differs); at least one scalar must
+/// agree with the `cnnre_`-mangled sample. Series families are skipped
+/// (their exposition shape differs); at least one scalar must
 /// match so an empty intersection cannot pass vacuously.
 fn compare_metrics_against_json(prom: &str, json_path: &str) -> Result<(), String> {
     let text =
