@@ -92,6 +92,13 @@ impl LayerGeometry {
 
 /// The adversary's interface to the victim: feed a crafted input, observe
 /// per-filter non-zero output counts through the pruning side channel.
+///
+/// Answers must be a pure function of `(filter, probes)`: the same probes,
+/// in the same order with the same value bits, give the same count every
+/// time. The functional model, the accelerator simulator and the paper's
+/// hardware all behave so. The weight attack relies on it: it remembers the
+/// victim's crossings for each search of a filter and does not send a
+/// search it has already sent.
 pub trait ZeroCountOracle {
     /// The known target-layer geometry.
     fn geometry(&self) -> LayerGeometry;

@@ -934,6 +934,8 @@ struct FilterRecovery {
     marks: Vec<u64>,
     /// Total victim queries this filter consumed.
     queries: u64,
+    /// Victim searches answered from [`VictimSearches`]'s memo.
+    memo_hits: u64,
 }
 
 /// A pass-1 work item: one `(channel, row, col)` weight position.
@@ -973,15 +975,19 @@ fn recover_filter(
     cfg: &RecoveryConfig,
 ) -> FilterRecovery {
     let start = oracle.query_count();
+    let mut victim = VictimSearches::new(oracle, geom, d);
     let mut filter = RecoveredFilter::new(geom.input.c, geom.f);
     let (items, deferred) = pass1_split(geom);
     // Pass 1, descending raster order: the bottom-anchored probe stimulates
     // only larger (already recovered) weight indices alongside the target.
     let mut marks = Vec::with_capacity(items.len());
     for &(c, i, j) in &items {
-        let ratio = recover_with_retries(oracle, geom, &filter, bias_positive, c, i, j, cfg, d);
+        let ratio = recover_with_retries(&mut victim, geom, &filter, bias_positive, c, i, j, cfg);
         filter.set(c, i, j, ratio);
-        marks.push(oracle.query_count() - start);
+        if ratio.is_some() {
+            victim.forget((c, i, j));
+        }
+        marks.push(victim.oracle.query_count() - start);
     }
     // Pass 2, ascending: weights whose bottom probe hangs over the padded
     // edge are anchored near the origin instead; their co-stimulated taps
@@ -990,8 +996,11 @@ fn recover_filter(
         let Some(t) = make_target_near_origin(geom, c, i, j) else {
             continue;
         };
-        let ratio = recover_one(oracle, geom, &filter, bias_positive, &t, cfg, d, true);
+        let ratio = recover_one(&mut victim, geom, &filter, bias_positive, &t, cfg, true);
         filter.set(c, i, j, ratio);
+        if ratio.is_some() {
+            victim.forget((c, i, j));
+        }
     }
     // Fixpoint rounds: weights masked beyond the reach of the first sweep
     // become recoverable once their neighbours are known — each round the
@@ -1013,9 +1022,10 @@ fn recover_filter(
                     let targets = candidate_targets(geom, c, i, j);
                     for t in targets.into_iter().flatten() {
                         let ratio =
-                            recover_one(oracle, geom, &filter, bias_positive, &t, cfg, d, false);
+                            recover_one(&mut victim, geom, &filter, bias_positive, &t, cfg, false);
                         if let Some(r) = ratio {
                             filter.set(c, i, j, Some(r));
+                            victim.forget((c, i, j));
                             progressed = true;
                             break;
                         }
@@ -1036,9 +1046,11 @@ fn recover_filter(
                     continue;
                 }
                 for t in candidate_targets(geom, c, i, j).into_iter().flatten() {
-                    let ratio = recover_one(oracle, geom, &filter, bias_positive, &t, cfg, d, true);
+                    let ratio =
+                        recover_one(&mut victim, geom, &filter, bias_positive, &t, cfg, true);
                     if ratio.is_some() {
                         filter.set(c, i, j, ratio);
+                        victim.forget((c, i, j));
                         break;
                     }
                 }
@@ -1048,7 +1060,8 @@ fn recover_filter(
     FilterRecovery {
         filter,
         marks,
-        queries: oracle.query_count() - start,
+        queries: victim.oracle.query_count() - start,
+        memo_hits: victim.hits,
     }
 }
 
@@ -1086,6 +1099,7 @@ fn finish_recovery(
         }
     }
     let total_queries: u64 = 1 + recoveries.iter().map(|r| r.queries).sum::<u64>();
+    let memo_hits: u64 = recoveries.iter().map(|r| r.memo_hits).sum();
     let filters: Vec<RecoveredFilter> = recoveries.into_iter().map(|r| r.filter).collect();
     let (mut recovered, mut zeros, mut unrecovered) = (0u64, 0u64, 0u64);
     for f in &filters {
@@ -1107,6 +1121,7 @@ fn finish_recovery(
         // process; this is the share of this attack (the paper's cost
         // metric). The virtual model is not an oracle and sends none.
         reg.counter("oracle.victim_queries").add(total_queries);
+        reg.counter("weights.search.memo_hits").add(memo_hits);
     }
     cnnre_obs::log_info!(
         "weights",
@@ -1174,6 +1189,160 @@ fn search_crossings(
     search(geom, pins, query, cfg)
 }
 
+/// One filter's victim crossing searches, each answer kept while the
+/// weight it serves is unresolved.
+///
+/// The victim's answer to a search is a pure function of the target pixel
+/// and the pins (the [`ZeroCountOracle`] contract): the geometry, the
+/// filter and the search settings are fixed for the filter's recovery, and
+/// the pins decide which search runs ([`count_is_monotone`]). A search
+/// whose key was seen before is answered from the memo with the victim's
+/// own crossings, so a memo hit changes no result, only the query count.
+/// The fixpoint rounds and the final zero pass retry unresolved weights,
+/// and a retry repeats a search whenever the weights learned since are not
+/// among its pins.
+///
+/// Keys and answers sit in one flat arena, entry after entry. A key packs
+/// each probe into one word, the pixel index above the value's bits: the
+/// target pixel first, then the pins in pin order, which fixes the
+/// victim's f32 summation order. Hits compare the whole key. Only
+/// unresolved weights are retried, so [`Self::forget`] drops a weight's
+/// entries once it resolves, and the live arena stays small.
+struct VictimSearches<'a> {
+    oracle: &'a mut dyn ZeroCountOracle,
+    /// The attacked filter.
+    d: usize,
+    /// Input rows and columns, for packing pixel indices.
+    h: usize,
+    w: usize,
+    /// Filter width, for weight indices.
+    f: usize,
+    /// The packed keys of the live entries, in entry order.
+    keys: Vec<u64>,
+    /// The victim's crossings of the live entries, in entry order.
+    answers: Vec<Crossing>,
+    entries: Vec<MemoEntry>,
+    /// The key under construction, reused across lookups.
+    scratch: Vec<u64>,
+    /// Searches answered from the memo.
+    hits: u64,
+}
+
+/// One remembered search: the weight it served, as its `(c, i, j)` raster
+/// index, and the lengths of its key and answer in the arena. Narrow
+/// fields keep the entry at 12 bytes; the live arena holds thousands.
+struct MemoEntry {
+    weight: u32,
+    key_len: u32,
+    answer_len: u32,
+}
+
+impl<'a> VictimSearches<'a> {
+    fn new(oracle: &'a mut dyn ZeroCountOracle, geom: &LayerGeometry, d: usize) -> Self {
+        let input = geom.input;
+        // A pixel index must fit above the 32 value bits of a key word.
+        assert!(
+            u32::try_from(input.c * input.h * input.w).is_ok(),
+            "input too large to key: {input:?}"
+        );
+        Self {
+            oracle,
+            d,
+            h: input.h,
+            w: input.w,
+            f: geom.f,
+            keys: Vec::new(),
+            answers: Vec::new(),
+            entries: Vec::new(),
+            scratch: Vec::new(),
+            hits: 0,
+        }
+    }
+
+    fn pack(&self, c: usize, y: usize, x: usize, value: f32) -> u64 {
+        ((((c * self.h + y) * self.w + x) as u64) << 32) | u64::from(value.to_bits())
+    }
+
+    fn weight_index(&self, (c, i, j): WeightPos) -> u32 {
+        narrow((c * self.f + i) * self.f + j)
+    }
+
+    /// The victim's crossings for target `t` plus `pins`: remembered, or
+    /// searched and remembered for `t`'s weight.
+    fn crossings(
+        &mut self,
+        geom: &LayerGeometry,
+        t: &Target,
+        pins: &[Probe],
+        cfg: &SearchConfig,
+    ) -> Vec<Crossing> {
+        let mut key = core::mem::take(&mut self.scratch);
+        key.clear();
+        key.push(self.pack(t.c, t.y, t.x, 0.0));
+        key.extend(pins.iter().map(|q| self.pack(q.c, q.y, q.x, q.value)));
+        let (mut k, mut a) = (0, 0);
+        let mut known = None;
+        for e in &self.entries {
+            let (key_len, answer_len) = (e.key_len as usize, e.answer_len as usize);
+            if self.keys[k..k + key_len] == key[..] {
+                known = Some(a..a + answer_len);
+                break;
+            }
+            k += key_len;
+            a += answer_len;
+        }
+        let answer = if let Some(answer) = known {
+            self.hits += 1;
+            self.answers[answer].to_vec()
+        } else {
+            let (oracle, d) = (&mut *self.oracle, self.d);
+            let found =
+                search_crossings(geom, t, pins, |probes| oracle.query_filter(d, probes), cfg);
+            self.keys.extend_from_slice(&key);
+            self.answers.extend_from_slice(&found);
+            self.entries.push(MemoEntry {
+                weight: self.weight_index((t.c, t.i, t.j)),
+                key_len: narrow(key.len()),
+                answer_len: narrow(found.len()),
+            });
+            found
+        };
+        self.scratch = key;
+        answer
+    }
+
+    /// Drops the entries of a resolved weight, compacting the arena in
+    /// place.
+    fn forget(&mut self, weight: WeightPos) {
+        let weight = self.weight_index(weight);
+        let (mut k, mut a) = (0, 0);
+        let (mut k_to, mut a_to) = (0, 0);
+        self.entries.retain(|e| {
+            let (key_len, answer_len) = (e.key_len as usize, e.answer_len as usize);
+            let (key, answer) = (k..k + key_len, a..a + answer_len);
+            k = key.end;
+            a = answer.end;
+            if e.weight == weight {
+                return false;
+            }
+            self.keys.copy_within(key, k_to);
+            self.answers.copy_within(answer, a_to);
+            k_to += key_len;
+            a_to += answer_len;
+            true
+        });
+        self.keys.truncate(k_to);
+        self.answers.truncate(a_to);
+    }
+}
+
+/// A [`MemoEntry`] field.
+fn narrow(n: usize) -> u32 {
+    // lint:allow(panic): bounded by the filter's weight count, its pin
+    // count and the search grid, each far below 2^32
+    u32::try_from(n).expect("memo entry field fits 32 bits")
+}
+
 /// Crossings of the virtual model for the given probe set.
 fn virtual_crossings(
     geom: &LayerGeometry,
@@ -1228,7 +1397,7 @@ fn excess_coincidences(
 /// inconclusive anchor never poisons the recovery.
 #[allow(clippy::too_many_arguments)]
 fn recover_with_retries(
-    oracle: &mut dyn ZeroCountOracle,
+    victim: &mut VictimSearches<'_>,
     geom: &LayerGeometry,
     filter: &RecoveredFilter,
     bias_positive: bool,
@@ -1236,7 +1405,6 @@ fn recover_with_retries(
     i: usize,
     j: usize,
     cfg: &RecoveryConfig,
-    d: usize,
 ) -> Option<f64> {
     let conv_w = geom.conv_out_w()?;
     let th = conv_w - 1;
@@ -1250,7 +1418,7 @@ fn recover_with_retries(
             continue;
         };
         let last = n + 1 == anchors.len();
-        match recover_one(oracle, geom, filter, bias_positive, &t, cfg, d, last) {
+        match recover_one(victim, geom, filter, bias_positive, &t, cfg, last) {
             // lint:allow(float-eq): exact 0.0 is the masked/pruned sentinel.
             Some(r) if r != 0.0 => return Some(r),
             Some(_) => {
@@ -1266,13 +1434,12 @@ fn recover_with_retries(
 
 #[allow(clippy::too_many_arguments)]
 fn recover_one(
-    oracle: &mut dyn ZeroCountOracle,
+    victim: &mut VictimSearches<'_>,
     geom: &LayerGeometry,
     filter: &RecoveredFilter,
     bias_positive: bool,
     t: &Target,
     cfg: &RecoveryConfig,
-    d: usize,
     allow_zero: bool,
 ) -> Option<f64> {
     // The fast (unpinned) path is sound only when every co-stimulated tap
@@ -1283,13 +1450,7 @@ fn recover_one(
             .is_none_or(|(fy, fx)| filter.ratio(t.c, fy, fx).is_some())
     });
     if all_cotaps_known {
-        let observed = search_crossings(
-            geom,
-            t,
-            &[],
-            |probes| oracle.query_filter(d, probes),
-            &cfg.search,
-        );
+        let observed = victim.crossings(geom, t, &[], &cfg.search);
         let predicted = virtual_crossings(geom, filter, bias_positive, t, &[], cfg);
         let mut unmatched: Vec<Crossing> = observed
             .iter()
@@ -1324,13 +1485,7 @@ fn recover_one(
     // Pinned path: drive every other corner tap far negative so the
     // target's crossing is exposed (Equation (10), generalized).
     let pins = build_pins(geom, filter, bias_positive, t)?;
-    let observed2 = search_crossings(
-        geom,
-        t,
-        &pins,
-        |probes| oracle.query_filter(d, probes),
-        &cfg.search,
-    );
+    let observed2 = victim.crossings(geom, t, &pins, &cfg.search);
     let predicted2 = virtual_crossings(geom, filter, bias_positive, t, &pins, cfg);
     let unmatched2: Vec<Crossing> = observed2
         .iter()
@@ -2112,5 +2267,141 @@ mod tests {
             "{} attempts, {pins_placed} pins",
             attempts.len()
         );
+    }
+
+    /// A [`FunctionalOracle`] that records every single-filter query.
+    struct RecordingOracle {
+        inner: FunctionalOracle,
+        queries: Vec<(usize, Vec<Probe>)>,
+    }
+
+    impl ZeroCountOracle for RecordingOracle {
+        fn geometry(&self) -> LayerGeometry {
+            self.inner.geometry()
+        }
+
+        fn query(&mut self, probes: &[Probe]) -> Vec<u64> {
+            self.inner.query(probes)
+        }
+
+        fn query_filter(&mut self, filter: usize, probes: &[Probe]) -> u64 {
+            self.queries.push((filter, probes.to_vec()));
+            self.inner.query_filter(filter, probes)
+        }
+
+        fn query_count(&self) -> u64 {
+            self.inner.query_count()
+        }
+    }
+
+    #[test]
+    fn no_victim_search_is_sent_twice() {
+        // The overlapping max-pooling layer, 45% pruned: zeros leave
+        // weights masked past pass 2, so the fixpoint rounds and the final
+        // zero pass run and retry their unresolved weights.
+        let geom = make_geom(
+            Shape3::new(1, 23, 23),
+            2,
+            5,
+            2,
+            0,
+            Some((PoolKind::Max, 3, 2, 0)),
+        );
+        let mut rng = SmallRng::seed_from_u64(5);
+        let conv = victim(&geom, &mut rng, 0.45, true);
+        let mut oracle = RecordingOracle {
+            inner: FunctionalOracle::new(conv, geom),
+            queries: Vec::new(),
+        };
+        let recovery = recover_ratios(&mut oracle, &RecoveryConfig::default());
+        // A search is a maximal run of queries of one filter with the same
+        // target pixel and pins; its key is what the victim's answer
+        // depends on.
+        type Key = (
+            usize,
+            (usize, usize, usize),
+            Vec<(usize, usize, usize, u32)>,
+        );
+        let key = |(d, probes): &(usize, Vec<Probe>)| -> Key {
+            let pixel = (probes[0].c, probes[0].y, probes[0].x);
+            let pins = probes[1..]
+                .iter()
+                .map(|q| (q.c, q.y, q.x, q.value.to_bits()))
+                .collect();
+            (*d, pixel, pins)
+        };
+        let mut searches: Vec<Key> = Vec::new();
+        for query in &oracle.queries {
+            let k = key(query);
+            if searches.last() != Some(&k) {
+                searches.push(k);
+            }
+        }
+        let pinned = searches.iter().filter(|(_, _, pins)| !pins.is_empty());
+        assert!(pinned.count() > 50, "{} searches", searches.len());
+        let mut sorted = searches.clone();
+        sorted.sort_unstable();
+        let repeats = sorted.windows(2).filter(|w| w[0] == w[1]).count();
+        assert_eq!(repeats, 0, "of {} victim searches", searches.len());
+        // The ratios, bit for bit, as recovered before searches were
+        // remembered.
+        let bits: Vec<Option<u64>> = recovery
+            .filters
+            .iter()
+            .flat_map(|f| f.as_slice().iter().map(|r| r.map(f64::to_bits)))
+            .collect();
+        let expected = [
+            Some(0x0),
+            Some(0x0),
+            Some(0x0),
+            Some(0x3ff7e75036ad55d9),
+            Some(0x3ff2aae3e518dacf),
+            Some(0x0),
+            Some(0xbffd23bbbda41b5c),
+            Some(0x0),
+            Some(0x0),
+            Some(0x0),
+            Some(0x0),
+            Some(0x3ff5a0852c2e5b2c),
+            Some(0xbff64f5b3e5f4388),
+            Some(0x0),
+            Some(0xbffb1739273d6311),
+            Some(0xbffa2e1a52b59c7a),
+            Some(0xbff3ce49982b928c),
+            Some(0x0),
+            Some(0x3ff47d1fa039087f),
+            Some(0x0),
+            Some(0x3ff6fe32809cb198),
+            Some(0xbffd23bbbda41b5c),
+            Some(0x3ff31f7389d4c501),
+            Some(0xbff689a309236e86),
+            Some(0x3ff47d1fa039087f),
+            Some(0x0),
+            Some(0xc015f688f7d5849e),
+            Some(0x40130584cdfb7700),
+            Some(0x0),
+            Some(0xc01141b48fc32d0c),
+            Some(0x400723be3ab6319d),
+            Some(0x400e9763a75e8cd7),
+            Some(0xc0181ebffa604e4d),
+            Some(0x0),
+            Some(0xc017ba58b8944db3),
+            None,
+            None,
+            None,
+            Some(0x40130584cdfb7700),
+            Some(0x401919c1918ed1ba),
+            Some(0x0),
+            Some(0x0),
+            Some(0x0),
+            Some(0x4005f689037924a5),
+            Some(0x0),
+            Some(0xc00a46f671e90d32),
+            Some(0x400ca160cb4d3c77),
+            Some(0xc0181ebffa604e4d),
+            Some(0x40120a82d767c8cc),
+            Some(0x0),
+        ];
+        assert_eq!(bits, expected);
     }
 }

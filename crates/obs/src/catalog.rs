@@ -293,6 +293,11 @@ pub const METRICS: &[MetricDef] = &[
         help: "coarse-grid oracle probes before refinement",
     },
     MetricDef {
+        name: "weights.search.memo_hits",
+        kind: "counter",
+        help: "victim crossing searches answered from the per-filter memo",
+    },
+    MetricDef {
         name: "weights.search.refine_steps",
         kind: "counter",
         help: "binary-search refinement steps",

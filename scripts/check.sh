@@ -96,6 +96,14 @@ echo "==> e2e benchmark tests (smoke run of every workload and its checks)"
 # [workspace] table), so neither `cargo test` above reaches it.
 cargo test -q --offline --manifest-path e2e/Cargo.toml
 
+echo "==> e2e weights-pooled count window (pinned recovery counts, ~10 s)"
+# The benchmark's tests run small victims; only a full-scale count window
+# checks the pinned (resolved, zero, unrecovered) counts of weights-pooled,
+# so a change to what the weights attack recovers fails here rather than
+# in the benchmark. The run exits non-zero when a request fails.
+cargo run --release --quiet --offline --manifest-path e2e/Cargo.toml -- \
+    --workload weights-pooled --seconds 0
+
 if [[ "${PERF_GATE:-0}" != "0" ]]; then
     echo "==> perf gate (opt-in via PERF_GATE=1)"
     scripts/perf_gate.sh
