@@ -6,6 +6,9 @@
 //! test: candidates differ measurably in achievable accuracy and the true
 //! structure ranks near the top.
 
+use std::sync::Arc;
+
+use cnnre_attacks::exec::{default_threads, map_ordered};
 use cnnre_attacks::structure::{recover_structures, CandidateStructure, NetworkSolverConfig};
 use cnnre_nn::data::SyntheticSpec;
 use cnnre_nn::models::{alexnet, alexnet_from_specs, ConvSpec, ALEXNET_CONV_SPECS};
@@ -160,8 +163,12 @@ pub fn run(cfg: &RankingConfig) -> Fig4 {
     let test = spec.generate_from_templates(&templates, &mut data_rng);
 
     // Each candidate trains with its own seeded RNGs, so training them on
-    // worker threads is deterministic; results are written back by index.
-    let train_one = |s: &CandidateStructure| {
+    // `--threads` workers is deterministic; `map_ordered` returns the
+    // scores in candidate order.
+    let cfg = *cfg;
+    let data = Arc::new((train, test));
+    let train_one = move |_, s: CandidateStructure| {
+        let (train, test) = &*data;
         let conv_specs: Vec<ConvSpec> = s
             .conv_layers()
             .iter()
@@ -178,14 +185,14 @@ pub fn run(cfg: &RankingConfig) -> Fig4 {
         .expect("candidate geometry is attack-validated");
         let trainer = Trainer::new(0.003).momentum(0.9).batch_size(10);
         let mut train_rng = SmallRng::seed_from_u64(11);
-        let _ = trainer.train(&mut net, &train, cfg.epochs, &mut train_rng);
+        let _ = trainer.train(&mut net, train, cfg.epochs, &mut train_rng);
         CandidateScore {
-            label: signature(s),
-            is_original: is_original(s),
-            accuracy: evaluate_top_k(&net, &test, 1),
+            label: signature(&s),
+            is_original: is_original(&s),
+            accuracy: evaluate_top_k(&net, test, 1),
         }
     };
-    let mut scores: Vec<CandidateScore> = super::parallel_map(&picked, train_one);
+    let mut scores: Vec<CandidateScore> = map_ordered(default_threads(), picked, train_one);
     scores.sort_by(|a, b| b.accuracy.partial_cmp(&a.accuracy).expect("finite"));
     if cnnre_obs::enabled() {
         let reg = cnnre_obs::global();

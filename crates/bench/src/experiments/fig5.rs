@@ -6,6 +6,9 @@
 //! (CONV1) and the pooling design — exactly what this experiment trains and
 //! ranks (depth-scaled, synthetic task; DESIGN.md §4).
 
+use std::sync::Arc;
+
+use cnnre_attacks::exec::{default_threads, map_ordered};
 use cnnre_attacks::structure::{
     filter_modular, filter_modular_pools, recover_structures, CandidateStructure,
     NetworkSolverConfig,
@@ -108,14 +111,18 @@ pub fn run(cfg: &RankingConfig) -> Fig5 {
     let train = spec.generate_from_templates(&templates, &mut data_rng);
     let test = spec.generate_from_templates(&templates, &mut data_rng);
 
-    let mut scores: Vec<CandidateScore> = super::parallel_map(&modular, |s| {
+    // Seeded per candidate, so `--threads` workers train deterministically.
+    let cfg = *cfg;
+    let data = Arc::new((train, test));
+    let train_one = move |_, s: CandidateStructure| {
+        let (train, test) = &*data;
         let mut net_rng = SmallRng::seed_from_u64(7);
-        let net_spec = spec_for_candidate(s, cfg.depth_div, cfg.classes);
+        let net_spec = spec_for_candidate(&s, cfg.depth_div, cfg.classes);
         let mut net =
             squeezenet_from_specs(&net_spec, &mut net_rng).expect("candidate instantiates");
         let trainer = Trainer::new(0.003).momentum(0.9).batch_size(12);
         let mut train_rng = SmallRng::seed_from_u64(11);
-        let _ = trainer.train(&mut net, &train, cfg.epochs, &mut train_rng);
+        let _ = trainer.train(&mut net, train, cfg.epochs, &mut train_rng);
         let stem = s.conv_layers()[0];
         let pool_of = |idx: usize| {
             s.conv_layers()[idx]
@@ -127,9 +134,10 @@ pub fn run(cfg: &RankingConfig) -> Fig5 {
             is_original: stem.f_conv == 7
                 && stem.s_conv == 2
                 && stem.pool.map(|p| (p.f, p.s)) == Some((3, 2)),
-            accuracy: evaluate_top_k(&net, &test, 5),
+            accuracy: evaluate_top_k(&net, test, 5),
         }
-    });
+    };
+    let mut scores: Vec<CandidateScore> = map_ordered(default_threads(), modular, train_one);
     scores.sort_by(|a, b| b.accuracy.partial_cmp(&a.accuracy).expect("finite"));
     if cnnre_obs::enabled() {
         let reg = cnnre_obs::global();

@@ -26,54 +26,3 @@ pub fn trace_of(net: &Network) -> Execution {
         .run_trace_only(net)
         .expect("study networks lower onto the accelerator")
 }
-
-/// Maps `items` through `f` on all available cores, preserving order.
-/// `f` must be deterministic per item (seeded RNGs), so the result is
-/// identical to the sequential map.
-pub fn parallel_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(items.len().max(1));
-    if workers <= 1 || items.len() <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let mut slots: Vec<Option<U>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slot_refs: Vec<std::sync::Mutex<&mut Option<U>>> =
-        slots.iter_mut().map(std::sync::Mutex::new).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let out = f(&items[i]);
-                **slot_refs[i].lock().expect("slot lock") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every item mapped"))
-        .collect()
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::parallel_map;
-
-    #[test]
-    fn preserves_order_and_values() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = parallel_map(&items, |&x| x * x);
-        assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn empty_and_singleton() {
-        assert_eq!(parallel_map::<u64, u64>(&[], |&x| x), Vec::<u64>::new());
-        assert_eq!(parallel_map(&[7u64], |&x| x + 1), vec![8]);
-    }
-}

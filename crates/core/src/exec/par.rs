@@ -1,29 +1,20 @@
-//! Deterministic parallel drivers for the attack engines: an ordered
-//! fork/join map ([`map_ordered`]), a compute-once memo cache ([`Memo`]),
-//! and the process-wide worker-count knob ([`default_threads`]).
+//! The deterministic parallel driver of the attack engines, an ordered
+//! fork/join map ([`map_ordered`]), and the process-wide worker-count knob
+//! ([`default_threads`]).
 //!
 //! # Determinism contract
 //!
-//! Every driver here guarantees that its *result value* is independent of
-//! thread count and scheduling:
-//!
-//! * [`map_ordered`] collects each task's result into the slot of its
-//!   input index (an ordered reduction), so the output `Vec` is the same
-//!   as a sequential `map` — byte for byte — no matter which worker ran
-//!   which item or in which order they finished.
-//! * [`Memo::get_or_compute`] computes each key exactly once (an
-//!   in-flight marker makes racing readers wait instead of recomputing),
-//!   so its hit/miss tallies are schedule-independent: misses always
-//!   equal the number of distinct keys, hits the remaining lookups.
+//! [`map_ordered`] collects each task's result into the slot of its input
+//! index (an ordered reduction), so the output `Vec` is the same as a
+//! sequential `map` — byte for byte — no matter which worker ran which
+//! item or in which order they finished.
 //!
 //! Built exclusively on the `cnnre_model` shims (SY001 bans raw
-//! `std::sync`/`std::thread` in this crate), so the same protocols are
+//! `std::sync`/`std::thread` in this crate), so the same protocol is
 //! explored exhaustively in `crates/core/tests/model_exec.rs`.
 
-use std::collections::BTreeMap;
-
 use cnnre_model::sync::atomic::{AtomicUsize, Ordering};
-use cnnre_model::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use cnnre_model::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use cnnre_model::thread;
 
 /// Explicit worker-count override installed by [`set_default_threads`].
@@ -75,9 +66,9 @@ fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
 /// Otherwise `threads.min(items.len())` workers are spawned for this one
 /// call. Each worker claims the next unclaimed index from a shared
 /// counter, runs the closure on that item, and keeps `(index, result)`
-/// until the caller joins it. Every worker re-enters the caller's
-/// [`cnnre_obs::run::task_ctx`], so spans opened inside `f` parent under
-/// the caller's span.
+/// until the caller joins it. Workers carry no span context: a span
+/// opened inside `f` on a worker starts a fresh root, so callers keep
+/// their closures silent.
 ///
 /// The closure receives `(index, item)`; results are returned as if by
 /// `items.into_iter().enumerate().map(f).collect()`.
@@ -109,17 +100,10 @@ where
     );
     let next = Arc::new(AtomicUsize::new(0));
     let f = Arc::new(f);
-    let ctx = cnnre_obs::run::task_ctx();
     let workers: Vec<_> = (0..threads.min(n))
         .map(|_| {
-            let (items, next, f, ctx) = (
-                Arc::clone(&items),
-                Arc::clone(&next),
-                Arc::clone(&f),
-                ctx.clone(),
-            );
+            let (items, next, f) = (Arc::clone(&items), Arc::clone(&next), Arc::clone(&f));
             thread::spawn(move || {
-                let _ctx = ctx.map(cnnre_obs::run::enter);
                 let mut done = Vec::new();
                 loop {
                     // Relaxed: the counter publishes nothing but distinct
@@ -157,134 +141,6 @@ where
         .collect()
 }
 
-/// A ready or in-flight memo entry.
-enum Entry<V> {
-    /// Some thread is computing this key; waiters block on the condvar.
-    InFlight,
-    /// The computed value.
-    Ready(Arc<V>),
-}
-
-struct MemoState<K, V> {
-    entries: BTreeMap<K, Entry<V>>,
-    hits: u64,
-    misses: u64,
-}
-
-struct MemoInner<K, V> {
-    state: Mutex<MemoState<K, V>>,
-    /// Signaled whenever an in-flight entry becomes ready.
-    ready: Condvar,
-}
-
-/// A shared compute-once cache keyed by `K`: concurrent lookups of the
-/// same key yield the same `Arc<V>` and run the compute closure exactly
-/// once — racing readers wait on an in-flight marker instead of
-/// recomputing.
-///
-/// Distinct keys compute concurrently (the lock is dropped around the
-/// closure), so memoized stages still scale across workers. Because every
-/// key is computed exactly once, the hit/miss tallies are
-/// schedule-independent: `misses()` equals the number of distinct keys
-/// ever requested and `hits()` the remaining lookups, whatever the
-/// interleaving.
-///
-/// Cloning is shallow: clones share the same cache.
-///
-/// The compute closure must not panic — a panicking computation leaves
-/// its key permanently in flight and later lookups of that key would
-/// block forever. (The solver closures memoized here return plain
-/// candidate vectors and do not panic.)
-pub struct Memo<K, V> {
-    inner: Arc<MemoInner<K, V>>,
-}
-
-impl<K, V> Clone for Memo<K, V> {
-    fn clone(&self) -> Self {
-        Memo {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<K: Ord, V> Default for Memo<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Ord, V> Memo<K, V> {
-    /// Creates an empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Memo {
-            inner: Arc::new(MemoInner {
-                state: Mutex::new(MemoState {
-                    entries: BTreeMap::new(),
-                    hits: 0,
-                    misses: 0,
-                }),
-                ready: Condvar::new(),
-            }),
-        }
-    }
-
-    /// Returns the cached value for `key`, computing it with `compute` on
-    /// the first lookup. Concurrent lookups of an in-flight key block
-    /// until the computing thread publishes the value.
-    pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V>
-    where
-        K: Clone,
-    {
-        let mut st = lock(&self.inner.state);
-        loop {
-            match st.entries.get(&key) {
-                Some(Entry::Ready(v)) => {
-                    let v = Arc::clone(v);
-                    st.hits += 1;
-                    return v;
-                }
-                Some(Entry::InFlight) => {
-                    st = self
-                        .inner
-                        .ready
-                        .wait(st)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                None => {
-                    st.entries.insert(key.clone(), Entry::InFlight);
-                    st.misses += 1;
-                    break;
-                }
-            }
-        }
-        drop(st);
-        let value = Arc::new(compute());
-        // lint:allow(cr-lock-order): single-lock protocol — the state guard
-        // is dropped above before `compute` runs; this is a fresh acquisition
-        // of the same (only) mutex to publish the value, never a nesting.
-        let mut st = lock(&self.inner.state);
-        st.entries.insert(key, Entry::Ready(Arc::clone(&value)));
-        drop(st);
-        self.inner.ready.notify_all();
-        value
-    }
-
-    /// Lookups served from the cache (schedule-independent; see the type
-    /// docs).
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        lock(&self.inner.state).hits
-    }
-
-    /// Lookups that ran the compute closure — exactly one per distinct
-    /// key.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        lock(&self.inner.state).misses
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,18 +159,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(map_ordered(8, empty, |_, x: u32| x).is_empty());
         assert_eq!(map_ordered(8, vec![7u32], |i, x| (i, x)), vec![(0, 7)]);
-    }
-
-    #[test]
-    fn memo_computes_each_key_once() {
-        let memo: Memo<u32, u32> = Memo::new();
-        let a = memo.get_or_compute(3, || 9);
-        let b = memo.get_or_compute(3, || unreachable!("must be cached"));
-        assert_eq!(*a, 9);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!((memo.hits(), memo.misses()), (1, 1));
-        let _ = memo.get_or_compute(4, || 16);
-        assert_eq!((memo.hits(), memo.misses()), (1, 2));
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //!   when a tunable activation threshold is available;
 //! * [`assumptions`] — the paper's Table-1 threat-model matrix as types;
 //! * [`exec`] — the parallel execution layer the attacks run on: the
-//!   deterministic primitives (`map_ordered`, `Memo`) that fan the solver
-//!   and the weights attack out across workers, built only on the
-//!   `cnnre-model` shims and certified by exhaustive model checking.
-//!   Candidate output and telemetry stay byte-identical at any thread
-//!   count (DESIGN.md §13).
+//!   deterministic ordered fork/join (`map_ordered`) that fans the
+//!   per-layer solver grid and the weights attack out across workers,
+//!   built only on the `cnnre-model` shims and certified by exhaustive
+//!   model checking. Candidate output and telemetry stay byte-identical at
+//!   any thread count (DESIGN.md §13).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,24 +4,55 @@
 //! the dependency DAGs the trace analyzer recovers (concatenating fire
 //! modules and element-wise bypass merges included).
 
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
+
 use cnnre_model::sync::Arc;
 use cnnre_trace::observe::{LayerKindHint, TraceObservations};
 
-use crate::exec::{map_ordered, Memo};
 use crate::structure::solver::{
     solve_conv_layer, solve_fc_layer, FcParams, ObservedLayer, SolverConfig,
 };
 use crate::structure::LayerParams;
 
-/// Shared per-layer candidate cache: `(node index, input interface)` →
-/// the node's combined CONV+FC candidate list (choice plus implied output
-/// interface), in the exact order the sequential solver produces it.
+/// One node's combined CONV+FC candidate list: each choice with the output
+/// interface it implies, in the order the per-layer solver produces it.
+type NodeCandidates = Vec<(NodeChoice, (usize, usize))>;
+
+/// The walk's per-layer candidate cache: `(node index, input interface)` →
+/// that node's [`NodeCandidates`].
 ///
-/// Hoisting the solve into this memo makes chaining incremental: a node
-/// reached through many parent assignments with the same interface is
-/// enumerated once instead of once per visit, and the `solver.memo.*`
-/// counters record the saving (hits = re-enumerations eliminated).
-type CandidateMemo = Memo<(usize, (usize, usize)), Vec<(NodeChoice, (usize, usize))>>;
+/// A node reached through many parent assignments with the same interface
+/// is enumerated once instead of once per visit, and the `solver.memo.*`
+/// counters record the saving: `misses` is the number of distinct keys,
+/// `hits` the re-enumerations eliminated.
+#[derive(Default)]
+struct CandidateMemo {
+    entries: BTreeMap<(usize, (usize, usize)), Arc<NodeCandidates>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl CandidateMemo {
+    /// Returns the cached list for `key`, running `compute` on the first
+    /// lookup only.
+    fn get_or_compute(
+        &mut self,
+        key: (usize, (usize, usize)),
+        compute: impl FnOnce() -> NodeCandidates,
+    ) -> Arc<NodeCandidates> {
+        match self.entries.entry(key) {
+            Entry::Occupied(e) => {
+                self.hits += 1;
+                Arc::clone(e.get())
+            }
+            Entry::Vacant(e) => {
+                self.misses += 1;
+                Arc::clone(e.insert(Arc::new(compute())))
+            }
+        }
+    }
+}
 
 /// What the adversary concluded one trace segment is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -257,30 +288,27 @@ pub fn enumerate_structures(
     cfg: &NetworkSolverConfig,
 ) -> Result<Vec<CandidateStructure>, SolveError> {
     let _span = cnnre_obs::span("chain");
-    let memo = CandidateMemo::new();
-    let mut out = Vec::new();
-    let mut choices: Vec<NodeChoice> = Vec::with_capacity(net.nodes.len());
-    let mut ifaces: Vec<(usize, usize)> = Vec::with_capacity(net.nodes.len());
-    let mut deepest_fail = 0usize;
-    let mut branches = 0u64;
-    let result = recurse(
+    let mut walk = Walk {
         net,
         input,
         classes,
         cfg,
-        &memo,
-        &mut choices,
-        &mut ifaces,
-        &mut out,
-        &mut deepest_fail,
-        &mut branches,
-    );
-    record_enumeration_metrics(net, &out, branches, &memo);
+        memo: CandidateMemo::default(),
+        choices: Vec::with_capacity(net.nodes.len()),
+        ifaces: Vec::with_capacity(net.nodes.len()),
+        out: Vec::new(),
+        deepest_fail: 0,
+        branches: 0,
+    };
+    let result = walk.recurse();
+    record_enumeration_metrics(&walk);
     result?;
-    if out.is_empty() {
-        return Err(SolveError::NoCandidates { node: deepest_fail });
+    if walk.out.is_empty() {
+        return Err(SolveError::NoCandidates {
+            node: walk.deepest_fail,
+        });
     }
-    Ok(out)
+    Ok(walk.out)
 }
 
 /// Flushes chain-level observability after an enumeration pass: the total
@@ -288,23 +316,24 @@ pub fn enumerate_structures(
 /// (`solver.memo.hits` = per-layer re-enumerations eliminated), and — the
 /// paper's headline quantity — the number of distinct surviving candidates
 /// per layer (`solver.candidates_per_layer`, one series entry per node).
-fn record_enumeration_metrics(
-    net: &ObservedNetwork,
-    out: &[CandidateStructure],
-    branches: u64,
-    memo: &CandidateMemo,
-) {
+fn record_enumeration_metrics(walk: &Walk) {
+    let Walk {
+        net,
+        out,
+        branches,
+        memo,
+        ..
+    } = walk;
     let metrics = cnnre_obs::enabled();
     let profiling = cnnre_obs::profile::enabled();
     if metrics {
         let reg = cnnre_obs::global();
-        reg.counter("solver.chain.recursion_branches").add(branches);
+        reg.counter("solver.chain.recursion_branches")
+            .add(*branches);
         reg.counter("solver.chain.structures_surviving")
             .add(out.len() as u64);
-        // Schedule-independent by construction: every distinct
-        // (node, interface) key is computed exactly once.
-        reg.counter("solver.memo.hits").add(memo.hits());
-        reg.counter("solver.memo.misses").add(memo.misses());
+        reg.counter("solver.memo.hits").add(memo.hits);
+        reg.counter("solver.memo.misses").add(memo.misses);
     }
     let streaming = cnnre_obs::stream::enabled();
     if metrics || profiling || streaming {
@@ -339,291 +368,172 @@ fn record_enumeration_metrics(
     );
 }
 
-/// Owned context a parallel root-exploration task needs (worker tasks are
-/// `'static`, so everything is cloned out of the coordinator's borrows;
-/// the memo handle is shared, all other fields are read-only).
-struct RootCtx {
-    net: ObservedNetwork,
+/// The depth-first walk over per-node choices: the read-only problem, the
+/// memo, the current prefix and the accumulators.
+struct Walk<'a> {
+    net: &'a ObservedNetwork,
     input: (usize, usize),
     classes: usize,
-    cfg: NetworkSolverConfig,
-    prefix_choices: Vec<NodeChoice>,
-    prefix_ifaces: Vec<(usize, usize)>,
+    cfg: &'a NetworkSolverConfig,
     memo: CandidateMemo,
+    choices: Vec<NodeChoice>,
+    ifaces: Vec<(usize, usize)>,
+    out: Vec<CandidateStructure>,
+    deepest_fail: usize,
+    branches: u64,
 }
 
-/// One root subtree's result: surviving structures (in discovery order),
-/// recursion branches consumed, deepest node reached, and the cap error
-/// if the subtree alone overflowed `max_structures`.
-type RootResult = (Vec<CandidateStructure>, u64, usize, Option<SolveError>);
+impl Walk<'_> {
+    /// Pushes one choice and its output interface, walks the rest of the
+    /// network under it, and pops it again.
+    fn descend(&mut self, choice: NodeChoice, iface: (usize, usize)) -> Result<(), SolveError> {
+        self.choices.push(choice);
+        self.ifaces.push(iface);
+        self.recurse()?;
+        self.choices.pop();
+        self.ifaces.pop();
+        Ok(())
+    }
 
-#[allow(clippy::too_many_arguments)]
-fn recurse(
-    net: &ObservedNetwork,
-    input: (usize, usize),
-    classes: usize,
-    cfg: &NetworkSolverConfig,
-    memo: &CandidateMemo,
-    choices: &mut Vec<NodeChoice>,
-    ifaces: &mut Vec<(usize, usize)>,
-    out: &mut Vec<CandidateStructure>,
-    deepest_fail: &mut usize,
-    branches: &mut u64,
-) -> Result<(), SolveError> {
-    *branches += 1;
-    let i = choices.len();
-    if i == net.nodes.len() {
-        // Terminal checks: classifier interface and chain-wide utilization
-        // consistency.
-        // lint:allow(panic): ifaces is seeded with the input interface before
-        // the first recursive call and only ever grows
-        let &(w_last, d_last) = ifaces.last().expect("non-empty network");
-        if w_last != 1 || d_last != classes {
+    fn recurse(&mut self) -> Result<(), SolveError> {
+        let (net, cfg) = (self.net, self.cfg);
+        self.branches += 1;
+        let i = self.choices.len();
+        if i == net.nodes.len() {
+            // Terminal checks: classifier interface and chain-wide
+            // utilization consistency.
+            // lint:allow(panic): ifaces is seeded with the input interface
+            // before the first recursive call and only ever grows
+            let &(w_last, d_last) = self.ifaces.last().expect("non-empty network");
+            if w_last != 1 || d_last != self.classes {
+                return Ok(());
+            }
+            let structure = CandidateStructure {
+                choices: self.choices.clone(),
+            };
+            if chain_utilization_consistent(net, &structure, cfg) {
+                if self.out.len() >= cfg.max_structures {
+                    return Err(SolveError::TooManyStructures(cfg.max_structures));
+                }
+                self.out.push(structure);
+            }
             return Ok(());
         }
-        let structure = CandidateStructure {
-            choices: choices.clone(),
-        };
-        if chain_utilization_consistent(net, &structure, cfg) {
-            if out.len() >= cfg.max_structures {
-                return Err(SolveError::TooManyStructures(cfg.max_structures));
-            }
-            out.push(structure);
-        }
-        return Ok(());
-    }
-    *deepest_fail = (*deepest_fail).max(i);
-    let node = &net.nodes[i];
-    match node.kind {
-        ObservedKind::Input => {
-            choices.push(NodeChoice::Input);
-            ifaces.push(input);
-            recurse(
-                net,
-                input,
-                classes,
-                cfg,
-                memo,
-                choices,
-                ifaces,
-                out,
-                deepest_fail,
-                branches,
-            )?;
-            choices.pop();
-            ifaces.pop();
-        }
-        ObservedKind::Merge(obs) => {
-            // All sources share one width; their depths partition into k >= 2
-            // equal operands of the output depth, which the merge's own OFM
-            // footprint pins down.
-            let Some(&(w, _)) = node.sources.first().map(|&s| &ifaces[s]) else {
-                return Ok(());
-            };
-            if node.sources.iter().any(|&s| ifaces[s].0 != w) {
-                return Ok(());
-            }
-            let total_depth: usize = node.sources.iter().map(|&s| ifaces[s].1).sum();
-            let w2 = (w as u64).pow(2);
-            for d_out in 1..=total_depth / 2 {
-                if !total_depth.is_multiple_of(d_out)
-                    || !cfg.layer.size_matches(obs.ofm_blocks, w2 * d_out as u64)
-                {
-                    continue;
+        self.deepest_fail = self.deepest_fail.max(i);
+        let node = &net.nodes[i];
+        let ifaces = &self.ifaces;
+        match node.kind {
+            ObservedKind::Input => self.descend(NodeChoice::Input, self.input)?,
+            ObservedKind::Merge(obs) => {
+                // All sources share one width; their depths partition into
+                // k >= 2 equal operands of the output depth, which the
+                // merge's own OFM footprint pins down.
+                let Some(&(w, _)) = node.sources.first().map(|&s| &ifaces[s]) else {
+                    return Ok(());
+                };
+                if node.sources.iter().any(|&s| ifaces[s].0 != w) {
+                    return Ok(());
                 }
-                choices.push(NodeChoice::Merge);
-                ifaces.push((w, d_out));
-                recurse(
-                    net,
-                    input,
-                    classes,
-                    cfg,
-                    memo,
-                    choices,
-                    ifaces,
-                    out,
-                    deepest_fail,
-                    branches,
-                )?;
-                choices.pop();
-                ifaces.pop();
-            }
-        }
-        ObservedKind::Compute(obs) => {
-            // Input interface: single source passes through; multiple
-            // sources are a depth concatenation (equal widths, summed
-            // depths).
-            let iface = match node.sources[..] {
-                [] => return Ok(()),
-                [s] => ifaces[s],
-                _ => {
-                    let w = ifaces[node.sources[0]].0;
-                    if node.sources.iter().any(|&s| ifaces[s].0 != w) {
-                        return Ok(());
+                let total_depth: usize = node.sources.iter().map(|&s| ifaces[s].1).sum();
+                let w2 = (w as u64).pow(2);
+                for d_out in 1..=total_depth / 2 {
+                    if total_depth.is_multiple_of(d_out)
+                        && cfg.layer.size_matches(obs.ofm_blocks, w2 * d_out as u64)
+                    {
+                        self.descend(NodeChoice::Merge, (w, d_out))?;
                     }
-                    (w, node.sources.iter().map(|&s| ifaces[s].1).sum())
                 }
-            };
-            // Enumeration-progress telemetry at the first compute layer:
-            // each top-level candidate roots an independent subtree, so
-            // "% of roots consumed" plus "branches per finished root ×
-            // roots left" is the best available ETA.
-            let first_compute = net
-                .nodes
-                .iter()
-                .position(|n| matches!(n.kind, ObservedKind::Compute(_)))
-                == Some(i);
-            // Only the root solve may shard internally: deeper layers are
-            // solved from inside worker tasks, and a nested fan-out would
-            // oversubscribe the workers without helping wall clock.
-            let solve_cfg = if first_compute {
-                cfg.layer
-            } else {
-                SolverConfig {
-                    threads: 1,
-                    ..cfg.layer
-                }
-            };
-            let cands = memo.get_or_compute((i, iface), || {
-                let mut cands: Vec<(NodeChoice, (usize, usize))> =
-                    solve_conv_layer(&obs, &[iface], &solve_cfg)
-                        .into_iter()
-                        .map(|p| (NodeChoice::Conv(p), (p.w_ofm, p.d_ofm)))
-                        .collect();
-                cands.extend(
-                    solve_fc_layer(&obs, &[iface], &solve_cfg)
-                        .into_iter()
-                        .map(|fc| (NodeChoice::Fc(fc), (1, fc.out_features))),
-                );
-                cands
-            });
-            let top = cnnre_obs::profile::enabled() && first_compute;
-            let streaming = cnnre_obs::stream::enabled() && first_compute;
-            let total = cands.len();
-            let entry_branches = *branches;
-            // `branches_so_far` is always "branches consumed by roots
-            // 0..k" — whether the roots ran inline (sequential path) or
-            // on workers (the coordinator replays the same prefix sums
-            // in root order), so both paths emit identical telemetry.
-            let progress = |k: usize, branches_so_far: u64| {
-                if top {
-                    cnnre_obs::profile::count(
-                        "solver.progress.root_pct",
-                        100.0 * k as f64 / total.max(1) as f64,
+            }
+            ObservedKind::Compute(obs) => {
+                // Input interface: single source passes through; multiple
+                // sources are a depth concatenation (equal widths, summed
+                // depths).
+                let iface = match node.sources[..] {
+                    [] => return Ok(()),
+                    [s] => ifaces[s],
+                    _ => {
+                        let w = ifaces[node.sources[0]].0;
+                        if node.sources.iter().any(|&s| ifaces[s].0 != w) {
+                            return Ok(());
+                        }
+                        (w, node.sources.iter().map(|&s| ifaces[s].1).sum())
+                    }
+                };
+                // Enumeration-progress telemetry at the first compute
+                // layer: each top-level candidate roots an independent
+                // subtree, so "% of roots consumed" plus "branches per
+                // finished root × roots left" is the best available ETA.
+                let first_compute = net
+                    .nodes
+                    .iter()
+                    .position(|n| matches!(n.kind, ObservedKind::Compute(_)))
+                    == Some(i);
+                // Only the root solve shards its grid. With every layer's
+                // grid sharded, the solve share of a traced structure-zoo
+                // run doubled (1.44–1.54% against 0.61–0.71% at 2 workers).
+                let solve_cfg = if first_compute {
+                    cfg.layer
+                } else {
+                    SolverConfig {
+                        threads: 1,
+                        ..cfg.layer
+                    }
+                };
+                let cands = self.memo.get_or_compute((i, iface), || {
+                    let mut cands: Vec<(NodeChoice, (usize, usize))> =
+                        solve_conv_layer(&obs, &[iface], &solve_cfg)
+                            .into_iter()
+                            .map(|p| (NodeChoice::Conv(p), (p.w_ofm, p.d_ofm)))
+                            .collect();
+                    cands.extend(
+                        solve_fc_layer(&obs, &[iface], &solve_cfg)
+                            .into_iter()
+                            .map(|fc| (NodeChoice::Fc(fc), (1, fc.out_features))),
                     );
-                    if k > 0 {
-                        let per_root = (branches_so_far - entry_branches) as f64 / k as f64;
+                    cands
+                });
+                let top = cnnre_obs::profile::enabled() && first_compute;
+                let streaming = cnnre_obs::stream::enabled() && first_compute;
+                let total = cands.len();
+                let entry_branches = self.branches;
+                for (k, &(choice, out_iface)) in cands.iter().enumerate() {
+                    // Branches consumed by roots 0..k.
+                    let done = self.branches - entry_branches;
+                    if top {
                         cnnre_obs::profile::count(
-                            "solver.progress.eta_branches",
-                            per_root * (total - k) as f64,
+                            "solver.progress.root_pct",
+                            100.0 * k as f64 / total.max(1) as f64,
+                        );
+                        if k > 0 {
+                            cnnre_obs::profile::count(
+                                "solver.progress.eta_branches",
+                                done as f64 / k as f64 * (total - k) as f64,
+                            );
+                        }
+                    }
+                    if streaming {
+                        // Integer ETA: branches per finished root × roots
+                        // left.
+                        let eta_branches = if k > 0 {
+                            done * (total - k) as u64 / k as u64
+                        } else {
+                            0
+                        };
+                        cnnre_obs::stream::emit(
+                            cnnre_obs::stream::EventPayload::CandidatesNarrowed {
+                                layer: i as u64,
+                                remaining: (total - k) as u64,
+                                eta_branches,
+                                root_pct_bp: (10_000 * k / total.max(1)) as u64,
+                            },
                         );
                     }
-                }
-                if streaming {
-                    // Integer ETA: branches per finished root × roots left.
-                    let eta_branches = if k > 0 {
-                        (branches_so_far - entry_branches) * (total - k) as u64 / k as u64
-                    } else {
-                        0
-                    };
-                    cnnre_obs::stream::emit(cnnre_obs::stream::EventPayload::CandidatesNarrowed {
-                        layer: i as u64,
-                        remaining: (total - k) as u64,
-                        eta_branches,
-                        root_pct_bp: (10_000 * k / total.max(1)) as u64,
-                    });
-                }
-            };
-            if first_compute && cfg.layer.threads > 1 && total > 1 {
-                // Parallel root fan-out: every top-level candidate explores
-                // its subtree as an independent worker task with local
-                // accumulators; the coordinator then merges in root order,
-                // so structures, telemetry, and the cap error come out
-                // byte-identical to the sequential walk (DESIGN.md §13).
-                let ctx = Arc::new(RootCtx {
-                    net: net.clone(),
-                    input,
-                    classes,
-                    cfg: *cfg,
-                    prefix_choices: choices.clone(),
-                    prefix_ifaces: ifaces.clone(),
-                    memo: memo.clone(),
-                });
-                let roots = cands.to_vec();
-                let results: Vec<RootResult> =
-                    map_ordered(cfg.layer.threads, roots, move |_, (choice, out_iface)| {
-                        explore_root(&ctx, choice, out_iface)
-                    });
-                for (k, (structures, root_branches, root_deepest, root_err)) in
-                    results.into_iter().enumerate()
-                {
-                    progress(k, *branches);
-                    *branches += root_branches;
-                    *deepest_fail = (*deepest_fail).max(root_deepest);
-                    for s in structures {
-                        if out.len() >= cfg.max_structures {
-                            return Err(SolveError::TooManyStructures(cfg.max_structures));
-                        }
-                        out.push(s);
-                    }
-                    if let Some(e) = root_err {
-                        return Err(e);
-                    }
-                }
-            } else {
-                for (k, &(choice, out_iface)) in cands.iter().enumerate() {
-                    progress(k, *branches);
-                    choices.push(choice);
-                    ifaces.push(out_iface);
-                    recurse(
-                        net,
-                        input,
-                        classes,
-                        cfg,
-                        memo,
-                        choices,
-                        ifaces,
-                        out,
-                        deepest_fail,
-                        branches,
-                    )?;
-                    choices.pop();
-                    ifaces.pop();
+                    self.descend(choice, out_iface)?;
                 }
             }
         }
+        Ok(())
     }
-    Ok(())
-}
-
-/// Explores one top-level candidate subtree as a worker task: clones the
-/// coordinator's prefix, pushes the root's choice/interface, and runs the
-/// ordinary sequential `recurse` with fresh local accumulators. Workers
-/// emit no telemetry (deeper nodes are never the first compute layer) and
-/// solve deeper layers single-threaded through the shared memo, so the
-/// coordinator can replay the sequential telemetry exactly.
-fn explore_root(ctx: &RootCtx, choice: NodeChoice, out_iface: (usize, usize)) -> RootResult {
-    let mut choices = ctx.prefix_choices.clone();
-    let mut ifaces = ctx.prefix_ifaces.clone();
-    choices.push(choice);
-    ifaces.push(out_iface);
-    let mut out = Vec::new();
-    let mut deepest_fail = 0usize;
-    let mut branches = 0u64;
-    let err = recurse(
-        &ctx.net,
-        ctx.input,
-        ctx.classes,
-        &ctx.cfg,
-        &ctx.memo,
-        &mut choices,
-        &mut ifaces,
-        &mut out,
-        &mut deepest_fail,
-        &mut branches,
-    )
-    .err();
-    (out, branches, deepest_fail, err)
 }
 
 /// The paper's cross-layer execution-time filter, applied per candidate
@@ -780,6 +690,18 @@ mod tests {
             ],
         };
         (net, vec![c1, c2])
+    }
+
+    #[test]
+    fn memo_computes_each_key_once() {
+        let mut memo = CandidateMemo::default();
+        let a = memo.get_or_compute((1, (32, 1)), || vec![(NodeChoice::Merge, (16, 1))]);
+        let b = memo.get_or_compute((1, (32, 1)), || unreachable!("must be cached"));
+        assert_eq!(*a, vec![(NodeChoice::Merge, (16, 1))]);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!((memo.hits, memo.misses), (1, 1));
+        let _ = memo.get_or_compute((1, (16, 1)), Vec::new);
+        assert_eq!((memo.hits, memo.misses), (1, 2));
     }
 
     #[test]

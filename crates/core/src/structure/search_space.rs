@@ -179,33 +179,25 @@ pub struct ReductionRow {
 }
 
 /// Builds the reduction report for `(name, conv_layers, fc_layers,
-/// survivors)` tuples under a common prior. Rows are computed in parallel
-/// on the `exec` pool (one task per network, worker count from
-/// [`crate::exec::default_threads`]) and returned in input order — the
-/// `map_ordered` reduction keeps the report independent of scheduling.
+/// survivors)` tuples under a common prior, one row per network in input
+/// order.
 #[must_use]
 pub fn reduction_report(
     bounds: &SearchSpaceBounds,
     networks: &[(&str, u32, u32, usize)],
 ) -> Vec<ReductionRow> {
-    let bounds = bounds.clone();
-    let items: Vec<(String, u32, u32, usize)> = networks
+    networks
         .iter()
-        .map(|&(network, convs, fcs, survivors)| (network.to_string(), convs, fcs, survivors))
-        .collect();
-    crate::exec::map_ordered(
-        crate::exec::default_threads(),
-        items,
-        move |_, (network, convs, fcs, survivors)| {
+        .map(|&(network, convs, fcs, survivors)| {
             let prior = bounds.network_space(convs, fcs);
             ReductionRow {
-                network,
+                network: network.to_string(),
                 prior,
                 survivors,
                 reduction: prior.reduction_to(survivors),
             }
-        },
-    )
+        })
+        .collect()
 }
 
 #[cfg(test)]

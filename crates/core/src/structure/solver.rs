@@ -202,8 +202,8 @@ pub struct FcParams {
 /// each possible input interface `(w_ifm, d_ifm)` in `inputs`.
 ///
 /// Results are sorted and deduplicated. With [`SolverConfig::threads`]
-/// above 1 the `(input, W_OFM)` grid is sharded onto the `exec` pool and
-/// merged in grid order, so the result (and every flushed counter) is
+/// above 1 the `(input, W_OFM)` grid is sharded across
+/// [`crate::exec::map_ordered`] workers and merged in grid order, so the result (and every flushed counter) is
 /// byte-identical to the sequential enumeration.
 #[must_use]
 pub fn solve_conv_layer(

@@ -1,8 +1,7 @@
 //! Normal-mode tests of the `map_ordered` fan-out on real OS threads:
-//! ordered results, a task panic re-raised once after the other items
-//! ran, and run-context propagation into the workers. They live in a
-//! test binary of their own because the obs state they toggle is
-//! process-global.
+//! ordered results, and a task panic re-raised once after the other items
+//! ran. A worker panic is a model-check failure, so the re-raise is tested
+//! here rather than in `model_exec.rs`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -46,22 +45,4 @@ fn map_ordered_reraises_a_task_panic_after_the_others_run() {
         9,
         "the other nine items still run before the panic is re-raised"
     );
-}
-
-#[test]
-fn map_ordered_workers_parent_spans_under_the_caller() {
-    cnnre_obs::set_enabled(true);
-    let run = cnnre_obs::run::begin("exec.fan_out");
-    let paths = {
-        let _caller = cnnre_obs::span("caller");
-        map_ordered(2, vec![0u8; 4], |_, _| {
-            let child = cnnre_obs::span("child");
-            child.path().to_owned()
-        })
-    };
-    drop(run);
-    cnnre_obs::set_enabled(false);
-    cnnre_obs::global().reset();
-    cnnre_obs::run::reset();
-    assert_eq!(paths, vec!["caller.child"; 4]);
 }

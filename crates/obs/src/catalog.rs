@@ -285,12 +285,12 @@ pub const METRICS: &[MetricDef] = &[
     MetricDef {
         name: "weights.search.crossings",
         kind: "counter",
-        help: "zero-count step crossings located by the search",
+        help: "zero-count step crossings found, victim and virtual-model searches together",
     },
     MetricDef {
         name: "weights.search.grid_probes",
         kind: "counter",
-        help: "coarse-grid oracle probes before refinement",
+        help: "coarse-grid probes, victim and virtual-model searches together",
     },
     MetricDef {
         name: "weights.search.memo_hits",
@@ -300,7 +300,7 @@ pub const METRICS: &[MetricDef] = &[
     MetricDef {
         name: "weights.search.refine_steps",
         kind: "counter",
-        help: "binary-search refinement steps",
+        help: "binary-search refinement steps, victim and virtual-model searches together",
     },
     MetricDef {
         name: "weights.unrecovered",

@@ -35,12 +35,6 @@ thread_local! {
     static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The calling thread's innermost open span path, if any (the anchor
-/// [`crate::run::task_ctx`] hands to workers).
-pub(crate) fn current_path() -> Option<String> {
-    SPAN_STACK.with(|s| s.borrow().last().cloned())
-}
-
 /// An open span; finishes (and records) on drop.
 #[derive(Debug)]
 pub struct SpanGuard {
@@ -74,12 +68,7 @@ impl SpanGuard {
                 let mut stack = s.borrow_mut();
                 let path = match stack.last() {
                     Some(parent) => format!("{parent}.{name}"),
-                    // Root span on this thread: nest under the run context's
-                    // parent span, if a fan-out propagated one here.
-                    None => match crate::run::current_parent() {
-                        Some(parent) => format!("{parent}.{name}"),
-                        None => name.to_owned(),
-                    },
+                    None => name.to_owned(),
                 };
                 stack.push(path.clone());
                 path

@@ -7,7 +7,7 @@
 #     fixtures (data race, AB-BA deadlock, lost update), each pinned to a
 #     byte-exact replay schedule string;
 #   - crates/core exec: the `map_ordered` fan-out (ordered reduction over
-#     two workers) and the `Memo` same-key and distinct-key races;
+#     two workers);
 #   - crates/obs: registry creation/increment race, profile ring slot
 #     claim race, HTTP server shutdown/quit protocol.
 #
@@ -18,7 +18,7 @@ cd "$(dirname "$0")/.."
 echo "==> cnnre-model: engine self-tests + seeded defect fixtures"
 cargo test -q -p cnnre-model --features model-check
 
-echo "==> exec map_ordered + Memo (crates/core, model-check)"
+echo "==> exec map_ordered (crates/core, model-check)"
 cargo test -q -p cnnre-attacks --features model-check --test model_exec
 
 echo "==> obs concurrent surfaces (registry, profile ring, HTTP server)"

@@ -12,13 +12,13 @@
 # To refresh baselines after an intentional perf change, see EXPERIMENTS.md
 # ("Regenerating the perf baselines").
 #
-# After the regression stage, the *improvement* stage runs the gated solver
-# experiments at --threads 1 and --threads $PERF_GATE_THREADS (default 8)
-# and enforces the committed wall-clock speedup floors in SPEEDUP.json,
-# plus a byte-diff of the two runs' stdout (candidate output must be
-# identical at any thread count). The speedup floors are skipped with a
-# loud warning on hosts with fewer than 4 CPUs — a 3x floor is not
-# measurable there — but the determinism byte-diff always runs.
+# After the regression stage, the *improvement* stage byte-diffs the
+# stdout of table3 and fig7 at --threads 1 and --threads $PERF_GATE_THREADS
+# (default 8): candidate output must be identical at any thread count.
+# It then enforces fig7's committed wall-clock speedup floor in
+# SPEEDUP.json. The floor is skipped with a loud warning on hosts with
+# fewer than 4 CPUs — a 3x floor is not measurable there — but the
+# determinism byte-diff always runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,15 +54,17 @@ for exp in "${EXPERIMENTS[@]}"; do
     fi
 done
 
-# --- Improvement stage: wall-clock speedup floors + thread determinism ---
-SPEEDUP_EXPERIMENTS=(table3 fig7)
+# --- Improvement stage: thread determinism + wall-clock speedup floors ---
+# Both experiments must print the same stdout at any thread count; only
+# fig7 has a speedup floor (table3's structure side has no fan-out wide
+# enough to gate).
+DETERMINISM_EXPERIMENTS=(table3 fig7)
+SPEEDUP_EXPERIMENTS=(fig7)
 SPEEDUP_FLOORS="$BASELINE_DIR/SPEEDUP.json"
 PERF_GATE_THREADS="${PERF_GATE_THREADS:-8}"
 NPROC="$(nproc 2>/dev/null || echo 1)"
 
-for exp in "${SPEEDUP_EXPERIMENTS[@]}"; do
-    single_out="$PERF_GATE_DIR/BENCH_${exp}_t1.json"
-    multi_out="$PERF_GATE_DIR/BENCH_${exp}_t$PERF_GATE_THREADS.json"
+for exp in "${DETERMINISM_EXPERIMENTS[@]}"; do
     single_stdout="$PERF_GATE_DIR/${exp}_t1.stdout"
     multi_stdout="$PERF_GATE_DIR/${exp}_t$PERF_GATE_THREADS.stdout"
     echo "==> $exp: determinism byte-diff, --threads 1 vs --threads $PERF_GATE_THREADS (quick mode)"
@@ -72,8 +74,12 @@ for exp in "${SPEEDUP_EXPERIMENTS[@]}"; do
         echo "perf gate: $exp output differs between thread counts:" >&2
         diff "$single_stdout" "$multi_stdout" >&2 || true
         status=1
-        continue
     fi
+done
+
+for exp in "${SPEEDUP_EXPERIMENTS[@]}"; do
+    single_out="$PERF_GATE_DIR/BENCH_${exp}_t1.json"
+    multi_out="$PERF_GATE_DIR/BENCH_${exp}_t$PERF_GATE_THREADS.json"
     if [[ "$NPROC" -lt 4 ]]; then
         echo "perf gate: WARNING: only $NPROC CPU(s) — skipping the $exp speedup floor" >&2
         echo "perf gate: WARNING: the >=3x wall-clock improvement is NOT being enforced here" >&2
