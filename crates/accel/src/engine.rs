@@ -164,7 +164,6 @@ impl Accelerator {
     ///
     /// Panics when `input` does not match the network input shape.
     pub fn run(&self, net: &Network, input: &Tensor3) -> Result<Execution, ScheduleError> {
-        let _run = cnnre_obs::run::begin("accel.run");
         let mut span = cnnre_obs::span("accel.run");
         cnnre_obs::stream::start_run("accel.run");
         let schedule = Schedule::plan(net, &self.config)?;
@@ -197,7 +196,6 @@ impl Accelerator {
                     .to_string(),
             ));
         }
-        let _run = cnnre_obs::run::begin("accel.run_trace_only");
         let mut span = cnnre_obs::span("accel.run_trace_only");
         cnnre_obs::stream::start_run("accel.run_trace_only");
         let schedule = Schedule::plan(net, &self.config)?;

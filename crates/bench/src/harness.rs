@@ -208,7 +208,7 @@ impl Harness {
             // attached cycles, so it is byte-deterministic across identical
             // seeded runs; the wall track is not.
             let dropped = cnnre_obs::profile::dropped();
-            let events = cnnre_obs::profile::take();
+            let events = cnnre_obs::profile::export();
             let clock = self.flags.profile_clock;
             let rendered = if path
                 .extension()
@@ -226,7 +226,7 @@ impl Harness {
             );
         }
         if let Some(path) = &self.flags.events_out {
-            let bytes = cnnre_obs::stream::take_recorded_bytes();
+            let bytes = cnnre_obs::stream::recorded_stream_snapshot();
             write_or_exit(path, "events", &bytes);
             eprintln!(
                 "events written to {} ({} bytes, {} dropped)",

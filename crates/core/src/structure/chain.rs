@@ -325,7 +325,6 @@ fn record_enumeration_metrics(walk: &Walk) {
         ..
     } = walk;
     let metrics = cnnre_obs::enabled();
-    let profiling = cnnre_obs::profile::enabled();
     if metrics {
         let reg = cnnre_obs::global();
         reg.counter("solver.chain.recursion_branches")
@@ -336,7 +335,7 @@ fn record_enumeration_metrics(walk: &Walk) {
         reg.counter("solver.memo.misses").add(memo.misses);
     }
     let streaming = cnnre_obs::stream::enabled();
-    if metrics || profiling || streaming {
+    if metrics || streaming {
         for node in 0..net.nodes.len() {
             // lint:allow(hash-iter): count-only use (len()); iteration order
             // is never observed
@@ -351,12 +350,6 @@ fn record_enumeration_metrics(walk: &Walk) {
                     distinct: distinct.len() as u64,
                 });
             }
-            // Attack-progress telemetry on the profile timeline: one sample
-            // per observed layer, in layer order.
-            cnnre_obs::profile::count(
-                "solver.progress.candidates_per_layer",
-                distinct.len() as f64,
-            );
         }
     }
     cnnre_obs::log_info!(
@@ -492,28 +485,14 @@ impl Walk<'_> {
                     );
                     cands
                 });
-                let top = cnnre_obs::profile::enabled() && first_compute;
                 let streaming = cnnre_obs::stream::enabled() && first_compute;
                 let total = cands.len();
                 let entry_branches = self.branches;
                 for (k, &(choice, out_iface)) in cands.iter().enumerate() {
-                    // Branches consumed by roots 0..k.
-                    let done = self.branches - entry_branches;
-                    if top {
-                        cnnre_obs::profile::count(
-                            "solver.progress.root_pct",
-                            100.0 * k as f64 / total.max(1) as f64,
-                        );
-                        if k > 0 {
-                            cnnre_obs::profile::count(
-                                "solver.progress.eta_branches",
-                                done as f64 / k as f64 * (total - k) as f64,
-                            );
-                        }
-                    }
                     if streaming {
-                        // Integer ETA: branches per finished root × roots
-                        // left.
+                        // ETA: branches per finished root (roots 0..k)
+                        // times the roots left.
+                        let done = self.branches - entry_branches;
                         let eta_branches = if k > 0 {
                             done * (total - k) as u64 / k as u64
                         } else {

@@ -70,7 +70,6 @@ pub fn recover_structures(
     classes: usize,
     cfg: &NetworkSolverConfig,
 ) -> Result<Vec<CandidateStructure>, SolveError> {
-    let _run = cnnre_obs::run::begin("attack.structure");
     let mut span = cnnre_obs::span("attack.structure");
     span.add_cycles(trace.duration());
     cnnre_obs::stream::start_run("attack.structure");

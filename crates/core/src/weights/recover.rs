@@ -867,7 +867,6 @@ fn formula_pin_term(
 ///
 /// Panics when the layer geometry is degenerate (no conv output).
 pub fn recover_ratios(oracle: &mut dyn ZeroCountOracle, cfg: &RecoveryConfig) -> RatioRecovery {
-    let _run = cnnre_obs::run::begin("attack.weights");
     let _span = cnnre_obs::span("attack.weights");
     cnnre_obs::stream::start_run("attack.weights");
     let geom = oracle.geometry();
@@ -887,7 +886,7 @@ pub fn recover_ratios(oracle: &mut dyn ZeroCountOracle, cfg: &RecoveryConfig) ->
 /// probes, pins, and virtual model depend only on filter `d`'s state, so
 /// the decomposition is exact). The coordinator then replays the
 /// sequential telemetry from the per-filter query marks, so recovered
-/// ratios, counters, progress samples, and streamed events are
+/// ratios, counters and streamed events are
 /// byte-identical to [`recover_ratios`] at any `cfg.threads` value
 /// (DESIGN.md §13).
 ///
@@ -902,7 +901,6 @@ pub fn recover_ratios_parallel<O>(mut oracle: O, cfg: &RecoveryConfig) -> RatioR
 where
     O: ZeroCountOracle + Clone + Send + Sync + 'static,
 {
-    let _run = cnnre_obs::run::begin("attack.weights");
     let _span = cnnre_obs::span("attack.weights");
     cnnre_obs::stream::start_run("attack.weights");
     let geom = oracle.geometry();
@@ -1076,15 +1074,11 @@ fn finish_recovery(
     recoveries: Vec<FilterRecovery>,
     bias_positive: Vec<bool>,
 ) -> RatioRecovery {
-    let (items, _) = pass1_split(geom);
-    let streaming = cnnre_obs::stream::enabled();
-    for (k, &(c, i, j)) in items.iter().enumerate() {
-        // +1 for the shared baseline query.
-        let queries_after_item: u64 = 1 + recoveries.iter().map(|r| r.marks[k]).sum::<u64>();
-        // Query-budget telemetry: one timeline sample per target weight,
-        // showing the binary search's consumption rate.
-        cnnre_obs::profile::count("oracle.progress.queries", queries_after_item as f64);
-        if streaming {
+    if cnnre_obs::stream::enabled() {
+        let (items, _) = pass1_split(geom);
+        for (k, &(c, i, j)) in items.iter().enumerate() {
+            // +1 for the shared baseline query.
+            let queries_after_item: u64 = 1 + recoveries.iter().map(|r| r.marks[k]).sum::<u64>();
             // The weight run's "cycle" domain is the cumulative victim
             // query count — monotone by construction.
             cnnre_obs::stream::emit_at(

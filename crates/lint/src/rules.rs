@@ -17,9 +17,8 @@ use std::collections::BTreeSet;
 const WALLCLOCK_ALLOWED: [&str; 2] = ["crates/obs/src/span.rs", "crates/obs/src/profile.rs"];
 
 /// Obs recording calls whose first argument is a full metric name subject
-/// to the DESIGN.md §10 schema. `count` is `obs::profile::count`, the
-/// timeline-sample emitter.
-const METRIC_CALLS: [&str; 4] = ["counter", "gauge", "series", "count"];
+/// to the DESIGN.md §10 schema.
+const METRIC_CALLS: [&str; 3] = ["counter", "gauge", "series"];
 
 /// Obs span constructors whose first argument is a *path fragment*: the
 /// exported metric becomes `span.<path>.cycles` / `.calls` / `.wall_ns`,
@@ -922,12 +921,6 @@ mod tests {
             "fn f() { cnnre_obs::gauge(\"trace.segment_ns\").set(1.0); }",
         );
         assert_eq!(rules_of(&d), [Rule::MetricName]);
-        // profile::count takes full names too.
-        let d = diags(
-            "crates/core/src/x.rs",
-            "fn f() { cnnre_obs::profile::count(\"progress\", 1.0); }",
-        );
-        assert_eq!(rules_of(&d), [Rule::MetricName]);
     }
 
     #[test]
@@ -935,7 +928,6 @@ mod tests {
         let src = "fn f() {\n\
                    cnnre_obs::counter(\"oracle.queries\").inc();\n\
                    cnnre_obs::series(\"solver.candidates_per_layer\").push(1.0);\n\
-                   cnnre_obs::profile::count(\"solver.progress.root_pct\", 0.0);\n\
                    cnnre_obs::counter(\"events.emitted\").inc();\n\
                    cnnre_obs::gauge(\"events.clients\").set(0.0);\n\
                    cnnre_obs::counter(\"viz.events.consumed\").inc();\n\

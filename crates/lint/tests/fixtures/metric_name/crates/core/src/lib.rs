@@ -8,10 +8,6 @@ pub fn single_segment() {
     cnnre_obs::series("candidates").push(1.0);
 }
 
-pub fn wrong_ns_suffix() {
-    cnnre_obs::profile::count("trace.segment_ns", 1.0);
-}
-
 pub fn malformed_span_fragment() {
     let _s = cnnre_obs::span("Stage One");
 }
@@ -20,7 +16,6 @@ pub fn valid_names_do_not_fire() {
     // Catalogue names and well-formed span fragments must pass.
     cnnre_obs::counter("oracle.queries").inc();
     cnnre_obs::series("solver.candidates_per_layer").push(3.0);
-    cnnre_obs::profile::count("solver.progress.root_pct", 50.0);
     cnnre_obs::counter("events.emitted").inc();
     cnnre_obs::gauge("events.clients").set(1.0);
     cnnre_obs::counter("viz.snapshots.written").inc();

@@ -78,12 +78,7 @@ fn float_eq_fixture_reports_literal_and_cast_not_ordering() {
 fn metric_name_fixture_reports_each_malformed_literal() {
     assert_eq!(
         lint_fixture("metric_name"),
-        [
-            Rule::MetricName,
-            Rule::MetricName,
-            Rule::MetricName,
-            Rule::MetricName
-        ]
+        [Rule::MetricName, Rule::MetricName, Rule::MetricName]
     );
 }
 

@@ -21,8 +21,7 @@ pub struct MetricDef {
     /// Metric name (or name pattern, for the derived span family
     /// where `<path>` stands for a dotted span path).
     pub name: &'static str,
-    /// Kind: `counter`, `series`, `sample` (profile-stream counter
-    /// event), or a derived-counter pattern.
+    /// Kind: `counter`, `gauge`, `series`, or a derived-counter pattern.
     pub kind: &'static str,
     /// One-line help text.
     pub help: &'static str,
@@ -128,11 +127,6 @@ pub const METRICS: &[MetricDef] = &[
         help: "scrape requests parsed by the obs HTTP server (volatile)",
     },
     MetricDef {
-        name: "oracle.progress.queries",
-        kind: "sample",
-        help: "oracle query budget consumed so far (profile timeline)",
-    },
-    MetricDef {
         name: "oracle.queries",
         kind: "counter",
         help: "zero-count oracle queries answered by a victim oracle",
@@ -150,7 +144,7 @@ pub const METRICS: &[MetricDef] = &[
     MetricDef {
         name: "profile.events.recorded",
         kind: "counter",
-        help: "profile events drained from the ring buffer",
+        help: "profile events exported from the ring buffer",
     },
     MetricDef {
         name: "solver.candidates_per_layer",
@@ -201,21 +195,6 @@ pub const METRICS: &[MetricDef] = &[
         name: "solver.memo.misses",
         kind: "counter",
         help: "per-layer candidate enumerations computed and cached",
-    },
-    MetricDef {
-        name: "solver.progress.candidates_per_layer",
-        kind: "sample",
-        help: "per-layer surviving candidate count (profile timeline)",
-    },
-    MetricDef {
-        name: "solver.progress.eta_branches",
-        kind: "sample",
-        help: "estimated enumeration branches remaining (profile timeline)",
-    },
-    MetricDef {
-        name: "solver.progress.root_pct",
-        kind: "sample",
-        help: "top-level enumeration progress percentage (profile timeline)",
     },
     MetricDef {
         name: "span.<path>.calls",

@@ -11,11 +11,12 @@
 //!   scrapes of a finished run are byte-identical; `?volatile=1` includes
 //!   them.
 //! * `/profile?clock=cycles|wall|both` — a live Chrome-trace snapshot of
-//!   the profiler ring ([`crate::profile::snapshot_events`], non-draining;
-//!   `--profile-out` still sees everything at exit). Defaults to the
+//!   the profiler ring ([`crate::profile::snapshot_events`]; neither it nor
+//!   the `--profile-out` export drains the ring). Defaults to the
 //!   deterministic cycle domain.
-//! * `/progress` — JSON: the run table ([`crate::run::list`]), the latest
-//!   `*.progress.*` telemetry samples, and the `events.*` gauges.
+//! * `/progress` — JSON: one row per run, folded from the recorded event
+//!   stream ([`crate::stream::recorded_stream_snapshot`]), and the
+//!   `events.*` family.
 //! * `/events` — the recorded event stream (header + frames) as a chunked
 //!   response; `?follow=1` keeps the connection open and bridges live
 //!   frames from the [`crate::stream`] hub until shutdown.
@@ -417,34 +418,93 @@ fn serve_events(stream: &mut TcpStream, req: &Request, state: &ServerState) -> i
     stream.write_all(b"0\r\n\r\n")
 }
 
-/// The `/progress` body: run table, latest `*.progress.*` samples from
-/// the profiler ring, and the live event metric family.
+/// One `/progress` row: a run's label and the latest value of each
+/// progress field its frames carried (`None` when no frame carried it).
+#[derive(Debug, Default, PartialEq, Eq)]
+struct RunProgress {
+    label: String,
+    /// `CandidatesNarrowed`: root candidates not yet explored.
+    remaining: Option<u64>,
+    /// `CandidatesNarrowed`: estimated recursion branches left.
+    eta_branches: Option<u64>,
+    /// `CandidatesNarrowed`: root enumeration progress, basis points.
+    root_pct_bp: Option<u64>,
+    /// `LayerChained` frames seen: observed nodes chained so far.
+    layers_chained: Option<u64>,
+    /// `WeightRecovered`: cumulative victim queries.
+    queries: Option<u64>,
+    /// `RunFinished`: surviving candidate structures.
+    structures: Option<u64>,
+}
+
+/// Folds a decoded stream into one row per `RunStarted` frame, in stream
+/// order. Frames before the first run belong to no row.
+fn fold_runs(events: &[crate::stream::AttackEvent]) -> Vec<RunProgress> {
+    use crate::stream::EventPayload as P;
+    let mut runs: Vec<RunProgress> = Vec::new();
+    for ev in events {
+        if let P::RunStarted { label } = &ev.payload {
+            runs.push(RunProgress {
+                label: label.clone(),
+                ..RunProgress::default()
+            });
+            continue;
+        }
+        let Some(run) = runs.last_mut() else { continue };
+        match ev.payload {
+            P::CandidatesNarrowed {
+                remaining,
+                eta_branches,
+                root_pct_bp,
+                ..
+            } => {
+                run.remaining = Some(remaining);
+                run.eta_branches = Some(eta_branches);
+                run.root_pct_bp = Some(root_pct_bp);
+            }
+            P::LayerChained { .. } => *run.layers_chained.get_or_insert(0) += 1,
+            P::WeightRecovered { queries, .. } => run.queries = Some(queries),
+            P::RunFinished { structures } => run.structures = Some(structures),
+            _ => {}
+        }
+    }
+    runs
+}
+
+/// The `/progress` body: the runs folded from the recorded event stream,
+/// and the live event metric family.
 fn progress_json() -> String {
+    let bytes = crate::stream::recorded_stream_snapshot();
+    // The hub encodes every recorded frame itself, so the decode cannot
+    // fail; an empty fold is the safe answer if it ever did.
+    let events = crate::stream::read_stream(bytes.as_slice()).unwrap_or_default();
     let mut out = String::from("{\n  \"runs\": [");
-    for (i, run) in crate::run::list().iter().enumerate() {
+    for (i, run) in fold_runs(&events).iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str("{\"id\": ");
-        json::push_u64(&mut out, run.id);
-        out.push_str(", \"label\": ");
+        out.push_str("{\"label\": ");
         json::push_str(&mut out, &run.label);
-        out.push_str(", \"active\": ");
-        out.push_str(if run.active { "true" } else { "false" });
-        out.push('}');
-    }
-    out.push_str("],\n  \"progress\": {");
-    let mut latest: BTreeMap<String, f64> = BTreeMap::new();
-    for ev in crate::profile::snapshot_events() {
-        if let crate::profile::EventKind::Count { name, value } = ev.kind {
-            if name.contains(".progress.") {
-                latest.insert(name, value);
+        let fields = [
+            ("remaining", run.remaining),
+            ("eta_branches", run.eta_branches),
+            ("root_pct_bp", run.root_pct_bp),
+            ("layers_chained", run.layers_chained),
+            ("queries", run.queries),
+            ("structures", run.structures),
+        ];
+        for (name, value) in fields {
+            if let Some(v) = value {
+                out.push_str(", ");
+                json::push_str(&mut out, name);
+                out.push_str(": ");
+                json::push_u64(&mut out, v);
             }
         }
+        out.push('}');
     }
-    push_scalar_map(&mut out, latest.iter().map(|(k, v)| (k.as_str(), *v)));
     let snap = crate::global().snapshot();
-    out.push_str("},\n  \"events\": {");
+    out.push_str("],\n  \"events\": {");
     push_scalar_map(&mut out, prefixed_scalars(&snap, "events."));
     out.push_str("}\n}\n");
     out
@@ -728,6 +788,88 @@ mod tests {
         assert_eq!(
             hostile.expect_err("a huge chunk size is refused").kind(),
             io::ErrorKind::InvalidData
+        );
+    }
+
+    #[test]
+    fn progress_folds_one_row_per_run() {
+        use crate::stream::{AttackEvent, EventPayload as P};
+        let payloads = [
+            // Before any run: belongs to no row.
+            P::RunFinished { structures: 9 },
+            P::RunStarted {
+                label: "accel.run_trace_only".to_string(),
+            },
+            P::RunStarted {
+                label: "attack.structure".to_string(),
+            },
+            P::CandidatesNarrowed {
+                layer: 1,
+                remaining: 4,
+                eta_branches: 0,
+                root_pct_bp: 0,
+            },
+            P::CandidatesNarrowed {
+                layer: 1,
+                remaining: 1,
+                eta_branches: 30,
+                root_pct_bp: 7500,
+            },
+            P::LayerChained {
+                layer: 0,
+                distinct: 1,
+            },
+            P::LayerChained {
+                layer: 1,
+                distinct: 3,
+            },
+            P::RunFinished { structures: 16 },
+            P::RunStarted {
+                label: "attack.weights".to_string(),
+            },
+            P::WeightRecovered {
+                channel: 0,
+                row: 0,
+                col: 0,
+                queries: 40,
+            },
+            P::WeightRecovered {
+                channel: 0,
+                row: 0,
+                col: 1,
+                queries: 95,
+            },
+        ];
+        let events: Vec<AttackEvent> = payloads
+            .into_iter()
+            .enumerate()
+            .map(|(seq, payload)| AttackEvent {
+                seq: seq as u64,
+                cycle: 0,
+                payload,
+            })
+            .collect();
+        let run = |label: &str| RunProgress {
+            label: label.to_string(),
+            ..RunProgress::default()
+        };
+        assert_eq!(
+            fold_runs(&events),
+            vec![
+                run("accel.run_trace_only"),
+                RunProgress {
+                    remaining: Some(1),
+                    eta_branches: Some(30),
+                    root_pct_bp: Some(7500),
+                    layers_chained: Some(2),
+                    structures: Some(16),
+                    ..run("attack.structure")
+                },
+                RunProgress {
+                    queries: Some(95),
+                    ..run("attack.weights")
+                },
+            ]
         );
     }
 

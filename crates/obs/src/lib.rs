@@ -65,7 +65,6 @@ mod json;
 pub mod log;
 pub mod profile;
 mod registry;
-pub mod run;
 pub mod span;
 pub mod stream;
 

@@ -2,8 +2,8 @@
 //!
 //! Where the [`crate::Registry`] aggregates (a span's total wall time and
 //! cycles survive, its *timeline* does not), this module records the full
-//! event stream — span begin/end pairs plus attack-progress counter
-//! samples — into a bounded ring buffer, and exports it in two formats:
+//! span begin/end pairs into a bounded ring buffer, and exports them in
+//! two formats:
 //!
 //! * **Chrome Trace Event JSON** ([`chrome_trace`]): loadable in
 //!   [ui.perfetto.dev](https://ui.perfetto.dev) or `chrome://tracing`,
@@ -18,16 +18,16 @@
 //! `--profile-out` turns both on (spans only know their dotted path while
 //! metrics are enabled, so profiling requires [`crate::set_enabled`]).
 //! Every [`crate::SpanGuard`] then appends a begin event on entry and an
-//! end event (carrying the span's attached simulated cycles) on drop, and
-//! instrumented pipeline stages append [`count`] samples — per-layer
-//! candidate counts, oracle query budget — onto the same stream.
+//! end event (carrying the span's attached simulated cycles) on drop.
+//! Attack progress (candidates per layer, victim queries per weight) is
+//! not recorded here: it travels on the [`crate::stream`] event stream.
 //!
 //! The buffer is bounded and lock-free on the writer path: producers claim
 //! a slot with one `fetch_add` and store into it; once capacity is
 //! reached, new events are *dropped* (never overwritten — a truncated
 //! head is more useful than a shredded tree) and counted. The drop count
-//! is itself exported as the `profile.events.dropped` metric at drain
-//! time. See DESIGN.md §10.
+//! is itself exported as the `profile.events.dropped` metric by
+//! [`export`]. See DESIGN.md §10.
 //!
 //! # Clock domains
 //!
@@ -46,9 +46,8 @@
 //! {
 //!     let mut s = obs::span("attack");
 //!     s.add_cycles(128);
-//!     obs::profile::count("solver.progress.candidates", 18.0);
 //! }
-//! let events = obs::profile::take();
+//! let events = obs::profile::export();
 //! let json = obs::profile::chrome_trace(&events, obs::profile::ClockDomain::Cycles);
 //! assert!(json.contains("\"attack\""));
 //! # obs::profile::set_enabled(false);
@@ -66,8 +65,8 @@ use cnnre_model::sync::{Mutex, OnceLock, PoisonError};
 use crate::json;
 
 /// Default ring capacity, in events. Big enough for every in-tree
-/// experiment (the largest, fig7, stays under 20k events with sampled
-/// counters) while bounding memory to a few MiB.
+/// experiment (the largest, fig7, stays under 20k events) while bounding
+/// memory to a few MiB.
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
 static PROFILING: AtomicBool = AtomicBool::new(false);
@@ -130,13 +129,6 @@ pub enum EventKind {
         /// Simulated accelerator cycles attached with
         /// [`crate::SpanGuard::add_cycles`].
         cycles: u64,
-    },
-    /// An attack-progress counter sample (candidate counts, query budget).
-    Count {
-        /// Metric-schema counter name.
-        name: String,
-        /// Sampled value.
-        value: f64,
     },
 }
 
@@ -221,33 +213,22 @@ pub(crate) fn record_end(path: &str, cycles: u64) {
     }
 }
 
-/// Appends an attack-progress counter sample to the profile stream.
-/// No-op while profiling is disabled. `name` follows the metric schema
-/// (see DESIGN.md §10).
-pub fn count(name: &str, value: f64) {
-    if enabled() {
-        record(EventKind::Count {
-            name: name.to_owned(),
-            value,
-        });
-    }
-}
-
 /// Number of events dropped so far because the ring was full.
 #[must_use]
 pub fn dropped() -> u64 {
     ring().dropped.load(Ordering::Relaxed)
 }
 
-/// Drains the ring: returns every recorded event in order and resets the
-/// buffer for reuse. Records `profile.events.recorded` and
-/// `profile.events.dropped` counters into the global registry (the drop
-/// accounting is itself a metric; see DESIGN.md §10).
+/// The exit-time export: every stored event in order, like
+/// [`snapshot_events`], so the ring keeps serving `/profile` afterwards.
+/// Records `profile.events.recorded` and `profile.events.dropped` counters
+/// into the global registry (the drop accounting is itself a metric; see
+/// DESIGN.md §10).
 #[must_use]
-pub fn take() -> Vec<ProfileEvent> {
-    let (out, dropped) = drain(ring());
+pub fn export() -> Vec<ProfileEvent> {
+    let out = snapshot_events();
     crate::counter("profile.events.recorded").add(out.len() as u64);
-    crate::counter("profile.events.dropped").add(dropped);
+    crate::counter("profile.events.dropped").add(dropped());
     out
 }
 
@@ -272,12 +253,7 @@ pub fn snapshot_events() -> Vec<ProfileEvent> {
 
 /// Clears the ring and the drop counter without exporting anything.
 pub fn reset() {
-    let _ = take_silent();
-}
-
-fn take_silent() -> Vec<ProfileEvent> {
     let _ = drain(ring());
-    Vec::new()
 }
 
 /// Drains every stored event in slot order, resetting the slot cursor and
@@ -356,8 +332,8 @@ impl SpanNode {
     }
 }
 
-/// Reconstructs per-thread span forests from a drained event stream.
-/// Spans still open at drain time are closed at the last event seen on
+/// Reconstructs per-thread span forests from recorded events.
+/// Spans still open at export time are closed at the last event seen on
 /// their thread. Returns roots ordered by `(tid, begin_seq)`.
 #[must_use]
 pub fn build_span_forest(events: &[ProfileEvent]) -> Vec<SpanNode> {
@@ -401,10 +377,9 @@ pub fn build_span_forest(events: &[ProfileEvent]) -> Vec<SpanNode> {
                     }
                 }
             }
-            EventKind::Count { .. } => {}
         }
     }
-    // Close anything still open (drain mid-span), innermost first.
+    // Close anything still open (exported mid-span), innermost first.
     for (tid, mut stack) in stacks {
         let (wall, seq) = last_seen.get(&tid).copied().unwrap_or((0, 0));
         while let Some(mut node) = stack.pop() {
@@ -465,17 +440,15 @@ fn place(node: &SpanNode, at: u64, placed: &mut BTreeMap<u64, CyclePlacement>) -
 const PID_WALL: u64 = 1;
 const PID_CYCLES: u64 = 2;
 
-/// Serializes a drained event stream as Chrome Trace Event Format JSON
+/// Serializes recorded events as Chrome Trace Event Format JSON
 /// (the `traceEvents` array form), loadable in `ui.perfetto.dev` and
 /// `chrome://tracing`.
 ///
 /// The wall clock (pid 1, microsecond `ts`/`dur` derived from wall-ns)
 /// and the synthetic cycle clock (pid 2, one `ts` unit per simulated
 /// cycle) export as separate process tracks; [`ClockDomain::Both`] emits
-/// both. Counter samples emit as `ph:"C"` events on the same track(s) —
-/// on the cycle track they are placed at the cycle cursor of the
-/// enclosing span, keeping the output free of wall values. Cycle-domain
-/// output is byte-deterministic across identical seeded runs.
+/// both. Cycle-domain output is free of wall values and byte-deterministic
+/// across identical seeded runs.
 #[must_use]
 pub fn chrome_trace(events: &[ProfileEvent], clock: ClockDomain) -> String {
     let roots = build_span_forest(events);
@@ -516,28 +489,6 @@ pub fn chrome_trace(events: &[ProfileEvent], clock: ClockDomain) -> String {
             }
         }
     }
-    // Counter samples, placed at the cycle cursor of their thread.
-    let cursors = cycle_cursors(events, &placed);
-    for ev in events {
-        let EventKind::Count { name, value } = &ev.kind else {
-            continue;
-        };
-        if matches!(clock, ClockDomain::Wall | ClockDomain::Both) {
-            push_line(
-                counter_line(name, *value, PID_WALL, ev.tid, ev.wall_ns as f64 / 1e3),
-                &mut out,
-                &mut first,
-            );
-        }
-        if matches!(clock, ClockDomain::Cycles | ClockDomain::Both) {
-            let ts = cursors.get(&ev.seq).copied().unwrap_or(0);
-            push_line(
-                counter_line(name, *value, PID_CYCLES, ev.tid, ts as f64),
-                &mut out,
-                &mut first,
-            );
-        }
-    }
     out.push_str("\n]}\n");
     out
 }
@@ -548,39 +499,6 @@ fn flatten<'a>(node: &'a SpanNode, out: &mut Vec<&'a SpanNode>) {
     for c in &node.children {
         flatten(c, out);
     }
-}
-
-/// For every `Count` event seq, the cycle-timeline position of its
-/// thread at that moment: begin events move the cursor to their span's
-/// start, end events to its end.
-fn cycle_cursors(
-    events: &[ProfileEvent],
-    placed: &BTreeMap<u64, CyclePlacement>,
-) -> BTreeMap<u64, u64> {
-    let mut cursor: BTreeMap<u64, u64> = BTreeMap::new(); // tid -> position
-    let mut open: BTreeMap<u64, Vec<u64>> = BTreeMap::new(); // tid -> begin_seq stack
-    let mut out = BTreeMap::new();
-    for ev in events {
-        match &ev.kind {
-            EventKind::Begin { .. } => {
-                open.entry(ev.tid).or_default().push(ev.seq);
-                if let Some(p) = placed.get(&ev.seq) {
-                    cursor.insert(ev.tid, p.begin);
-                }
-            }
-            EventKind::End { .. } => {
-                if let Some(begin_seq) = open.entry(ev.tid).or_default().pop() {
-                    if let Some(p) = placed.get(&begin_seq) {
-                        cursor.insert(ev.tid, p.end);
-                    }
-                }
-            }
-            EventKind::Count { .. } => {
-                out.insert(ev.seq, cursor.get(&ev.tid).copied().unwrap_or(0));
-            }
-        }
-    }
-    out
 }
 
 fn meta_line(pid: u64, name: &str) -> String {
@@ -629,21 +547,6 @@ fn cycle_span_line(node: &SpanNode, p: CyclePlacement) -> String {
     json::push_str(&mut s, &node.path);
     s.push_str(",\"cycles\":");
     json::push_u64(&mut s, node.cycles);
-    s.push_str("}}");
-    s
-}
-
-fn counter_line(name: &str, value: f64, pid: u64, tid: u64, ts: f64) -> String {
-    let mut s = String::from("{\"ph\":\"C\",\"pid\":");
-    json::push_u64(&mut s, pid);
-    s.push_str(",\"tid\":");
-    json::push_u64(&mut s, tid);
-    s.push_str(",\"name\":");
-    json::push_str(&mut s, name);
-    s.push_str(",\"ts\":");
-    json::push_f64(&mut s, ts);
-    s.push_str(",\"args\":{\"value\":");
-    json::push_f64(&mut s, value);
     s.push_str("}}");
     s
 }
@@ -706,7 +609,7 @@ fn fold(node: &SpanNode, prefix: String, clock: ClockDomain, agg: &mut BTreeMap<
 mod tests {
     use super::*;
 
-    /// Drains the ring and filters to this test's own span paths, so
+    /// Exports the ring and filters to this test's own span paths, so
     /// parallel tests in this binary cannot interfere.
     fn run_scoped<R>(f: impl FnOnce() -> R, marker: &str) -> Vec<ProfileEvent> {
         let _guard = crate::test_lock();
@@ -714,7 +617,7 @@ mod tests {
         set_enabled(true);
         reset();
         f();
-        let events = take();
+        let events = export();
         set_enabled(false);
         crate::set_enabled(false);
         events
@@ -723,7 +626,6 @@ mod tests {
                 EventKind::Begin { path, .. } | EventKind::End { path, .. } => {
                     path.contains(marker)
                 }
-                EventKind::Count { name, .. } => name.contains(marker),
             })
             .collect()
     }
@@ -741,7 +643,6 @@ mod tests {
                     let mut inner = crate::span_labelled("inner", "conv1");
                     inner.add_cycles(20);
                 }
-                count(&format!("solver.progress.{marker}"), 7.0);
             },
             marker,
         )
@@ -782,7 +683,6 @@ mod tests {
         assert_eq!(a, b, "cycle-domain export must be byte-identical");
         assert!(a.contains("\"simulated accelerator cycles\""));
         assert!(a.contains("\"ph\":\"X\""));
-        assert!(a.contains("\"ph\":\"C\""));
         assert!(a.contains("\"conv1\""));
         assert!(!a.contains("wall"), "no wall values in cycle domain:\n{a}");
     }
@@ -816,11 +716,11 @@ mod tests {
         let r = ring();
         let cap = r.slots.len();
         r.next.store(cap, Ordering::Relaxed);
-        count("solver.progress.proftest_drop", 1.0);
+        record_begin("proftest_drop", None);
         assert_eq!(dropped(), 1);
-        let events = take();
-        assert!(events.is_empty());
-        assert_eq!(dropped(), 0, "take() resets the drop counter");
+        assert!(export().is_empty());
+        reset();
+        assert_eq!(dropped(), 0, "reset() clears the drop counter");
         set_enabled(false);
         crate::set_enabled(false);
     }
@@ -831,15 +731,16 @@ mod tests {
         crate::set_enabled(true);
         set_enabled(true);
         reset();
-        count("solver.progress.proftest_snapshot", 2.0);
+        record_begin("proftest_snapshot", None);
         let has_marker = |evs: &[ProfileEvent]| {
-            evs.iter().any(|e| {
-                matches!(&e.kind, EventKind::Count { name, .. } if name.contains("proftest_snapshot"))
-            })
+            evs.iter().any(
+                |e| matches!(&e.kind, EventKind::Begin { path, .. } if path == "proftest_snapshot"),
+            )
         };
         assert!(has_marker(&snapshot_events()));
-        // The snapshot left the ring intact: draining still sees the event.
-        assert!(has_marker(&take()));
+        // Neither the snapshot nor the export drains the ring.
+        assert!(has_marker(&export()));
+        assert!(has_marker(&snapshot_events()));
         set_enabled(false);
         crate::set_enabled(false);
     }
@@ -850,12 +751,10 @@ mod tests {
         crate::set_enabled(true);
         set_enabled(false);
         reset();
-        count("solver.progress.proftest_off", 1.0);
         {
             let _s = crate::span("proftest_off_span");
         }
-        let events = take_silent();
-        assert!(events.is_empty());
+        assert!(snapshot_events().is_empty());
         crate::set_enabled(false);
     }
 }
@@ -866,10 +765,10 @@ mod model_tests {
     use cnnre_model::sync::Arc;
     use cnnre_model::{check, thread};
 
-    fn count_ev(name: &str) -> EventKind {
-        EventKind::Count {
-            name: name.to_owned(),
-            value: 1.0,
+    fn begin_ev(path: &str) -> EventKind {
+        EventKind::Begin {
+            path: path.to_owned(),
+            label: None,
         }
     }
 
@@ -882,8 +781,8 @@ mod model_tests {
         check(|| {
             let r = Arc::new(Ring::with_capacity(1));
             let r2 = Arc::clone(&r);
-            let t = thread::spawn(move || push_event(&r2, 1, 0, count_ev("a")));
-            let stored_here = push_event(&r, 0, 0, count_ev("b"));
+            let t = thread::spawn(move || push_event(&r2, 1, 0, begin_ev("a")));
+            let stored_here = push_event(&r, 0, 0, begin_ev("b"));
             let stored_there = t.join().expect("writer joined");
             assert!(
                 stored_here ^ stored_there,

@@ -458,10 +458,13 @@ fn cmd_obs_probe(args: &[String]) -> i32 {
     check(
         "/progress",
         probe("/progress").and_then(|body| {
-            if String::from_utf8_lossy(&body).contains("\"runs\"") {
+            let text = String::from_utf8_lossy(&body);
+            if text.contains("\"runs\": [{") {
                 Ok(())
+            } else if text.contains("\"runs\"") {
+                Err("no run in the runs list".to_string())
             } else {
-                Err("no runs table".to_string())
+                Err("no runs list".to_string())
             }
         }),
     );

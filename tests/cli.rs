@@ -348,17 +348,15 @@ fn profile_out_writes_deterministic_cycle_domain_chrome_trace() {
         first, second,
         "cycle-domain profiles of identical seeded runs must be byte-identical"
     );
-    // Valid Chrome Trace shape: event array, span + counter + metadata
-    // phases, the cycle track, and a labelled stage slice.
+    // Valid Chrome Trace shape: event array, span and metadata phases,
+    // the cycle track, and a labelled stage slice.
     assert!(first.starts_with("{\"traceEvents\":["));
     assert!(first.trim_end().ends_with("]}"));
     for needle in [
         "\"ph\":\"X\"",
-        "\"ph\":\"C\"",
         "\"ph\":\"M\"",
         "simulated accelerator cycles",
         "\"conv1\"",
-        "solver.progress.candidates_per_layer",
     ] {
         assert!(first.contains(needle), "profile missing {needle}");
     }

@@ -45,7 +45,7 @@ fn recorded_run() -> Vec<u8> {
         .expect("LeNet lowers onto the accelerator");
     recover_structures(&exec.trace, (32, 1), 10, &NetworkSolverConfig::default())
         .expect("structures recoverable");
-    let bytes = cnnre_obs::stream::take_recorded_bytes();
+    let bytes = cnnre_obs::stream::recorded_stream_snapshot();
     cnnre_obs::stream::set_record(false);
     cnnre_obs::stream::set_enabled(false);
     cnnre_obs::stream::reset();

@@ -5,7 +5,8 @@
 //! `tests/golden/lenet_metrics.prom`, while `/events` serves exactly
 //! `tests/golden/lenet_events.evt`; and the whole CLI flow
 //! (`--serve-obs` + `--serve-obs-hold` + `obs-probe --against --quit`)
-//! must hand shake end to end as two real processes.
+//! must hand shake end to end as two real processes, with `/events` and
+//! `/progress` still whole during the hold.
 //!
 //! Regenerate the golden after an intentional metric or exposition
 //! change:
@@ -22,8 +23,9 @@ use cnn_reveng::attacks::structure::{recover_structures, NetworkSolverConfig};
 use cnn_reveng::nn::models::lenet;
 use cnnre_obs::http::get;
 use cnnre_tensor::rng::{SeedableRng, SmallRng};
+use std::ffi::OsStr;
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -38,7 +40,6 @@ fn golden_path(name: &str) -> PathBuf {
 fn golden_pipeline() {
     cnnre_obs::set_enabled(true);
     cnnre_obs::global().reset();
-    cnnre_obs::run::reset();
     cnnre_obs::stream::reset();
     cnnre_obs::stream::set_enabled(true);
     cnnre_obs::stream::set_record(true);
@@ -57,7 +58,6 @@ fn teardown() {
     cnnre_obs::stream::reset();
     cnnre_obs::set_enabled(false);
     cnnre_obs::global().reset();
-    cnnre_obs::run::reset();
 }
 
 #[test]
@@ -93,10 +93,10 @@ fn live_scrape_is_deterministic_and_matches_golden() {
     let (status, body) = get(&addr, "/progress").expect("progress");
     assert_eq!(status, 200);
     let progress = String::from_utf8_lossy(&body).into_owned();
-    assert!(progress.contains("\"runs\""));
-    assert!(
-        progress.contains("attack.structure"),
-        "the run table must list the structure attack: {progress}"
+    assert_eq!(
+        progress_labels(&progress),
+        ["accel.run_trace_only", "attack.structure"],
+        "/progress must fold one row per recorded run: {progress}"
     );
     let (status, body) = get(&addr, "/events").expect("events");
     assert_eq!(status, 200);
@@ -129,56 +129,169 @@ fn regenerate_golden_metrics() {
     teardown();
 }
 
+/// A `cnnre` child run with `--serve-obs 127.0.0.1:0 --serve-obs-hold`,
+/// holding its finished run until a scraper sends `/quit`.
+struct HeldRun {
+    child: Child,
+    addr: String,
+    tmp: PathBuf,
+    /// The `--metrics` snapshot, written right before the hold.
+    metrics: PathBuf,
+}
+
+impl HeldRun {
+    /// Spawns `cnnre ARGS --serve-obs 127.0.0.1:0 --serve-obs-hold
+    /// --metrics FILE` with its address published through
+    /// `CNNRE_OBS_ADDR_FILE`, and waits until it holds. `args` may name
+    /// files inside [`HeldRun::path`]`(tag, ..)`.
+    fn spawn(tag: &str, args: &[&OsStr]) -> Self {
+        let tmp = Self::dir(tag);
+        std::fs::create_dir_all(&tmp).expect("temp dir");
+        let addr_file = tmp.join("addr");
+        let metrics = tmp.join("metrics.json");
+        let mut child = Command::new(env!("CARGO_BIN_EXE_cnnre"))
+            .args(args)
+            .args([
+                "--serve-obs",
+                "127.0.0.1:0",
+                "--serve-obs-hold",
+                "--metrics",
+            ])
+            .arg(&metrics)
+            .env("CNNRE_OBS_ADDR_FILE", &addr_file)
+            .stdout(Stdio::null())
+            .spawn()
+            .expect("spawn cnnre --serve-obs");
+        // The metrics snapshot lands right before the hold, so both files
+        // present means the server is up with the finished run's registry.
+        let mut ready = false;
+        for _ in 0..600 {
+            if addr_file.exists() && metrics.exists() {
+                ready = true;
+                break;
+            }
+            if let Some(status) = child.try_wait().expect("child pollable") {
+                panic!("cnnre exited before serving (status {status})");
+            }
+            std::thread::sleep(Duration::from_millis(100));
+        }
+        assert!(ready, "server did not come up within the poll budget");
+        let addr = std::fs::read_to_string(&addr_file)
+            .expect("address file readable")
+            .trim()
+            .to_string();
+        Self {
+            child,
+            addr,
+            tmp,
+            metrics,
+        }
+    }
+
+    /// The per-process scratch directory of the run named `tag`.
+    fn dir(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("cnnre-obs-http-{tag}-{}", std::process::id()))
+    }
+
+    fn get(&self, path: &str) -> Vec<u8> {
+        let (status, body) = get(&self.addr, path).expect("scrape");
+        assert_eq!(status, 200, "GET {path}");
+        body
+    }
+
+    /// Waits for the child to exit after a `/quit`.
+    fn finish(mut self) {
+        let run = self.child.wait().expect("cnnre exits after /quit");
+        assert!(run.success(), "cnnre run failed (status {run})");
+    }
+}
+
+impl Drop for HeldRun {
+    /// A failed assertion leaves the child holding; kill it, or its
+    /// inherited stderr keeps the test harness waiting.
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        let _ = std::fs::remove_dir_all(&self.tmp);
+    }
+}
+
+/// The run labels of a `/progress` body, in order.
+fn progress_labels(progress: &str) -> Vec<&str> {
+    progress
+        .split("\"label\": \"")
+        .skip(1)
+        .filter_map(|rest| rest.split('"').next())
+        .collect()
+}
+
 /// The CLI handshake as two real processes: `cnnre attack-structure
-/// --serve-obs --serve-obs-hold --metrics` publishing its port through
-/// `CNNRE_OBS_ADDR_FILE`, probed and quit by `cnnre obs-probe --against
-/// --quit` — the same flow `scripts/check.sh` drives.
+/// --serve-obs --serve-obs-hold --metrics --events-out` publishing its port
+/// through `CNNRE_OBS_ADDR_FILE`, probed and quit by `cnnre obs-probe
+/// --against --quit` — the same flow `scripts/check.sh` drives. Writing
+/// `--events-out` must leave `/events` and `/progress` whole for the hold.
 #[test]
 fn serve_obs_cli_flow_roundtrips_between_processes() {
-    let tmp = std::env::temp_dir().join(format!("cnnre-obs-http-{}", std::process::id()));
-    std::fs::create_dir_all(&tmp).expect("temp dir");
-    let addr_file = tmp.join("addr");
-    let metrics_file = tmp.join("metrics.json");
-    let mut child = Command::new(env!("CARGO_BIN_EXE_cnnre"))
-        .args([
-            "attack-structure",
-            "lenet",
-            "--serve-obs",
-            "127.0.0.1:0",
-            "--serve-obs-hold",
-            "--metrics",
-        ])
-        .arg(&metrics_file)
-        .env("CNNRE_OBS_ADDR_FILE", &addr_file)
-        .stdout(Stdio::null())
-        .spawn()
-        .expect("spawn cnnre --serve-obs");
-    // The metrics snapshot lands right before the hold, so both files
-    // present means the server is up with the finished run's registry.
-    let mut ready = false;
-    for _ in 0..600 {
-        if addr_file.exists() && metrics_file.exists() {
-            ready = true;
-            break;
-        }
-        if let Some(status) = child.try_wait().expect("child pollable") {
-            panic!("cnnre exited before serving (status {status})");
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    assert!(ready, "server did not come up within the poll budget");
-    let addr = std::fs::read_to_string(&addr_file)
-        .expect("address file readable")
-        .trim()
-        .to_string();
+    let events_file = HeldRun::dir("structure").join("run.evt");
+    let held = HeldRun::spawn(
+        "structure",
+        &[
+            OsStr::new("attack-structure"),
+            OsStr::new("lenet"),
+            OsStr::new("--events-out"),
+            events_file.as_os_str(),
+        ],
+    );
+    let written = std::fs::read(&events_file).expect("--events-out written before the hold");
+    assert!(
+        written.len() > cnnre_obs::stream::header().len(),
+        "the recording holds frames"
+    );
+    assert!(
+        held.get("/events") == written,
+        "/events during the hold must serve the --events-out bytes"
+    );
+    let progress = String::from_utf8(held.get("/progress")).expect("utf-8 JSON");
+    assert_eq!(
+        progress_labels(&progress),
+        ["accel.run_trace_only", "attack.structure"],
+        "{progress}"
+    );
     let probe = Command::new(env!("CARGO_BIN_EXE_cnnre"))
-        .args(["obs-probe", &addr, "--against"])
-        .arg(&metrics_file)
+        .args(["obs-probe", &held.addr, "--against"])
+        .arg(&held.metrics)
         .arg("--quit")
         .status()
         .expect("obs-probe runs");
     assert!(probe.success(), "obs-probe found a failing endpoint");
-    let run = child.wait().expect("cnnre exits after /quit");
-    assert!(run.success(), "cnnre run failed (status {run})");
-    let _ = std::fs::remove_dir_all(&tmp);
+    held.finish();
+}
+
+/// `/progress` after a weights attack that sends thousands of victim
+/// queries through the accelerator: one row for the attack, none for the
+/// suppressed per-query accelerator runs, and the query count it reached.
+#[test]
+fn progress_after_a_victim_heavy_weights_attack_lists_one_run() {
+    let held = HeldRun::spawn(
+        "weights",
+        &[
+            OsStr::new("attack-weights"),
+            OsStr::new("--via-trace"),
+            OsStr::new("--filters"),
+            OsStr::new("1"),
+        ],
+    );
+    let progress = String::from_utf8(held.get("/progress")).expect("utf-8 JSON");
+    assert_eq!(progress_labels(&progress), ["attack.weights"], "{progress}");
+    assert!(!progress.contains("accel.run"), "{progress}");
+    let queries: u64 = progress
+        .split("\"queries\": ")
+        .nth(1)
+        .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|n| n.parse().ok())
+        .expect("the run row carries WeightRecovered queries");
+    assert!(queries > 0, "{progress}");
+    let (status, _) = get(&held.addr, "/quit").expect("quit");
+    assert_eq!(status, 200);
+    held.finish();
 }

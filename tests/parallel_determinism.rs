@@ -67,7 +67,7 @@ fn recorded_run(threads: usize) -> Vec<u8> {
         .expect("LeNet lowers onto the accelerator");
     recover_structures(&exec.trace, (32, 1), 10, &solver_cfg(threads))
         .expect("structures recoverable");
-    let bytes = cnnre_obs::stream::take_recorded_bytes();
+    let bytes = cnnre_obs::stream::recorded_stream_snapshot();
     cnnre_obs::stream::set_record(false);
     cnnre_obs::stream::set_enabled(false);
     cnnre_obs::stream::reset();
@@ -89,7 +89,7 @@ fn profiled_run(threads: usize) -> String {
         .expect("LeNet lowers onto the accelerator");
     recover_structures(&exec.trace, (32, 1), 10, &solver_cfg(threads))
         .expect("structures recoverable");
-    let events = cnnre_obs::profile::take();
+    let events = cnnre_obs::profile::export();
     cnnre_obs::profile::set_enabled(false);
     cnnre_obs::set_enabled(false);
     cnnre_obs::global().reset();
