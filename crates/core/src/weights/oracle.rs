@@ -19,7 +19,7 @@
 //!   the adversary would. Used to validate that the functional model and
 //!   the real leak agree.
 
-use cnnre_accel::{AccelConfig, Accelerator, RegionKind, Schedule};
+use cnnre_accel::{AccelConfig, Accelerator, Region, RegionKind, Schedule};
 use cnnre_nn::layer::{Conv2d, PoolKind};
 use cnnre_nn::{Network, NetworkBuilder};
 use cnnre_tensor::{Shape3, Tensor3};
@@ -366,6 +366,10 @@ pub struct AcceleratorOracle {
     net: Network,
     geom: LayerGeometry,
     accel: Accelerator,
+    /// The victim's weights region in the planned DRAM layout.
+    weights: Region,
+    /// Bytes of one filter inside `weights`.
+    filter_bytes: u64,
     queries: u64,
 }
 
@@ -407,9 +411,20 @@ impl AcceleratorOracle {
             ifm_buffer_elems: geom.input.len().max(1),
             ..AccelConfig::for_weight_attack()
         };
+        // lint:allow(panic): same documented contract
+        let schedule = Schedule::plan(&net, &config).expect("victim layer plans");
+        let weights = schedule
+            .layout()
+            .regions()
+            .iter()
+            .find(|r| r.kind == RegionKind::Weights)
+            .expect("victim layer has weights") // lint:allow(panic): a planned conv layer always maps a weights region
+            .clone();
         Self {
             net,
             geom,
+            weights,
+            filter_bytes: filter_elems as u64 * config.element_bytes,
             accel: Accelerator::new(config),
             queries: 0,
         }
@@ -422,23 +437,11 @@ impl AcceleratorOracle {
     /// output is fully pruned emits no writes, leaving its weight burst
     /// adjacent to the next filter's.)
     fn counts_from_trace(&self, exec: &cnnre_accel::Execution) -> Vec<u64> {
-        // lint:allow(panic): this exact (net, config) pair was planned and run
-        // by new()/query() already; re-planning cannot fail
-        let schedule = Schedule::plan(&self.net, self.accel.config()).expect("planned before");
-        let weights_region = schedule
-            .layout()
-            .regions()
-            .iter()
-            .find(|r| r.kind == RegionKind::Weights)
-            .expect("victim layer has weights") // lint:allow(panic): schedule of a conv layer always maps a weights region
-            .clone();
-        let filter_bytes =
-            (self.geom.input.c * self.geom.f * self.geom.f) as u64 * exec.trace.element_bytes();
         let mut counts = vec![0u64; self.geom.d_ofm];
         let mut filter: Option<usize> = None;
         for ev in exec.trace.events() {
-            if ev.kind.is_read() && weights_region.contains(ev.addr) {
-                let idx = ((ev.addr - weights_region.base) / filter_bytes) as usize;
+            if ev.kind.is_read() && self.weights.contains(ev.addr) {
+                let idx = ((ev.addr - self.weights.base) / self.filter_bytes) as usize;
                 filter = Some(idx.min(self.geom.d_ofm.saturating_sub(1)));
             } else if ev.kind.is_write() {
                 if let Some(f) = filter {

@@ -54,7 +54,8 @@ pub struct RecoveryConfig {
     /// Worker count for [`recover_ratios_parallel`] (filters are recovered
     /// as independent worker tasks via [`crate::exec::map_ordered`]).
     /// Defaults to [`crate::exec::default_threads`]; the sequential
-    /// [`recover_ratios`] entry point ignores it.
+    /// [`recover_ratios`] entry point ignores it. Nothing returned or
+    /// streamed depends on it (the parallel entry streams after the join).
     pub threads: usize,
 }
 
@@ -237,7 +238,7 @@ impl VirtualProbe {
             ..*geom
         };
         let bias = if bias_positive { 1.0f32 } else { -1.0 };
-        // lint:allow(panic): recover_ratios asserts the geometry up front
+        // lint:allow(panic): `start_recovery` checks the geometry up front
         let conv_w = geom.conv_out_w().expect("valid geometry");
         let (f, s, p) = (geom.f, geom.s, geom.p);
         // The virtual weight through which pixel (c, y, x) reaches tap
@@ -298,7 +299,7 @@ impl VirtualProbe {
                 (reached.len(), conv_w * conv_w)
             }
             Some((_, f_p, s_p, p_p)) => {
-                // lint:allow(panic): recover_ratios asserts the geometry up front
+                // lint:allow(panic): `start_recovery` checks the geometry up front
                 let out_w = geom.final_out_w().expect("valid geometry");
                 let cells = |pw: usize| window_cells(pw, f_p, s_p, p_p, conv_w);
                 let mut pooled: Vec<(usize, usize)> = Vec::new();
@@ -448,27 +449,19 @@ fn make_target_at(
     })
 }
 
-/// Anchors the probe so the target weight lands on the *last* conv output:
-/// every other stimulated tap then uses a larger (already recovered under
-/// descending order) weight index, and no unknown weight is co-stimulated.
-fn make_target(geom: &LayerGeometry, c: usize, i: usize, j: usize) -> Option<Target> {
-    let conv_w = geom.conv_out_w()?;
-    let th = conv_w - 1;
-    make_target_at(geom, c, i, j, (th, th))
-}
-
 /// Fallback anchor for weights whose bottom-corner probe falls outside the
 /// input (padding makes the last window hang over the edge): the smallest
 /// per-dimension tap whose probe coordinate is in range. The co-stimulated
 /// taps then carry *smaller* weight indices, so this anchor is used in a
 /// second, ascending pass after the main sweep.
 fn make_target_near_origin(geom: &LayerGeometry, c: usize, i: usize, j: usize) -> Option<Target> {
-    let pick = |t_idx: usize| -> Option<usize> {
-        (0..geom.conv_out_w()?).find(|&t| (t * geom.s + t_idx).checked_sub(geom.p).is_some())
-    };
-    let t_r = pick(i)?;
-    let t_c = pick(j)?;
-    make_target_at(geom, c, i, j, (t_r, t_c))
+    make_target_at(geom, c, i, j, (first_tap(geom, i)?, first_tap(geom, j)?))
+}
+
+/// The first conv output row (or column) whose probe for filter row (or
+/// column) `t_idx` lies inside the input's leading edge.
+fn first_tap(geom: &LayerGeometry, t_idx: usize) -> Option<usize> {
+    (0..geom.conv_out_w()?).find(|&t| (t * geom.s + t_idx).checked_sub(geom.p).is_some())
 }
 
 /// All anchor strategies for one weight, in preference order: bottom-right
@@ -480,14 +473,11 @@ fn candidate_targets(geom: &LayerGeometry, c: usize, i: usize, j: usize) -> Vec<
         return Vec::new();
     };
     let th = conv_w - 1;
-    let pick = |t_idx: usize| -> Option<usize> {
-        (0..conv_w).find(|&t| (t * geom.s + t_idx).checked_sub(geom.p).is_some())
-    };
     let mut anchors: Vec<(Option<usize>, Option<usize>)> = vec![
         (Some(th), Some(th)),
-        (pick(i), pick(j)),
-        (Some(th), pick(j)),
-        (pick(i), Some(th)),
+        (first_tap(geom, i), first_tap(geom, j)),
+        (Some(th), first_tap(geom, j)),
+        (first_tap(geom, i), Some(th)),
     ];
     if geom.pool.is_some() && th >= 1 {
         anchors.extend_from_slice(&[
@@ -773,7 +763,7 @@ fn ratio_from_crossing(
     match (geom.pool, geom.order) {
         (Some((PoolKind::Avg, f_p, _, _)), MergedOrder::PoolThenAct) => {
             // Window sum: x·(w_t/b + Σ known affected ratios) + K + pins = 0.
-            // lint:allow(panic): recover_ratios asserts the geometry up front
+            // lint:allow(panic): `start_recovery` checks the geometry up front
             let conv_w = geom.conv_out_w().expect("valid geometry");
             let window_tap =
                 |v: usize, t_v: usize| v >= t_v.saturating_sub(f_p - 1) && v <= t_v && v < conv_w;
@@ -834,7 +824,8 @@ fn formula_pin_term(
     }
 }
 
-/// Runs the full-layer ratio recovery.
+/// Runs the full-layer ratio recovery on the calling thread, streaming
+/// each filter's frames as soon as the filter is done.
 ///
 /// # Example
 ///
@@ -867,28 +858,25 @@ fn formula_pin_term(
 ///
 /// Panics when the layer geometry is degenerate (no conv output).
 pub fn recover_ratios(oracle: &mut dyn ZeroCountOracle, cfg: &RecoveryConfig) -> RatioRecovery {
-    let _span = cnnre_obs::span("attack.weights");
-    cnnre_obs::stream::start_run("attack.weights");
-    let geom = oracle.geometry();
-    assert!(geom.final_out_w().is_some(), "degenerate geometry");
-    let baseline = oracle.query(&[]);
-    // lint:allow(panic): asserted non-degenerate two lines above
-    let full = (geom.final_out_w().expect("valid geometry") as u64).pow(2);
-    let bias_positive: Vec<bool> = baseline.iter().map(|&c| c == full).collect();
+    let (_span, geom, bias_positive) = start_recovery(oracle);
+    let mut spent = 1;
     let recoveries: Vec<FilterRecovery> = (0..geom.d_ofm)
-        .map(|d| recover_filter(oracle, &geom, d, bias_positive[d], cfg))
+        .map(|d| {
+            let rec = recover_filter(oracle, &geom, d, bias_positive[d], cfg);
+            spent = emit_filter(spent, &rec);
+            rec
+        })
         .collect();
-    finish_recovery(&geom, recoveries, bias_positive)
+    finish_recovery(recoveries, bias_positive)
 }
 
 /// The parallel whole-layer attack: every filter is recovered as an
 /// independent worker task against its own clone of `oracle` (filter `d`'s
 /// probes, pins, and virtual model depend only on filter `d`'s state, so
-/// the decomposition is exact). The coordinator then replays the
-/// sequential telemetry from the per-filter query marks, so recovered
-/// ratios, counters and streamed events are
-/// byte-identical to [`recover_ratios`] at any `cfg.threads` value
-/// (DESIGN.md §13).
+/// the decomposition is exact). After the join the coordinator streams
+/// each filter's frames in filter order, so recovered ratios, counters and
+/// streamed events are byte-identical to [`recover_ratios`] at any
+/// `cfg.threads` value (DESIGN.md §13).
 ///
 /// The oracle must be cheaply cloneable with an independent query counter
 /// per clone (e.g. [`crate::weights::FunctionalOracle`]); stateful hardware-backed oracles
@@ -901,14 +889,7 @@ pub fn recover_ratios_parallel<O>(mut oracle: O, cfg: &RecoveryConfig) -> RatioR
 where
     O: ZeroCountOracle + Clone + Send + Sync + 'static,
 {
-    let _span = cnnre_obs::span("attack.weights");
-    cnnre_obs::stream::start_run("attack.weights");
-    let geom = oracle.geometry();
-    assert!(geom.final_out_w().is_some(), "degenerate geometry");
-    let baseline = oracle.query(&[]);
-    // lint:allow(panic): asserted non-degenerate two lines above
-    let full = (geom.final_out_w().expect("valid geometry") as u64).pow(2);
-    let bias_positive: Vec<bool> = baseline.iter().map(|&c| c == full).collect();
+    let (_span, geom, bias_positive) = start_recovery(&mut oracle);
     let proto = Arc::new(oracle);
     let run_cfg = *cfg;
     let items: Vec<(usize, bool)> = bias_positive.iter().copied().enumerate().collect();
@@ -919,52 +900,44 @@ where
         let mut worker_oracle = (*proto).clone();
         recover_filter(&mut worker_oracle, &geom, d, positive, &run_cfg)
     });
-    finish_recovery(&geom, recoveries, bias_positive)
+    recoveries.iter().fold(1, emit_filter);
+    finish_recovery(recoveries, bias_positive)
 }
 
-/// One filter's recovery outcome plus the query bookkeeping the
-/// coordinator needs to replay sequential telemetry.
+/// The prologue of both entry points: opens the `attack.weights` span and
+/// run, checks the geometry, and reads each filter's bias sign from one
+/// baseline query (every output of a positive-bias filter is on).
+fn start_recovery(
+    oracle: &mut dyn ZeroCountOracle,
+) -> (cnnre_obs::SpanGuard, LayerGeometry, Vec<bool>) {
+    let span = cnnre_obs::span("attack.weights");
+    cnnre_obs::stream::start_run("attack.weights");
+    let geom = oracle.geometry();
+    // lint:allow(panic): the documented `# Panics` of both entry points
+    let full = (geom.final_out_w().expect("degenerate geometry") as u64).pow(2);
+    let bias_positive = oracle.query(&[]).iter().map(|&c| c == full).collect();
+    (span, geom, bias_positive)
+}
+
+/// One weight-recovery work item: a `(channel, row, col)` weight position.
+type WeightPos = (usize, usize, usize);
+
+/// One filter's recovery outcome.
 struct FilterRecovery {
     filter: RecoveredFilter,
-    /// Victim queries this filter had consumed at the end of each pass-1
-    /// item (relative to the filter's own start), aligned with
-    /// [`pass1_split`]'s item list.
-    marks: Vec<u64>,
-    /// Total victim queries this filter consumed.
+    /// Each settled weight with the victim queries the filter had sent when
+    /// it settled, in settle order; kept only while the event stream, its
+    /// one reader, is on (a 96-filter layer's logs cost ≈1 MiB of RSS).
+    settled: Vec<(WeightPos, u64)>,
+    /// Total victim queries this filter sent.
     queries: u64,
     /// Victim searches answered from [`VictimSearches`]'s memo.
     memo_hits: u64,
 }
 
-/// A pass-1 work item: one `(channel, row, col)` weight position.
-type WeightPos = (usize, usize, usize);
-
-/// Pass-1 work items for the layer, split into (recoverable in descending
-/// raster order, deferred to the ascending near-origin pass). Purely
-/// geometric — identical for every filter — which is what lets the
-/// coordinator reconstruct per-item telemetry from per-filter marks.
-fn pass1_split(geom: &LayerGeometry) -> (Vec<WeightPos>, Vec<WeightPos>) {
-    let mut items = Vec::new();
-    let mut deferred = Vec::new();
-    for c in 0..geom.input.c {
-        for i in (0..geom.f).rev() {
-            for j in (0..geom.f).rev() {
-                if make_target(geom, c, i, j).is_some() {
-                    items.push((c, i, j));
-                } else {
-                    deferred.push((c, i, j));
-                }
-            }
-        }
-    }
-    deferred.sort_unstable();
-    (items, deferred)
-}
-
 /// Recovers every weight of filter `d` — the independent unit of work both
-/// entry points are built on. Emits no telemetry itself (worker tasks must
-/// stay silent so the profile/event streams keep a deterministic order);
-/// the coordinator replays progress from the returned query marks.
+/// entry points are built on. Emits no telemetry itself: the entry points
+/// stream the returned settle log with [`emit_filter`].
 fn recover_filter(
     oracle: &mut dyn ZeroCountOracle,
     geom: &LayerGeometry,
@@ -973,125 +946,103 @@ fn recover_filter(
     cfg: &RecoveryConfig,
 ) -> FilterRecovery {
     let start = oracle.query_count();
-    let mut victim = VictimSearches::new(oracle, geom, d);
-    let mut filter = RecoveredFilter::new(geom.input.c, geom.f);
-    let (items, deferred) = pass1_split(geom);
-    // Pass 1, descending raster order: the bottom-anchored probe stimulates
-    // only larger (already recovered) weight indices alongside the target.
-    let mut marks = Vec::with_capacity(items.len());
-    for &(c, i, j) in &items {
-        let ratio = recover_with_retries(&mut victim, geom, &filter, bias_positive, c, i, j, cfg);
-        filter.set(c, i, j, ratio);
-        if ratio.is_some() {
-            victim.forget((c, i, j));
+    let mut run = FilterRun {
+        geom,
+        bias_positive,
+        cfg,
+        victim: VictimSearches::new(oracle, geom, d),
+        filter: RecoveredFilter::new(geom.input.c, geom.f),
+        start,
+        settled: Vec::new(),
+    };
+    // Pass 1, descending raster order: a probe anchored so the target lands
+    // on the last conv output stimulates only larger (already recovered)
+    // weight indices alongside the target. Weights whose bottom probe hangs
+    // over the padded edge are deferred.
+    // lint:allow(panic): `start_recovery` checks the geometry up front
+    let last = geom.conv_out_w().expect("valid geometry") - 1;
+    let mut deferred = Vec::new();
+    for c in 0..geom.input.c {
+        for i in (0..geom.f).rev() {
+            for j in (0..geom.f).rev() {
+                if make_target_at(geom, c, i, j, (last, last)).is_none() {
+                    deferred.push((c, i, j));
+                    continue;
+                }
+                if let Some(r) = run.recover_with_retries((c, i, j)) {
+                    run.settle((c, i, j), r);
+                }
+            }
         }
-        marks.push(victim.oracle.query_count() - start);
     }
-    // Pass 2, ascending: weights whose bottom probe hangs over the padded
-    // edge are anchored near the origin instead; their co-stimulated taps
-    // carry smaller weight indices, recovered in pass 1.
+    // Pass 2, ascending: the deferred weights are anchored near the origin
+    // instead; their co-stimulated taps carry smaller weight indices,
+    // recovered in pass 1.
+    deferred.sort_unstable();
     for (c, i, j) in deferred {
         let Some(t) = make_target_near_origin(geom, c, i, j) else {
             continue;
         };
-        let ratio = recover_one(&mut victim, geom, &filter, bias_positive, &t, cfg, true);
-        filter.set(c, i, j, ratio);
-        if ratio.is_some() {
-            victim.forget((c, i, j));
+        if let Some(r) = run.recover_one(&t, true) {
+            run.settle((c, i, j), r);
         }
     }
     // Fixpoint rounds: weights masked beyond the reach of the first sweep
     // become recoverable once their neighbours are known — each round the
     // pin vocabulary grows (origin-anchored probes pin through *smaller*
     // recovered weights, bottom-anchored ones through larger), so alternate
-    // both anchors until no further weight resolves. The round flag is
-    // per-filter: an attempt depends only on this filter's own state, so a
-    // round that makes no progress here cannot succeed later either (the
-    // old layer-global flag re-ran such rounds and burned victim queries
-    // for nothing).
+    // both anchors until no further weight resolves. An attempt depends
+    // only on this filter's own state, so a round that makes no progress
+    // here cannot succeed later either.
     for _round in 0..6 {
-        let mut progressed = false;
-        for c in 0..geom.input.c {
-            for i in 0..geom.f {
-                for j in 0..geom.f {
-                    if filter.ratio(c, i, j).is_some() {
-                        continue;
-                    }
-                    let targets = candidate_targets(geom, c, i, j);
-                    for t in targets.into_iter().flatten() {
-                        let ratio =
-                            recover_one(&mut victim, geom, &filter, bias_positive, &t, cfg, false);
-                        if let Some(r) = ratio {
-                            filter.set(c, i, j, Some(r));
-                            victim.forget((c, i, j));
-                            progressed = true;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        if !progressed {
+        if !run.sweep(false) {
             break;
         }
     }
     // Whatever remains unresolved after the fixpoint: if a final pinned
     // attempt sees no crossing at all, conclude a zero weight.
-    for c in 0..geom.input.c {
-        for i in 0..geom.f {
-            for j in 0..geom.f {
-                if filter.ratio(c, i, j).is_some() {
-                    continue;
-                }
-                for t in candidate_targets(geom, c, i, j).into_iter().flatten() {
-                    let ratio =
-                        recover_one(&mut victim, geom, &filter, bias_positive, &t, cfg, true);
-                    if ratio.is_some() {
-                        filter.set(c, i, j, ratio);
-                        victim.forget((c, i, j));
-                        break;
-                    }
-                }
-            }
-        }
-    }
+    run.sweep(true);
     FilterRecovery {
-        filter,
-        marks,
-        queries: victim.oracle.query_count() - start,
-        memo_hits: victim.hits,
+        queries: run.victim.oracle.query_count() - start,
+        memo_hits: run.victim.hits,
+        filter: run.filter,
+        settled: run.settled,
     }
 }
 
-/// Coordinator epilogue shared by both entry points: replays the pass-1
-/// progress telemetry in item order from the per-filter query marks
-/// (reconstructing exactly the cumulative counts the old interleaved
-/// sweep observed: after item `k`, every filter has finished items
-/// `0..=k`), then flushes the whole-layer counters and assembles the
-/// result.
-fn finish_recovery(
-    geom: &LayerGeometry,
-    recoveries: Vec<FilterRecovery>,
-    bias_positive: Vec<bool>,
-) -> RatioRecovery {
+/// Streams filter `rec`'s `WeightRecovered` frames, the run having sent
+/// `spent` victim queries before the filter began, and returns the run's
+/// count once the filter is done. Frames go out in settle order, each
+/// stamped with the run's cumulative victim count when its weight
+/// settled; a weight that never settled gets a frame at the filter's
+/// total, so every weight has exactly one frame.
+fn emit_filter(spent: u64, rec: &FilterRecovery) -> u64 {
     if cnnre_obs::stream::enabled() {
-        let (items, _) = pass1_split(geom);
-        for (k, &(c, i, j)) in items.iter().enumerate() {
-            // +1 for the shared baseline query.
-            let queries_after_item: u64 = 1 + recoveries.iter().map(|r| r.marks[k]).sum::<u64>();
+        let (ratios, f) = (&rec.filter.ratios, rec.filter.f);
+        let unsettled = (0..ratios.len()).filter(|&k| ratios[k].is_none());
+        let unsettled = unsettled.map(|k| ((k / (f * f), k / f % f, k % f), rec.queries));
+        for ((c, i, j), queries) in rec.settled.iter().copied().chain(unsettled) {
             // The weight run's "cycle" domain is the cumulative victim
             // query count — monotone by construction.
+            let queries = spent + queries;
             cnnre_obs::stream::emit_at(
-                queries_after_item,
+                queries,
                 cnnre_obs::stream::EventPayload::WeightRecovered {
                     channel: c as u64,
                     row: i as u64,
                     col: j as u64,
-                    queries: queries_after_item,
+                    queries,
                 },
             );
         }
     }
+    spent + rec.queries
+}
+
+/// Coordinator epilogue shared by both entry points: flushes the
+/// whole-layer counters and assembles the result (the baseline query
+/// counts towards the total).
+fn finish_recovery(recoveries: Vec<FilterRecovery>, bias_positive: Vec<bool>) -> RatioRecovery {
     let total_queries: u64 = 1 + recoveries.iter().map(|r| r.queries).sum::<u64>();
     let memo_hits: u64 = recoveries.iter().map(|r| r.memo_hits).sum();
     let filters: Vec<RecoveredFilter> = recoveries.into_iter().map(|r| r.filter).collect();
@@ -1385,147 +1336,186 @@ fn excess_coincidences(
         .collect()
 }
 
-/// Tries the bottom-corner anchor first, then nearby window-aligned
-/// anchors; commits the first attempt that produces a definitive result.
-/// Intermediate attempts may only return a value with verification, so an
-/// inconclusive anchor never poisons the recovery.
-#[allow(clippy::too_many_arguments)]
-fn recover_with_retries(
-    victim: &mut VictimSearches<'_>,
-    geom: &LayerGeometry,
-    filter: &RecoveredFilter,
+/// One filter's recovery in progress.
+struct FilterRun<'a> {
+    geom: &'a LayerGeometry,
     bias_positive: bool,
-    c: usize,
-    i: usize,
-    j: usize,
-    cfg: &RecoveryConfig,
-) -> Option<f64> {
-    let conv_w = geom.conv_out_w()?;
-    let th = conv_w - 1;
-    let mut anchors = vec![(th, th)];
-    if geom.pool.is_some() && th >= 1 {
-        anchors.extend_from_slice(&[(th - 1, th - 1), (th, th - 1), (th - 1, th)]);
-    }
-    let mut inconclusive_zero = false;
-    for (n, anchor) in anchors.iter().enumerate() {
-        let Some(t) = make_target_at(geom, c, i, j, *anchor) else {
-            continue;
-        };
-        let last = n + 1 == anchors.len();
-        match recover_one(victim, geom, filter, bias_positive, &t, cfg, last) {
-            // lint:allow(float-eq): exact 0.0 is the masked/pruned sentinel.
-            Some(r) if r != 0.0 => return Some(r),
-            Some(_) => {
-                // "Zero" can also mean "masked and unpinnable" — only trust
-                // it once the final anchor agrees.
-                inconclusive_zero = true;
-            }
-            None => {}
-        }
-    }
-    inconclusive_zero.then_some(0.0)
+    cfg: &'a RecoveryConfig,
+    victim: VictimSearches<'a>,
+    filter: RecoveredFilter,
+    /// The oracle's query count when the filter's recovery began.
+    start: u64,
+    /// See [`FilterRecovery::settled`].
+    settled: Vec<(WeightPos, u64)>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn recover_one(
-    victim: &mut VictimSearches<'_>,
-    geom: &LayerGeometry,
-    filter: &RecoveredFilter,
-    bias_positive: bool,
-    t: &Target,
-    cfg: &RecoveryConfig,
-    allow_zero: bool,
-) -> Option<f64> {
-    // The fast (unpinned) path is sound only when every co-stimulated tap
-    // carries an already-recovered weight: otherwise an unknown weight's
-    // crossing is indistinguishable from the target's.
-    let all_cotaps_known = affected_taps(geom, t).iter().all(|&v| {
-        t.probe_weight_at(geom, v)
-            .is_none_or(|(fy, fx)| filter.ratio(t.c, fy, fx).is_some())
-    });
-    if all_cotaps_known {
-        let observed = victim.crossings(geom, t, &[], &cfg.search);
-        let predicted = virtual_crossings(geom, filter, bias_positive, t, &[], cfg);
-        let mut unmatched: Vec<Crossing> = observed
+impl FilterRun<'_> {
+    /// Commits a resolved weight: records its ratio, drops its remembered
+    /// searches and, while the event stream is on, logs the victim queries
+    /// sent so far.
+    fn settle(&mut self, (c, i, j): WeightPos, ratio: f64) {
+        self.filter.set(c, i, j, Some(ratio));
+        self.victim.forget((c, i, j));
+        if cnnre_obs::stream::enabled() {
+            let queries = self.victim.oracle.query_count() - self.start;
+            self.settled.push(((c, i, j), queries));
+        }
+    }
+
+    /// One raster sweep over the unresolved weights, trying every candidate
+    /// anchor of each until one settles it; `allow_zero` lets an attempt
+    /// that sees no crossing conclude a zero weight. Returns whether any
+    /// weight settled.
+    fn sweep(&mut self, allow_zero: bool) -> bool {
+        let geom = self.geom;
+        let mut progressed = false;
+        for c in 0..geom.input.c {
+            for i in 0..geom.f {
+                for j in 0..geom.f {
+                    if self.filter.ratio(c, i, j).is_some() {
+                        continue;
+                    }
+                    for t in candidate_targets(geom, c, i, j).into_iter().flatten() {
+                        if let Some(r) = self.recover_one(&t, allow_zero) {
+                            self.settle((c, i, j), r);
+                            progressed = true;
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        progressed
+    }
+
+    /// Tries the bottom-corner anchor first, then nearby window-aligned
+    /// anchors; commits the first attempt that produces a definitive result.
+    /// Intermediate attempts may only return a value with verification, so an
+    /// inconclusive anchor never poisons the recovery.
+    fn recover_with_retries(&mut self, (c, i, j): WeightPos) -> Option<f64> {
+        let geom = self.geom;
+        let conv_w = geom.conv_out_w()?;
+        let th = conv_w - 1;
+        let mut anchors = vec![(th, th)];
+        if geom.pool.is_some() && th >= 1 {
+            anchors.extend_from_slice(&[(th - 1, th - 1), (th, th - 1), (th - 1, th)]);
+        }
+        let mut inconclusive_zero = false;
+        for (n, anchor) in anchors.iter().enumerate() {
+            let Some(t) = make_target_at(geom, c, i, j, *anchor) else {
+                continue;
+            };
+            let last = n + 1 == anchors.len();
+            match self.recover_one(&t, last) {
+                // lint:allow(float-eq): exact 0.0 is the masked/pruned sentinel.
+                Some(r) if r != 0.0 => return Some(r),
+                Some(_) => {
+                    // "Zero" can also mean "masked and unpinnable" — only trust
+                    // it once the final anchor agrees.
+                    inconclusive_zero = true;
+                }
+                None => {}
+            }
+        }
+        inconclusive_zero.then_some(0.0)
+    }
+
+    /// One attempt at the target weight from anchor `t`; `allow_zero` lets
+    /// a pinned attempt that sees no crossing conclude a zero weight.
+    fn recover_one(&mut self, t: &Target, allow_zero: bool) -> Option<f64> {
+        let (geom, filter, cfg) = (self.geom, &self.filter, self.cfg);
+        let bias_positive = self.bias_positive;
+        // The fast (unpinned) path is sound only when every co-stimulated tap
+        // carries an already-recovered weight: otherwise an unknown weight's
+        // crossing is indistinguishable from the target's.
+        let all_cotaps_known = affected_taps(geom, t).iter().all(|&v| {
+            t.probe_weight_at(geom, v)
+                .is_none_or(|(fy, fx)| filter.ratio(t.c, fy, fx).is_some())
+        });
+        if all_cotaps_known {
+            let observed = self.victim.crossings(geom, t, &[], &cfg.search);
+            let predicted = virtual_crossings(geom, filter, bias_positive, t, &[], cfg);
+            let mut unmatched: Vec<Crossing> = observed
+                .iter()
+                .copied()
+                .filter(|o| !predicted.iter().any(|p| crossings_match(o.x, p.x, cfg)))
+                .collect();
+            if unmatched.is_empty() {
+                // The target's crossing may coincide with a known weight's: the
+                // step magnitude then exceeds the prediction.
+                unmatched = excess_coincidences(&observed, &predicted, cfg);
+            }
+            if let [single] = unmatched[..] {
+                let ratio = ratio_from_crossing(geom, t, filter, single.x, 0.0);
+                // Verify: the completed virtual model must reproduce the
+                // observation exactly (positions and step magnitudes).
+                let mut trial = filter.clone();
+                trial.set(t.c, t.i, t.j, Some(ratio));
+                let verify = virtual_crossings(geom, &trial, bias_positive, t, &[], cfg);
+                if sets_match(&observed, &verify, cfg) {
+                    return Some(ratio);
+                }
+            }
+            if geom.pool.is_none() && unmatched.is_empty() {
+                // Without pooling nothing can mask the target, and the
+                // coincidence check found no hidden step: no crossing means a
+                // zero weight (or one outside the searchable ratio range).
+                return Some(0.0);
+            }
+            geom.pool?;
+        }
+
+        // Pinned path: drive every other corner tap far negative so the
+        // target's crossing is exposed (Equation (10), generalized).
+        let pins = build_pins(geom, filter, bias_positive, t)?;
+        let observed2 = self.victim.crossings(geom, t, &pins, &cfg.search);
+        let predicted2 = virtual_crossings(geom, filter, bias_positive, t, &pins, cfg);
+        let unmatched2: Vec<Crossing> = observed2
             .iter()
             .copied()
-            .filter(|o| !predicted.iter().any(|p| crossings_match(o.x, p.x, cfg)))
+            .filter(|o| !predicted2.iter().any(|p| crossings_match(o.x, p.x, cfg)))
             .collect();
-        if unmatched.is_empty() {
-            // The target's crossing may coincide with a known weight's: the
-            // step magnitude then exceeds the prediction.
-            unmatched = excess_coincidences(&observed, &predicted, cfg);
+        let pin_term = formula_pin_term(geom, t, &pins, filter);
+        let unmatched2 = if unmatched2.is_empty() {
+            // A coincident crossing hides behind a known weight's step.
+            excess_coincidences(&observed2, &predicted2, cfg)
+        } else {
+            unmatched2
+        };
+        if unmatched2.is_empty() {
+            if !allow_zero {
+                return None;
+            }
+            // Positive control: a zero conclusion is only sound if a weight of
+            // either sign *would* have produced a visible crossing under these
+            // pins. Inject sentinel ratios into the virtual model and demand
+            // new predicted crossings.
+            for sentinel in [1.0, -1.0, 0.05, -0.05] {
+                let mut trial = filter.clone();
+                trial.set(t.c, t.i, t.j, Some(sentinel));
+                let control = virtual_crossings(geom, &trial, bias_positive, t, &pins, cfg);
+                let visible = control
+                    .iter()
+                    .any(|p| !predicted2.iter().any(|q| crossings_match(p.x, q.x, cfg)));
+                if !visible {
+                    return None; // the setup is blind: do not conclude zero
+                }
+            }
+            return Some(0.0);
         }
-        if let [single] = unmatched[..] {
-            let ratio = ratio_from_crossing(geom, t, filter, single.x, 0.0);
-            // Verify: the completed virtual model must reproduce the
-            // observation exactly (positions and step magnitudes).
+        // Commit a candidate only when the completed virtual model reproduces
+        // the pinned observation exactly.
+        for cand in &unmatched2 {
+            let ratio = ratio_from_crossing(geom, t, filter, cand.x, pin_term);
             let mut trial = filter.clone();
             trial.set(t.c, t.i, t.j, Some(ratio));
-            let verify = virtual_crossings(geom, &trial, bias_positive, t, &[], cfg);
-            if sets_match(&observed, &verify, cfg) {
+            let verify = virtual_crossings(geom, &trial, bias_positive, t, &pins, cfg);
+            if sets_match(&observed2, &verify, cfg) {
                 return Some(ratio);
             }
         }
-        if geom.pool.is_none() && unmatched.is_empty() {
-            // Without pooling nothing can mask the target, and the
-            // coincidence check found no hidden step: no crossing means a
-            // zero weight (or one outside the searchable ratio range).
-            return Some(0.0);
-        }
-        geom.pool?;
+        None
     }
-
-    // Pinned path: drive every other corner tap far negative so the
-    // target's crossing is exposed (Equation (10), generalized).
-    let pins = build_pins(geom, filter, bias_positive, t)?;
-    let observed2 = victim.crossings(geom, t, &pins, &cfg.search);
-    let predicted2 = virtual_crossings(geom, filter, bias_positive, t, &pins, cfg);
-    let unmatched2: Vec<Crossing> = observed2
-        .iter()
-        .copied()
-        .filter(|o| !predicted2.iter().any(|p| crossings_match(o.x, p.x, cfg)))
-        .collect();
-    let pin_term = formula_pin_term(geom, t, &pins, filter);
-    let unmatched2 = if unmatched2.is_empty() {
-        // A coincident crossing hides behind a known weight's step.
-        excess_coincidences(&observed2, &predicted2, cfg)
-    } else {
-        unmatched2
-    };
-    if unmatched2.is_empty() {
-        if !allow_zero {
-            return None;
-        }
-        // Positive control: a zero conclusion is only sound if a weight of
-        // either sign *would* have produced a visible crossing under these
-        // pins. Inject sentinel ratios into the virtual model and demand
-        // new predicted crossings.
-        for sentinel in [1.0, -1.0, 0.05, -0.05] {
-            let mut trial = filter.clone();
-            trial.set(t.c, t.i, t.j, Some(sentinel));
-            let control = virtual_crossings(geom, &trial, bias_positive, t, &pins, cfg);
-            let visible = control
-                .iter()
-                .any(|p| !predicted2.iter().any(|q| crossings_match(p.x, q.x, cfg)));
-            if !visible {
-                return None; // the setup is blind: do not conclude zero
-            }
-        }
-        return Some(0.0);
-    }
-    // Commit a candidate only when the completed virtual model reproduces
-    // the pinned observation exactly.
-    for cand in &unmatched2 {
-        let ratio = ratio_from_crossing(geom, t, filter, cand.x, pin_term);
-        let mut trial = filter.clone();
-        trial.set(t.c, t.i, t.j, Some(ratio));
-        let verify = virtual_crossings(geom, &trial, bias_positive, t, &pins, cfg);
-        if sets_match(&observed2, &verify, cfg) {
-            return Some(ratio);
-        }
-    }
-    None
 }
 
 #[cfg(test)]

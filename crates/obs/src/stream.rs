@@ -211,8 +211,10 @@ pub enum EventPayload {
         /// Distinct surviving candidates at this node.
         distinct: u64,
     },
-    /// Tag 5 — the weight attack recovered (or gave up on) one weight; the
-    /// event's cycle is the cumulative victim query count.
+    /// Tag 5 — the weight attack settled one weight, or gave up on it. A
+    /// run has one frame per weight, filter after filter: each filter's
+    /// settled weights in settle order, then the weights it gave up on.
+    /// The event's cycle is `queries`.
     WeightRecovered {
         /// Input channel of the weight.
         channel: u64,
@@ -220,7 +222,8 @@ pub enum EventPayload {
         row: u64,
         /// Filter column.
         col: u64,
-        /// Cumulative oracle queries after this weight.
+        /// The run's cumulative victim queries when the weight settled,
+        /// or when its filter finished for a weight given up on.
         queries: u64,
     },
     /// Tag 6 — a defense perturbed the observable trace.

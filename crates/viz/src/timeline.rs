@@ -10,8 +10,10 @@
 //! 3. **enumeration progress** — the `CandidatesNarrowed` root-progress
 //!    (basis points) as a polyline over sample order, with the remaining
 //!    branch estimate as hover text;
-//! 4. **oracle queries** — cumulative victim queries per recovered weight
-//!    (`WeightRecovered`), the paper's Fig. 7 cost axis.
+//! 4. **oracle queries** — the run's cumulative victim queries at each
+//!    `WeightRecovered` frame (one per weight, filter after filter), the
+//!    paper's Fig. 7 cost axis; the last frame's count, shown as the
+//!    total, is what the attack spent.
 //!
 //! All coordinates are integer arithmetic over wire values — byte-identical
 //! output for identical streams.

@@ -58,6 +58,15 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> weights event stream (record a weights attack, audit and render it)"
+# The golden stream above is a structure run; this stage audits a weights
+# attack's WeightRecovered stream (E001 monotone cycles, E002 increasing
+# sequence numbers) and renders it.
+./target/release/cnnre attack-weights --filters 2 --events-out "$VIZ_TMP/w.evt" >/dev/null
+cargo run --quiet -p cnnre-audit -- events "$VIZ_TMP/w.evt" --quiet
+./target/release/cnnre-viz --replay "$VIZ_TMP/w.evt" --out-dir "$VIZ_TMP/w" >/dev/null
+[[ -s "$VIZ_TMP/w/timeline.svg" ]] || { echo "cnnre-viz rendered no timeline.svg" >&2; exit 1; }
+
 echo "==> live obs plane (serve-obs on loopback, scrape all endpoints, diff vs JSON export)"
 # Start a real experiment with the embedded scrape server on an
 # ephemeral port, learn the address from CNNRE_OBS_ADDR_FILE, render its

@@ -25,7 +25,7 @@ use cnnre_obs::http::get;
 use cnnre_tensor::rng::{SeedableRng, SmallRng};
 use std::ffi::OsStr;
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command};
 use std::time::Duration;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -137,6 +137,8 @@ struct HeldRun {
     tmp: PathBuf,
     /// The `--metrics` snapshot, written right before the hold.
     metrics: PathBuf,
+    /// The child's stdout, complete once it holds.
+    stdout: PathBuf,
 }
 
 impl HeldRun {
@@ -149,6 +151,7 @@ impl HeldRun {
         std::fs::create_dir_all(&tmp).expect("temp dir");
         let addr_file = tmp.join("addr");
         let metrics = tmp.join("metrics.json");
+        let stdout = tmp.join("stdout.txt");
         let mut child = Command::new(env!("CARGO_BIN_EXE_cnnre"))
             .args(args)
             .args([
@@ -159,7 +162,7 @@ impl HeldRun {
             ])
             .arg(&metrics)
             .env("CNNRE_OBS_ADDR_FILE", &addr_file)
-            .stdout(Stdio::null())
+            .stdout(std::fs::File::create(&stdout).expect("stdout file"))
             .spawn()
             .expect("spawn cnnre --serve-obs");
         // The metrics snapshot lands right before the hold, so both files
@@ -185,6 +188,7 @@ impl HeldRun {
             addr,
             tmp,
             metrics,
+            stdout,
         }
     }
 
@@ -269,7 +273,8 @@ fn serve_obs_cli_flow_roundtrips_between_processes() {
 
 /// `/progress` after a weights attack that sends thousands of victim
 /// queries through the accelerator: one row for the attack, none for the
-/// suppressed per-query accelerator runs, and the query count it reached.
+/// suppressed per-query accelerator runs, and the victim-query count the
+/// command printed.
 #[test]
 fn progress_after_a_victim_heavy_weights_attack_lists_one_run() {
     let held = HeldRun::spawn(
@@ -290,7 +295,14 @@ fn progress_after_a_victim_heavy_weights_attack_lists_one_run() {
         .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
         .and_then(|n| n.parse().ok())
         .expect("the run row carries WeightRecovered queries");
-    assert!(queries > 0, "{progress}");
+    let stdout = std::fs::read_to_string(&held.stdout).expect("stdout readable");
+    let printed: u64 = stdout
+        .split(" victim queries")
+        .next()
+        .and_then(|head| head.rsplit(' ').next())
+        .and_then(|n| n.parse().ok())
+        .expect("the command prints its victim queries");
+    assert_eq!(queries, printed, "{progress}\n{stdout}");
     let (status, _) = get(&held.addr, "/quit").expect("quit");
     assert_eq!(status, 200);
     held.finish();

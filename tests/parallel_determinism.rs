@@ -1,9 +1,11 @@
 //! Thread-count determinism suite for the parallel attack engines
 //! (DESIGN.md §13): structure-candidate enumeration, weight recovery, and
-//! every deterministic telemetry artifact (the `.evt` event recording and
-//! the cycle-domain profile export) must be **byte-identical** at
-//! `--threads` 1, 2, and 8, and the memoized chain must serve repeat
-//! per-layer enumerations from cache, at LeNet's pinned memo economy.
+//! every deterministic telemetry artifact (the `.evt` event recordings of
+//! both attacks and the cycle-domain profile export) must be
+//! **byte-identical** at `--threads` 1, 2, and 8, the sequential weights
+//! entry must stream what the parallel one does, filter by filter as it
+//! goes, and the memoized chain must serve repeat per-layer enumerations
+//! from cache, at LeNet's pinned memo economy.
 //!
 //! The obs hubs (metric registry, stream hub, profile ring) are
 //! process-global, so all phases run sequentially inside one `#[test]`
@@ -12,7 +14,8 @@
 use cnn_reveng::accel::{AccelConfig, Accelerator};
 use cnn_reveng::attacks::structure::{recover_structures, CandidateStructure, NetworkSolverConfig};
 use cnn_reveng::attacks::weights::{
-    recover_ratios_parallel, FunctionalOracle, LayerGeometry, MergedOrder, RecoveryConfig,
+    recover_ratios, recover_ratios_parallel, FunctionalOracle, LayerGeometry, MergedOrder, Probe,
+    RatioRecovery, RecoveryConfig, ZeroCountOracle,
 };
 use cnn_reveng::nn::layer::{Conv2d, PoolKind};
 use cnn_reveng::nn::models::lenet;
@@ -20,6 +23,7 @@ use cnn_reveng::nn::Network;
 use cnn_reveng::tensor::rng::{Rng, SeedableRng, SmallRng};
 use cnn_reveng::tensor::{init, Shape3, Shape4};
 use cnnre_obs::profile::{chrome_trace, ClockDomain};
+use cnnre_obs::stream::{read_stream, EventPayload};
 use std::path::PathBuf;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -53,27 +57,28 @@ fn recover_lenet(net: &Network, threads: usize) -> Vec<CandidateStructure> {
         .expect("structures recoverable")
 }
 
-/// The golden pipeline (LeNet seed-0 trace + structure recovery) with event
-/// recording on, at an explicit thread count; returns the `.evt` bytes.
-fn recorded_run(threads: usize) -> Vec<u8> {
+/// Runs `attack` with event recording on; returns its result and the
+/// `.evt` bytes.
+fn recorded<T>(attack: impl FnOnce() -> T) -> (T, Vec<u8>) {
     cnnre_obs::set_enabled(true);
     cnnre_obs::stream::reset();
     cnnre_obs::stream::set_enabled(true);
     cnnre_obs::stream::set_record(true);
-    let net = lenet_net();
-    let accel = Accelerator::new(AccelConfig::default());
-    let exec = accel
-        .run_trace_only(&net)
-        .expect("LeNet lowers onto the accelerator");
-    recover_structures(&exec.trace, (32, 1), 10, &solver_cfg(threads))
-        .expect("structures recoverable");
+    let out = attack();
     let bytes = cnnre_obs::stream::recorded_stream_snapshot();
     cnnre_obs::stream::set_record(false);
     cnnre_obs::stream::set_enabled(false);
     cnnre_obs::stream::reset();
     cnnre_obs::set_enabled(false);
     cnnre_obs::global().reset();
-    bytes
+    (out, bytes)
+}
+
+/// The golden pipeline (LeNet seed-0 trace + structure recovery) with event
+/// recording on, at an explicit thread count; returns the `.evt` bytes.
+fn recorded_run(threads: usize) -> Vec<u8> {
+    let net = lenet_net();
+    recorded(|| recover_lenet(&net, threads)).1
 }
 
 /// The same pipeline with profiling on; returns the cycle-domain Chrome
@@ -115,6 +120,47 @@ fn weights_victim() -> (Conv2d, LayerGeometry) {
     (victim, geom)
 }
 
+/// The `queries` of every `WeightRecovered` frame of a recording, in
+/// stream order.
+fn weight_frames(evt: &[u8]) -> Vec<u64> {
+    let events = read_stream(evt).expect("the recording decodes");
+    events
+        .iter()
+        .filter_map(|ev| match ev.payload {
+            EventPayload::WeightRecovered { queries, .. } => Some(queries),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A functional victim that copies the recorded stream when filter 1 is
+/// first queried, i.e. once filter 0 is done.
+struct SnoopingOracle {
+    inner: FunctionalOracle,
+    at_filter_1: Option<Vec<u8>>,
+}
+
+impl ZeroCountOracle for SnoopingOracle {
+    fn geometry(&self) -> LayerGeometry {
+        self.inner.geometry()
+    }
+
+    fn query(&mut self, probes: &[Probe]) -> Vec<u64> {
+        self.inner.query(probes)
+    }
+
+    fn query_filter(&mut self, filter: usize, probes: &[Probe]) -> u64 {
+        if filter == 1 && self.at_filter_1.is_none() {
+            self.at_filter_1 = Some(cnnre_obs::stream::recorded_stream_snapshot());
+        }
+        self.inner.query_filter(filter, probes)
+    }
+
+    fn query_count(&self) -> u64 {
+        self.inner.query_count()
+    }
+}
+
 #[test]
 fn engines_are_byte_identical_across_thread_counts() {
     // Phase 1 — structure candidates: the full candidate list (content AND
@@ -131,32 +177,65 @@ fn engines_are_byte_identical_across_thread_counts() {
     }
 
     // Phase 2 — weight recovery: per-filter ratios, zero identifications,
-    // and the cycle-deterministic victim-query count are invariant.
+    // the cycle-deterministic victim-query count and the recorded `.evt`
+    // stream are invariant under the worker count. The stream has one
+    // `WeightRecovered` frame per weight, the last at the run's total.
     let (victim, geom) = weights_victim();
     let recover = |threads: usize| {
         let cfg = RecoveryConfig {
             threads,
             ..RecoveryConfig::default()
         };
-        recover_ratios_parallel(FunctionalOracle::new(victim.clone(), geom), &cfg)
+        recorded(|| recover_ratios_parallel(FunctionalOracle::new(victim.clone(), geom), &cfg))
     };
-    let base = recover(THREAD_COUNTS[0]);
+    let ratios = |rec: &RatioRecovery| -> Vec<Vec<Option<f64>>> {
+        rec.filters.iter().map(|f| f.as_slice().to_vec()).collect()
+    };
+    let (base, base_evt) = recover(THREAD_COUNTS[0]);
     assert!(base.queries > 0, "baseline recovery must query the victim");
-    let base_ratios: Vec<Vec<Option<f64>>> =
-        base.filters.iter().map(|f| f.as_slice().to_vec()).collect();
+    let frames = weight_frames(&base_evt);
+    let per_filter = geom.input.c * geom.f * geom.f;
+    assert_eq!(
+        frames.len(),
+        geom.d_ofm * per_filter,
+        "one frame per weight"
+    );
+    assert_eq!(
+        frames.last(),
+        Some(&base.queries),
+        "the last frame's queries"
+    );
     for &threads in &THREAD_COUNTS[1..] {
-        let got = recover(threads);
-        let got_ratios: Vec<Vec<Option<f64>>> =
-            got.filters.iter().map(|f| f.as_slice().to_vec()).collect();
+        let (got, evt) = recover(threads);
         assert!(
-            got_ratios == base_ratios,
+            ratios(&got) == ratios(&base),
             "recovered ratios diverge at --threads {threads}"
         );
         assert_eq!(
             got.queries, base.queries,
             "oracle query count diverges at --threads {threads}"
         );
+        assert!(
+            evt == base_evt,
+            "weights .evt diverges at --threads {threads}"
+        );
     }
+    // The sequential entry writes the same stream, and has written filter
+    // 0's frames by the time it first queries filter 1.
+    let mut snoop = SnoopingOracle {
+        inner: FunctionalOracle::new(victim.clone(), geom),
+        at_filter_1: None,
+    };
+    let (seq, seq_evt) = recorded(|| recover_ratios(&mut snoop, &RecoveryConfig::default()));
+    assert!(ratios(&seq) == ratios(&base), "sequential ratios diverge");
+    assert!(seq_evt == base_evt, "sequential weights .evt diverges");
+    let early = snoop.at_filter_1.expect("filter 1 was queried");
+    assert!(base_evt.starts_with(&early), "the early copy is a prefix");
+    assert_eq!(
+        weight_frames(&early).len(),
+        per_filter,
+        "filter 0's frames are out before filter 1 starts"
+    );
 
     // Phase 3 — telemetry artifacts: the recorded event stream and the
     // cycle-domain profile export match the committed goldens byte for
