@@ -1,5 +1,6 @@
-//! The tiled execution engine: runs a network stage-by-stage, emitting
-//! every off-chip DRAM transaction with a cycle stamp.
+//! The tiled execution engine: runs a network stage-by-stage, handing
+//! every off-chip DRAM transaction, with its cycle stamp, to an
+//! [`EventSink`] as it is issued.
 //!
 //! Per the paper's accelerator model (its Figure 1): for each tile the
 //! engine loads filter weights and an IFM tile from DRAM into on-chip
@@ -24,7 +25,7 @@ use cnnre_nn::layer::PoolKind;
 use cnnre_nn::{Network, NodeId, Op};
 use cnnre_obs::log_debug;
 use cnnre_tensor::Tensor3;
-use cnnre_trace::{AccessKind, Cycle, Trace, TraceBuilder};
+use cnnre_trace::{AccessKind, Cycle, EventSink, MemoryEvent, Trace, TraceBuilder};
 
 use crate::schedule::{Schedule, ScheduleError, Stage, StageKind};
 use crate::AccelConfig;
@@ -168,16 +169,14 @@ impl Accelerator {
         cnnre_obs::stream::start_run("accel.run");
         let schedule = Schedule::plan(net, &self.config)?;
         let acts = net.forward_all(input);
-        let mut runner = Runner::new(net, &self.config, &schedule, Some(&acts));
-        runner.execute();
-        span.add_cycles(runner.cycle);
-        let trace = runner.tb.finish();
+        let (tb, stages) = self.drive(net, &schedule, Some(&acts), self.trace_builder(), &mut span);
+        let trace = tb.finish();
         #[cfg(feature = "audit-hooks")]
         audit_finished_trace(&trace);
         Ok(Execution {
             trace,
             output: Some(acts[net.output().index()].clone()),
-            stages: runner.reports,
+            stages,
         })
     }
 
@@ -199,17 +198,85 @@ impl Accelerator {
         let mut span = cnnre_obs::span("accel.run_trace_only");
         cnnre_obs::stream::start_run("accel.run_trace_only");
         let schedule = Schedule::plan(net, &self.config)?;
-        let mut runner = Runner::new(net, &self.config, &schedule, None);
-        runner.execute();
-        span.add_cycles(runner.cycle);
-        let trace = runner.tb.finish();
+        let (tb, stages) = self.drive(net, &schedule, None, self.trace_builder(), &mut span);
+        let trace = tb.finish();
         #[cfg(feature = "audit-hooks")]
         audit_finished_trace(&trace);
         Ok(Execution {
             trace,
             output: None,
-            stages: runner.reports,
+            stages,
         })
+    }
+
+    /// Runs inference on `input` and hands each DRAM transaction to `sink`
+    /// as it is issued, the way a bus-snooping adversary sees it; no trace
+    /// is stored. `schedule` is planned once from `net` under this
+    /// accelerator's configuration and reused across runs.
+    ///
+    /// Under `audit-hooks` the run is also recorded and audited like
+    /// [`Accelerator::run`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `input` does not match the network input shape or
+    /// `schedule` was not planned from `net`.
+    pub fn run_streamed<S: EventSink>(
+        &self,
+        net: &Network,
+        schedule: &Schedule,
+        input: &Tensor3,
+        sink: &mut S,
+    ) {
+        let mut span = cnnre_obs::span("accel.run");
+        cnnre_obs::stream::start_run("accel.run");
+        let acts = net.forward_all(input);
+        #[cfg(feature = "audit-hooks")]
+        {
+            let tee = Tee {
+                sink,
+                copy: self.trace_builder(),
+            };
+            let (tee, _) = self.drive(net, schedule, Some(&acts), tee, &mut span);
+            audit_finished_trace(&tee.copy.finish());
+        }
+        #[cfg(not(feature = "audit-hooks"))]
+        self.drive(net, schedule, Some(&acts), sink, &mut span);
+    }
+
+    fn trace_builder(&self) -> TraceBuilder {
+        TraceBuilder::new(self.config.block_bytes, self.config.element_bytes)
+    }
+
+    /// Executes `sched` into `sink`, attaching the run's cycles to `span`.
+    fn drive<S: EventSink>(
+        &self,
+        net: &Network,
+        sched: &Schedule,
+        acts: Option<&[Tensor3]>,
+        sink: S,
+        span: &mut cnnre_obs::SpanGuard,
+    ) -> (S, Vec<StageReport>) {
+        let mut runner = Runner::new(net, &self.config, sched, acts, sink);
+        runner.execute();
+        span.add_cycles(runner.cycle);
+        (runner.sink, runner.reports)
+    }
+}
+
+/// The `audit-hooks` sink of [`Accelerator::run_streamed`]: passes each
+/// event on and keeps a copy for [`audit_finished_trace`].
+#[cfg(feature = "audit-hooks")]
+struct Tee<S> {
+    sink: S,
+    copy: TraceBuilder,
+}
+
+#[cfg(feature = "audit-hooks")]
+impl<S: EventSink> EventSink for Tee<S> {
+    fn push(&mut self, event: MemoryEvent) {
+        self.copy.push(event);
+        self.sink.push(event);
     }
 }
 
@@ -244,12 +311,12 @@ pub fn audit_finished_trace(trace: &cnnre_trace::Trace) {
     );
 }
 
-struct Runner<'a> {
+struct Runner<'a, S> {
     net: &'a Network,
     cfg: &'a AccelConfig,
     sched: &'a Schedule,
     acts: Option<&'a [Tensor3]>,
-    tb: TraceBuilder,
+    sink: S,
     cycle: Cycle,
     /// Non-zero prefix sums of pruned feature maps, by producing node index.
     prefix: BTreeMap<usize, Vec<u32>>,
@@ -263,19 +330,20 @@ struct Runner<'a> {
     reports: Vec<StageReport>,
 }
 
-impl<'a> Runner<'a> {
+impl<'a, S: EventSink> Runner<'a, S> {
     fn new(
         net: &'a Network,
         cfg: &'a AccelConfig,
         sched: &'a Schedule,
         acts: Option<&'a [Tensor3]>,
+        sink: S,
     ) -> Self {
         Self {
             net,
             cfg,
             sched,
             acts,
-            tb: TraceBuilder::new(cfg.block_bytes, cfg.element_bytes),
+            sink,
             cycle: 0,
             prefix: BTreeMap::new(),
             reads: 0,
@@ -312,8 +380,8 @@ impl<'a> Runner<'a> {
         self.emit(region.base, region.len_bytes, AccessKind::Write);
     }
 
-    /// Emits transactions covering the byte range, advancing the cycle per
-    /// block.
+    /// Emits transactions covering the byte range into the sink, advancing
+    /// the cycle per block.
     fn emit(&mut self, start: u64, len_bytes: u64, kind: AccessKind) {
         if len_bytes == 0 {
             return;
@@ -322,7 +390,11 @@ impl<'a> Runner<'a> {
         let first = start / blk;
         let last = (start + len_bytes - 1) / blk;
         for b in first..=last {
-            self.tb.record(self.cycle, b * blk, kind);
+            self.sink.push(MemoryEvent {
+                cycle: self.cycle,
+                addr: b * blk,
+                kind,
+            });
             self.cycle += self.cfg.mem_cycles_per_block;
             match kind {
                 AccessKind::Read => self.reads += 1,
@@ -733,6 +805,18 @@ mod tests {
             "dense trace is value-independent"
         );
         assert!(shallow.output.is_none());
+    }
+
+    #[test]
+    fn streamed_run_hands_the_sink_the_stored_trace() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let net = lenet(2, 10, &mut rng);
+        let x = rand_input(&net, &mut rng);
+        let accel = Accelerator::new(AccelConfig::for_weight_attack());
+        let schedule = Schedule::plan(&net, accel.config()).unwrap();
+        let mut sink = accel.trace_builder();
+        accel.run_streamed(&net, &schedule, &x, &mut sink);
+        assert_eq!(sink.finish(), accel.run(&net, &x).unwrap().trace);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! executes a [`cnnre_nn::Network`] the way the paper's Figure-1
 //! architecture does — tiled, with on-chip IFM/weight buffers, merged
 //! conv+ReLU+pooling layers, feature maps and weights in off-chip DRAM —
-//! and emits every DRAM transaction as an adversary-visible
-//! [`cnnre_trace::Trace`] event.
+//! and hands every DRAM transaction, as it is issued, to a
+//! [`cnnre_trace::EventSink`]: a [`cnnre_trace::TraceBuilder`] that stores
+//! the adversary-visible [`cnnre_trace::Trace`], or the caller's own.
 //!
 //! Key properties the attacks rely on (all faithful to the paper's model):
 //!

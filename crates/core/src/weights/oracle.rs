@@ -15,14 +15,17 @@
 //!   sparsity (only the affected output pixels are recomputed). Used by the
 //!   search loops (millions of queries).
 //! * [`AcceleratorOracle`] — runs the full accelerator simulator with zero
-//!   pruning and extracts per-filter counts from the raw trace exactly as
-//!   the adversary would. Used to validate that the functional model and
-//!   the real leak agree.
+//!   pruning and counts each filter's writes from the engine's DRAM
+//!   transactions as they are issued, exactly as a bus-snooping adversary
+//!   would. It is the real leak path: `cnnre attack-weights --via-trace`
+//!   and the `lenet-e2e` benchmark run the attack through it, and tests
+//!   check that it agrees with the functional model.
 
 use cnnre_accel::{AccelConfig, Accelerator, Region, RegionKind, Schedule};
 use cnnre_nn::layer::{Conv2d, PoolKind};
 use cnnre_nn::{Network, NetworkBuilder};
 use cnnre_tensor::{Shape3, Tensor3};
+use cnnre_trace::{EventSink, MemoryEvent};
 use core::ops::Range;
 
 /// One non-zero input pixel of a crafted probe input.
@@ -360,12 +363,15 @@ impl ZeroCountOracle for FunctionalOracle {
 }
 
 /// Oracle backed by the full accelerator simulator: every query runs the
-/// victim layer under zero pruning and parses the raw trace.
+/// victim layer under zero pruning and counts its DRAM writes per filter as
+/// the engine issues them.
 #[derive(Debug)]
 pub struct AcceleratorOracle {
     net: Network,
     geom: LayerGeometry,
     accel: Accelerator,
+    /// The victim layer's lowering, planned once.
+    schedule: Schedule,
     /// The victim's weights region in the planned DRAM layout.
     weights: Region,
     /// Bytes of one filter inside `weights`.
@@ -377,7 +383,7 @@ impl AcceleratorOracle {
     /// Builds a single-layer victim network around `conv` and runs it on a
     /// zero-pruning accelerator configured to write one filter at a time
     /// (one-filter weight buffer), which is what makes per-filter counts
-    /// attributable from the trace.
+    /// attributable from the memory transactions.
     ///
     /// # Panics
     ///
@@ -423,35 +429,38 @@ impl AcceleratorOracle {
         Self {
             net,
             geom,
+            schedule,
             weights,
             filter_bytes: filter_elems as u64 * config.element_bytes,
             accel: Accelerator::new(config),
             queries: 0,
         }
     }
+}
 
-    /// Parses per-filter non-zero counts from the adversary-visible trace:
-    /// each compute tile loads exactly one filter, so the *offset* of a
-    /// weight fetch inside the weights region names the filter whose OFM
-    /// writes follow. (Pure burst counting is not enough: a filter whose
-    /// output is fully pruned emits no writes, leaving its weight burst
-    /// adjacent to the next filter's.)
-    fn counts_from_trace(&self, exec: &cnnre_accel::Execution) -> Vec<u64> {
-        let mut counts = vec![0u64; self.geom.d_ofm];
-        let mut filter: Option<usize> = None;
-        for ev in exec.trace.events() {
-            if ev.kind.is_read() && self.weights.contains(ev.addr) {
-                let idx = ((ev.addr - self.weights.base) / self.filter_bytes) as usize;
-                filter = Some(idx.min(self.geom.d_ofm.saturating_sub(1)));
-            } else if ev.kind.is_write() {
-                if let Some(f) = filter {
-                    if let Some(slot) = counts.get_mut(f) {
-                        *slot += 1;
-                    }
-                }
+/// Per-filter non-zero counts, tallied from the victim's transactions as
+/// they arrive: each compute tile loads exactly one filter, so the *offset*
+/// of a weight fetch inside the weights region names the filter whose OFM
+/// writes follow. (Pure burst counting is not enough: a filter whose output
+/// is fully pruned emits no writes, leaving its weight burst adjacent to
+/// the next filter's.)
+struct FilterWrites<'a> {
+    weights: &'a Region,
+    filter_bytes: u64,
+    filter: Option<usize>,
+    counts: Vec<u64>,
+}
+
+impl EventSink for FilterWrites<'_> {
+    fn push(&mut self, event: MemoryEvent) {
+        if event.kind.is_read() && self.weights.contains(event.addr) {
+            let idx = ((event.addr - self.weights.base) / self.filter_bytes) as usize;
+            self.filter = Some(idx.min(self.counts.len().saturating_sub(1)));
+        } else if event.kind.is_write() {
+            if let Some(slot) = self.filter.and_then(|f| self.counts.get_mut(f)) {
+                *slot += 1;
             }
         }
-        counts
     }
 }
 
@@ -465,21 +474,23 @@ impl ZeroCountOracle for AcceleratorOracle {
         if cnnre_obs::enabled() {
             cnnre_obs::counter("oracle.queries").inc();
         }
-        // Each query runs the victim engine; suppress its event emission so
-        // the weight attack's stream is not flooded with per-query
-        // RunStarted markers.
+        // Each query runs the victim engine; suppress its events and
+        // profile spans so the weight attack's stream and timeline are not
+        // flooded with per-query runs.
         let _quiet = cnnre_obs::stream::suppress();
         let mut input = Tensor3::zeros(self.geom.input);
         for p in probes {
             input[(p.c, p.y, p.x)] = p.value;
         }
-        let exec = self
-            .accel
-            .run(&self.net, &input)
-            // lint:allow(panic): the same net ran at construction; probes only
-            // change input values, never shapes
-            .expect("victim network runs");
-        self.counts_from_trace(&exec)
+        let mut sink = FilterWrites {
+            weights: &self.weights,
+            filter_bytes: self.filter_bytes,
+            filter: None,
+            counts: vec![0; self.geom.d_ofm],
+        };
+        self.accel
+            .run_streamed(&self.net, &self.schedule, &input, &mut sink);
+        sink.counts
     }
 
     fn query_count(&self) -> u64 {

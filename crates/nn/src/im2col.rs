@@ -6,6 +6,8 @@
 //! scatters column gradients back to the input feature map for
 //! backpropagation.
 
+use core::ops::Range;
+
 use cnnre_tensor::{Shape3, Tensor3};
 
 /// Geometry of one 2-D sliding-window operation (shared by conv and pool).
@@ -39,9 +41,23 @@ impl Window {
     }
 }
 
+/// The outputs `o` in `0..n_out` whose tap at offset `k` of the window
+/// lands inside the input, `0 <= o·s + k - p < n_in`: one contiguous range,
+/// empty when every such tap falls in the padding.
+pub(crate) fn in_bounds(n_out: usize, k: usize, win: Window, n_in: usize) -> Range<usize> {
+    let lo = win.p.saturating_sub(k).div_ceil(win.s);
+    let hi = match (n_in + win.p).checked_sub(k + 1) {
+        Some(last) => (last / win.s + 1).min(n_out),
+        None => 0,
+    };
+    lo..hi.max(lo)
+}
+
 /// Expands `input` into a `(C·F·F) × (OH·OW)` column matrix (row-major).
 ///
-/// Out-of-bounds taps (from padding) contribute zeros.
+/// Out-of-bounds taps (from padding) contribute zeros. Each row `(c, fy,
+/// fx)` computes its in-bounds output range once and then copies input
+/// rows: a slice copy at stride 1, a strided gather otherwise.
 ///
 /// # Panics
 ///
@@ -53,29 +69,33 @@ pub fn im2col(input: &Tensor3, win: Window, oh: usize, ow: usize) -> Vec<f32> {
     let cols_n = oh * ow;
     let mut cols = vec![0.0f32; rows * cols_n];
     let x = input.as_slice();
+    let plane_len = shape.h * shape.w;
     let mut row = 0usize;
     for c in 0..shape.c {
-        let plane = &x[c * shape.h * shape.w..(c + 1) * shape.h * shape.w];
+        let plane = &x[c * plane_len..(c + 1) * plane_len];
         for fy in 0..win.f {
+            let oys = in_bounds(oh, fy, win, shape.h);
             for fx in 0..win.f {
                 let dst = &mut cols[row * cols_n..(row + 1) * cols_n];
-                let mut idx = 0usize;
-                for oy in 0..oh {
-                    let iy = (oy * win.s + fy) as isize - win.p as isize;
-                    if iy < 0 || iy as usize >= shape.h {
-                        idx += ow;
-                        continue;
-                    }
-                    let src_row = &plane[iy as usize * shape.w..(iy as usize + 1) * shape.w];
-                    for ox in 0..ow {
-                        let ix = (ox * win.s + fx) as isize - win.p as isize;
-                        if ix >= 0 && (ix as usize) < shape.w {
-                            dst[idx] = src_row[ix as usize];
+                row += 1;
+                let oxs = in_bounds(ow, fx, win, shape.w);
+                if oxs.is_empty() {
+                    continue;
+                }
+                let ix0 = oxs.start * win.s + fx - win.p;
+                let n = oxs.len();
+                for oy in oys.clone() {
+                    let iy = oy * win.s + fy - win.p;
+                    let src = &plane[iy * shape.w + ix0..(iy + 1) * shape.w];
+                    let out = &mut dst[oy * ow + oxs.start..oy * ow + oxs.end];
+                    if win.s == 1 {
+                        out.copy_from_slice(&src[..n]);
+                    } else {
+                        for (o, &v) in out.iter_mut().zip(src.iter().step_by(win.s)) {
+                            *o = v;
                         }
-                        idx += 1;
                     }
                 }
-                row += 1;
             }
         }
     }
@@ -84,7 +104,7 @@ pub fn im2col(input: &Tensor3, win: Window, oh: usize, ow: usize) -> Vec<f32> {
 
 /// Scatters a `(C·F·F) × (OH·OW)` column-gradient matrix back onto an input
 /// gradient tensor of shape `shape` (accumulating overlaps) — the adjoint of
-/// [`im2col`].
+/// [`im2col`], over the same in-bounds ranges.
 ///
 /// # Panics
 ///
@@ -96,38 +116,166 @@ pub fn col2im(cols: &[f32], shape: Shape3, win: Window, oh: usize, ow: usize) ->
     assert_eq!(cols.len(), rows * cols_n, "col2im input length");
     let mut out = Tensor3::zeros(shape);
     let dx = out.as_mut_slice();
+    let plane_len = shape.h * shape.w;
     let mut row = 0usize;
     for c in 0..shape.c {
-        let plane_off = c * shape.h * shape.w;
+        let plane = &mut dx[c * plane_len..(c + 1) * plane_len];
         for fy in 0..win.f {
+            let oys = in_bounds(oh, fy, win, shape.h);
             for fx in 0..win.f {
                 let src = &cols[row * cols_n..(row + 1) * cols_n];
-                let mut idx = 0usize;
-                for oy in 0..oh {
-                    let iy = (oy * win.s + fy) as isize - win.p as isize;
-                    if iy < 0 || iy as usize >= shape.h {
-                        idx += ow;
-                        continue;
-                    }
-                    let base = plane_off + iy as usize * shape.w;
-                    for ox in 0..ow {
-                        let ix = (ox * win.s + fx) as isize - win.p as isize;
-                        if ix >= 0 && (ix as usize) < shape.w {
-                            dx[base + ix as usize] += src[idx];
-                        }
-                        idx += 1;
+                row += 1;
+                let oxs = in_bounds(ow, fx, win, shape.w);
+                if oxs.is_empty() {
+                    continue;
+                }
+                let ix0 = oxs.start * win.s + fx - win.p;
+                for oy in oys.clone() {
+                    let iy = oy * win.s + fy - win.p;
+                    let grads = &src[oy * ow + oxs.start..oy * ow + oxs.end];
+                    let dst = &mut plane[iy * shape.w + ix0..(iy + 1) * shape.w];
+                    for (d, &g) in dst.iter_mut().step_by(win.s).zip(grads) {
+                        *d += g;
                     }
                 }
-                row += 1;
             }
         }
     }
     out
 }
 
+/// The per-element lowering that the row gather replaced, kept as the
+/// reference [`im2col`], [`col2im`] and `Conv2d` must equal bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{Shape3, Tensor3, Window};
+    use cnnre_tensor::rng::{Rng, SmallRng};
+
+    /// Geometries `(c, h, w, f, s, p)` of the bit-exactness sweep: LeNet
+    /// conv1, `h != w`, strides above 1, padding of at least `f/2` (and
+    /// above `f`, so whole rows fall in the padding), and `f` equal to
+    /// the input width.
+    pub(crate) const SWEEP: [(usize, usize, usize, usize, usize, usize); 10] = [
+        (1, 32, 32, 5, 1, 0),
+        (2, 7, 11, 3, 1, 1),
+        (3, 9, 6, 3, 2, 1),
+        (1, 8, 5, 5, 1, 2),
+        (2, 6, 4, 4, 2, 2),
+        (1, 5, 5, 5, 1, 0),
+        (3, 12, 10, 4, 3, 3),
+        (2, 3, 3, 3, 2, 2),
+        (1, 4, 7, 2, 1, 3),
+        (1, 11, 11, 11, 4, 0),
+    ];
+
+    /// A seeded value in `-1..1`, with exact `0.0` and `-0.0` mixed in.
+    pub(crate) fn value(rng: &mut SmallRng) -> f32 {
+        match rng.gen_range(0..8) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-1.0..1.0),
+        }
+    }
+
+    pub(crate) fn im2col(input: &Tensor3, win: Window, oh: usize, ow: usize) -> Vec<f32> {
+        let shape = input.shape();
+        let cols_n = oh * ow;
+        let mut cols = vec![0.0f32; shape.c * win.f * win.f * cols_n];
+        let mut row = 0usize;
+        for c in 0..shape.c {
+            for fy in 0..win.f {
+                for fx in 0..win.f {
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let iy = (oy * win.s + fy) as isize - win.p as isize;
+                            let ix = (ox * win.s + fx) as isize - win.p as isize;
+                            if iy >= 0
+                                && ix >= 0
+                                && (iy as usize) < shape.h
+                                && (ix as usize) < shape.w
+                            {
+                                cols[row * cols_n + oy * ow + ox] =
+                                    input[(c, iy as usize, ix as usize)];
+                            }
+                        }
+                    }
+                    row += 1;
+                }
+            }
+        }
+        cols
+    }
+
+    pub(crate) fn col2im(
+        cols: &[f32],
+        shape: Shape3,
+        win: Window,
+        oh: usize,
+        ow: usize,
+    ) -> Tensor3 {
+        let cols_n = oh * ow;
+        let mut out = Tensor3::zeros(shape);
+        let mut row = 0usize;
+        for c in 0..shape.c {
+            for fy in 0..win.f {
+                for fx in 0..win.f {
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let iy = (oy * win.s + fy) as isize - win.p as isize;
+                            let ix = (ox * win.s + fx) as isize - win.p as isize;
+                            if iy >= 0
+                                && ix >= 0
+                                && (iy as usize) < shape.h
+                                && (ix as usize) < shape.w
+                            {
+                                out[(c, iy as usize, ix as usize)] +=
+                                    cols[row * cols_n + oy * ow + ox];
+                            }
+                        }
+                    }
+                    row += 1;
+                }
+            }
+        }
+        out
+    }
+
+    /// The bit patterns of `v`, so `0.0` and `-0.0` compare unequal.
+    pub(crate) fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn row_gather_equals_per_element_reference_bit_for_bit() {
+        use cnnre_tensor::rng::SeedableRng;
+        let mut rng = cnnre_tensor::rng::SmallRng::seed_from_u64(26);
+        for (c, h, w, f, s, p) in reference::SWEEP {
+            let win = Window::new(f, s, p);
+            let (oh, ow) = (win.conv_out(h).unwrap(), win.conv_out(w).unwrap());
+            let shape = Shape3::new(c, h, w);
+            for _ in 0..4 {
+                let x = Tensor3::from_fn(shape, |_, _, _| reference::value(&mut rng));
+                assert_eq!(
+                    reference::bits(&im2col(&x, win, oh, ow)),
+                    reference::bits(&reference::im2col(&x, win, oh, ow)),
+                    "im2col {c}x{h}x{w} f{f} s{s} p{p}"
+                );
+                let cols: Vec<f32> = (0..c * f * f * oh * ow)
+                    .map(|_| reference::value(&mut rng))
+                    .collect();
+                assert_eq!(
+                    reference::bits(col2im(&cols, shape, win, oh, ow).as_slice()),
+                    reference::bits(reference::col2im(&cols, shape, win, oh, ow).as_slice()),
+                    "col2im {c}x{h}x{w} f{f} s{s} p{p}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn identity_window_is_flatten() {

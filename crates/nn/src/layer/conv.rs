@@ -388,6 +388,62 @@ mod tests {
         assert!((conv.grad_bias[0] - out_pixels).abs() < 1e-3);
     }
 
+    /// `forward` and `backward` over the per-element reference lowering:
+    /// the output, the input gradient, and the weight and bias gradients.
+    fn reference_pass(conv: &Conv2d, x: &Tensor3, dy: &Tensor3) -> [Vec<f32>; 4] {
+        use crate::im2col::reference;
+        let out_shape = conv.out_shape(x.shape()).unwrap();
+        let (win, n) = (conv.window(), out_shape.h * out_shape.w);
+        let k = conv.d_ifm() * win.f * win.f;
+        let cols = reference::im2col(x, win, out_shape.h, out_shape.w);
+        let mut y: Vec<f32> = (0..conv.d_ofm())
+            .flat_map(|d| std::iter::repeat_n(conv.bias()[d], n))
+            .collect();
+        gemm_acc(conv.d_ofm(), k, n, conv.weights().as_slice(), &cols, &mut y);
+        let mut dw = vec![0.0; conv.weights().len()];
+        gemm_bt_acc(conv.d_ofm(), n, k, dy.as_slice(), &cols, &mut dw);
+        let db = (0..conv.d_ofm())
+            .map(|d| 0.0 + dy.channel(d).iter().sum::<f32>())
+            .collect();
+        let mut dcols = vec![0.0; k * n];
+        gemm_at_acc(
+            k,
+            conv.d_ofm(),
+            n,
+            conv.weights().as_slice(),
+            dy.as_slice(),
+            &mut dcols,
+        );
+        let dx = reference::col2im(&dcols, x.shape(), win, out_shape.h, out_shape.w);
+        [y, dx.as_slice().to_vec(), dw, db]
+    }
+
+    #[test]
+    fn forward_and_backward_equal_the_reference_lowering_bit_for_bit() {
+        use crate::im2col::reference::{bits, value, SWEEP};
+        let mut rng = SmallRng::seed_from_u64(26);
+        for (c, h, w, f, s, p) in SWEEP {
+            let d = 3;
+            let weights = Tensor4::from_vec(
+                Shape4::new(d, c, f, f),
+                (0..d * c * f * f).map(|_| value(&mut rng)).collect(),
+            )
+            .unwrap();
+            let bias = (0..d).map(|_| value(&mut rng)).collect();
+            let mut conv = Conv2d::from_parts(weights, bias, s, p).unwrap();
+            let x = Tensor3::from_fn(Shape3::new(c, h, w), |_, _, _| value(&mut rng));
+            let out_shape = conv.out_shape(x.shape()).unwrap();
+            let dy = Tensor3::from_fn(out_shape, |_, _, _| value(&mut rng));
+            let [y, dx, dw, db] = reference_pass(&conv, &x, &dy);
+            let at = format!("{c}x{h}x{w} f{f} s{s} p{p}");
+            assert_eq!(bits(conv.forward(&x).as_slice()), bits(&y), "forward {at}");
+            let got_dx = conv.backward(&x, &dy);
+            assert_eq!(bits(got_dx.as_slice()), bits(&dx), "dx {at}");
+            assert_eq!(bits(conv.grad_weights()), bits(&dw), "dW {at}");
+            assert_eq!(bits(conv.grad_bias()), bits(&db), "db {at}");
+        }
+    }
+
     #[test]
     fn from_parts_validates() {
         let w = Tensor4::zeros(Shape4::new(4, 2, 3, 3));

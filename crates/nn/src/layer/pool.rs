@@ -2,7 +2,7 @@
 
 use cnnre_tensor::{Shape3, Tensor3};
 
-use crate::im2col::Window;
+use crate::im2col::{in_bounds, Window};
 
 /// Pooling flavour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,6 +72,11 @@ impl Pool {
 
     /// Applies the pooling window.
     ///
+    /// One output row at a time: each in-bounds tap `(fy, fx)` updates
+    /// every output of the row that it reaches, so the outputs' reductions
+    /// interleave while each still visits its taps in `(fy, fx)` order —
+    /// the same `f32` operations, in the same order, as a per-window loop.
+    ///
     /// # Panics
     ///
     /// Panics when the window does not fit `input`.
@@ -82,45 +87,70 @@ impl Pool {
             // lint:allow(panic): documented `# Panics` API contract of forward()
             .unwrap_or_else(|| panic!("pool geometry mismatch: input {}", input.shape()));
         let mut out = Tensor3::zeros(out_shape);
-        let shape = input.shape();
+        let (shape, win) = (input.shape(), self.win);
+        let (oh, ow) = (out_shape.h, out_shape.w);
+        // Per tap column: its first input column and the outputs it reaches.
+        let taps: Vec<_> = (0..win.f)
+            .map(|fx| (fx, in_bounds(ow, fx, win, shape.w)))
+            .filter(|(_, oxs)| !oxs.is_empty())
+            .map(|(fx, oxs)| (oxs.start * win.s + fx - win.p, oxs))
+            .collect();
+        // The outputs whose window overlaps the input columns: one range,
+        // the union of the taps' ranges.
+        let reached = taps.iter().map(|(_, oxs)| oxs.start).min().unwrap_or(0)
+            ..taps.iter().map(|(_, oxs)| oxs.end).max().unwrap_or(0);
+        let area = (win.f * win.f) as f32;
+        let (x, y) = (input.as_slice(), out.as_mut_slice());
+        let mut acc = vec![0.0f32; ow];
         for c in 0..shape.c {
-            for oy in 0..out_shape.h {
-                for ox in 0..out_shape.w {
-                    out[(c, oy, ox)] = self.window_reduce(input, c, oy, ox);
+            let plane = &x[c * shape.h * shape.w..(c + 1) * shape.h * shape.w];
+            for oy in 0..oh {
+                acc.fill(match self.kind {
+                    PoolKind::Max => f32::NEG_INFINITY,
+                    PoolKind::Avg => 0.0,
+                });
+                let mut row_hit = false;
+                for fy in 0..win.f {
+                    let Some(iy) = (oy * win.s + fy).checked_sub(win.p) else {
+                        continue;
+                    };
+                    if iy >= shape.h {
+                        continue;
+                    }
+                    row_hit = true;
+                    let row = &plane[iy * shape.w..(iy + 1) * shape.w];
+                    for &(ix0, ref oxs) in &taps {
+                        let outs = acc[oxs.clone()].iter_mut().enumerate();
+                        match self.kind {
+                            PoolKind::Max => {
+                                for (k, m) in outs {
+                                    *m = m.max(row[ix0 + k * win.s]);
+                                }
+                            }
+                            PoolKind::Avg => {
+                                for (k, sum) in outs {
+                                    *sum += row[ix0 + k * win.s];
+                                }
+                            }
+                        }
+                    }
+                }
+                let dst = &mut y[(c * oh + oy) * ow..(c * oh + oy + 1) * ow];
+                match self.kind {
+                    // An output no tap reached pools to 0.0, not -inf.
+                    PoolKind::Max if row_hit => {
+                        dst[reached.clone()].copy_from_slice(&acc[reached.clone()]);
+                    }
+                    PoolKind::Max => {}
+                    PoolKind::Avg => {
+                        for (d, &sum) in dst.iter_mut().zip(&acc) {
+                            *d = sum / area;
+                        }
+                    }
                 }
             }
         }
         out
-    }
-
-    fn window_reduce(&self, input: &Tensor3, c: usize, oy: usize, ox: usize) -> f32 {
-        let shape = input.shape();
-        let mut m = f32::NEG_INFINITY;
-        let mut sum = 0.0f32;
-        let mut any = false;
-        for fy in 0..self.win.f {
-            for fx in 0..self.win.f {
-                let iy = (oy * self.win.s + fy) as isize - self.win.p as isize;
-                let ix = (ox * self.win.s + fx) as isize - self.win.p as isize;
-                if iy < 0 || ix < 0 || iy as usize >= shape.h || ix as usize >= shape.w {
-                    continue;
-                }
-                let v = input[(c, iy as usize, ix as usize)];
-                m = m.max(v);
-                sum += v;
-                any = true;
-            }
-        }
-        match self.kind {
-            PoolKind::Max => {
-                if any {
-                    m
-                } else {
-                    0.0
-                }
-            }
-            PoolKind::Avg => sum / (self.win.f * self.win.f) as f32,
-        }
     }
 
     /// Backpropagates `grad_out` for the forward input `input`.
@@ -204,6 +234,62 @@ impl Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::im2col::reference::{bits, value};
+
+    /// The per-window reduction [`Pool::forward`] replaced: one output's
+    /// taps in `(fy, fx)` order, `0.0` when none is in bounds.
+    fn reference_forward(pool: &Pool, input: &Tensor3) -> Tensor3 {
+        let (shape, win) = (input.shape(), pool.window());
+        let out_shape = pool.out_shape(shape).unwrap();
+        Tensor3::from_fn(out_shape, |c, oy, ox| {
+            let (mut m, mut sum, mut any) = (f32::NEG_INFINITY, 0.0f32, false);
+            for fy in 0..win.f {
+                for fx in 0..win.f {
+                    let iy = (oy * win.s + fy) as isize - win.p as isize;
+                    let ix = (ox * win.s + fx) as isize - win.p as isize;
+                    if iy < 0 || ix < 0 || iy as usize >= shape.h || ix as usize >= shape.w {
+                        continue;
+                    }
+                    let v = input[(c, iy as usize, ix as usize)];
+                    m = m.max(v);
+                    sum += v;
+                    any = true;
+                }
+            }
+            match pool.kind() {
+                PoolKind::Max if any => m,
+                PoolKind::Max => 0.0,
+                PoolKind::Avg => sum / (win.f * win.f) as f32,
+            }
+        })
+    }
+
+    #[test]
+    fn forward_equals_per_window_reference_bit_for_bit() {
+        use cnnre_tensor::rng::SeedableRng;
+        let mut rng = cnnre_tensor::rng::SmallRng::seed_from_u64(26);
+        // (c, h, w, f, s, p): LeNet and AlexNet pools, h != w, partial
+        // (ceil) windows, padding, overlapping and gapped windows.
+        for (c, h, w, f, s, p) in [
+            (6, 28, 28, 2, 2, 0),
+            (2, 55, 55, 3, 2, 0),
+            (2, 7, 10, 3, 2, 1),
+            (1, 9, 5, 2, 2, 1),
+            (3, 6, 8, 3, 1, 1),
+            (1, 11, 7, 2, 3, 0),
+            (1, 4, 4, 4, 1, 0),
+        ] {
+            for kind in [PoolKind::Max, PoolKind::Avg] {
+                let pool = Pool::new(kind, f, s, p);
+                let x = Tensor3::from_fn(Shape3::new(c, h, w), |_, _, _| value(&mut rng));
+                assert_eq!(
+                    bits(pool.forward(&x).as_slice()),
+                    bits(reference_forward(&pool, &x).as_slice()),
+                    "{kind:?} {c}x{h}x{w} f{f} s{s} p{p}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn max_pool_known_values() {

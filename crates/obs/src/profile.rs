@@ -19,8 +19,12 @@
 //! metrics are enabled, so profiling requires [`crate::set_enabled`]).
 //! Every [`crate::SpanGuard`] then appends a begin event on entry and an
 //! end event (carrying the span's attached simulated cycles) on drop.
-//! Attack progress (candidates per layer, victim queries per weight) is
-//! not recorded here: it travels on the [`crate::stream`] event stream.
+//! Spans opened under [`crate::stream::suppress`] (the weight attack's
+//! per-query victim runs, the `audit-hooks` re-segmentation) are left off
+//! the timeline, as they are off the event stream; the registry still
+//! counts them. Attack progress (candidates per layer, victim queries per
+//! weight) is not recorded here: it travels on the [`crate::stream`] event
+//! stream.
 //!
 //! The buffer is bounded and lock-free on the writer path: producers claim
 //! a slot with one `fetch_add` and store into it; once capacity is
@@ -660,6 +664,31 @@ mod tests {
         assert_eq!(root.children[0].name, "inner");
         assert_eq!(root.children[1].name, "conv1"); // label wins
         assert_eq!(root.cycle_extent(), 100); // own cycles dominate 30+20
+    }
+
+    #[test]
+    fn suppressed_spans_stay_off_the_timeline_but_count() {
+        let events = run_scoped(
+            || {
+                let _attack = crate::span("proftest_suppress");
+                for _ in 0..3 {
+                    let _quiet = crate::stream::suppress();
+                    let mut victim = crate::span("victim");
+                    victim.add_cycles(7);
+                }
+            },
+            "proftest_suppress",
+        );
+        let paths: Vec<_> = events
+            .iter()
+            .map(|e| match &e.kind {
+                EventKind::Begin { path, .. } | EventKind::End { path, .. } => path.as_str(),
+            })
+            .collect();
+        assert_eq!(paths, ["proftest_suppress", "proftest_suppress"]);
+        let snap = crate::global().snapshot();
+        assert_eq!(snap.get("span.proftest_suppress.victim.calls"), Some(3.0));
+        assert_eq!(snap.get("span.proftest_suppress.victim.cycles"), Some(21.0));
     }
 
     #[test]

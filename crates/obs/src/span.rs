@@ -14,7 +14,9 @@
 //!
 //! When profiling is also enabled ([`crate::profile::set_enabled`]), each
 //! span additionally appends begin/end events — the full timeline, not
-//! just the aggregate — to the profile ring buffer (see [`crate::profile`]).
+//! just the aggregate — to the profile ring buffer (see [`crate::profile`]),
+//! except spans opened under [`crate::stream::suppress`]: those still
+//! count in the registry but stay off the timeline.
 //!
 //! ```
 //! use cnnre_obs as obs;
@@ -42,6 +44,9 @@ pub struct SpanGuard {
     start: Instant,
     cycles: u64,
     live: bool,
+    /// Whether the span went to the profile ring; spans opened under
+    /// [`crate::stream::suppress`] do not.
+    profiled: bool,
 }
 
 impl SpanGuard {
@@ -77,7 +82,8 @@ impl SpanGuard {
             String::new()
         };
         let live = crate::enabled();
-        if live {
+        let profiled = live && !crate::stream::suppressed();
+        if profiled {
             crate::profile::record_begin(&path, label);
         }
         Self {
@@ -85,6 +91,7 @@ impl SpanGuard {
             start: Instant::now(),
             cycles: 0,
             live,
+            profiled,
         }
     }
 
@@ -117,7 +124,9 @@ impl Drop for SpanGuard {
                 stack.remove(pos);
             }
         });
-        crate::profile::record_end(&self.path, self.cycles);
+        if self.profiled {
+            crate::profile::record_end(&self.path, self.cycles);
+        }
         let reg = crate::global();
         reg.counter(&format!("span.{}.calls", self.path)).inc();
         reg.counter(&format!("span.{}.wall_ns", self.path))

@@ -759,14 +759,20 @@ impl Drop for SuppressGuard {
     }
 }
 
-/// Suppresses event emission on the current thread until the returned
-/// guard is dropped. Used by sanitizer hooks (the `audit-hooks` re-runs of
-/// segmentation) and the weight attack's per-query victim-engine runs,
-/// whose events would duplicate or pollute the attack's own stream.
+/// Suppresses event emission, and the profile timeline of spans opened
+/// meanwhile, on the current thread until the returned guard is dropped.
+/// Used by sanitizer hooks (the `audit-hooks` re-runs of segmentation) and
+/// the weight attack's per-query victim-engine runs, whose events and spans
+/// would duplicate or flood the attack's own stream and timeline.
 #[must_use]
 pub fn suppress() -> SuppressGuard {
     SUPPRESS.with(|s| s.set(s.get() + 1));
     SuppressGuard { _priv: () }
+}
+
+/// Whether a [`suppress`] guard is live on the current thread.
+pub(crate) fn suppressed() -> bool {
+    SUPPRESS.with(|s| s.get() > 0)
 }
 
 /// One live tap's bounded frame queue, shared between the hub and the
@@ -812,7 +818,7 @@ pub fn enabled() -> bool {
 }
 
 fn active() -> bool {
-    enabled() && SUPPRESS.with(|s| s.get() == 0)
+    enabled() && !suppressed()
 }
 
 /// Starts (or restarts) the cycle domain and emits

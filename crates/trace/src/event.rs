@@ -162,6 +162,30 @@ fn check_geometry(block_bytes: u64, element_bytes: u64) {
     );
 }
 
+/// A consumer of DRAM transactions as the bus carries them, one at a time
+/// and in time order. It sees exactly what the adversary sees — a
+/// [`MemoryEvent`] — and nothing of the values or the schedule behind it.
+/// [`TraceBuilder`] is the sink that stores a [`Trace`].
+pub trait EventSink {
+    /// Takes the next transaction.
+    fn push(&mut self, event: MemoryEvent);
+}
+
+impl<S: EventSink + ?Sized> EventSink for &mut S {
+    #[inline]
+    fn push(&mut self, event: MemoryEvent) {
+        (**self).push(event);
+    }
+}
+
+impl EventSink for TraceBuilder {
+    // Inlined into the engine's emit loop, which is most of a trace-only run.
+    #[inline]
+    fn push(&mut self, event: MemoryEvent) {
+        self.record(event.cycle, event.addr, event.kind);
+    }
+}
+
 /// Incrementally records a [`Trace`] (used by the accelerator simulator).
 #[derive(Debug, Clone)]
 pub struct TraceBuilder {

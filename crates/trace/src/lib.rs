@@ -36,4 +36,4 @@ pub mod observe;
 pub mod segment;
 pub mod stats;
 
-pub use event::{AccessKind, Addr, Cycle, MemoryEvent, Trace, TraceBuilder};
+pub use event::{AccessKind, Addr, Cycle, EventSink, MemoryEvent, Trace, TraceBuilder};

@@ -113,6 +113,13 @@ echo "==> e2e weights-pooled count window (pinned recovery counts, ~10 s)"
 cargo run --release --quiet --offline --manifest-path e2e/Cargo.toml -- \
     --workload weights-pooled --seconds 0
 
+echo "==> e2e lenet-e2e count window (pinned counts through the accelerator, ~10 s)"
+# The same check for the real leak path: lenet-e2e recovers LeNet conv1
+# through AcceleratorOracle, which counts each filter's writes from the
+# engine's transactions, and pins (150, 0, 0) at full scale.
+cargo run --release --quiet --offline --manifest-path e2e/Cargo.toml -- \
+    --workload lenet-e2e --seconds 0
+
 if [[ "${PERF_GATE:-0}" != "0" ]]; then
     echo "==> perf gate (opt-in via PERF_GATE=1)"
     scripts/perf_gate.sh
