@@ -28,6 +28,7 @@
 mod event;
 #[cfg(test)]
 mod proptests;
+mod stamps;
 
 pub mod audit;
 pub mod defense;

@@ -9,9 +9,15 @@
 //! [`observe`] makes one pass over the events: it drives the
 //! [`StreamingSegmenter`] and tallies each segment as its events arrive.
 //! The segmenter reports every read with the segment that last wrote the
-//! address, so classification keeps no last-writer map of its own.
+//! address, so classification keeps no last-writer map of its own; it
+//! keeps read stamps instead, which pick out each segment's first read of
+//! an address, so a segment's footprints are counters that never grow with
+//! its length.
+
+use std::collections::BTreeMap;
 
 use crate::segment::{Access, Segment, SegmentConfig, StreamingSegmenter};
+use crate::stamps::{stamp_of, StampTable};
 use crate::{Addr, Cycle, Trace};
 
 /// Why a segment was classified the way it was.
@@ -149,7 +155,7 @@ pub fn observe_with(trace: &Trace, config: SegmentConfig) -> TraceObservations {
     let mut span = cnnre_obs::span("trace.segment");
     span.add_cycles(trace.duration());
     let mut segmenter = StreamingSegmenter::new(trace.block_bytes(), config);
-    let mut tally = Tally::default();
+    let mut tally = Tally::new(trace.block_bytes());
     let mut layers: Vec<LayerObservation> = Vec::new();
     for ev in trace.events() {
         let (completed, access) = segmenter.step(*ev);
@@ -207,47 +213,59 @@ pub fn observe_with(trace: &Trace, config: SegmentConfig) -> TraceObservations {
     }
 }
 
-/// The current segment's footprints, tallied event by event. The vectors
-/// are reused across segments, so the pass allocates only when a segment
-/// outgrows them.
-#[derive(Debug, Default)]
+/// The current segment's footprints, tallied event by event: each is a
+/// count of first accesses, so closing a segment sorts nothing.
+#[derive(Debug)]
 struct Tally {
+    /// Read stamps: the stamp of the segment that last read each address.
+    reads: StampTable,
+    /// The current segment's stamp.
+    stamp: u32,
     /// Distinct addresses written.
     ofm_blocks: u64,
-    /// Never-written addresses read (with repeats).
-    ro_reads: Vec<Addr>,
-    /// Feature-map reads as (producing segment, address), with repeats.
-    fm_reads: Vec<(usize, Addr)>,
+    /// Distinct never-written addresses read.
+    weight_blocks: u64,
+    /// Distinct feature-map addresses read, by producing segment.
+    ifm_blocks: BTreeMap<usize, u64>,
 }
 
 impl Tally {
+    fn new(block_bytes: u64) -> Self {
+        Self {
+            reads: StampTable::new(block_bytes),
+            stamp: stamp_of(0),
+            ofm_blocks: 0,
+            weight_blocks: 0,
+            ifm_blocks: BTreeMap::new(),
+        }
+    }
+
+    /// Counts `access` to `addr`. Inside one segment every read of an
+    /// address sees the same producer, so its first read classifies it.
     fn add(&mut self, access: Access, addr: Addr) {
         match access {
             Access::Write { first } => self.ofm_blocks += u64::from(first),
-            Access::Read { producer: None } => self.ro_reads.push(addr),
-            Access::Read { producer: Some(p) } => self.fm_reads.push((p, addr)),
+            Access::Read { producer } => {
+                if self.reads.replace(addr, self.stamp) != self.stamp {
+                    match producer {
+                        None => self.weight_blocks += 1,
+                        Some(p) => *self.ifm_blocks.entry(p).or_default() += 1,
+                    }
+                }
+            }
         }
     }
 
     /// Classifies the completed segment `seg` (ordinal `index`) and resets
     /// the tally for the next one.
     fn close(&mut self, index: usize, seg: Segment) -> LayerObservation {
-        self.ro_reads.sort_unstable();
-        self.ro_reads.dedup();
-        self.fm_reads.sort_unstable();
-        self.fm_reads.dedup();
-        let weight_blocks = self.ro_reads.len() as u64;
+        self.stamp = stamp_of(index + 1);
         let ofm_blocks = std::mem::take(&mut self.ofm_blocks);
-        let ifm_sources: Vec<IfmSource> = self
-            .fm_reads
-            .chunk_by(|a, b| a.0 == b.0)
-            .map(|run| IfmSource {
-                producer: run[0].0,
-                blocks: run.len() as u64,
-            })
+        let weight_blocks = std::mem::take(&mut self.weight_blocks);
+        let ifm_sources: Vec<IfmSource> = std::mem::take(&mut self.ifm_blocks)
+            .into_iter()
+            .map(|(producer, blocks)| IfmSource { producer, blocks })
             .collect();
-        self.ro_reads.clear();
-        self.fm_reads.clear();
 
         let has_ifm = !ifm_sources.is_empty();
         let kind = if ofm_blocks == 0 && weight_blocks == 0 && !has_ifm {
@@ -410,6 +428,45 @@ mod tests {
                     blocks: 5
                 }
             ]
+        );
+    }
+
+    /// The worst case of DESIGN §5: a scattered trace whose every event
+    /// names a stamp page of its own costs the two stamp tables at most
+    /// `BYTES_PER_PAGE_BOUND` per event.
+    #[test]
+    fn stamp_tables_stay_within_their_bound_on_scattered_traces() {
+        let events = 4096u64;
+        let page_bytes = BLK * crate::stamps::SLOTS;
+        let mut b = TraceBuilder::new(BLK, 4);
+        for i in 0..events {
+            let page = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % (u64::MAX / page_bytes);
+            let kind = if i % 2 == 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            b.record(i, page * page_bytes, kind);
+        }
+        let trace = b.finish();
+        let mut segmenter = StreamingSegmenter::new(BLK, SegmentConfig::for_trace(&trace));
+        let mut tally = Tally::new(BLK);
+        let mut closed = 0;
+        for ev in trace.events() {
+            let (completed, access) = segmenter.step(*ev);
+            if let Some(seg) = completed {
+                let _ = tally.close(closed, seg);
+                closed += 1;
+            }
+            tally.add(access, ev.addr);
+        }
+        let (writers, reads) = (segmenter.writers(), &tally.reads);
+        assert_eq!((writers.pages() + reads.pages()) as u64, events);
+        let bytes = writers.heap_bytes() + reads.heap_bytes();
+        let bound = events as usize * StampTable::BYTES_PER_PAGE_BOUND;
+        assert!(
+            bytes <= bound,
+            "{bytes} B for {events} events, bound {bound} B"
         );
     }
 

@@ -17,6 +17,7 @@ use crate::observe::{observe_with, IfmSource, LayerKindHint, LayerObservation, T
 use crate::segment::{
     segment_trace, segment_trace_with, Segment, SegmentConfig, StreamingSegmenter,
 };
+use crate::stamps::SLOTS;
 use crate::stats::{TraceStats, TrafficProfile};
 use crate::{AccessKind, Addr, MemoryEvent, Trace, TraceBuilder};
 
@@ -399,6 +400,9 @@ enum AddrMode {
     /// Long ascending read runs over a few regions that grow into each
     /// other; see [`streaming_blocks`].
     Streaming,
+    /// Layers that re-fetch runs straddling stamp-page boundaries once per
+    /// row tile; see [`refetch_blocks`].
+    Refetch,
 }
 
 /// `AddrMode::Streaming`'s (block index, is write) sequence: two or three
@@ -433,6 +437,48 @@ fn streaming_blocks(rng: &mut SmallRng, n: usize) -> Vec<(u64, bool)> {
     blocks
 }
 
+/// `AddrMode::Refetch`'s (block index, is write) sequence: a chain of
+/// layers, each fetching its whole weight run and an overlapping slice of
+/// its input run once per row tile, and writing a slice of its output run
+/// per tile. The next layer reads that output (a RAW boundary); sometimes
+/// it re-fetches the previous layer's weights too. Every run straddles a
+/// stamp-page boundary, so re-reads cross pages within and across
+/// segments, and a segment's reads outnumber its distinct blocks.
+fn refetch_blocks(rng: &mut SmallRng, n: usize) -> Vec<(u64, bool)> {
+    // (first block, length) of a run that ends a page in `pages` and
+    // starts the next.
+    let straddling = |rng: &mut SmallRng, pages: std::ops::Range<u64>| {
+        let page = rng.gen_range(pages);
+        let before = rng.gen_range(1u64..8);
+        (page * SLOTS - before, before + rng.gen_range(1u64..16))
+    };
+    let mut blocks = Vec::with_capacity(n + 256);
+    let mut input = straddling(rng, 1..2);
+    let mut weights = straddling(rng, 100..200);
+    blocks.extend((input.0..input.0 + input.1).map(|b| (b, true)));
+    while blocks.len() < n {
+        if rng.gen_bool(0.7) {
+            weights = straddling(rng, 100..200);
+        }
+        let output = straddling(rng, 300..400);
+        let tiles = rng.gen_range(1u64..5);
+        let (in_step, out_step) = (input.1.div_ceil(tiles), output.1.div_ceil(tiles));
+        for tile in 0..tiles {
+            blocks.extend((weights.0..weights.0 + weights.1).map(|b| (b, false)));
+            // The tile's input rows and a halo shared with the next tile.
+            let lo = input.0 + tile * in_step;
+            let hi = (lo + in_step + rng.gen_range(0u64..4)).min(input.0 + input.1);
+            blocks.extend((lo..hi).map(|b| (b, false)));
+            let lo = output.0 + tile * out_step;
+            let hi = (lo + out_step).min(output.0 + output.1);
+            blocks.extend((lo..hi).map(|b| (b, true)));
+        }
+        input = output;
+    }
+    blocks.truncate(n);
+    blocks
+}
+
 /// A random time-ordered trace shaped like layer traffic: runs of
 /// consecutive blocks of one access kind, jumps back to blocks touched
 /// before (re-reads, RAW boundaries, and later segments overwriting an
@@ -441,10 +487,14 @@ fn differential_trace(seed: u64, mode: AddrMode) -> Trace {
     let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0xA076_1D64_78BD_642F) ^ 0xD1FF);
     let block = [4u64, 32, 64][rng.gen_range(0usize..3)];
     let max_index = u64::MAX / block;
-    if let AddrMode::Streaming = mode {
+    if let AddrMode::Streaming | AddrMode::Refetch = mode {
         let n = rng.gen_range(0usize..600);
+        let blocks = match mode {
+            AddrMode::Refetch => refetch_blocks(&mut rng, n),
+            _ => streaming_blocks(&mut rng, n),
+        };
         let mut cycle = 0u64;
-        let events = (streaming_blocks(&mut rng, n).into_iter())
+        let events = (blocks.into_iter())
             .map(|(index, write)| {
                 cycle += rng.gen_range(0u64..4);
                 MemoryEvent {
@@ -461,7 +511,7 @@ fn differential_trace(seed: u64, mode: AddrMode) -> Trace {
         return Trace::from_parts(events, block, 4);
     }
     let fresh = |rng: &mut SmallRng| match mode {
-        AddrMode::Clustered | AddrMode::Unaligned | AddrMode::Streaming => {
+        AddrMode::Clustered | AddrMode::Unaligned | AddrMode::Streaming | AddrMode::Refetch => {
             rng.gen_range(0u64..6) * 4096 + rng.gen_range(0u64..64)
         }
         AddrMode::Scattered => rng.gen_range(0..max_index),
@@ -534,12 +584,35 @@ fn observe_matches_reference_on_random_traces() {
         AddrMode::Unaligned,
         AddrMode::NearMax,
         AddrMode::Streaming,
+        AddrMode::Refetch,
     ] {
         for seed in 0..CASES {
             let trace = differential_trace(seed, mode);
             assert_matches_reference(&trace, &format!("{mode:?} seed {seed}"));
         }
     }
+}
+
+/// `AddrMode::Refetch` does what it is for: its compute layers read some
+/// blocks more than once, so distinct counts differ from raw read counts.
+#[test]
+fn refetch_traces_reread_blocks() {
+    let mut layers = 0;
+    let mut reread = 0;
+    for seed in 0..CASES {
+        let trace = differential_trace(seed, AddrMode::Refetch);
+        let config = SegmentConfig::for_trace(&trace);
+        for l in observe_with(&trace, config).compute_layers() {
+            let events = &trace.events()[l.segment.first_event..l.segment.end_event];
+            let reads = events.iter().filter(|e| e.kind.is_read()).count() as u64;
+            layers += 1;
+            reread += usize::from(reads > l.weight_blocks + l.ifm_blocks_total());
+        }
+    }
+    assert!(
+        reread * 2 > layers,
+        "{reread} of {layers} layers re-read a block"
+    );
 }
 
 /// The same agreement on the golden LeNet trace.

@@ -20,61 +20,21 @@
 //! Both signals are pure functions of (address, read/write, time) — exactly
 //! the threat model's observables.
 //!
-//! The segmenter keeps one map from each written address to the ordinal of
-//! the segment that last wrote it. A read whose writer is the current
-//! segment is a RAW signal; a read with no writer is a weight fetch and goes
-//! into the current segment's read-only `IntervalSet`, whose insert also
-//! answers the fresh-region probe. One lookup or insert per event, so
-//! [`crate::observe`] can classify each segment in the same pass.
+//! The segmenter keeps one stamp table (`crate::stamps`): for each written
+//! address, the ordinal + 1 of the segment that last wrote it. A read whose
+//! stamp is the current segment's is a RAW signal; a read with no stamp is
+//! a weight fetch and goes into the current segment's read-only
+//! `IntervalSet`, whose insert also answers the fresh-region probe. One
+//! stamp lookup or store per event, so [`crate::observe`] can classify each
+//! segment in the same pass.
 
 use std::collections::BTreeMap;
-use std::collections::HashMap; // lint:allow(hash-iter): probe/insert-only map below
-use std::hash::{BuildHasherDefault, Hasher};
 
 use cnnre_obs::log_debug;
 use cnnre_obs::stream::BoundarySignal;
 
+use crate::stamps::{stamp_of, StampTable};
 use crate::{Addr, Cycle, MemoryEvent, Trace};
-
-/// Address → ordinal of the segment that last wrote it. Only ever probed
-/// and filled, never iterated, so its (fixed) hash order cannot reach any
-/// output.
-// lint:allow(hash-iter): get/insert only, per-event hot path
-type WriterMap = HashMap<Addr, usize, BuildHasherDefault<AddrHasher>>;
-
-/// Fixed-key hasher for `u64` addresses: one folded 64×64→128-bit
-/// multiply. Addresses are block multiples, so their low bits are all
-/// zero; folding the product's high half into its low half spreads every
-/// input bit over the bucket-index bits. Much cheaper per event than the
-/// default SipHash, and deterministic across processes.
-#[derive(Debug, Default, Clone, Copy)]
-struct AddrHasher(u64);
-
-impl AddrHasher {
-    const KEY: u64 = 0x9E37_79B9_7F4A_7C15;
-
-    fn mix(&mut self, x: u64) {
-        let p = u128::from(self.0 ^ x) * u128::from(Self::KEY);
-        self.0 = (p as u64) ^ ((p >> 64) as u64);
-    }
-}
-
-impl Hasher for AddrHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Only reached by non-`u64` keys, which this map never holds.
-        for &b in bytes {
-            self.mix(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.mix(x);
-    }
-}
 
 /// A contiguous run of trace events attributed to one accelerator layer
 /// (or to the host's input staging, for the first segment).
@@ -315,11 +275,14 @@ pub fn segment_trace_with(trace: &Trace, config: SegmentConfig) -> Vec<Segment> 
 pub struct StreamingSegmenter {
     block: u64,
     slack: u64,
-    writers: WriterMap,
+    /// Writer stamps: the stamp of the segment that last wrote each address.
+    writers: StampTable,
     ro_regions: IntervalSet,
     has_write: bool,
     /// Ordinal of the current segment: the number of accepted boundaries.
     ordinal: usize,
+    /// The current segment's stamp, `stamp_of(ordinal)`.
+    stamp: u32,
     /// How many of the accepted boundaries were RAW; the rest were fresh
     /// read-only regions.
     raw_accepted: u64,
@@ -349,10 +312,11 @@ impl StreamingSegmenter {
         Self {
             block: block_bytes,
             slack: config.slack_bytes,
-            writers: WriterMap::default(),
+            writers: StampTable::new(block_bytes),
             ro_regions: IntervalSet::default(),
             has_write: false,
             ordinal: 0,
+            stamp: stamp_of(0),
             raw_accepted: 0,
             rejected: 0,
             index: 0,
@@ -366,6 +330,12 @@ impl StreamingSegmenter {
     #[must_use]
     pub const fn events_seen(&self) -> usize {
         self.index
+    }
+
+    /// The writer stamps.
+    #[cfg(test)]
+    pub(crate) const fn writers(&self) -> &StampTable {
+        &self.writers
     }
 
     /// Feeds the next event (events must arrive in time order). Returns
@@ -383,21 +353,24 @@ impl StreamingSegmenter {
     pub(crate) fn step(&mut self, ev: MemoryEvent) -> (Option<Segment>, Access) {
         let mut signal = None;
         let producer = if ev.kind.is_read() {
-            let producer = self.writers.get(&ev.addr).copied();
-            match producer {
-                // RAW on an address produced by this segment.
-                Some(w) if w == self.ordinal => signal = Some(BoundarySignal::Raw),
-                Some(_) => {}
+            match self.writers.get(ev.addr) {
                 // A never-written read joins the read-only regions; the
                 // insert's answer is the fresh-region probe.
-                None => {
+                0 => {
                     let known = self.ro_regions.insert(ev.addr, self.block, self.slack);
                     if !known && self.has_write {
                         signal = Some(BoundarySignal::FreshRegion);
                     }
+                    None
+                }
+                // Written before: RAW when this segment wrote it.
+                w => {
+                    if w == self.stamp {
+                        signal = Some(BoundarySignal::Raw);
+                    }
+                    Some(w as usize - 1)
                 }
             }
-            producer
         } else {
             None
         };
@@ -417,7 +390,7 @@ impl StreamingSegmenter {
         // Apply the event to the (possibly fresh) segment state.
         let access = if ev.kind.is_write() {
             self.has_write = true;
-            let first = self.writers.insert(ev.addr, self.ordinal) != Some(self.ordinal);
+            let first = self.writers.replace(ev.addr, self.stamp) != self.stamp;
             Access::Write { first }
         } else {
             Access::Read { producer }
@@ -450,6 +423,7 @@ impl StreamingSegmenter {
         }
         let segment = self.current();
         self.ordinal += 1;
+        self.stamp = stamp_of(self.ordinal);
         self.seg_start = self.index;
         self.ro_regions.clear();
         if !raw {

@@ -120,6 +120,13 @@ echo "==> e2e lenet-e2e count window (pinned counts through the accelerator, ~10
 cargo run --release --quiet --offline --manifest-path e2e/Cargo.toml -- \
     --workload lenet-e2e --seconds 0
 
+echo "==> e2e structure-zoo count window (pinned candidate counts of the zoo, ~3 s)"
+# The benchmark's tests observe only LeNet and ConvNet; at full scale the
+# zoo also runs AlexNet and SqueezeNet through the trace-only accelerator,
+# observe and the structure solver, and pins 18/12/90/96 candidates.
+cargo run --release --quiet --offline --manifest-path e2e/Cargo.toml -- \
+    --workload structure-zoo --seconds 0
+
 if [[ "${PERF_GATE:-0}" != "0" ]]; then
     echo "==> perf gate (opt-in via PERF_GATE=1)"
     scripts/perf_gate.sh
