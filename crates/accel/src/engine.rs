@@ -819,6 +819,24 @@ mod tests {
         assert_eq!(sink.finish(), accel.run(&net, &x).unwrap().trace);
     }
 
+    /// The engine moves data in bursts, and the stored trace keeps each
+    /// burst as one run: LeNet's trace-only run coalesces at least 50
+    /// transactions per run.
+    #[test]
+    fn trace_only_run_stores_bursts_as_runs() {
+        let mut rng = SmallRng::seed_from_u64(0);
+        let net = lenet(1, 10, &mut rng);
+        let trace = (Accelerator::new(AccelConfig::default()).run_trace_only(&net))
+            .unwrap()
+            .trace;
+        assert!(
+            trace.run_count() * 50 <= trace.len(),
+            "{} runs for {} events",
+            trace.run_count(),
+            trace.len()
+        );
+    }
+
     #[test]
     fn trace_only_rejects_pruning() {
         let mut rng = SmallRng::seed_from_u64(2);

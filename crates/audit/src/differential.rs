@@ -6,7 +6,7 @@ use cnnre_accel::{AccelConfig, Execution, Schedule, ScheduleError, StageKind};
 use cnnre_attacks::structure::{CandidateStructure, FcParams, LayerParams, PoolParams};
 use cnnre_nn::graph::{Network, Op};
 use cnnre_trace::observe::{observe, LayerKindHint};
-use cnnre_trace::segment::segment_trace;
+use cnnre_trace::segment::{segment_trace, Segment};
 
 use crate::geometry::{self, CandidateChain, CandidateLayer, ObservedSizes, Tolerances};
 use crate::report::AuditReport;
@@ -178,10 +178,10 @@ pub fn differential(
             ),
         );
     } else {
-        let events = exec.trace.events();
+        let events = |seg: &Segment| exec.trace.events().skip(seg.first_event).take(seg.len());
         let mut seen_written: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
         // Prologue writes (the staged input) count as feature-map state.
-        for ev in &events[segments[0].first_event..segments[0].end_event] {
+        for ev in events(&segments[0]) {
             if ev.kind.is_write() {
                 seen_written.insert(ev.addr);
             }
@@ -192,7 +192,7 @@ pub fn differential(
             let mut written = std::collections::BTreeSet::new();
             let mut fm_read = std::collections::BTreeSet::new();
             let mut ro_read = std::collections::BTreeSet::new();
-            for ev in &events[seg.first_event..seg.end_event] {
+            for ev in events(seg) {
                 if ev.kind.is_write() {
                     written.insert(ev.addr);
                 } else if seen_written.contains(&ev.addr) {

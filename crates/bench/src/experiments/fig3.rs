@@ -38,9 +38,11 @@ pub fn run(stride: usize) -> Fig3 {
         .iter()
         .filter(|l| l.kind != LayerKindHint::Prologue)
         .map(|l| {
-            let seg = &exec.trace.events()[l.segment.first_event..l.segment.end_event];
-            let reads = seg.iter().filter(|e| e.kind.is_read()).count() as u64;
-            let writes = seg.len() as u64 - reads;
+            let seg = exec.trace.events().skip(l.segment.first_event);
+            let reads = (seg.take(l.segment.len()))
+                .filter(|e| e.kind.is_read())
+                .count() as u64;
+            let writes = l.segment.len() as u64 - reads;
             (
                 l.index,
                 l.segment.start_cycle,
@@ -53,7 +55,6 @@ pub fn run(stride: usize) -> Fig3 {
     let series = exec
         .trace
         .events()
-        .iter()
         .step_by(stride)
         .map(|e| (e.cycle, e.addr, e.kind.is_write()))
         .collect();

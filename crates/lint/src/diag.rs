@@ -275,7 +275,7 @@ impl Rule {
                  secret — exactly the address leak the paper's attack decodes.\n\
                  Constant-trace code must touch addresses independent of\n\
                  secrets.\n\n\
-                 Fails:   let line = lut[trace.events()[0].addr as usize];\n\
+                 Fails:   let line = lut[first.addr as usize];  // first: MemoryEvent\n\
                  Fix:     scan the whole table with arithmetic select (ORAM-\n\
                  style), or justify with lint:allow(ct-index): <reason>."
             }
@@ -293,6 +293,7 @@ impl Rule {
                  A trip count derived from secrets modulates total runtime and\n\
                  trace length — the coarsest, most robust leak of all.\n\n\
                  Fails:   for ev in trace.events() { pad(ev); }\n\
+                          trace.events().for_each(|ev| pad(ev));\n\
                  Fix:     iterate to a public worst-case bound and mask excess\n\
                  iterations, or justify with lint:allow(ct-loop): <reason>."
             }

@@ -11,7 +11,8 @@
 //! calls (`v.push(secret)` taints `v`), and closure parameters (a closure
 //! argument to a method on a tainted receiver binds tainted parameters).
 //! Sinks are branch conditions (CT001), index expressions (CT002),
-//! variable-latency arithmetic (CT003) and loop bounds (CT004) — or, for
+//! variable-latency arithmetic (CT003) and loop bounds (CT004: `for`,
+//! `while`, and `for_each`/`fold`-style calls on a tainted iterator) — or, for
 //! relaxed-load taint, any control decision (CR004).
 //!
 //! The analysis is deliberately over-approximate: a missed finding is a
@@ -30,11 +31,12 @@ use std::collections::BTreeSet;
 /// Types whose values are secrets in the paper's threat model: the victim
 /// network's architecture and weights, and anything derived from observing
 /// it (traces, candidate structures, oracle handles).
-pub const SECRET_TYPES: [&str; 15] = [
+pub const SECRET_TYPES: [&str; 16] = [
     "Network",
     "Tensor3",
     "Tensor4",
     "Trace",
+    "TraceEvents",
     "MemoryEvent",
     "Stage",
     "Schedule",
@@ -63,6 +65,10 @@ const VAR_TIME_METHODS: [&str; 12] = [
     "log2",
     "exp",
 ];
+
+/// Iterator methods that loop over their receiver: a `for` loop by
+/// another name, whose trip count is the receiver's length.
+const LOOP_METHODS: [&str; 4] = ["for_each", "fold", "try_for_each", "try_fold"];
 
 /// Methods that inject their arguments into the receiver.
 const MUTATING_METHODS: [&str; 6] = ["push", "insert", "extend", "append", "push_str", "set"];
@@ -582,6 +588,9 @@ impl Engine<'_> {
                             });
                         }
                         "." if self.mode == Mode::Secret => {
+                            if let Some(m) = self.loop_call(trees, i, st) {
+                                out.push(self.finding_loop(&m.text, m.line));
+                            }
                             if let Some(line) = self.var_time_call(trees, i, st) {
                                 out.push(Finding {
                                     rule: Rule::CtArith,
@@ -693,12 +702,26 @@ impl Engine<'_> {
         else {
             return None;
         };
+        let hit = self.receiver_tainted(trees, i, st) || self.slice_tainted(children, st);
+        hit.then_some(m.line)
+    }
+
+    /// `.method(…)` where method loops over a tainted receiver chain
+    /// ([`LOOP_METHODS`]). Returns the method token.
+    fn loop_call(&self, trees: &[Tree], i: usize, st: &FnState) -> Option<&Token> {
+        let m = trees.get(i + 1)?.leaf(self.tokens)?;
+        let call = trees.get(i + 2).is_some_and(|t| t.is_group(Delim::Paren));
+        (call && LOOP_METHODS.contains(&m.text.as_str()) && self.receiver_tainted(trees, i, st))
+            .then_some(m)
+    }
+
+    /// Whether the receiver chain ending before the `.` at `i` is tainted.
+    fn receiver_tainted(&self, trees: &[Tree], i: usize, st: &FnState) -> bool {
         let mut start = i;
         while start > 0 && is_chain_tree(&trees[start - 1], self.tokens) {
             start -= 1;
         }
-        let hit = self.slice_tainted(&trees[start..i], st) || self.slice_tainted(children, st);
-        hit.then_some(m.line)
+        self.slice_tainted(&trees[start..i], st)
     }
 
     /// A bracket group indexes memory when it directly follows a value
@@ -850,6 +873,20 @@ mod tests {
     fn secret_loop_bound_is_ct004() {
         let out = findings("fn f(t: &Trace) { for ev in t.events() { g(ev); } }");
         assert_eq!(out, [(Rule::CtLoop, 1)]);
+    }
+
+    #[test]
+    fn events_iterator_parameter_is_a_source() {
+        let out = findings("fn f(evs: TraceEvents<'_>) { for ev in evs { g(ev); } }");
+        assert_eq!(out, [(Rule::CtLoop, 1)]);
+    }
+
+    #[test]
+    fn internal_iteration_over_secret_is_ct004() {
+        let out = findings(
+            "fn f(t: &Trace, n: &[u8]) {\n    t.events().for_each(|ev| g(ev));\n    let _ = t.events().fold(0, |a, _| a + 1);\n    n.iter().for_each(|x| g(x));\n}",
+        );
+        assert_eq!(out, [(Rule::CtLoop, 2), (Rule::CtLoop, 3)]);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use std::collections::BTreeSet;
 
 use crate::segment::Segment;
-use crate::Trace;
+use crate::{Trace, TraceEvents};
 
 /// One invariant breach found in a trace or segmentation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,19 +76,20 @@ pub const DUPLICATE_PRUNED_WRITE: &str = "T015";
 #[must_use]
 pub fn audit_event_order(trace: &Trace) -> Vec<TraceViolation> {
     let mut out = Vec::new();
-    let events = trace.events();
-    for (i, w) in events.windows(2).enumerate() {
-        if w[1].cycle < w[0].cycle {
+    let mut prev = None;
+    trace.events().enumerate().for_each(|(i, ev)| {
+        if let Some(p) = prev.filter(|&p| ev.cycle < p) {
             out.push(TraceViolation {
                 code: NON_MONOTONE_CYCLE,
-                index: i + 1,
+                index: i,
                 detail: format!(
-                    "cycle stamp {} follows {} (events must be time-ordered)",
-                    w[1].cycle, w[0].cycle
+                    "cycle stamp {} follows {p} (events must be time-ordered)",
+                    ev.cycle
                 ),
             });
         }
-    }
+        prev = Some(ev.cycle);
+    });
     out
 }
 
@@ -96,20 +97,58 @@ pub fn audit_event_order(trace: &Trace) -> Vec<TraceViolation> {
 #[must_use]
 pub fn audit_alignment(trace: &Trace) -> Vec<TraceViolation> {
     let blk = trace.block_bytes().max(1);
-    trace
-        .events()
-        .iter()
-        .enumerate()
-        .filter(|(_, ev)| ev.addr % blk != 0)
-        .map(|(i, ev)| TraceViolation {
-            code: MISALIGNED_ADDRESS,
-            index: i,
-            detail: format!(
-                "address {:#x} is not aligned to the {blk}-byte transaction block",
-                ev.addr
-            ),
-        })
-        .collect()
+    let mut out = Vec::new();
+    trace.events().enumerate().for_each(|(i, ev)| {
+        if ev.addr % blk != 0 {
+            out.push(TraceViolation {
+                code: MISALIGNED_ADDRESS,
+                index: i,
+                detail: format!(
+                    "address {:#x} is not aligned to the {blk}-byte transaction block",
+                    ev.addr
+                ),
+            });
+        }
+    });
+    out
+}
+
+/// Hands out each segment's events. A segment starts where the walk
+/// stopped, so segments that tile the trace in order walk it once (a
+/// `skip` from the start per segment would cost segments × runs, quadratic
+/// on a capture where every other event opens a segment); one that starts
+/// further back restarts the walk.
+struct SegmentWalk<'a> {
+    trace: &'a Trace,
+    rest: TraceEvents<'a>,
+    /// Index of `rest`'s next event.
+    at: usize,
+}
+
+impl<'a> SegmentWalk<'a> {
+    fn new(trace: &'a Trace) -> Self {
+        Self {
+            trace,
+            rest: trace.events(),
+            at: 0,
+        }
+    }
+
+    /// The events of `seg`, `None` when its range is reversed or runs past
+    /// the trace's end.
+    fn events(&mut self, seg: &Segment) -> Option<std::iter::Take<TraceEvents<'a>>> {
+        if seg.first_event > seg.end_event || seg.end_event > self.trace.len() {
+            return None;
+        }
+        if seg.first_event < self.at {
+            *self = Self::new(self.trace);
+        }
+        if seg.first_event > self.at {
+            let _ = self.rest.nth(seg.first_event - self.at - 1);
+            self.at = seg.first_event;
+        }
+        Some(self.rest.clone().take(seg.len()))
+    }
 }
 
 /// Checks the structural segment invariants `T010`–`T012` against the
@@ -119,7 +158,7 @@ pub fn audit_alignment(trace: &Trace) -> Vec<TraceViolation> {
 #[must_use]
 pub fn audit_segments(trace: &Trace, segments: &[Segment]) -> Vec<TraceViolation> {
     let mut out = Vec::new();
-    let events = trace.events();
+    let mut walk = SegmentWalk::new(trace);
     let mut expected_start = 0usize;
     for (si, seg) in segments.iter().enumerate() {
         if seg.first_event != expected_start || seg.end_event <= seg.first_event {
@@ -134,7 +173,7 @@ pub fn audit_segments(trace: &Trace, segments: &[Segment]) -> Vec<TraceViolation
             });
         }
         expected_start = seg.end_event.max(expected_start);
-        let Some(evs) = events.get(seg.first_event..seg.end_event) else {
+        let Some(evs) = walk.events(seg) else {
             out.push(TraceViolation {
                 code: SEGMENT_TILING,
                 index: si,
@@ -142,12 +181,12 @@ pub fn audit_segments(trace: &Trace, segments: &[Segment]) -> Vec<TraceViolation
                     "segment spans events [{}, {}) past the trace's {} events",
                     seg.first_event,
                     seg.end_event,
-                    events.len()
+                    trace.len()
                 ),
             });
             continue;
         };
-        let (Some(first), Some(last)) = (evs.first(), evs.last()) else {
+        let (Some(first), Some(last)) = (evs.clone().next(), evs.clone().last()) else {
             continue;
         };
         if seg.start_cycle != first.cycle || seg.end_cycle != last.cycle {
@@ -161,7 +200,7 @@ pub fn audit_segments(trace: &Trace, segments: &[Segment]) -> Vec<TraceViolation
             });
         }
         let mut written = BTreeSet::new();
-        for (off, ev) in evs.iter().enumerate() {
+        for (off, ev) in evs.enumerate() {
             if ev.kind.is_write() {
                 written.insert(ev.addr);
             } else if written.contains(&ev.addr) {
@@ -177,13 +216,13 @@ pub fn audit_segments(trace: &Trace, segments: &[Segment]) -> Vec<TraceViolation
             }
         }
     }
-    if expected_start != events.len() && !events.is_empty() {
+    if expected_start != trace.len() && !trace.is_empty() {
         out.push(TraceViolation {
             code: SEGMENT_TILING,
             index: segments.len().saturating_sub(1),
             detail: format!(
                 "segments cover events [0, {expected_start}) of {} (trailing events unsegmented)",
-                events.len()
+                trace.len()
             ),
         });
     }
@@ -198,9 +237,9 @@ pub fn audit_segments(trace: &Trace, segments: &[Segment]) -> Vec<TraceViolation
 #[must_use]
 pub fn audit_region_overlap(trace: &Trace, segments: &[Segment]) -> Vec<TraceViolation> {
     let mut out = Vec::new();
-    let events = trace.events();
+    let mut walk = SegmentWalk::new(trace);
     for (si, seg) in segments.iter().enumerate() {
-        let Some(evs) = events.get(seg.first_event..seg.end_event) else {
+        let Some(evs) = walk.events(seg) else {
             continue;
         };
         let mut written = BTreeSet::new();
@@ -234,14 +273,13 @@ pub fn audit_region_overlap(trace: &Trace, segments: &[Segment]) -> Vec<TraceVio
 #[must_use]
 pub fn audit_write_contiguity(trace: &Trace, segments: &[Segment]) -> Vec<TraceViolation> {
     let mut out = Vec::new();
-    let events = trace.events();
+    let mut walk = SegmentWalk::new(trace);
     let blk = trace.block_bytes().max(1);
     for (si, seg) in segments.iter().enumerate() {
-        let Some(evs) = events.get(seg.first_event..seg.end_event) else {
+        let Some(evs) = walk.events(seg) else {
             continue;
         };
         let blocks: BTreeSet<u64> = evs
-            .iter()
             .filter(|ev| ev.kind.is_write())
             .map(|ev| ev.addr / blk)
             .collect();
@@ -276,13 +314,13 @@ pub fn audit_pruned_writes(trace: &Trace, segments: &[Segment]) -> Vec<TraceViol
     if trace.block_bytes() != trace.element_bytes() {
         return out;
     }
-    let events = trace.events();
+    let mut walk = SegmentWalk::new(trace);
     for (si, seg) in segments.iter().enumerate() {
-        let Some(evs) = events.get(seg.first_event..seg.end_event) else {
+        let Some(evs) = walk.events(seg) else {
             continue;
         };
         let mut written = BTreeSet::new();
-        for (off, ev) in evs.iter().enumerate() {
+        for (off, ev) in evs.enumerate() {
             if ev.kind.is_write() && !written.insert(ev.addr) {
                 out.push(TraceViolation {
                     code: DUPLICATE_PRUNED_WRITE,
@@ -427,7 +465,7 @@ mod tests {
             first_event: 0,
             end_event: trace.len(),
             start_cycle: 0,
-            end_cycle: trace.events()[trace.len() - 1].cycle,
+            end_cycle: trace.events().last().unwrap().cycle,
         }];
         let v = audit_segments(&trace, &segs);
         assert!(v.iter().any(|v| v.code == INTRA_SEGMENT_RAW));

@@ -24,7 +24,7 @@
 use cnnre_tensor::rng::Rng;
 use cnnre_tensor::rng::SliceRandom;
 
-use crate::{AccessKind, Addr, MemoryEvent, Trace};
+use crate::{AccessKind, Addr, MemoryEvent, Trace, TraceBuilder};
 
 /// Configuration of the Path-ORAM traffic model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,12 +97,11 @@ pub fn obfuscate<R: Rng + ?Sized>(
 ) -> (Trace, OramStats) {
     let depth = config.tree_depth();
     let block = trace.block_bytes();
-    let mut out: Vec<MemoryEvent> =
-        Vec::with_capacity(trace.len() * config.overhead_factor() as usize);
+    let mut out = TraceBuilder::new(block, trace.element_bytes());
     // lint:allow(ct-loop): one path access per input transaction — ORAM
     // conceals addresses and kinds, not the transaction count, which the
     // published Z·(L+1)·2 overhead factor scales deterministically
-    for ev in trace.events() {
+    trace.events().for_each(|ev| {
         let leaf: u64 = rng.gen_range(0..(1u64 << depth));
         // Bucket indices along the path in a 1-indexed heap layout.
         let mut path = Vec::with_capacity(depth as usize + 1);
@@ -117,15 +116,11 @@ pub fn obfuscate<R: Rng + ?Sized>(
         for &kind in &[AccessKind::Read, AccessKind::Write] {
             for &bucket in path.iter().rev() {
                 for z in 0..config.bucket_blocks {
-                    out.push(MemoryEvent {
-                        cycle: ev.cycle,
-                        addr: (bucket * config.bucket_blocks + z) * block,
-                        kind,
-                    });
+                    out.record(ev.cycle, (bucket * config.bucket_blocks + z) * block, kind);
                 }
             }
         }
-    }
+    });
     let stats = OramStats {
         input_events: trace.len(),
         output_events: out.len(),
@@ -137,14 +132,13 @@ pub fn obfuscate<R: Rng + ?Sized>(
             output_events: stats.output_events as u64,
         });
     }
-    (Trace::from_parts(out, block, trace.element_bytes()), stats)
+    (out.finish(), stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::segment::segment_trace;
-    use crate::TraceBuilder;
     use cnnre_tensor::rng::SeedableRng;
     use cnnre_tensor::rng::SmallRng;
 
@@ -360,7 +354,6 @@ pub fn pad_write_traffic(trace: &Trace, regions: &[(Addr, u64)]) -> (Trace, Padd
 mod defense_extra_tests {
     use super::*;
     use crate::segment::segment_trace;
-    use crate::TraceBuilder;
     use cnnre_tensor::rng::SeedableRng;
     use cnnre_tensor::rng::SmallRng;
 
@@ -383,14 +376,14 @@ mod defense_extra_tests {
         let s = shuffle_within_window(&t, 8, &mut rng);
         assert_eq!(s.len(), t.len());
         assert_eq!(s.read_count(), t.read_count());
-        let cycles: Vec<u64> = s.events().iter().map(|e| e.cycle).collect();
+        let cycles: Vec<u64> = s.events().map(|e| e.cycle).collect();
         assert!(
             cycles.windows(2).all(|w| w[0] <= w[1]),
             "time stays monotone"
         );
         // The address multiset is unchanged.
-        let mut a: Vec<u64> = t.events().iter().map(|e| e.addr).collect();
-        let mut b2: Vec<u64> = s.events().iter().map(|e| e.addr).collect();
+        let mut a: Vec<u64> = t.events().map(|e| e.addr).collect();
+        let mut b2: Vec<u64> = s.events().map(|e| e.addr).collect();
         a.sort_unstable();
         b2.sort_unstable();
         assert_eq!(a, b2);
@@ -457,13 +450,12 @@ mod defense_extra_tests {
 #[must_use]
 pub fn jitter_timing<R: Rng + ?Sized>(trace: &Trace, amplitude: f64, rng: &mut R) -> Trace {
     assert!((0.0..=10.0).contains(&amplitude), "amplitude out of range");
-    let (events, block, elem) = trace.clone().into_parts();
-    let mut out = Vec::with_capacity(events.len());
+    let mut out = TraceBuilder::new(trace.block_bytes(), trace.element_bytes());
     let mut shifted: u64 = 0;
     let mut last_in: u64 = 0;
     // lint:allow(ct-loop): one scaled gap per transaction — the trip count
     // is the trace length, which the timing channel exposes anyway
-    for mut ev in events {
+    trace.events().for_each(|mut ev| {
         // With `last_in` starting at 0 the first gap is `ev.cycle` itself,
         // so no first-iteration branch is needed (branchless in secrets).
         let gap = ev.cycle - last_in;
@@ -471,15 +463,14 @@ pub fn jitter_timing<R: Rng + ?Sized>(trace: &Trace, amplitude: f64, rng: &mut R
         let factor = 1.0 + rng.gen_range(0.0..=amplitude);
         shifted += (gap as f64 * factor).round() as u64;
         ev.cycle = shifted;
-        out.push(ev);
-    }
-    Trace::from_parts(out, block, elem)
+        out.append(ev);
+    });
+    out.finish()
 }
 
 #[cfg(test)]
 mod jitter_tests {
     use super::*;
-    use crate::TraceBuilder;
     use cnnre_tensor::rng::SeedableRng;
     use cnnre_tensor::rng::SmallRng;
 
@@ -493,11 +484,11 @@ mod jitter_tests {
         let mut rng = SmallRng::seed_from_u64(1);
         let j = jitter_timing(&t, 0.5, &mut rng);
         assert_eq!(j.len(), t.len());
-        for (a, b2) in t.events().iter().zip(j.events()) {
+        for (a, b2) in t.events().zip(j.events()) {
             assert_eq!(a.addr, b2.addr);
             assert_eq!(a.kind, b2.kind);
         }
-        let cycles: Vec<u64> = j.events().iter().map(|e| e.cycle).collect();
+        let cycles: Vec<u64> = j.events().map(|e| e.cycle).collect();
         assert!(cycles.windows(2).all(|w| w[0] <= w[1]));
         // Duration grew, bounded by (1 + amplitude).
         assert!(j.duration() >= t.duration());

@@ -3,7 +3,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 
-use crate::{AccessKind, MemoryEvent, Trace};
+use crate::{AccessKind, MemoryEvent, Trace, TraceBuilder};
 
 /// Error type for trace (de)serialization.
 #[derive(Debug)]
@@ -52,16 +52,19 @@ pub fn write_csv<W: Write>(trace: &Trace, mut w: W) -> Result<(), TraceIoError> 
         trace.element_bytes()
     )?;
     writeln!(w, "cycle,address,is_write")?;
-    for ev in trace.events() {
-        writeln!(
-            w,
-            "{},{},{}",
-            ev.cycle,
-            ev.addr,
-            u8::from(ev.kind.is_write())
-        )?;
-    }
-    Ok(())
+    let mut written = Ok(());
+    trace.events().for_each(|ev| {
+        if written.is_ok() {
+            written = writeln!(
+                w,
+                "{},{},{}",
+                ev.cycle,
+                ev.addr,
+                u8::from(ev.kind.is_write())
+            );
+        }
+    });
+    Ok(written?)
 }
 
 /// Reads a trace written by [`write_csv`].
@@ -104,7 +107,8 @@ fn parse_csv<R: Read>(r: R, ordered: bool) -> Result<Trace, TraceIoError> {
     let block_bytes = parse_kv("block_bytes")?;
     let element_bytes = parse_kv("element_bytes")?;
     check_geometry(block_bytes, element_bytes)?;
-    let mut events = Vec::new();
+    let mut trace = TraceBuilder::new(block_bytes, element_bytes);
+    let mut prev = None;
     for (i, line) in lines.enumerate() {
         let line = line?;
         if i == 0 && line.starts_with("cycle") {
@@ -136,7 +140,7 @@ fn parse_csv<R: Read>(r: R, ordered: bool) -> Result<Trace, TraceIoError> {
             })?;
         check_aligned(addr, block_bytes, i + 1)?;
         if ordered {
-            check_ordered(cycle, events.last(), i + 1)?;
+            check_ordered(cycle, prev, i + 1)?;
         }
         let kind = match next("is_write")?.trim() {
             "0" => AccessKind::Read,
@@ -148,9 +152,10 @@ fn parse_csv<R: Read>(r: R, ordered: bool) -> Result<Trace, TraceIoError> {
                 })
             }
         };
-        events.push(MemoryEvent { cycle, addr, kind });
+        trace.append(MemoryEvent { cycle, addr, kind });
+        prev = Some(cycle);
     }
-    Ok(Trace::from_parts(events, block_bytes, element_bytes))
+    Ok(trace.finish())
 }
 
 /// Rejects a header geometry [`Trace::from_parts`] would panic on.
@@ -180,23 +185,15 @@ fn check_aligned(addr: u64, block_bytes: u64, record: usize) -> Result<(), Trace
 }
 
 /// Rejects a cycle below the previous event's.
-fn check_ordered(
-    cycle: u64,
-    prev: Option<&MemoryEvent>,
-    record: usize,
-) -> Result<(), TraceIoError> {
+fn check_ordered(cycle: u64, prev: Option<u64>, record: usize) -> Result<(), TraceIoError> {
     match prev {
-        Some(p) if cycle < p.cycle => Err(TraceIoError::Parse {
+        Some(p) if cycle < p => Err(TraceIoError::Parse {
             record,
-            detail: format!("cycle {cycle} is below the previous record's {}", p.cycle),
+            detail: format!("cycle {cycle} is below the previous record's {p}"),
         }),
         _ => Ok(()),
     }
 }
-
-/// Events reserved up front by [`read_binary`]: a header's event count is
-/// outside input, so memory is committed only as records actually arrive.
-const BINARY_PREALLOC_EVENTS: usize = 1 << 16;
 
 const BINARY_MAGIC: &[u8; 8] = b"CNNRETR1";
 
@@ -211,12 +208,17 @@ pub fn write_binary<W: Write>(trace: &Trace, mut w: W) -> Result<(), TraceIoErro
     w.write_all(&trace.block_bytes().to_le_bytes())?;
     w.write_all(&trace.element_bytes().to_le_bytes())?;
     w.write_all(&(trace.len() as u64).to_le_bytes())?;
-    for ev in trace.events() {
-        w.write_all(&ev.cycle.to_le_bytes())?;
-        w.write_all(&ev.addr.to_le_bytes())?;
-        w.write_all(&[u8::from(ev.kind.is_write())])?;
-    }
-    Ok(())
+    let mut written = Ok(());
+    trace.events().for_each(|ev| {
+        if written.is_ok() {
+            let mut rec = [0u8; 17];
+            rec[0..8].copy_from_slice(&ev.cycle.to_le_bytes());
+            rec[8..16].copy_from_slice(&ev.addr.to_le_bytes());
+            rec[16] = u8::from(ev.kind.is_write());
+            written = w.write_all(&rec);
+        }
+    });
+    Ok(written?)
 }
 
 /// Reads a trace written by [`write_binary`].
@@ -239,7 +241,9 @@ pub fn read_binary_unordered<R: Read>(r: R) -> Result<Trace, TraceIoError> {
     parse_binary(r, false)
 }
 
-fn parse_binary<R: Read>(mut r: R, ordered: bool) -> Result<Trace, TraceIoError> {
+fn parse_binary<R: Read>(r: R, ordered: bool) -> Result<Trace, TraceIoError> {
+    // Records are read 17 bytes at a time.
+    let mut r = BufReader::new(r);
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != BINARY_MAGIC {
@@ -249,16 +253,19 @@ fn parse_binary<R: Read>(mut r: R, ordered: bool) -> Result<Trace, TraceIoError>
         });
     }
     let mut u64buf = [0u8; 8];
-    let mut read_u64 = |r: &mut R| -> Result<u64, TraceIoError> {
+    let mut read_u64 = |r: &mut BufReader<R>| -> Result<u64, TraceIoError> {
         r.read_exact(&mut u64buf)?;
         Ok(u64::from_le_bytes(u64buf))
     };
     let block_bytes = read_u64(&mut r)?;
     let element_bytes = read_u64(&mut r)?;
     check_geometry(block_bytes, element_bytes)?;
-    let count = read_u64(&mut r)? as usize;
-    let mut events = Vec::with_capacity(count.min(BINARY_PREALLOC_EVENTS));
-    for i in 0..count {
+    // The header's count is outside input: memory is committed only as
+    // records actually arrive.
+    let count = read_u64(&mut r)?;
+    let mut trace = TraceBuilder::new(block_bytes, element_bytes);
+    let mut prev = None;
+    for i in 0..count as usize {
         let mut rec = [0u8; 17];
         r.read_exact(&mut rec).map_err(|e| TraceIoError::Parse {
             record: i + 1,
@@ -280,17 +287,17 @@ fn parse_binary<R: Read>(mut r: R, ordered: bool) -> Result<Trace, TraceIoError>
         };
         check_aligned(addr, block_bytes, i + 1)?;
         if ordered {
-            check_ordered(cycle, events.last(), i + 1)?;
+            check_ordered(cycle, prev, i + 1)?;
         }
-        events.push(MemoryEvent { cycle, addr, kind });
+        trace.append(MemoryEvent { cycle, addr, kind });
+        prev = Some(cycle);
     }
-    Ok(Trace::from_parts(events, block_bytes, element_bytes))
+    Ok(trace.finish())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TraceBuilder;
 
     fn sample() -> Trace {
         let mut b = TraceBuilder::new(64, 4);
@@ -398,7 +405,7 @@ mod tests {
             other => panic!("expected a parse error, got {other:?}"),
         }
         let t = read_csv_unordered(csv.as_bytes()).expect("unordered read accepts it");
-        assert_eq!(t.events()[2].cycle, 4);
+        assert_eq!(t.events().nth(2).unwrap().cycle, 4);
     }
 
     #[test]
@@ -414,7 +421,7 @@ mod tests {
             other => panic!("expected a parse error, got {other:?}"),
         }
         let t = read_binary_unordered(&buf[..]).expect("unordered read accepts it");
-        assert_eq!(t.events()[2].cycle, 4);
+        assert_eq!(t.events().nth(2).unwrap().cycle, 4);
     }
 
     #[test]

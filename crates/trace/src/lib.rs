@@ -37,4 +37,6 @@ pub mod observe;
 pub mod segment;
 pub mod stats;
 
-pub use event::{AccessKind, Addr, Cycle, EventSink, MemoryEvent, Trace, TraceBuilder};
+pub use event::{
+    AccessKind, Addr, Cycle, EventSink, MemoryEvent, Trace, TraceBuilder, TraceEvents,
+};

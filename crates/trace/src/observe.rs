@@ -157,13 +157,13 @@ pub fn observe_with(trace: &Trace, config: SegmentConfig) -> TraceObservations {
     let mut segmenter = StreamingSegmenter::new(trace.block_bytes(), config);
     let mut tally = Tally::new(trace.block_bytes());
     let mut layers: Vec<LayerObservation> = Vec::new();
-    for ev in trace.events() {
-        let (completed, access) = segmenter.step(*ev);
+    trace.events().for_each(|ev| {
+        let (completed, access) = segmenter.step(ev);
         if let Some(seg) = completed {
             layers.push(tally.close(layers.len(), seg));
         }
         tally.add(access, ev.addr);
-    }
+    });
     if let Some(seg) = segmenter.finish() {
         layers.push(tally.close(layers.len(), seg));
     }
@@ -453,7 +453,7 @@ mod tests {
         let mut tally = Tally::new(BLK);
         let mut closed = 0;
         for ev in trace.events() {
-            let (completed, access) = segmenter.step(*ev);
+            let (completed, access) = segmenter.step(ev);
             if let Some(seg) = completed {
                 let _ = tally.close(closed, seg);
                 closed += 1;

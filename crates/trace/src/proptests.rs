@@ -12,7 +12,9 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use cnnre_tensor::rng::{Rng, SeedableRng, SmallRng};
 
 use crate::defense::{jitter_timing, pad_write_traffic, shuffle_within_window};
-use crate::io::{read_binary, read_csv, write_binary, write_csv};
+use crate::io::{
+    read_binary, read_binary_unordered, read_csv, read_csv_unordered, write_binary, write_csv,
+};
 use crate::observe::{observe_with, IfmSource, LayerKindHint, LayerObservation, TraceObservations};
 use crate::segment::{
     segment_trace, segment_trace_with, Segment, SegmentConfig, StreamingSegmenter,
@@ -49,6 +51,177 @@ fn arb_trace(seed: u64) -> Trace {
         b.record(cycle, blk * block, kind);
     }
     b.finish()
+}
+
+/// Bursts of transactions (consecutive blocks of one kind at a fixed cycle
+/// step) joined by every way a run can break: a kind change, an address
+/// gap, an unaligned or backwards address, a cycle that breaks the step or
+/// runs backwards, and steps of `u32::MAX` (the largest a run stores) and
+/// `u32::MAX + 1`. Some bursts just continue the previous one, and some
+/// sit at the top of the address space.
+fn burst_events(seed: u64) -> (u64, Vec<MemoryEvent>) {
+    let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ 0xB0257);
+    let block = [4u64, 48, 64][rng.gen_range(0usize..3)];
+    let top = u64::MAX - u64::MAX % block;
+    let mut next = MemoryEvent {
+        cycle: rng.gen_range(0u64..100),
+        addr: rng.gen_range(0u64..1000) * block,
+        kind: AccessKind::Read,
+    };
+    let mut events = Vec::new();
+    for _ in 0..rng.gen_range(0usize..40) {
+        let step = match rng.gen_range(0u32..6) {
+            0 => 0,
+            1 => 1,
+            2 => u64::from(u32::MAX),
+            3 => u64::from(u32::MAX) + 1,
+            _ => rng.gen_range(2u64..1000),
+        };
+        if rng.gen_bool(0.1) {
+            next.addr = top - block * rng.gen_range(0u64..4);
+        }
+        for _ in 0..rng.gen_range(1u64..20) {
+            events.push(next);
+            match next.addr.checked_add(block) {
+                Some(addr) => next.addr = addr,
+                None => break,
+            }
+            next.cycle += step;
+        }
+        match rng.gen_range(0u32..8) {
+            0 => {
+                next.kind = if next.kind.is_read() {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+            }
+            1 => next.addr = next.addr.saturating_add(block * rng.gen_range(1u64..4)),
+            2 => next.addr = next.addr.saturating_sub(block * rng.gen_range(2u64..6)),
+            3 => next.addr = next.addr.saturating_add(rng.gen_range(1..block)),
+            4 => next.cycle += rng.gen_range(1u64..5),
+            5 => next.cycle = next.cycle.saturating_sub(step + rng.gen_range(1u64..5)),
+            // The next burst continues this one.
+            _ => {}
+        }
+        if next.addr > top {
+            next.addr = rng.gen_range(0u64..1000) * block;
+        }
+    }
+    (block, events)
+}
+
+/// Builds a trace with `record_range` wherever consecutive events share a
+/// cycle and kind at consecutive blocks, `record` elsewhere. A range ends
+/// at the first byte of its last block, which may be the top one.
+fn recorded_in_ranges(block: u64, events: &[MemoryEvent]) -> Trace {
+    let mut b = TraceBuilder::new(block, 4);
+    let mut rest = events;
+    while let Some(first) = rest.first() {
+        let n = 1
+            + (rest.iter().zip(&rest[1..]))
+                .take_while(|(a, b)| {
+                    b.cycle == a.cycle
+                        && b.kind == a.kind
+                        && a.addr.checked_add(block) == Some(b.addr)
+                })
+                .count();
+        if n == 1 {
+            b.record(first.cycle, first.addr, first.kind);
+        } else {
+            assert_eq!(
+                b.record_range(
+                    first.cycle,
+                    first.addr,
+                    (n as u64 - 1) * block + 1,
+                    first.kind
+                ),
+                n as u64
+            );
+        }
+        rest = &rest[n..];
+    }
+    b.finish()
+}
+
+/// The run encoding is lossless and canonical: the events come back
+/// exactly, the counts match a flat reference, and every way of building
+/// a trace from the same events gives an equal trace.
+#[test]
+fn run_encoding_is_lossless_and_canonical() {
+    let mut breaks = 0;
+    for seed in 0..4 * CASES {
+        let (block, events) = burst_events(seed);
+        let trace = Trace::from_parts(events.clone(), block, 4);
+        let label = format!("seed {seed}");
+        assert_eq!(trace.events().collect::<Vec<_>>(), events, "{label}");
+        assert_eq!(trace.len(), events.len(), "{label}");
+        assert_eq!(trace.events().len(), events.len(), "{label}");
+        let reads = events.iter().filter(|e| e.kind.is_read()).count();
+        assert_eq!(trace.read_count(), reads, "{label}");
+        assert_eq!(trace.write_count(), events.len() - reads, "{label}");
+        let duration = match (events.first(), events.last()) {
+            (Some(a), Some(b)) => b.cycle.saturating_sub(a.cycle),
+            _ => 0,
+        };
+        assert_eq!(trace.duration(), duration, "{label}");
+        breaks += trace.run_count().saturating_sub(1);
+
+        // `nth` and `skip` walk runs; they agree with the flat events,
+        // and so does a fold that starts inside a run.
+        for k in [0, 1, 2, 7, events.len() / 2, events.len(), events.len() + 3] {
+            assert_eq!(
+                trace.events().nth(k),
+                events.get(k).copied(),
+                "{label} nth {k}"
+            );
+            let rest: Vec<_> = trace.events().skip(k).collect();
+            assert_eq!(rest, events.get(k..).unwrap_or(&[]), "{label} skip {k}");
+            let mut it = trace.events();
+            let _ = it.nth(k);
+            assert_eq!(it.len(), events.len().saturating_sub(k + 1), "{label}");
+            let folded = it.fold(Vec::new(), |mut v, e| {
+                v.push(e);
+                v
+            });
+            assert_eq!(
+                folded,
+                events.get(k + 1..).unwrap_or(&[]),
+                "{label} fold {k}"
+            );
+        }
+        let stride = 1 + (seed as usize) % 5;
+        let strided: Vec<_> = trace.events().step_by(stride).collect();
+        let flat: Vec<_> = events.iter().copied().step_by(stride).collect();
+        assert_eq!(strided, flat, "{label} step_by {stride}");
+
+        // Every builder path gives the same trace. `record` and the readers
+        // take block-aligned addresses only.
+        if events.iter().all(|e| e.addr % block == 0) {
+            let mut b = TraceBuilder::new(block, 4);
+            for e in &events {
+                b.record(e.cycle, e.addr, e.kind);
+            }
+            assert_eq!(b.finish(), trace, "{label} record");
+            assert_eq!(
+                recorded_in_ranges(block, &events),
+                trace,
+                "{label} record_range"
+            );
+            let mut csv = Vec::new();
+            write_csv(&trace, &mut csv).expect("write");
+            assert_eq!(read_csv_unordered(&csv[..]).expect("csv"), trace, "{label}");
+            let mut bin = Vec::new();
+            write_binary(&trace, &mut bin).expect("write");
+            assert_eq!(
+                read_binary_unordered(&bin[..]).expect("bin"),
+                trace,
+                "{label}"
+            );
+        }
+    }
+    // The bursts did break into runs, not only continue each other.
+    assert!(breaks > 1000, "{breaks} run breaks");
 }
 
 /// Regions partition the touched blocks: disjoint, sorted, and their
@@ -113,11 +286,14 @@ fn jitter_preserves_everything_but_time() {
         let mut rng = SmallRng::seed_from_u64(seed % 100);
         let j = jitter_timing(&trace, 0.3, &mut rng);
         assert_eq!(j.len(), trace.len());
-        for (a, b) in trace.events().iter().zip(j.events()) {
+        for (a, b) in trace.events().zip(j.events()) {
             assert_eq!(a.addr, b.addr);
             assert_eq!(a.kind, b.kind);
         }
-        let mono = j.events().windows(2).all(|w| w[0].cycle <= w[1].cycle);
+        let mono = j
+            .events()
+            .zip(j.events().skip(1))
+            .all(|(a, b)| a.cycle <= b.cycle);
         assert!(mono);
         assert!(j.duration() >= trace.duration());
     }
@@ -133,11 +309,7 @@ fn shuffle_is_a_permutation() {
         let s = shuffle_within_window(&trace, window, &mut rng);
         assert_eq!(s.len(), trace.len());
         let key = |t: &Trace| {
-            let mut v: Vec<(u64, bool)> = t
-                .events()
-                .iter()
-                .map(|e| (e.addr, e.kind.is_write()))
-                .collect();
+            let mut v: Vec<(u64, bool)> = t.events().map(|e| (e.addr, e.kind.is_write())).collect();
             v.sort_unstable();
             v
         };
@@ -159,7 +331,7 @@ fn streaming_segmentation_matches_batch() {
                 slack_bytes: trace.block_bytes(),
             },
         );
-        let mut streamed: Vec<_> = trace.events().iter().filter_map(|e| seg.push(*e)).collect();
+        let mut streamed: Vec<_> = trace.events().filter_map(|e| seg.push(e)).collect();
         streamed.extend(seg.finish());
         assert_eq!(&streamed, &batch);
         // Tiling invariant: segments cover [0, len) without gaps.
@@ -283,7 +455,7 @@ fn reference_segment(trace: &Trace, config: SegmentConfig) -> Vec<Segment> {
     let mut has_write = false;
     let (mut seg_start, mut seg_start_cycle, mut prev_cycle) = (0, 0, 0);
     let mut segments = Vec::new();
-    for (index, ev) in trace.events().iter().enumerate() {
+    for (index, ev) in trace.events().enumerate() {
         let boundary = ev.kind.is_read()
             && (written_this.contains(&ev.addr)
                 || (!global_written.contains(&ev.addr)
@@ -328,14 +500,13 @@ fn reference_segment(trace: &Trace, config: SegmentConfig) -> Vec<Segment> {
 /// `BTreeMap` of last writers, kept to check `observe_with` against.
 fn reference_observe(trace: &Trace, config: SegmentConfig) -> TraceObservations {
     let segments = reference_segment(trace, config);
-    let events = trace.events();
     let mut producer: BTreeMap<Addr, usize> = BTreeMap::new();
     let mut layers: Vec<LayerObservation> = Vec::with_capacity(segments.len());
     for (idx, seg) in segments.iter().enumerate() {
         let mut written: BTreeSet<Addr> = BTreeSet::new();
         let mut ro_read: BTreeSet<Addr> = BTreeSet::new();
         let mut ifm_read: BTreeMap<usize, BTreeSet<Addr>> = BTreeMap::new();
-        for ev in &events[seg.first_event..seg.end_event] {
+        for ev in trace.events().skip(seg.first_event).take(seg.len()) {
             if ev.kind.is_write() {
                 written.insert(ev.addr);
             } else if let Some(&p) = producer.get(&ev.addr) {
@@ -603,8 +774,10 @@ fn refetch_traces_reread_blocks() {
         let trace = differential_trace(seed, AddrMode::Refetch);
         let config = SegmentConfig::for_trace(&trace);
         for l in observe_with(&trace, config).compute_layers() {
-            let events = &trace.events()[l.segment.first_event..l.segment.end_event];
-            let reads = events.iter().filter(|e| e.kind.is_read()).count() as u64;
+            let events = trace.events().skip(l.segment.first_event);
+            let reads = (events.take(l.segment.len()))
+                .filter(|e| e.kind.is_read())
+                .count() as u64;
             layers += 1;
             reread += usize::from(reads > l.weight_blocks + l.ifm_blocks_total());
         }

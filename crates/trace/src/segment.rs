@@ -239,11 +239,12 @@ pub fn segment_trace_with(trace: &Trace, config: SegmentConfig) -> Vec<Segment> 
     let mut span = cnnre_obs::span("trace.segment");
     span.add_cycles(trace.duration());
     let mut segmenter = StreamingSegmenter::new(trace.block_bytes(), config);
-    let mut segments: Vec<Segment> = trace
-        .events()
-        .iter()
-        .filter_map(|ev| segmenter.push(*ev))
-        .collect();
+    let mut segments = Vec::new();
+    trace.events().for_each(|ev| {
+        if let Some(segment) = segmenter.push(ev) {
+            segments.push(segment);
+        }
+    });
     segments.extend(segmenter.finish());
     #[cfg(feature = "audit-hooks")]
     crate::audit::assert_well_formed(trace, &segments);

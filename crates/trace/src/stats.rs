@@ -7,8 +7,6 @@
 //! the read/write mix — the raw material both for plotting and for sanity-
 //! checking a captured trace before an attack.
 
-use std::collections::BTreeSet;
-
 use crate::{Addr, Cycle, Trace};
 
 /// Aggregate statistics of one trace.
@@ -73,7 +71,10 @@ impl TraceStats {
     pub fn compute(trace: &Trace, gap_blocks: u64) -> Self {
         cnnre_obs::counter("trace.stats.events").add(trace.len() as u64);
         let block = trace.block_bytes();
-        let touched: BTreeSet<Addr> = trace.events().iter().map(|e| e.addr).collect();
+        let mut touched: Vec<Addr> = Vec::with_capacity(trace.len());
+        trace.events().for_each(|e| touched.push(e.addr));
+        touched.sort_unstable();
+        touched.dedup();
         let mut regions: Vec<AddressRegion> = Vec::new();
         let mut current: Option<(Addr, Addr, usize)> = None;
         for &addr in &touched {
@@ -185,14 +186,14 @@ impl TrafficProfile {
     #[must_use]
     pub fn compute(trace: &Trace, window: Cycle) -> Self {
         assert!(window > 0, "window must be positive");
-        let Some(first) = trace.events().first().map(|e| e.cycle) else {
+        let Some(first) = trace.events().next().map(|e| e.cycle) else {
             return Self {
                 window,
                 windows: Vec::new(),
             };
         };
         let mut windows: Vec<(usize, usize)> = Vec::new();
-        for ev in trace.events() {
+        trace.events().for_each(|ev| {
             // lint:allow(panic): only fails for >usize::MAX windows; the resize
             // below would exhaust memory many orders of magnitude earlier
             let idx = usize::try_from((ev.cycle - first) / window).expect("window index");
@@ -204,7 +205,7 @@ impl TrafficProfile {
             } else {
                 windows[idx].1 += 1;
             }
-        }
+        });
         Self { window, windows }
     }
 

@@ -127,6 +127,19 @@ echo "==> e2e structure-zoo count window (pinned candidate counts of the zoo, ~3
 cargo run --release --quiet --offline --manifest-path e2e/Cargo.toml -- \
     --workload structure-zoo --seconds 0
 
+echo "==> full-scale trace round trip (AlexNet trace to CSV and back, ~3 s)"
+# Drives AlexNet's 4.1M coalesced transactions through the CSV writer and
+# reader; the structure attack on the re-read trace must keep the 90
+# candidates `cnnre attack-structure alexnet` finds.
+./target/release/cnnre trace alexnet --csv "$VIZ_TMP/alex.csv" >/dev/null
+./target/release/cnnre analyze "$VIZ_TMP/alex.csv" --input 227x3 --classes 10 \
+    >"$VIZ_TMP/alex.txt"
+grep -q "structure attack: 90 possible structures" "$VIZ_TMP/alex.txt" || {
+    echo "analyze of the AlexNet CSV did not find 90 structures:" >&2
+    cat "$VIZ_TMP/alex.txt" >&2
+    exit 1
+}
+
 if [[ "${PERF_GATE:-0}" != "0" ]]; then
     echo "==> perf gate (opt-in via PERF_GATE=1)"
     scripts/perf_gate.sh

@@ -15,6 +15,8 @@
 //! e.g. `alexnet/8`; the VGGs clamp to at least /8 to keep traces
 //! tractable).
 
+use std::io::Write;
+
 use cnn_reveng::accel::{AccelConfig, Accelerator};
 use cnn_reveng::attacks::structure::{recover_structures, NetworkSolverConfig};
 use cnn_reveng::attacks::weights::{
@@ -177,7 +179,12 @@ fn cmd_trace(args: &[String]) -> i32 {
         };
         let write = std::fs::File::create(path)
             .map_err(cnn_reveng::trace::io::TraceIoError::from)
-            .and_then(|f| cnn_reveng::trace::io::write_csv(&exec.trace, f));
+            .and_then(|f| {
+                // Buffered, and flushed here so a failed flush is reported.
+                let mut w = std::io::BufWriter::new(f);
+                cnn_reveng::trace::io::write_csv(&exec.trace, &mut w)?;
+                Ok(w.flush()?)
+            });
         match write {
             Ok(()) => println!("trace written to {path} (readable by `cnnre analyze`)"),
             Err(e) => {
