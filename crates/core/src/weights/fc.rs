@@ -10,7 +10,7 @@
 
 use cnnre_nn::layer::Linear;
 
-use crate::weights::search::{find_monotone_crossings, SearchConfig};
+use crate::weights::search::{find_monotone_crossings, ProbeGrid, SearchConfig};
 
 /// The adversary's per-output zero/non-zero observation for an FC layer.
 pub trait FcZeroCountOracle {
@@ -131,9 +131,10 @@ pub fn recover_fc_ratios(
 ) -> FcRatioRecovery {
     let (n_in, n_out) = (oracle.in_features(), oracle.out_features());
     let mut ratios = vec![None; n_in * n_out];
+    let grid = ProbeGrid::new(search);
     for i in 0..n_in {
         for j in 0..n_out {
-            let crossings = find_monotone_crossings(|v| u64::from(oracle.query(i, v)[j]), search);
+            let crossings = find_monotone_crossings(|v| u64::from(oracle.query(i, v)[j]), &grid);
             ratios[j * n_in + i] = match crossings[..] {
                 [] => Some(0.0),
                 [single] => Some(-1.0 / single.x),
@@ -179,11 +180,12 @@ mod tests {
         let mut oracle = FunctionalFcOracle::new(layer.clone());
         let (n_in, n_out) = (layer.in_features(), layer.out_features());
         let mut ratios = vec![None; n_in * n_out];
+        let grid = ProbeGrid::new(&SearchConfig::default());
         for i in 0..n_in {
             for j in 0..n_out {
                 let crossings = crate::weights::search::find_crossings(
                     |v| u64::from(oracle.query(i, v)[j]),
-                    &SearchConfig::default(),
+                    &grid,
                 );
                 ratios[j * n_in + i] = match crossings[..] {
                     [] => Some(0.0),

@@ -33,7 +33,7 @@ pub use oracle::{
 pub use recover::{
     recover_ratios, recover_ratios_parallel, RatioRecovery, RecoveredFilter, RecoveryConfig,
 };
-pub use search::{find_crossings, find_monotone_crossings, Crossing, SearchConfig};
+pub use search::{find_crossings, find_monotone_crossings, Crossing, ProbeGrid, SearchConfig};
 pub use threshold::{
     full_weights, full_weights_with_threshold, recover_bias, BiasRecovery, ThresholdControl,
 };

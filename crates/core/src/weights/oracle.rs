@@ -12,7 +12,10 @@
 //! Two implementations:
 //!
 //! * [`FunctionalOracle`] — a fast functional model exploiting probe
-//!   sparsity (only the affected output pixels are recomputed). Used by the
+//!   sparsity. The queries of one crossing search differ only in the
+//!   target pixel's value, so it plans the search's footprint once (a
+//!   `ProbePlan`, the planner the attacker's virtual model uses too) and
+//!   each query evaluates only the windows the target reaches. Used by the
 //!   search loops (millions of queries).
 //! * [`AcceleratorOracle`] — runs the full accelerator simulator with zero
 //!   pruning and counts each filter's writes from the engine's DRAM
@@ -140,9 +143,10 @@ pub(crate) fn window_cells(out: usize, k: usize, s: usize, pad: usize, n: usize)
 /// the conv value of each tap of the position's pool window that exists,
 /// visited row-major over `rows × cols` (one tap when the layer has no
 /// merged pool). Activation and pooling follow `geom.pool`, `geom.order`
-/// and `geom.threshold`. [`FunctionalOracle`] and the weight attack's
-/// virtual model both evaluate windows here, so their f32 arithmetic
-/// cannot drift apart.
+/// and `geom.threshold`. Every [`ProbePlan`] count and the victim's
+/// baseline evaluate windows here, so the f32 arithmetic of the victim's
+/// [`FunctionalOracle`] and of the weight attack's virtual model cannot
+/// drift apart.
 pub(crate) fn window_output(
     geom: &LayerGeometry,
     rows: Range<usize>,
@@ -183,7 +187,215 @@ pub(crate) fn window_output(
     }
 }
 
+/// Packs probe pixel `(c, y, x)` of an `input`-shaped layer and a value
+/// into one key word, the pixel index above the value's bits. Pixel
+/// indices must fit 32 bits ([`keyable`]).
+pub(crate) fn probe_key(input: Shape3, c: usize, y: usize, x: usize, value: f32) -> u64 {
+    ((((c * input.h + y) * input.w + x) as u64) << 32) | u64::from(value.to_bits())
+}
+
+/// Whether every pixel index of `input` fits the 32 bits [`probe_key`]
+/// keeps for it.
+pub(crate) fn keyable(input: Shape3) -> bool {
+    u32::try_from(input.len()).is_ok()
+}
+
+/// One conv tap of a [`ProbePlan`] window.
+#[derive(Debug, Clone, Copy)]
+enum Tap {
+    /// A tap the target pixel does not reach: its value is fixed.
+    Const(f32),
+    /// A tap the target pixel reaches through weight `w`, plus the pin
+    /// terms `terms` (a range of [`ProbePlan::terms`]).
+    Live { w: f32, terms: (usize, usize) },
+}
+
+/// One filter's output count over one crossing search, planned once: the
+/// target pixel at a variable value `x` plus fixed pins (the paper's
+/// Eq. (9)).
+///
+/// It is the one footprint planner of the weight attack. The victim's
+/// [`FunctionalOracle`] plans from the true weights, bias, threshold and
+/// its baseline plane; the attacker's virtual model plans from recovered
+/// ratios (`weights/recover.rs`). Only the windows the probes reach are
+/// held, in window order. A conv tap the target reaches evaluates as
+/// `((b + w·x) + term₁) + …`, with the pin terms `fl(w_k·v_k)` in pin
+/// order: the f32 order of adding the probes one by one, target first.
+/// Every other tap is a constant folded in the same order, and a tap no
+/// probe reaches is `b`. Windows go through [`window_output`]. A reached
+/// window with no live tap is evaluated once, and a window no probe
+/// reaches keeps its baseline. So a count equals that of recomputing
+/// every reached output from the probes, and it allocates nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct ProbePlan {
+    geom: LayerGeometry,
+    bias: f32,
+    /// Pin terms `fl(w_k·v_k)` of the live taps, in pin order.
+    terms: Vec<f32>,
+    /// The taps of every window holding a live tap, in window order, each
+    /// window's taps row-major.
+    taps: Vec<Tap>,
+    /// Each window holding a live tap: its first tap in `taps`, and its
+    /// rows and columns of taps.
+    windows: Vec<(usize, usize, usize)>,
+    /// Non-zero outputs that do not depend on `x`.
+    base: u64,
+}
+
+impl ProbePlan {
+    /// Plans filter `weight(c, fy, fx)` with bias `bias` under `geom` (its
+    /// pooling, order and threshold; `d_ofm` is ignored) for the target
+    /// pixel `(tc, ty, tx)` plus `pins`. `was(py, px)` is the all-zero
+    /// input's output at final position `(py, px)`, and `baseline` counts
+    /// the positions where it is on.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `geom` has no output.
+    pub(crate) fn new(
+        geom: &LayerGeometry,
+        weight: impl Fn(usize, usize, usize) -> f32,
+        bias: f32,
+        (tc, ty, tx): (usize, usize, usize),
+        pins: &[Probe],
+        was: impl Fn(usize, usize) -> bool,
+        baseline: u64,
+    ) -> Self {
+        // lint:allow(panic): documented `# Panics`; both models check the
+        // geometry before they plan
+        let conv_w = geom.conv_out_w().expect("valid geometry");
+        let (f, s, p) = (geom.f, geom.s, geom.p);
+        // The weight through which pixel (c, y, x) reaches tap (vy, vx), if
+        // it does.
+        let weight_at = |c: usize, y: usize, x: usize, (vy, vx): (usize, usize)| {
+            let fy = (y + p).checked_sub(vy * s).filter(|&fy| fy < f)?;
+            let fx = (x + p).checked_sub(vx * s).filter(|&fx| fx < f)?;
+            Some(weight(c, fy, fx))
+        };
+        // Every reached conv tap, sorted, with its value.
+        let mut reached: Vec<(usize, usize)> = Vec::new();
+        for (y, x) in core::iter::once((ty, tx)).chain(pins.iter().map(|q| (q.y, q.x))) {
+            let (y0, y1) = covering(y, f, s, p, conv_w - 1);
+            let (x0, x1) = covering(x, f, s, p, conv_w - 1);
+            reached.extend((y0..=y1).flat_map(|vy| (x0..=x1).map(move |vx| (vy, vx))));
+        }
+        reached.sort_unstable();
+        reached.dedup();
+        let mut terms = Vec::new();
+        let values: Vec<Tap> = reached
+            .iter()
+            .map(|&v| {
+                let pin_terms = pins
+                    .iter()
+                    .filter_map(|q| Some(weight_at(q.c, q.y, q.x, v)? * q.value));
+                match weight_at(tc, ty, tx, v) {
+                    Some(w) => {
+                        let lo = terms.len();
+                        terms.extend(pin_terms);
+                        Tap::Live {
+                            w,
+                            terms: (lo, terms.len()),
+                        }
+                    }
+                    None => Tap::Const(pin_terms.fold(bias, |acc, term| acc + term)),
+                }
+            })
+            .collect();
+        let tap_at = |cy: usize, cx: usize| match reached.binary_search(&(cy, cx)) {
+            Ok(k) => values[k],
+            Err(_) => Tap::Const(bias),
+        };
+        let mut plan = Self {
+            geom: *geom,
+            bias,
+            terms,
+            taps: Vec::new(),
+            windows: Vec::new(),
+            base: baseline,
+        };
+        match geom.pool {
+            None => {
+                for &(cy, cx) in &reached {
+                    plan.add_window(cy..cy + 1, cx..cx + 1, tap_at, was(cy, cx));
+                }
+            }
+            Some((_, f_p, s_p, p_p)) => {
+                // lint:allow(panic): `conv_out_w` above checked the geometry
+                let out_w = geom.final_out_w().expect("valid geometry");
+                let cells = |pw: usize| window_cells(pw, f_p, s_p, p_p, conv_w);
+                let mut pooled: Vec<(usize, usize)> = Vec::new();
+                for &(cy, cx) in &reached {
+                    let (y0, y1) = covering(cy, f_p, s_p, p_p, out_w - 1);
+                    let (x0, x1) = covering(cx, f_p, s_p, p_p, out_w - 1);
+                    pooled.extend((y0..=y1).flat_map(|py| (x0..=x1).map(move |px| (py, px))));
+                }
+                pooled.sort_unstable();
+                pooled.dedup();
+                for &(py, px) in &pooled {
+                    plan.add_window(cells(py), cells(px), tap_at, was(py, px));
+                }
+            }
+        }
+        plan
+    }
+
+    /// Adds the reached window over conv `rows × cols`, whose baseline
+    /// output `was` on: kept when a tap is live, otherwise evaluated once
+    /// into `base`.
+    fn add_window(
+        &mut self,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        tap_at: impl Fn(usize, usize) -> Tap,
+        was: bool,
+    ) {
+        self.base -= u64::from(was);
+        let lo = self.taps.len();
+        let window = (lo, rows.len(), cols.len());
+        self.taps.extend(
+            rows.flat_map(|cy| cols.clone().map(move |cx| (cy, cx)))
+                .map(|(cy, cx)| tap_at(cy, cx)),
+        );
+        if self.taps[lo..]
+            .iter()
+            .any(|tap| matches!(tap, Tap::Live { .. }))
+        {
+            self.windows.push(window);
+        } else {
+            self.base += u64::from(self.is_on(window, 0.0));
+            self.taps.truncate(lo);
+        }
+    }
+
+    /// Whether `window` is non-zero with the target pixel at `x`.
+    fn is_on(&self, (lo, rows, cols): (usize, usize, usize), x: f32) -> bool {
+        let value = |r: usize, c: usize| match self.taps[lo + r * cols + c] {
+            Tap::Const(v) => v,
+            Tap::Live { w, terms: (t0, t1) } => self.terms[t0..t1]
+                .iter()
+                .fold(self.bias + w * x, |acc, &term| acc + term),
+        };
+        // lint:allow(float-eq): models the pruning hardware, which keys on
+        // bit-exact post-ReLU zeros.
+        window_output(&self.geom, 0..rows, 0..cols, value) != 0.0
+    }
+
+    /// The filter's non-zero output count with the target pixel at `x`.
+    pub(crate) fn count(&self, x: f32) -> u64 {
+        let on = self
+            .windows
+            .iter()
+            .filter(|&&window| self.is_on(window, x))
+            .count();
+        self.base + on as u64
+    }
+}
+
 /// Fast functional model of the pruned layer.
+///
+/// A query plans its search's footprint with a [`ProbePlan`] and keeps
+/// the plan while the queries that follow differ from it only in the
+/// target pixel's value, as the queries of one crossing search do.
 #[derive(Debug, Clone)]
 pub struct FunctionalOracle {
     conv: Conv2d,
@@ -195,7 +407,19 @@ pub struct FunctionalOracle {
     /// Per-filter baseline output plane (all-zero input), as non-zero flags.
     baseline: Vec<Vec<bool>>,
     baseline_counts: Vec<u64>,
+    /// The plan of the last query's search.
+    plan: Option<KeyedPlan>,
     queries: u64,
+}
+
+/// A [`ProbePlan`] with what it was planned for: the filter, and the
+/// [`probe_key`]s of the target pixel (value bits zero) and of each pin.
+/// The key is that of `VictimSearches` in `weights/recover.rs`.
+#[derive(Debug, Clone)]
+struct KeyedPlan {
+    filter: usize,
+    key: Vec<u64>,
+    plan: ProbePlan,
 }
 
 impl FunctionalOracle {
@@ -203,13 +427,15 @@ impl FunctionalOracle {
     ///
     /// # Panics
     ///
-    /// Panics when `conv` does not fit `geom` or the geometry is invalid.
+    /// Panics when `conv` does not fit `geom`, the geometry is invalid, or
+    /// the input has 2³² pixels or more.
     #[must_use]
     pub fn new(conv: Conv2d, geom: LayerGeometry) -> Self {
         assert_eq!(conv.d_ifm(), geom.input.c, "channel mismatch");
         assert_eq!(conv.d_ofm(), geom.d_ofm, "filter count mismatch");
         assert_eq!(conv.window().f, geom.f, "filter width mismatch");
         assert!(geom.final_out_w().is_some(), "invalid geometry");
+        assert!(keyable(geom.input), "input too large to key");
         // The asserts above make these infallible; caching them also keeps
         // the width arithmetic out of the per-query hot path.
         let conv_w = geom.conv_out_w().unwrap_or_default();
@@ -221,6 +447,7 @@ impl FunctionalOracle {
             out_w,
             baseline: Vec::new(),
             baseline_counts: Vec::new(),
+            plan: None,
             queries: 0,
         };
         oracle.rebuild_baseline();
@@ -228,22 +455,31 @@ impl FunctionalOracle {
     }
 
     /// Replaces the activation threshold (models the Minerva-style tunable
-    /// knob of §4) and recomputes the baseline.
+    /// knob of §4), recomputes the baseline and drops the kept plan.
     pub fn set_threshold(&mut self, threshold: f32) {
         self.geom.threshold = threshold;
         self.rebuild_baseline();
+        self.plan = None;
     }
 
     fn rebuild_baseline(&mut self) {
-        let out_w = self.out_w;
-        self.baseline = (0..self.geom.d_ofm)
-            .map(|d| {
+        let (conv_w, out_w) = (self.conv_w, self.out_w);
+        let cells = |o: usize| match self.geom.pool {
+            None => o..o + 1,
+            Some((_, f_p, s_p, p_p)) => window_cells(o, f_p, s_p, p_p, conv_w),
+        };
+        // With an all-zero input every conv tap is the bias.
+        self.baseline = self
+            .conv
+            .bias()
+            .iter()
+            .map(|&b| {
                 (0..out_w * out_w)
                     .map(|i| {
-                        let (py, px) = (i / out_w, i % out_w);
+                        let (rows, cols) = (cells(i / out_w), cells(i % out_w));
                         // lint:allow(float-eq): models the pruning hardware,
                         // which keys on bit-exact post-ReLU zeros.
-                        self.final_value(d, py, px, &[]) != 0.0
+                        window_output(&self.geom, rows, cols, |_, _| b) != 0.0
                     })
                     .collect()
             })
@@ -255,80 +491,42 @@ impl FunctionalOracle {
             .collect();
     }
 
-    /// Pre-activation convolution value of filter `d` at conv-output
-    /// `(oy, ox)` for the sparse input `probes` (zero elsewhere).
-    fn conv_value(&self, d: usize, oy: usize, ox: usize, probes: &[Probe]) -> f32 {
-        let mut acc = self.conv.bias()[d];
-        let (s, p, f) = (self.geom.s, self.geom.p, self.geom.f);
-        for probe in probes {
-            let fy = probe.y as isize - (oy * s) as isize + p as isize;
-            let fx = probe.x as isize - (ox * s) as isize + p as isize;
-            if fy >= 0 && fx >= 0 && (fy as usize) < f && (fx as usize) < f {
-                acc += self.conv.weights()[(d, probe.c, fy as usize, fx as usize)] * probe.value;
-            }
-        }
-        acc
-    }
-
-    /// Final output value of filter `d` at post-pool position `(py, px)`.
-    fn final_value(&self, d: usize, py: usize, px: usize, probes: &[Probe]) -> f32 {
-        let (rows, cols) = match self.geom.pool {
-            None => (py..py + 1, px..px + 1),
-            Some((_, f_p, s_p, p_p)) => (
-                window_cells(py, f_p, s_p, p_p, self.conv_w),
-                window_cells(px, f_p, s_p, p_p, self.conv_w),
-            ),
+    /// Filter `d`'s non-zero count for `probes`: the first probe is the
+    /// target, the rest are pins.
+    fn count(&mut self, d: usize, probes: &[Probe]) -> u64 {
+        let Some((target, pins)) = probes.split_first() else {
+            return self.baseline_counts[d];
         };
-        window_output(&self.geom, rows, cols, |cy, cx| {
-            self.conv_value(d, cy, cx, probes)
-        })
-    }
-
-    /// Post-pool positions affected by the probes.
-    fn affected_positions(&self, probes: &[Probe]) -> Vec<(usize, usize)> {
-        let conv_w = self.conv_w;
-        let out_w = self.out_w;
-        let (s, p, f) = (self.geom.s, self.geom.p, self.geom.f);
-        let mut conv_pos = std::collections::BTreeSet::new();
-        for probe in probes {
-            // Conv outputs whose window covers (y, x): oy·s ≤ y+p ≤ oy·s+f−1.
-            let (y0, y1) = covering(probe.y, f, s, p, conv_w - 1);
-            let (x0, x1) = covering(probe.x, f, s, p, conv_w - 1);
-            for oy in y0..=y1 {
-                for ox in x0..=x1 {
-                    conv_pos.insert((oy, ox));
-                }
+        let input = self.geom.input;
+        let key = probes.iter().enumerate().map(|(k, q)| {
+            let value = if k == 0 { 0.0 } else { q.value };
+            probe_key(input, q.c, q.y, q.x, value)
+        });
+        match &self.plan {
+            Some(kept) if kept.filter == d && kept.key.iter().copied().eq(key.clone()) => {
+                kept.plan.count(target.value)
+            }
+            _ => {
+                let (weights, out_w) = (self.conv.weights(), self.out_w);
+                let plane = &self.baseline[d];
+                let plan = ProbePlan::new(
+                    &self.geom,
+                    |c, fy, fx| weights[(d, c, fy, fx)],
+                    self.conv.bias()[d],
+                    (target.c, target.y, target.x),
+                    pins,
+                    |py, px| plane[py * out_w + px],
+                    self.baseline_counts[d],
+                );
+                let n = plan.count(target.value);
+                self.plan = Some(KeyedPlan {
+                    filter: d,
+                    key: key.collect(),
+                    plan,
+                });
+                n
             }
         }
-        match self.geom.pool {
-            None => conv_pos.into_iter().collect(),
-            Some((_, f_p, s_p, p_p)) => {
-                let mut pooled = std::collections::BTreeSet::new();
-                for (cy, cx) in conv_pos {
-                    let (y0, y1) = covering(cy, f_p, s_p, p_p, out_w - 1);
-                    let (x0, x1) = covering(cx, f_p, s_p, p_p, out_w - 1);
-                    for py in y0..=y1 {
-                        for px in x0..=x1 {
-                            pooled.insert((py, px));
-                        }
-                    }
-                }
-                pooled.into_iter().collect()
-            }
-        }
-    }
-
-    fn count_for(&self, d: usize, probes: &[Probe], affected: &[(usize, usize)]) -> u64 {
-        let out_w = self.out_w;
-        let mut count = self.baseline_counts[d] as i64;
-        for &(py, px) in affected {
-            let was = self.baseline[d][py * out_w + px];
-            // lint:allow(float-eq): same exact-zero pruning model as the
-            // baseline map above.
-            let now = self.final_value(d, py, px, probes) != 0.0;
-            count += i64::from(now) - i64::from(was);
-        }
-        count.max(0) as u64
     }
 }
 
@@ -342,9 +540,8 @@ impl ZeroCountOracle for FunctionalOracle {
         if cnnre_obs::enabled() {
             cnnre_obs::counter("oracle.queries").inc();
         }
-        let affected = self.affected_positions(probes);
         (0..self.geom.d_ofm)
-            .map(|d| self.count_for(d, probes, &affected))
+            .map(|d| self.count(d, probes))
             .collect()
     }
 
@@ -353,8 +550,7 @@ impl ZeroCountOracle for FunctionalOracle {
         if cnnre_obs::enabled() {
             cnnre_obs::counter("oracle.queries").inc();
         }
-        let affected = self.affected_positions(probes);
-        self.count_for(filter, probes, &affected)
+        self.count(filter, probes)
     }
 
     fn query_count(&self) -> u64 {
@@ -498,12 +694,141 @@ impl ZeroCountOracle for AcceleratorOracle {
     }
 }
 
+/// The per-position evaluator the planned [`FunctionalOracle`] replaced,
+/// kept as the test reference of every [`ProbePlan`] count: it collects the
+/// final positions the probes reach and recomputes each from the probes,
+/// one conv tap at a time.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{covering, window_cells, window_output, LayerGeometry, Probe};
+    use cnnre_nn::layer::Conv2d;
+
+    /// A whole-layer zero-count model evaluated position by position.
+    #[derive(Debug, Clone)]
+    pub(crate) struct ReferenceOracle {
+        conv: Conv2d,
+        geom: LayerGeometry,
+        conv_w: usize,
+        out_w: usize,
+        baseline: Vec<Vec<bool>>,
+        baseline_counts: Vec<u64>,
+    }
+
+    impl ReferenceOracle {
+        pub(crate) fn new(conv: Conv2d, geom: LayerGeometry) -> Self {
+            let mut oracle = Self {
+                conv,
+                geom,
+                conv_w: geom.conv_out_w().expect("valid geometry"),
+                out_w: geom.final_out_w().expect("valid geometry"),
+                baseline: Vec::new(),
+                baseline_counts: Vec::new(),
+            };
+            oracle.set_threshold(geom.threshold);
+            oracle
+        }
+
+        pub(crate) fn set_threshold(&mut self, threshold: f32) {
+            self.geom.threshold = threshold;
+            let out_w = self.out_w;
+            self.baseline = (0..self.geom.d_ofm)
+                .map(|d| {
+                    (0..out_w * out_w)
+                        .map(|i| self.final_value(d, i / out_w, i % out_w, &[]) != 0.0)
+                        .collect()
+                })
+                .collect();
+            self.baseline_counts = self
+                .baseline
+                .iter()
+                .map(|plane| plane.iter().filter(|&&nz| nz).count() as u64)
+                .collect();
+        }
+
+        /// Pre-activation convolution value of filter `d` at conv-output
+        /// `(oy, ox)` for the sparse input `probes` (zero elsewhere).
+        fn conv_value(&self, d: usize, oy: usize, ox: usize, probes: &[Probe]) -> f32 {
+            let mut acc = self.conv.bias()[d];
+            let (s, p, f) = (self.geom.s, self.geom.p, self.geom.f);
+            for probe in probes {
+                let fy = probe.y as isize - (oy * s) as isize + p as isize;
+                let fx = probe.x as isize - (ox * s) as isize + p as isize;
+                if fy >= 0 && fx >= 0 && (fy as usize) < f && (fx as usize) < f {
+                    acc +=
+                        self.conv.weights()[(d, probe.c, fy as usize, fx as usize)] * probe.value;
+                }
+            }
+            acc
+        }
+
+        /// Final output value of filter `d` at post-pool position `(py, px)`.
+        fn final_value(&self, d: usize, py: usize, px: usize, probes: &[Probe]) -> f32 {
+            let (rows, cols) = match self.geom.pool {
+                None => (py..py + 1, px..px + 1),
+                Some((_, f_p, s_p, p_p)) => (
+                    window_cells(py, f_p, s_p, p_p, self.conv_w),
+                    window_cells(px, f_p, s_p, p_p, self.conv_w),
+                ),
+            };
+            window_output(&self.geom, rows, cols, |cy, cx| {
+                self.conv_value(d, cy, cx, probes)
+            })
+        }
+
+        /// Post-pool positions affected by the probes.
+        fn affected_positions(&self, probes: &[Probe]) -> Vec<(usize, usize)> {
+            let (conv_w, out_w) = (self.conv_w, self.out_w);
+            let (s, p, f) = (self.geom.s, self.geom.p, self.geom.f);
+            let mut conv_pos = std::collections::BTreeSet::new();
+            for probe in probes {
+                // Conv outputs whose window covers (y, x): oy·s ≤ y+p ≤ oy·s+f−1.
+                let (y0, y1) = covering(probe.y, f, s, p, conv_w - 1);
+                let (x0, x1) = covering(probe.x, f, s, p, conv_w - 1);
+                for oy in y0..=y1 {
+                    for ox in x0..=x1 {
+                        conv_pos.insert((oy, ox));
+                    }
+                }
+            }
+            match self.geom.pool {
+                None => conv_pos.into_iter().collect(),
+                Some((_, f_p, s_p, p_p)) => {
+                    let mut pooled = std::collections::BTreeSet::new();
+                    for (cy, cx) in conv_pos {
+                        let (y0, y1) = covering(cy, f_p, s_p, p_p, out_w - 1);
+                        let (x0, x1) = covering(cx, f_p, s_p, p_p, out_w - 1);
+                        for py in y0..=y1 {
+                            for px in x0..=x1 {
+                                pooled.insert((py, px));
+                            }
+                        }
+                    }
+                    pooled.into_iter().collect()
+                }
+            }
+        }
+
+        /// Filter `d`'s non-zero output count for `probes`.
+        pub(crate) fn count(&self, d: usize, probes: &[Probe]) -> u64 {
+            let mut count = self.baseline_counts[d] as i64;
+            for (py, px) in self.affected_positions(probes) {
+                let was = self.baseline[d][py * self.out_w + px];
+                let now = self.final_value(d, py, px, probes) != 0.0;
+                count += i64::from(now) - i64::from(was);
+            }
+            count.max(0) as u64
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::ReferenceOracle;
     use super::*;
     use cnnre_nn::layer::{Pool, Relu};
     use cnnre_tensor::rng::SmallRng;
     use cnnre_tensor::rng::{Rng, SeedableRng};
+    use cnnre_tensor::{Shape4, Tensor4};
 
     fn geom(input: Shape3, d: usize, f: usize, s: usize, p: usize) -> LayerGeometry {
         LayerGeometry {
@@ -604,6 +929,141 @@ mod tests {
             assert_eq!(fast.query(&probes), real.query(&probes), "trial {trial}");
         }
         assert_eq!(real.query_count(), 8);
+    }
+
+    /// A probe value: mostly moderate, sometimes a signed zero or a
+    /// pin-sized magnitude.
+    fn probe_value(rng: &mut SmallRng) -> f32 {
+        match rng.gen_range(0..8u32) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => rng.gen_range(-1e4..1e4),
+            _ => rng.gen_range(-3.0..3.0),
+        }
+    }
+
+    /// Asserts that the planned oracle and the reference agree on filter
+    /// `d` for `probes` at several target values.
+    fn assert_counts_equal(
+        planned: &mut FunctionalOracle,
+        reference: &ReferenceOracle,
+        d: usize,
+        probes: &mut [Probe],
+        rng: &mut SmallRng,
+    ) {
+        for _ in 0..6 {
+            probes[0].value = probe_value(rng);
+            assert_eq!(
+                planned.query_filter(d, probes),
+                reference.count(d, probes),
+                "filter {d}, probes {probes:?} of {:?}",
+                planned.geometry()
+            );
+        }
+    }
+
+    #[test]
+    fn planned_counts_equal_the_reference() {
+        let max = |f, s, p| Some((PoolKind::Max, f, s, p));
+        let avg = |f, s, p| Some((PoolKind::Avg, f, s, p));
+        // (input, filter width, stride, padding, pool, threshold, raised
+        // threshold set midway)
+        let layers = [
+            (Shape3::new(2, 9, 9), 3, 1, 0, None, 0.0, 0.3),
+            (Shape3::new(1, 11, 11), 3, 2, 1, None, 0.2, 0.0),
+            (Shape3::new(2, 12, 12), 3, 1, 0, max(2, 2, 0), 0.0, 0.25),
+            (Shape3::new(1, 13, 13), 3, 2, 1, max(3, 2, 1), 0.25, 0.5),
+            (Shape3::new(2, 12, 12), 3, 1, 1, avg(2, 2, 0), 0.0, 0.3),
+            (Shape3::new(1, 11, 11), 3, 1, 1, avg(3, 2, 1), 0.1, 0.0),
+        ];
+        let mut rng = SmallRng::seed_from_u64(0x29);
+        let (mut queries, mut pinned) = (0u64, 0u64);
+        for (input, f, s, p, pool, threshold, raised) in layers {
+            let orders: &[MergedOrder] = if pool.is_some() {
+                &[MergedOrder::ActThenPool, MergedOrder::PoolThenAct]
+            } else {
+                &[MergedOrder::ActThenPool]
+            };
+            for &order in orders {
+                for positive_bias in [false, true] {
+                    let g = LayerGeometry {
+                        pool,
+                        order,
+                        threshold,
+                        ..geom(input, 3, f, s, p)
+                    };
+                    let shape = Shape4::new(3, input.c, f, f);
+                    let weights = Tensor4::from_fn(shape, |_, _, _, _| {
+                        if rng.gen_bool(0.3) {
+                            0.0
+                        } else {
+                            rng.gen_range(-1.0..1.0)
+                        }
+                    });
+                    let sign = if positive_bias { 1.0f32 } else { -1.0 };
+                    let bias = (0..3).map(|_| sign * rng.gen_range(0.05..0.5f32)).collect();
+                    let conv = Conv2d::from_parts(weights, bias, s, p).expect("conv");
+                    let mut planned = FunctionalOracle::new(conv.clone(), g);
+                    let mut reference = ReferenceOracle::new(conv, g);
+                    let pixel = |rng: &mut SmallRng| Probe {
+                        c: rng.gen_range(0..input.c),
+                        y: rng.gen_range(0..input.h),
+                        x: rng.gen_range(0..input.w),
+                        value: probe_value(rng),
+                    };
+                    for search in 0..40 {
+                        let d = rng.gen_range(0..3);
+                        let mut probes = vec![pixel(&mut rng)];
+                        for _ in 0..rng.gen_range(0..4) {
+                            // Pins, some on the target's pixel or on an
+                            // earlier pin's.
+                            let mut pin = pixel(&mut rng);
+                            if rng.gen_bool(0.3) {
+                                let q = probes[rng.gen_range(0..probes.len())];
+                                (pin.c, pin.y, pin.x) = (q.c, q.y, q.x);
+                            }
+                            probes.push(pin);
+                        }
+                        assert_counts_equal(&mut planned, &reference, d, &mut probes, &mut rng);
+                        if search == 20 {
+                            // A new threshold amid a search: the kept plan
+                            // must not outlive it.
+                            planned.set_threshold(raised);
+                            reference.set_threshold(raised);
+                            assert_counts_equal(&mut planned, &reference, d, &mut probes, &mut rng);
+                        }
+                        if probes.len() > 1 {
+                            // Only a pin's value bits change.
+                            pinned += 1;
+                            let k = rng.gen_range(1..probes.len());
+                            let old = probes[k].value;
+                            probes[k].value = match rng.gen_range(0..3u32) {
+                                0 => -old,
+                                1 => 2.0 * old + 1.0,
+                                _ => probe_value(&mut rng),
+                            };
+                            assert_counts_equal(&mut planned, &reference, d, &mut probes, &mut rng);
+                        }
+                        // Only the filter changes.
+                        let other = (d + 1) % 3;
+                        assert_counts_equal(&mut planned, &reference, other, &mut probes, &mut rng);
+                        // Only the probe order changes, at the same pixels.
+                        probes.reverse();
+                        assert_counts_equal(&mut planned, &reference, other, &mut probes, &mut rng);
+                        // Every filter at once, through the same plans.
+                        let all: Vec<u64> = (0..3).map(|d| reference.count(d, &probes)).collect();
+                        assert_eq!(planned.query(&probes), all, "probes {probes:?} of {g:?}");
+                        assert_eq!(planned.query(&[]), reference_baseline(&reference));
+                        queries += planned.query_count();
+                    }
+                }
+            }
+        }
+        assert!(pinned > 300 && queries > 10_000, "{pinned} pinned searches");
+    }
+
+    fn reference_baseline(reference: &ReferenceOracle) -> Vec<u64> {
+        (0..3).map(|d| reference.count(d, &[])).collect()
     }
 
     #[test]

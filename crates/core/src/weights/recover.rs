@@ -22,24 +22,24 @@
 //! `w/b` values with a unit-magnitude bias (crossing positions only depend
 //! on the ratios). Any unpredicted crossing belongs to the target weight.
 //! The virtual model is the attacker's own arithmetic, not a query: each
-//! search builds a `VirtualProbe` holding only the pool windows its probe
-//! set reaches, with the target's taps kept as `b + w·x` plus fixed pin
-//! terms in the victim model's f32 order and every other tap a constant.
-//! Its counts, and so its crossings, are bit-identical to those of a
-//! whole-layer [`crate::weights::FunctionalOracle`] built from the ratios,
-//! and it spends no victim queries.
+//! search plans its footprint with the same `ProbePlan` the victim's
+//! [`crate::weights::FunctionalOracle`] counts through, built from the
+//! ratios. Its counts, and so its crossings, are bit-identical to those of
+//! a whole-layer model built from the ratios, and it spends no victim
+//! queries.
 
 use cnnre_model::sync::Arc;
 use cnnre_nn::layer::PoolKind;
-use cnnre_tensor::Tensor4;
-use core::ops::Range;
+use cnnre_tensor::{Shape3, Tensor4};
 
 use crate::exec::map_ordered;
 
 use crate::weights::oracle::{
-    covering, window_cells, window_output, LayerGeometry, MergedOrder, Probe, ZeroCountOracle,
+    keyable, probe_key, window_cells, LayerGeometry, MergedOrder, Probe, ProbePlan, ZeroCountOracle,
 };
-use crate::weights::search::{find_crossings, find_monotone_crossings, Crossing, SearchConfig};
+use crate::weights::search::{
+    find_crossings, find_monotone_crossings, Crossing, ProbeGrid, SearchConfig,
+};
 
 /// Recovery configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -177,201 +177,6 @@ impl RatioRecovery {
             .map(RecoveredFilter::recovered_count)
             .sum();
         got as f64 / total.max(1) as f64
-    }
-}
-
-/// One conv tap of a [`VirtualProbe`] window.
-#[derive(Debug, Clone, Copy)]
-enum Tap {
-    /// A tap the target pixel does not reach: its value is fixed.
-    Const(f32),
-    /// A tap the target pixel reaches through virtual weight `w`, plus the
-    /// pin terms `terms` (a range of [`VirtualProbe::terms`]).
-    Live { w: f32, terms: (usize, usize) },
-}
-
-/// The adversary's virtual model of one filter, restricted to one crossing
-/// search: the target pixel at `x` plus fixed pins (the paper's Eq. (9)).
-///
-/// Virtual weights are the recovered `w/|b|` values (unknowns are 0) and
-/// the bias is `±1`, so every virtual pre-activation is the true one
-/// divided by `|b|` — sign-faithful, hence crossing positions coincide. A
-/// non-zero pruning threshold `t` is equivalent to the bias `b' = b − t`
-/// compared against zero, and the ratios are already in `b'` units, so the
-/// virtual model always runs at threshold 0.
-///
-/// Only the pool windows the probes reach are held, in window order. A
-/// tap the target reaches evaluates as `((b + w·x) + term₁) + …`, the f32
-/// order of a layer-wide sparse evaluation with the target probe first;
-/// every other tap is a constant; a window with no live tap folds into
-/// `base`. Windows go through [`window_output`], as the victim's
-/// functional model does, so the counts are exactly those of a whole-layer
-/// model built from the same ratios, and a count allocates nothing.
-#[derive(Debug)]
-struct VirtualProbe {
-    /// The layer geometry with one filter at threshold 0.
-    geom: LayerGeometry,
-    bias: f32,
-    /// Pin terms `fl(w_k·v_k)` of the live taps, in pin order.
-    terms: Vec<f32>,
-    /// The taps of every window holding a live tap, in window order, each
-    /// window's taps row-major.
-    taps: Vec<Tap>,
-    /// Each window holding a live tap: its first tap in `taps`, and its
-    /// rows and columns of taps.
-    windows: Vec<(usize, usize, usize)>,
-    /// Non-zero outputs that do not depend on `x`.
-    base: u64,
-}
-
-impl VirtualProbe {
-    fn new(
-        geom: &LayerGeometry,
-        filter: &RecoveredFilter,
-        bias_positive: bool,
-        t: &Target,
-        pins: &[Probe],
-    ) -> Self {
-        let geom = LayerGeometry {
-            d_ofm: 1,
-            threshold: 0.0,
-            ..*geom
-        };
-        let bias = if bias_positive { 1.0f32 } else { -1.0 };
-        // lint:allow(panic): `start_recovery` checks the geometry up front
-        let conv_w = geom.conv_out_w().expect("valid geometry");
-        let (f, s, p) = (geom.f, geom.s, geom.p);
-        // The virtual weight through which pixel (c, y, x) reaches tap
-        // (vy, vx), if it does.
-        let weight = |c: usize, y: usize, x: usize, (vy, vx): (usize, usize)| {
-            let fy = (y + p).checked_sub(vy * s).filter(|&fy| fy < f)?;
-            let fx = (x + p).checked_sub(vx * s).filter(|&fx| fx < f)?;
-            Some(bias * filter.ratio(c, fy, fx).unwrap_or(0.0) as f32)
-        };
-        // Every reached conv tap, sorted, with its value.
-        let mut reached: Vec<(usize, usize)> = Vec::new();
-        for (y, x) in core::iter::once((t.y, t.x)).chain(pins.iter().map(|q| (q.y, q.x))) {
-            let (y0, y1) = covering(y, f, s, p, conv_w - 1);
-            let (x0, x1) = covering(x, f, s, p, conv_w - 1);
-            reached.extend((y0..=y1).flat_map(|vy| (x0..=x1).map(move |vx| (vy, vx))));
-        }
-        reached.sort_unstable();
-        reached.dedup();
-        let mut terms = Vec::new();
-        let values: Vec<Tap> = reached
-            .iter()
-            .map(|&v| {
-                let pin_terms = pins
-                    .iter()
-                    .filter_map(|q| Some(weight(q.c, q.y, q.x, v)? * q.value));
-                match weight(t.c, t.y, t.x, v) {
-                    Some(w) => {
-                        let lo = terms.len();
-                        terms.extend(pin_terms);
-                        Tap::Live {
-                            w,
-                            terms: (lo, terms.len()),
-                        }
-                    }
-                    None => Tap::Const(pin_terms.fold(bias, |acc, term| acc + term)),
-                }
-            })
-            .collect();
-        let tap_at = |cy: usize, cx: usize| match reached.binary_search(&(cy, cx)) {
-            Ok(k) => values[k],
-            Err(_) => Tap::Const(bias),
-        };
-        let mut probe = Self {
-            geom,
-            bias,
-            terms,
-            taps: Vec::new(),
-            windows: Vec::new(),
-            base: 0,
-        };
-        // The affected windows in window order, each with its valid taps in
-        // row-major order; then the number of windows with a valid tap.
-        let (affected, valid) = match geom.pool {
-            None => {
-                for &(cy, cx) in &reached {
-                    probe.add_window(cy..cy + 1, cx..cx + 1, tap_at);
-                }
-                (reached.len(), conv_w * conv_w)
-            }
-            Some((_, f_p, s_p, p_p)) => {
-                // lint:allow(panic): `start_recovery` checks the geometry up front
-                let out_w = geom.final_out_w().expect("valid geometry");
-                let cells = |pw: usize| window_cells(pw, f_p, s_p, p_p, conv_w);
-                let mut pooled: Vec<(usize, usize)> = Vec::new();
-                for &(cy, cx) in &reached {
-                    let (y0, y1) = covering(cy, f_p, s_p, p_p, out_w - 1);
-                    let (x0, x1) = covering(cx, f_p, s_p, p_p, out_w - 1);
-                    pooled.extend((y0..=y1).flat_map(|py| (x0..=x1).map(move |px| (py, px))));
-                }
-                pooled.sort_unstable();
-                pooled.dedup();
-                for &(py, px) in &pooled {
-                    probe.add_window(cells(py), cells(px), tap_at);
-                }
-                let rows = (0..out_w).filter(|&pw| !cells(pw).is_empty()).count();
-                (pooled.len(), rows * rows)
-            }
-        };
-        // Unaffected windows keep their baseline: every valid window is on
-        // when the bias is positive, and off otherwise.
-        if bias_positive {
-            probe.base += (valid - affected) as u64;
-        }
-        probe
-    }
-
-    /// Adds the affected window over conv `rows × cols`: kept when a tap is
-    /// live, otherwise evaluated once into `base`.
-    fn add_window(
-        &mut self,
-        rows: Range<usize>,
-        cols: Range<usize>,
-        tap_at: impl Fn(usize, usize) -> Tap,
-    ) {
-        let lo = self.taps.len();
-        let window = (lo, rows.len(), cols.len());
-        self.taps.extend(
-            rows.flat_map(|cy| cols.clone().map(move |cx| (cy, cx)))
-                .map(|(cy, cx)| tap_at(cy, cx)),
-        );
-        if self.taps[lo..]
-            .iter()
-            .any(|tap| matches!(tap, Tap::Live { .. }))
-        {
-            self.windows.push(window);
-        } else {
-            self.base += u64::from(self.is_on(window, 0.0));
-            self.taps.truncate(lo);
-        }
-    }
-
-    /// Whether `window` is non-zero with the target pixel at `x`.
-    fn is_on(&self, (lo, rows, cols): (usize, usize, usize), x: f32) -> bool {
-        let value = |r: usize, c: usize| match self.taps[lo + r * cols + c] {
-            Tap::Const(v) => v,
-            Tap::Live { w, terms: (t0, t1) } => self.terms[t0..t1]
-                .iter()
-                .fold(self.bias + w * x, |acc, &term| acc + term),
-        };
-        // lint:allow(float-eq): models the pruning hardware, which keys on
-        // bit-exact post-ReLU zeros.
-        window_output(&self.geom, 0..rows, 0..cols, value) != 0.0
-    }
-
-    /// The virtual filter's non-zero output count with the target pixel at
-    /// `x`.
-    fn count(&self, x: f32) -> u64 {
-        let on = self
-            .windows
-            .iter()
-            .filter(|&&window| self.is_on(window, x))
-            .count();
-        self.base + on as u64
     }
 }
 
@@ -951,6 +756,7 @@ fn recover_filter(
         bias_positive,
         cfg,
         victim: VictimSearches::new(oracle, geom, d),
+        grid: ProbeGrid::new(&cfg.search),
         filter: RecoveredFilter::new(geom.input.c, geom.f),
         start,
         settled: Vec::new(),
@@ -1101,12 +907,12 @@ fn search(
     geom: &LayerGeometry,
     pins: &[Probe],
     count: impl FnMut(f32) -> u64,
-    cfg: &SearchConfig,
+    grid: &ProbeGrid,
 ) -> Vec<Crossing> {
     if count_is_monotone(geom, pins) {
-        find_monotone_crossings(count, cfg)
+        find_monotone_crossings(count, grid)
     } else {
-        find_crossings(count, cfg)
+        find_crossings(count, grid)
     }
 }
 
@@ -1117,7 +923,7 @@ fn search_crossings(
     t: &Target,
     pins: &[Probe],
     mut count: impl FnMut(&[Probe]) -> u64,
-    cfg: &SearchConfig,
+    grid: &ProbeGrid,
 ) -> Vec<Crossing> {
     let mut probes = Vec::with_capacity(pins.len() + 1);
     probes.push(Probe {
@@ -1131,7 +937,7 @@ fn search_crossings(
         probes[0].value = v;
         count(&probes)
     };
-    search(geom, pins, query, cfg)
+    search(geom, pins, query, grid)
 }
 
 /// One filter's victim crossing searches, each answer kept while the
@@ -1148,18 +954,17 @@ fn search_crossings(
 /// among its pins.
 ///
 /// Keys and answers sit in one flat arena, entry after entry. A key packs
-/// each probe into one word, the pixel index above the value's bits: the
-/// target pixel first, then the pins in pin order, which fixes the
-/// victim's f32 summation order. Hits compare the whole key. Only
+/// each probe into one word with [`probe_key`]: the target pixel first
+/// (value bits zero), then the pins in pin order, which fixes the victim's
+/// f32 summation order. Hits compare the whole key. Only
 /// unresolved weights are retried, so [`Self::forget`] drops a weight's
 /// entries once it resolves, and the live arena stays small.
 struct VictimSearches<'a> {
     oracle: &'a mut dyn ZeroCountOracle,
     /// The attacked filter.
     d: usize,
-    /// Input rows and columns, for packing pixel indices.
-    h: usize,
-    w: usize,
+    /// The input shape, for packing pixel indices.
+    input: Shape3,
     /// Filter width, for weight indices.
     f: usize,
     /// The packed keys of the live entries, in entry order.
@@ -1185,16 +990,11 @@ struct MemoEntry {
 impl<'a> VictimSearches<'a> {
     fn new(oracle: &'a mut dyn ZeroCountOracle, geom: &LayerGeometry, d: usize) -> Self {
         let input = geom.input;
-        // A pixel index must fit above the 32 value bits of a key word.
-        assert!(
-            u32::try_from(input.c * input.h * input.w).is_ok(),
-            "input too large to key: {input:?}"
-        );
+        assert!(keyable(input), "input too large to key: {input:?}");
         Self {
             oracle,
             d,
-            h: input.h,
-            w: input.w,
+            input,
             f: geom.f,
             keys: Vec::new(),
             answers: Vec::new(),
@@ -1202,10 +1002,6 @@ impl<'a> VictimSearches<'a> {
             scratch: Vec::new(),
             hits: 0,
         }
-    }
-
-    fn pack(&self, c: usize, y: usize, x: usize, value: f32) -> u64 {
-        ((((c * self.h + y) * self.w + x) as u64) << 32) | u64::from(value.to_bits())
     }
 
     fn weight_index(&self, (c, i, j): WeightPos) -> u32 {
@@ -1219,12 +1015,16 @@ impl<'a> VictimSearches<'a> {
         geom: &LayerGeometry,
         t: &Target,
         pins: &[Probe],
-        cfg: &SearchConfig,
+        grid: &ProbeGrid,
     ) -> Vec<Crossing> {
+        let input = self.input;
         let mut key = core::mem::take(&mut self.scratch);
         key.clear();
-        key.push(self.pack(t.c, t.y, t.x, 0.0));
-        key.extend(pins.iter().map(|q| self.pack(q.c, q.y, q.x, q.value)));
+        key.push(probe_key(input, t.c, t.y, t.x, 0.0));
+        key.extend(
+            pins.iter()
+                .map(|q| probe_key(input, q.c, q.y, q.x, q.value)),
+        );
         let (mut k, mut a) = (0, 0);
         let mut known = None;
         for e in &self.entries {
@@ -1242,7 +1042,7 @@ impl<'a> VictimSearches<'a> {
         } else {
             let (oracle, d) = (&mut *self.oracle, self.d);
             let found =
-                search_crossings(geom, t, pins, |probes| oracle.query_filter(d, probes), cfg);
+                search_crossings(geom, t, pins, |probes| oracle.query_filter(d, probes), grid);
             self.keys.extend_from_slice(&key);
             self.answers.extend_from_slice(&found);
             self.entries.push(MemoEntry {
@@ -1288,6 +1088,58 @@ fn narrow(n: usize) -> u32 {
     u32::try_from(n).expect("memo entry field fits 32 bits")
 }
 
+/// The adversary's virtual model of one filter for target `t` plus
+/// `pins`, planned as the victim's model is.
+///
+/// Virtual weights are the recovered `w/|b|` values (unknowns are 0) and
+/// the bias is `±1`, so every virtual pre-activation is the true one
+/// divided by `|b|` — sign-faithful, hence crossing positions coincide. A
+/// non-zero pruning threshold `t` is equivalent to the bias `b' = b − t`
+/// compared against zero, and the ratios are already in `b'` units, so the
+/// virtual model runs at threshold 0 ([`virtual_geometry`]). Its baseline
+/// is known in closed form: every window with a tap is on when the bias is
+/// positive, and none otherwise.
+fn virtual_plan(
+    geom: &LayerGeometry,
+    filter: &RecoveredFilter,
+    bias_positive: bool,
+    t: &Target,
+    pins: &[Probe],
+) -> ProbePlan {
+    let geom = virtual_geometry(geom);
+    let bias = if bias_positive { 1.0f32 } else { -1.0 };
+    // lint:allow(panic): `start_recovery` checks the geometry up front
+    let conv_w = geom.conv_out_w().expect("valid geometry");
+    let windows = match geom.pool {
+        None => conv_w * conv_w,
+        Some((_, f_p, s_p, p_p)) => {
+            // lint:allow(panic): `start_recovery` checks the geometry up front
+            let out_w = geom.final_out_w().expect("valid geometry");
+            let cells = |pw: usize| window_cells(pw, f_p, s_p, p_p, conv_w);
+            let rows = (0..out_w).filter(|&pw| !cells(pw).is_empty()).count();
+            rows * rows
+        }
+    };
+    ProbePlan::new(
+        &geom,
+        |c, fy, fx| bias * filter.ratio(c, fy, fx).unwrap_or(0.0) as f32,
+        bias,
+        (t.c, t.y, t.x),
+        pins,
+        |_, _| bias_positive,
+        if bias_positive { windows as u64 } else { 0 },
+    )
+}
+
+/// The virtual model's geometry: one filter at threshold 0.
+fn virtual_geometry(geom: &LayerGeometry) -> LayerGeometry {
+    LayerGeometry {
+        d_ofm: 1,
+        threshold: 0.0,
+        ..*geom
+    }
+}
+
 /// Crossings of the virtual model for the given probe set.
 fn virtual_crossings(
     geom: &LayerGeometry,
@@ -1295,13 +1147,13 @@ fn virtual_crossings(
     bias_positive: bool,
     t: &Target,
     pins: &[Probe],
-    cfg: &RecoveryConfig,
+    grid: &ProbeGrid,
 ) -> Vec<Crossing> {
     if cnnre_obs::enabled() {
         cnnre_obs::counter("weights.virtual.searches").inc();
     }
-    let virt = VirtualProbe::new(geom, filter, bias_positive, t, pins);
-    search(&virt.geom, pins, |x| virt.count(x), &cfg.search)
+    let plan = virtual_plan(geom, filter, bias_positive, t, pins);
+    search(&virtual_geometry(geom), pins, |x| plan.count(x), grid)
 }
 
 /// Whether the observed and predicted crossing sets coincide one-to-one,
@@ -1342,6 +1194,8 @@ struct FilterRun<'a> {
     bias_positive: bool,
     cfg: &'a RecoveryConfig,
     victim: VictimSearches<'a>,
+    /// The probe grid of `cfg.search`, shared by every search.
+    grid: ProbeGrid,
     filter: RecoveredFilter,
     /// The oracle's query count when the filter's recovery began.
     start: u64,
@@ -1423,7 +1277,7 @@ impl FilterRun<'_> {
     /// One attempt at the target weight from anchor `t`; `allow_zero` lets
     /// a pinned attempt that sees no crossing conclude a zero weight.
     fn recover_one(&mut self, t: &Target, allow_zero: bool) -> Option<f64> {
-        let (geom, filter, cfg) = (self.geom, &self.filter, self.cfg);
+        let (geom, filter, cfg, grid) = (self.geom, &self.filter, self.cfg, &self.grid);
         let bias_positive = self.bias_positive;
         // The fast (unpinned) path is sound only when every co-stimulated tap
         // carries an already-recovered weight: otherwise an unknown weight's
@@ -1433,8 +1287,8 @@ impl FilterRun<'_> {
                 .is_none_or(|(fy, fx)| filter.ratio(t.c, fy, fx).is_some())
         });
         if all_cotaps_known {
-            let observed = self.victim.crossings(geom, t, &[], &cfg.search);
-            let predicted = virtual_crossings(geom, filter, bias_positive, t, &[], cfg);
+            let observed = self.victim.crossings(geom, t, &[], grid);
+            let predicted = virtual_crossings(geom, filter, bias_positive, t, &[], grid);
             let mut unmatched: Vec<Crossing> = observed
                 .iter()
                 .copied()
@@ -1451,7 +1305,7 @@ impl FilterRun<'_> {
                 // observation exactly (positions and step magnitudes).
                 let mut trial = filter.clone();
                 trial.set(t.c, t.i, t.j, Some(ratio));
-                let verify = virtual_crossings(geom, &trial, bias_positive, t, &[], cfg);
+                let verify = virtual_crossings(geom, &trial, bias_positive, t, &[], grid);
                 if sets_match(&observed, &verify, cfg) {
                     return Some(ratio);
                 }
@@ -1468,8 +1322,8 @@ impl FilterRun<'_> {
         // Pinned path: drive every other corner tap far negative so the
         // target's crossing is exposed (Equation (10), generalized).
         let pins = build_pins(geom, filter, bias_positive, t)?;
-        let observed2 = self.victim.crossings(geom, t, &pins, &cfg.search);
-        let predicted2 = virtual_crossings(geom, filter, bias_positive, t, &pins, cfg);
+        let observed2 = self.victim.crossings(geom, t, &pins, grid);
+        let predicted2 = virtual_crossings(geom, filter, bias_positive, t, &pins, grid);
         let unmatched2: Vec<Crossing> = observed2
             .iter()
             .copied()
@@ -1493,7 +1347,7 @@ impl FilterRun<'_> {
             for sentinel in [1.0, -1.0, 0.05, -0.05] {
                 let mut trial = filter.clone();
                 trial.set(t.c, t.i, t.j, Some(sentinel));
-                let control = virtual_crossings(geom, &trial, bias_positive, t, &pins, cfg);
+                let control = virtual_crossings(geom, &trial, bias_positive, t, &pins, grid);
                 let visible = control
                     .iter()
                     .any(|p| !predicted2.iter().any(|q| crossings_match(p.x, q.x, cfg)));
@@ -1509,7 +1363,7 @@ impl FilterRun<'_> {
             let ratio = ratio_from_crossing(geom, t, filter, cand.x, pin_term);
             let mut trial = filter.clone();
             trial.set(t.c, t.i, t.j, Some(ratio));
-            let verify = virtual_crossings(geom, &trial, bias_positive, t, &pins, cfg);
+            let verify = virtual_crossings(geom, &trial, bias_positive, t, &pins, grid);
             if sets_match(&observed2, &verify, cfg) {
                 return Some(ratio);
             }
@@ -1521,6 +1375,7 @@ impl FilterRun<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weights::oracle::reference::ReferenceOracle;
     use crate::weights::oracle::FunctionalOracle;
     use cnnre_nn::layer::Conv2d;
     use cnnre_tensor::rng::SmallRng;
@@ -1549,13 +1404,13 @@ mod tests {
         });
     }
 
-    /// The reference virtual model: a whole-layer [`FunctionalOracle`]
-    /// over the recovered ratios.
+    /// The reference virtual model: a whole-layer model over the recovered
+    /// ratios, evaluated position by position without a [`ProbePlan`].
     fn virtual_oracle(
         geom: &LayerGeometry,
         filter: &RecoveredFilter,
         bias_positive: bool,
-    ) -> FunctionalOracle {
+    ) -> ReferenceOracle {
         let (d_ifm, f) = (geom.input.c, geom.f);
         let sign = if bias_positive { 1.0f32 } else { -1.0 };
         let mut w = Tensor4::zeros(Shape4::new(1, d_ifm, f, f));
@@ -1567,15 +1422,10 @@ mod tests {
             }
         }
         let conv = Conv2d::from_parts(w, vec![sign], geom.s, geom.p).expect("virtual filter");
-        let virt_geom = LayerGeometry {
-            d_ofm: 1,
-            threshold: 0.0,
-            ..*geom
-        };
-        FunctionalOracle::new(conv, virt_geom)
+        ReferenceOracle::new(conv, virtual_geometry(geom))
     }
 
-    /// Asserts that [`VirtualProbe`] gives the whole-layer model's counts
+    /// Asserts that [`virtual_plan`] gives the whole-layer model's counts
     /// at `values` and its crossings, for target `t` plus `pins`.
     fn assert_virtual_probe_exact(
         geom: &LayerGeometry,
@@ -1585,9 +1435,8 @@ mod tests {
         pins: &[Probe],
         values: &[f32],
     ) {
-        let mut reference = virtual_oracle(geom, filter, bias_positive);
-        let virt_geom = reference.geometry();
-        let probe = VirtualProbe::new(geom, filter, bias_positive, t, pins);
+        let reference = virtual_oracle(geom, filter, bias_positive);
+        let probe = virtual_plan(geom, filter, bias_positive, t, pins);
         let mut probes = vec![Probe {
             c: t.c,
             y: t.y,
@@ -1599,20 +1448,20 @@ mod tests {
             probes[0].value = x;
             assert_eq!(
                 probe.count(x),
-                reference.query_filter(0, &probes),
+                reference.count(0, &probes),
                 "x = {x}, target {t:?}, pins {pins:?}, {geom:?}"
             );
         }
-        let cfg = RecoveryConfig::default();
+        let grid = ProbeGrid::new(&SearchConfig::default());
         let expected = search_crossings(
-            &virt_geom,
+            &virtual_geometry(geom),
             t,
             pins,
-            |probes| reference.query_filter(0, probes),
-            &cfg.search,
+            |probes| reference.count(0, probes),
+            &grid,
         );
         assert_eq!(
-            virtual_crossings(geom, filter, bias_positive, t, pins, &cfg),
+            virtual_crossings(geom, filter, bias_positive, t, pins, &grid),
             expected,
             "target {t:?}, pins {pins:?}, {geom:?}"
         );
@@ -1822,7 +1671,7 @@ mod tests {
     fn assert_monotone_search_is_exact(oracle: &mut dyn ZeroCountOracle) {
         let geom = oracle.geometry();
         assert!(count_is_monotone(&geom, &[]), "{geom:?}");
-        let cfg = SearchConfig::default();
+        let grid = ProbeGrid::new(&SearchConfig::default());
         let (mut full_queries, mut mono_queries) = (0u64, 0u64);
         for d in 0..geom.d_ofm {
             for c in 0..geom.input.c {
@@ -1832,9 +1681,9 @@ mod tests {
                             let start = oracle.query_count();
                             let count = |value| oracle.query_filter(d, &[Probe { c, y, x, value }]);
                             let crossings = if monotone {
-                                find_monotone_crossings(count, &cfg)
+                                find_monotone_crossings(count, &grid)
                             } else {
-                                find_crossings(count, &cfg)
+                                find_crossings(count, &grid)
                             };
                             (crossings, oracle.query_count() - start)
                         };
@@ -1920,7 +1769,7 @@ mod tests {
             tap: (1, 1),
             corner: Vec::new(),
         };
-        let cfg = SearchConfig::default();
+        let grid = ProbeGrid::new(&SearchConfig::default());
         let mut pinned_count = |v: f32| {
             oracle.query_filter(
                 0,
@@ -1935,16 +1784,16 @@ mod tests {
                 ],
             )
         };
-        let full = find_crossings(&mut pinned_count, &cfg);
+        let full = find_crossings(&mut pinned_count, &grid);
         assert_eq!(full.len(), 2, "{full:?}");
-        assert!(find_monotone_crossings(&mut pinned_count, &cfg).is_empty());
+        assert!(find_monotone_crossings(&mut pinned_count, &grid).is_empty());
         assert!(!count_is_monotone(&geom, &pins));
         let searched = search_crossings(
             &geom,
             &t,
             &pins,
             |probes| oracle.query_filter(0, probes),
-            &cfg,
+            &grid,
         );
         assert_eq!(searched, full);
 

@@ -11,7 +11,8 @@
 //! it (the geometric grid keeps that unlikely). [`find_monotone_crossings`]
 //! fills the same grid with far fewer probes when the count is known to be
 //! monotone on each side of zero; such a count has no cancelling pairs, so
-//! it finds exactly what the full grid finds.
+//! it finds exactly what the full grid finds. Both search a [`ProbeGrid`],
+//! built once from a [`SearchConfig`] and shared by every search over it.
 
 /// One located step of the count function.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,27 +75,42 @@ impl SearchConfig {
     }
 }
 
-/// The sign-symmetric geometric probe grid: `grid` points per sign from
-/// `x_min` to `x_max`, plus `0` at index `grid`.
-fn probe_grid(cfg: &SearchConfig) -> Vec<f64> {
-    let mut xs: Vec<f64> = Vec::with_capacity(2 * cfg.grid + 1);
-    let ratio = (f64::from(cfg.x_max) / f64::from(cfg.x_min)).powf(1.0 / (cfg.grid - 1) as f64);
-    for i in (0..cfg.grid).rev() {
-        xs.push(-f64::from(cfg.x_min) * ratio.powi(i as i32));
-    }
-    xs.push(0.0);
-    for i in 0..cfg.grid {
-        xs.push(f64::from(cfg.x_min) * ratio.powi(i as i32));
-    }
-    xs
+/// The sign-symmetric geometric probe grid of a [`SearchConfig`]: `grid`
+/// points per sign from `x_min` to `x_max`, plus `0` at index `grid`.
+///
+/// Every search over one configuration probes the same grid, so a caller
+/// that runs many searches builds it once and passes it to each
+/// [`find_crossings`] or [`find_monotone_crossings`] call; the grid also
+/// carries the configuration the refinement reads.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProbeGrid {
+    cfg: SearchConfig,
+    xs: Vec<f64>,
 }
 
-/// Finds all steps of `count(x)` for `x` over both signs of the configured
+impl ProbeGrid {
+    /// Builds the grid of `cfg`.
+    #[must_use]
+    pub fn new(cfg: &SearchConfig) -> Self {
+        let mut xs: Vec<f64> = Vec::with_capacity(2 * cfg.grid + 1);
+        let ratio = (f64::from(cfg.x_max) / f64::from(cfg.x_min)).powf(1.0 / (cfg.grid - 1) as f64);
+        for i in (0..cfg.grid).rev() {
+            xs.push(-f64::from(cfg.x_min) * ratio.powi(i as i32));
+        }
+        xs.push(0.0);
+        for i in 0..cfg.grid {
+            xs.push(f64::from(cfg.x_min) * ratio.powi(i as i32));
+        }
+        Self { cfg: *cfg, xs }
+    }
+}
+
+/// Finds all steps of `count(x)` for `x` over both signs of the grid's
 /// range. `count` must be deterministic.
-pub fn find_crossings(mut count: impl FnMut(f32) -> u64, cfg: &SearchConfig) -> Vec<Crossing> {
-    let xs = probe_grid(cfg);
+pub fn find_crossings(mut count: impl FnMut(f32) -> u64, grid: &ProbeGrid) -> Vec<Crossing> {
+    let xs = &grid.xs;
     let counts: Vec<u64> = xs.iter().map(|&x| count(x as f32)).collect();
-    refine_grid(&mut count, &xs, &counts, cfg, xs.len() as u64)
+    refine_grid(&mut count, grid, &counts, xs.len() as u64)
 }
 
 /// [`find_crossings`] for a count that is monotone on each side of `x = 0`:
@@ -129,10 +145,10 @@ pub fn find_crossings(mut count: impl FnMut(f32) -> u64, cfg: &SearchConfig) -> 
 /// its probes.
 pub fn find_monotone_crossings(
     mut count: impl FnMut(f32) -> u64,
-    cfg: &SearchConfig,
+    grid: &ProbeGrid,
 ) -> Vec<Crossing> {
-    let xs = probe_grid(cfg);
-    let (zero, last) = (cfg.grid, xs.len() - 1);
+    let xs = &grid.xs;
+    let (zero, last) = (grid.cfg.grid, xs.len() - 1);
     let mut counts = vec![0u64; xs.len()];
     for k in [0, zero, last] {
         counts[k] = count(xs[k] as f32);
@@ -150,18 +166,18 @@ pub fn find_monotone_crossings(
             open.extend([(lo, mid), (mid, hi)]);
         }
     }
-    refine_grid(&mut count, &xs, &counts, cfg, probes)
+    refine_grid(&mut count, grid, &counts, probes)
 }
 
 /// Refines every grid cell whose end counts differ and records the search
 /// counters; `grid_probes` is the number of grid probes actually sent.
 fn refine_grid(
     count: &mut impl FnMut(f32) -> u64,
-    xs: &[f64],
+    grid: &ProbeGrid,
     counts: &[u64],
-    cfg: &SearchConfig,
     grid_probes: u64,
 ) -> Vec<Crossing> {
+    let (xs, cfg) = (&grid.xs, &grid.cfg);
     // No span here: crossing searches run on parallel workers during the
     // parallel weights attack, and per-search span events would interleave
     // nondeterministically in the profile stream. The `weights.search.*`
@@ -234,8 +250,8 @@ mod tests {
     #[test]
     fn locates_single_step() {
         // count = 1 when 2x + 1 > 0 (crossing at x = -0.5).
-        let cfg = SearchConfig::default();
-        let crossings = find_crossings(|x| u64::from(2.0 * x + 1.0 > 0.0), &cfg);
+        let grid = ProbeGrid::new(&SearchConfig::default());
+        let crossings = find_crossings(|x| u64::from(2.0 * x + 1.0 > 0.0), &grid);
         assert_eq!(crossings.len(), 1);
         assert!((crossings[0].x + 0.5).abs() < 1e-4, "{crossings:?}");
         assert_eq!(crossings[0].delta, 1);
@@ -244,9 +260,9 @@ mod tests {
     #[test]
     fn locates_steps_on_both_signs() {
         // Two pixels: w=+2 (crossing at -0.5) and w=-0.25 (crossing at +4).
-        let cfg = SearchConfig::default();
+        let grid = ProbeGrid::new(&SearchConfig::default());
         let f = |x: f32| u64::from(2.0 * x + 1.0 > 0.0) + u64::from(-0.25 * x + 1.0 > 0.0);
-        let crossings = find_crossings(f, &cfg);
+        let crossings = find_crossings(f, &grid);
         assert_eq!(crossings.len(), 2, "{crossings:?}");
         assert!((crossings[0].x + 0.5).abs() < 1e-4);
         assert!((crossings[1].x - 4.0).abs() < 1e-3);
@@ -256,8 +272,8 @@ mod tests {
 
     #[test]
     fn zero_weight_has_no_crossing() {
-        let cfg = SearchConfig::default();
-        let crossings = find_crossings(|_| 5u64, &cfg);
+        let grid = ProbeGrid::new(&SearchConfig::default());
+        let crossings = find_crossings(|_| 5u64, &grid);
         assert!(crossings.is_empty());
     }
 
@@ -265,10 +281,10 @@ mod tests {
     fn inverse_precision_meets_paper_bound() {
         // w/b = -1/x*: for a strong weight (|x*| small), the located
         // crossing must give w/b to < 2^-10 as the paper reports.
-        let cfg = SearchConfig::default();
+        let grid = ProbeGrid::new(&SearchConfig::default());
         for &wb in &[1000.0f64, -37.5, 3.0, 0.01] {
             let x_true = -1.0 / wb;
-            let crossings = find_crossings(|x| u64::from(f64::from(x) * wb + 1.0 > 0.0), &cfg);
+            let crossings = find_crossings(|x| u64::from(f64::from(x) * wb + 1.0 > 0.0), &grid);
             assert_eq!(crossings.len(), 1, "w/b = {wb}");
             let wb_est = -1.0 / crossings[0].x;
             assert!(
@@ -282,9 +298,9 @@ mod tests {
     #[test]
     fn magnitude_range_is_covered() {
         // Crossings just inside both ends of the range are found.
-        let cfg = SearchConfig::default();
+        let grid = ProbeGrid::new(&SearchConfig::default());
         for &x_true in &[-4000.0f64, -2e-4, 2e-4, 4000.0] {
-            let crossings = find_crossings(|x| u64::from(f64::from(x) > x_true), &cfg);
+            let crossings = find_crossings(|x| u64::from(f64::from(x) > x_true), &grid);
             assert_eq!(crossings.len(), 1, "x_true {x_true}: {crossings:?}");
             let rel = (crossings[0].x - x_true).abs() / x_true.abs().max(1e-6);
             assert!(rel < 1e-2 || (crossings[0].x - x_true).abs() < 1e-4);
@@ -320,12 +336,9 @@ mod tests {
     /// Random steps of both signs: some coincident, some exactly on grid
     /// points (including `0`), some beyond `±x_max`; zero steps gives a
     /// constant function.
-    fn random_step_count(rng: &mut SmallRng, cfg: &SearchConfig) -> StepCount {
-        let grid: Vec<f64> = probe_grid(cfg)
-            .iter()
-            .map(|&x| f64::from(x as f32))
-            .collect();
-        let x_max = f64::from(cfg.x_max);
+    fn random_step_count(rng: &mut SmallRng, probe_grid: &ProbeGrid) -> StepCount {
+        let grid: Vec<f64> = probe_grid.xs.iter().map(|&x| f64::from(x as f32)).collect();
+        let x_max = f64::from(probe_grid.cfg.x_max);
         let mut steps: Vec<(f64, i64)> = Vec::new();
         for _ in 0..rng.gen_range(0..9usize) {
             let p = match rng.gen_range(0..4u32) {
@@ -354,18 +367,18 @@ mod tests {
 
     #[test]
     fn monotone_search_equals_full_grid_on_random_step_functions() {
-        let cfg = SearchConfig::default();
+        let grid = ProbeGrid::new(&SearchConfig::default());
         let mut rng = SmallRng::seed_from_u64(0x5eed_0015);
         let (mut full_total, mut mono_total) = (0u64, 0u64);
         for case in 0..400 {
-            let f = random_step_count(&mut rng, &cfg);
+            let f = random_step_count(&mut rng, &grid);
             let full_probes = Cell::new(0u64);
             let full = find_crossings(
                 |x| {
                     full_probes.set(full_probes.get() + 1);
                     f.at(x)
                 },
-                &cfg,
+                &grid,
             );
             let mono_probes = Cell::new(0u64);
             let mono = find_monotone_crossings(
@@ -373,7 +386,7 @@ mod tests {
                     mono_probes.set(mono_probes.get() + 1);
                     f.at(x)
                 },
-                &cfg,
+                &grid,
             );
             assert_eq!(mono, full, "case {case}: steps {:?}", f.steps);
             assert!(
@@ -390,14 +403,14 @@ mod tests {
 
     #[test]
     fn monotone_search_probes_three_points_for_a_constant() {
-        let cfg = SearchConfig::default();
+        let grid = ProbeGrid::new(&SearchConfig::default());
         let probes = Cell::new(0u64);
         let crossings = find_monotone_crossings(
             |_| {
                 probes.set(probes.get() + 1);
                 7
             },
-            &cfg,
+            &grid,
         );
         assert!(crossings.is_empty());
         assert_eq!(probes.get(), 3);
@@ -408,9 +421,9 @@ mod tests {
         // Up at 1, down at 2: not monotone on x > 0, so the end counts
         // agree and the monotone search infers a flat side. This is why
         // only provably monotone counts may use it.
-        let cfg = SearchConfig::default();
+        let grid = ProbeGrid::new(&SearchConfig::default());
         let f = |x: f32| u64::from(x > 1.0) + u64::from(x < 2.0);
-        assert_eq!(find_crossings(f, &cfg).len(), 2);
-        assert!(find_monotone_crossings(f, &cfg).is_empty());
+        assert_eq!(find_crossings(f, &grid).len(), 2);
+        assert!(find_monotone_crossings(f, &grid).is_empty());
     }
 }

@@ -113,6 +113,13 @@ echo "==> e2e weights-pooled count window (pinned recovery counts, ~10 s)"
 cargo run --release --quiet --offline --manifest-path e2e/Cargo.toml -- \
     --workload weights-pooled --seconds 0
 
+echo "==> e2e weights-plain count window (pinned recovery counts, ~2 s)"
+# The same check for the unpooled layer: every search there is unpinned
+# and takes the monotone grid, a path weights-pooled rarely reaches; it
+# pins (34848, 15648, 0) at full scale.
+cargo run --release --quiet --offline --manifest-path e2e/Cargo.toml -- \
+    --workload weights-plain --seconds 0
+
 echo "==> e2e lenet-e2e count window (pinned counts through the accelerator, ~10 s)"
 # The same check for the real leak path: lenet-e2e recovers LeNet conv1
 # through AcceleratorOracle, which counts each filter's writes from the

@@ -84,6 +84,82 @@ fn cycle_domain_exports_are_deterministic_and_match_golden() {
     );
 }
 
+/// One complete (`"ph":"X"`) span of a Chrome Trace export: its path and
+/// its `[ts, ts + dur]` interval.
+struct Slice {
+    path: String,
+    ts: u64,
+    end: u64,
+}
+
+/// The complete spans of a Chrome Trace export written one event per line,
+/// as `chrome_trace` writes it.
+fn slices(chrome: &str) -> Vec<Slice> {
+    let field = |line: &str, key: &str| -> Option<String> {
+        let rest = &line[line.find(&format!("\"{key}\":"))? + key.len() + 3..];
+        let end = rest.find([',', '}'])?;
+        Some(rest[..end].trim_matches('"').to_string())
+    };
+    chrome
+        .lines()
+        .filter(|line| line.contains("\"ph\":\"X\""))
+        .map(|line| {
+            let num = |key| -> u64 {
+                field(line, key)
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| panic!("no {key} in {line}"))
+            };
+            let ts = num("ts");
+            Slice {
+                path: field(line, "path").unwrap_or_else(|| panic!("no path in {line}")),
+                ts,
+                end: ts + num("dur"),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn golden_profile_children_cover_their_parents() {
+    let on_disk = std::fs::read_to_string(golden_path()).expect("golden profile exists");
+    let spans = slices(&on_disk);
+    // `b` nests in `a`: a longer path under `a`'s, inside `a`'s interval.
+    let nests = |a: &Slice, b: &Slice| {
+        b.path.len() > a.path.len()
+            && b.path.starts_with(&a.path)
+            && b.path.as_bytes()[a.path.len()] == b'.'
+            && a.ts <= b.ts
+            && b.end <= a.end
+    };
+    let mut parents = 0;
+    for parent in spans.iter().filter(|s| s.end > s.ts) {
+        let nested: Vec<&Slice> = spans.iter().filter(|c| nests(parent, c)).collect();
+        let mut children: Vec<(u64, u64)> = nested
+            .iter()
+            .filter(|c| !nested.iter().any(|mid| nests(mid, c)))
+            .map(|c| (c.ts, c.end))
+            .collect();
+        if children.is_empty() {
+            continue;
+        }
+        children.sort_unstable();
+        let (mut covered, mut reach) = (0, parent.ts);
+        for (ts, end) in children {
+            covered += end.saturating_sub(ts.max(reach));
+            reach = reach.max(end);
+        }
+        let dur = parent.end - parent.ts;
+        assert!(
+            10 * covered >= 9 * dur,
+            "{}'s children cover {covered} of its {dur} cycles",
+            parent.path
+        );
+        parents += 1;
+    }
+    // accel.run_trace_only, attack.structure and its segment span.
+    assert!(parents >= 3, "only {parents} parent spans with children");
+}
+
 #[test]
 #[ignore = "writes tests/golden/lenet_profile.json; run explicitly after intentional changes"]
 fn regenerate_golden_profile() {
