@@ -15,8 +15,9 @@
 //!   sparsity. The queries of one crossing search differ only in the
 //!   target pixel's value, so it plans the search's footprint once (a
 //!   `ProbePlan`, the planner the attacker's virtual model uses too) and
-//!   each query evaluates only the windows the target reaches. Used by the
-//!   search loops (millions of queries).
+//!   each query counts only the windows the target reaches, from where
+//!   each switches when it can. Used by the search loops (millions of
+//!   queries).
 //! * [`AcceleratorOracle`] — runs the full accelerator simulator with zero
 //!   pruning and counts each filter's writes from the engine's DRAM
 //!   transactions as they are issued, exactly as a bus-snooping adversary
@@ -226,6 +227,10 @@ enum Tap {
 /// window with no live tap is evaluated once, and a window no probe
 /// reaches keeps its baseline. So a count equals that of recomputing
 /// every reached output from the probes, and it allocates nothing.
+///
+/// Where every window is an OR of its taps, the plan also holds where
+/// each window switches ([`Switches`]), and a count compares `x` with
+/// those keys instead of evaluating the windows.
 #[derive(Debug, Clone)]
 pub(crate) struct ProbePlan {
     geom: LayerGeometry,
@@ -240,6 +245,102 @@ pub(crate) struct ProbePlan {
     windows: Vec<(usize, usize, usize)>,
     /// Non-zero outputs that do not depend on `x`.
     base: u64,
+    /// Where the windows switch, if each is an OR of its taps.
+    switches: Option<Switches>,
+}
+
+/// Where the windows of a [`ProbePlan`] switch, as [`order_key`]s of the
+/// target value `x`: a window is on at every finite `x`, or iff
+/// `key(x) ≥ up` or `key(x) ≤ dn`, with `dn < up` when it has both.
+#[derive(Debug, Clone, Default)]
+struct Switches {
+    /// Windows on at every finite `x`.
+    always: u64,
+    /// Each other window's least key at which a rising tap is on, sorted.
+    ups: Vec<u32>,
+    /// Each other window's greatest key at which a falling tap is on,
+    /// sorted.
+    dns: Vec<u32>,
+}
+
+impl Switches {
+    /// The windows on at key `k`; `dn < up` keeps a window from counting
+    /// twice.
+    fn count(&self, k: u32) -> u64 {
+        let up = self.ups.partition_point(|&u| u <= k);
+        let dn = self.dns.len() - self.dns.partition_point(|&d| d < k);
+        self.always + (up + dn) as u64
+    }
+}
+
+/// A key of the non-NaN `f32`s that orders them as `<` does, with `-0.0`
+/// just below `+0.0`.
+const fn order_key(x: f32) -> u32 {
+    let bits = x.to_bits();
+    if bits >> 31 == 0 {
+        bits | 1 << 31
+    } else {
+        !bits
+    }
+}
+
+/// The `f32` of an [`order_key`].
+const fn from_order_key(k: u32) -> f32 {
+    f32::from_bits(if k >> 31 == 1 { k & !(1 << 31) } else { !k })
+}
+
+/// The keys of the least and the greatest finite `f32`.
+const LOWEST: u32 = order_key(f32::MIN);
+const HIGHEST: u32 = order_key(f32::MAX);
+/// The `up` and `dn` of a side on which a tap or window is never on.
+const NEVER_UP: u32 = HIGHEST + 1;
+const NEVER_DN: u32 = LOWEST - 1;
+
+/// The least key in `LOWEST..=HIGHEST` at which `on` holds, or
+/// [`NEVER_UP`] if none does, for an `on` that never turns off again
+/// once on. Gallops from `guess` away from its side of the switch until
+/// the switch is bracketed, then bisects; `on` sees finite keys only.
+fn first_on(guess: u32, on: impl Fn(u32) -> bool) -> u32 {
+    let guess = guess.clamp(LOWEST, HIGHEST);
+    // Off at `lo` and on at `hi`, as if off below `LOWEST` and on above
+    // `HIGHEST`.
+    let (mut lo, mut hi) = (NEVER_DN, NEVER_UP);
+    let above = on(guess);
+    if above {
+        hi = guess;
+    } else {
+        lo = guess;
+    }
+    let mut step = 1u32;
+    loop {
+        let k = if above {
+            guess.saturating_sub(step)
+        } else {
+            guess.saturating_add(step)
+        };
+        if k <= lo || k >= hi {
+            break;
+        }
+        let on_k = on(k);
+        if on_k {
+            hi = k;
+        } else {
+            lo = k;
+        }
+        if on_k != above {
+            break;
+        }
+        step = step.saturating_mul(2);
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if on(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
 }
 
 impl ProbePlan {
@@ -312,6 +413,7 @@ impl ProbePlan {
             taps: Vec::new(),
             windows: Vec::new(),
             base: baseline,
+            switches: None,
         };
         match geom.pool {
             None => {
@@ -336,6 +438,7 @@ impl ProbePlan {
                 }
             }
         }
+        plan.switches = plan.switch_points();
         plan
     }
 
@@ -367,21 +470,106 @@ impl ProbePlan {
         }
     }
 
+    /// The value of live tap `w`, `terms` with the target pixel at `x`.
+    fn live(&self, w: f32, (t0, t1): (usize, usize), x: f32) -> f32 {
+        self.terms[t0..t1]
+            .iter()
+            .fold(self.bias + w * x, |acc, &term| acc + term)
+    }
+
     /// Whether `window` is non-zero with the target pixel at `x`.
     fn is_on(&self, (lo, rows, cols): (usize, usize, usize), x: f32) -> bool {
         let value = |r: usize, c: usize| match self.taps[lo + r * cols + c] {
             Tap::Const(v) => v,
-            Tap::Live { w, terms: (t0, t1) } => self.terms[t0..t1]
-                .iter()
-                .fold(self.bias + w * x, |acc, &term| acc + term),
+            Tap::Live { w, terms } => self.live(w, terms, x),
         };
         // lint:allow(float-eq): models the pruning hardware, which keys on
         // bit-exact post-ReLU zeros.
         window_output(&self.geom, 0..rows, 0..cols, value) != 0.0
     }
 
+    /// Where each window switches, when every window is on iff one of its
+    /// taps is `> t`: with no pool or a max pool, and `t ≥ 0`. With a
+    /// finite bias, pin terms and weights, each live tap
+    /// `((b + w·x) + term₁) + …` is weakly monotone in `x`, because every
+    /// f32 rounding is, so the finite `x` at which it is on form a
+    /// half-line of keys. Each switch is found with the tap's own f32
+    /// arithmetic, from a guess at the real root `(t − b − Σterms)/w`.
+    fn switch_points(&self) -> Option<Switches> {
+        let t = self.geom.threshold;
+        let or_of_taps = matches!(self.geom.pool, None | Some((PoolKind::Max, ..))) && t >= 0.0;
+        let finite = self.bias.is_finite()
+            && self.terms.iter().all(|term| term.is_finite())
+            && self.taps.iter().all(|tap| match tap {
+                Tap::Live { w, .. } => w.is_finite(),
+                Tap::Const(_) => true,
+            });
+        if !(or_of_taps && finite) {
+            return None;
+        }
+        let mut switches = Switches::default();
+        for &(lo, rows, cols) in &self.windows {
+            let (mut up, mut dn) = (NEVER_UP, NEVER_DN);
+            for &tap in &self.taps[lo..lo + rows * cols] {
+                let (u, d) = match tap {
+                    Tap::Const(v) if v > t => (LOWEST, NEVER_DN),
+                    Tap::Const(_) => (NEVER_UP, NEVER_DN),
+                    Tap::Live { w, terms } => self.live_switch(w, terms),
+                };
+                up = up.min(u);
+                dn = dn.max(d);
+                if dn + 1 >= up {
+                    break;
+                }
+            }
+            if dn + 1 >= up {
+                switches.always += 1;
+            } else {
+                switches.ups.extend(Some(up).filter(|&u| u != NEVER_UP));
+                switches.dns.extend(Some(dn).filter(|&d| d != NEVER_DN));
+            }
+        }
+        switches.ups.sort_unstable();
+        switches.dns.sort_unstable();
+        Some(switches)
+    }
+
+    /// The keys at which live tap `w`, `terms` is on: `key ≥ up` (a
+    /// rising tap, `w > 0`) or `key ≤ dn` (a falling one, `w < 0`), the
+    /// other side [`NEVER_UP`] or [`NEVER_DN`]. A zero weight of either
+    /// sign leaves the tap constant at finite `x`.
+    fn live_switch(&self, w: f32, terms: (usize, usize)) -> (u32, u32) {
+        let t = self.geom.threshold;
+        let on = |k: u32| self.live(w, terms, from_order_key(k)) > t;
+        let guess = || {
+            let rest: f64 = self.terms[terms.0..terms.1]
+                .iter()
+                .map(|&v| f64::from(v))
+                .sum();
+            let root = (f64::from(t) - f64::from(self.bias) - rest) / f64::from(w);
+            order_key(root.clamp(f64::from(f32::MIN), f64::from(f32::MAX)) as f32)
+        };
+        if w > 0.0 {
+            (first_on(guess(), on), NEVER_DN)
+        } else if w < 0.0 {
+            (NEVER_UP, first_on(guess(), |k| !on(k)) - 1)
+        } else if on(LOWEST) {
+            (LOWEST, NEVER_DN)
+        } else {
+            (NEVER_UP, NEVER_DN)
+        }
+    }
+
     /// The filter's non-zero output count with the target pixel at `x`.
     pub(crate) fn count(&self, x: f32) -> u64 {
+        match &self.switches {
+            Some(switches) if x.is_finite() => self.base + switches.count(order_key(x)),
+            _ => self.evaluate(x),
+        }
+    }
+
+    /// [`Self::count`], evaluating every window.
+    fn evaluate(&self, x: f32) -> u64 {
         let on = self
             .windows
             .iter()
@@ -1060,6 +1248,167 @@ mod tests {
             }
         }
         assert!(pinned > 300 && queries > 10_000, "{pinned} pinned searches");
+    }
+
+    /// A weight of a switch-point plan: mostly moderate, sometimes a
+    /// signed zero or a subnormal of either sign.
+    fn switch_weight(rng: &mut SmallRng) -> f32 {
+        match rng.gen_range(0..8u32) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => {
+                let w = f32::from_bits(rng.gen_range(1..0x0080_0000u32));
+                if rng.gen_bool(0.5) {
+                    w
+                } else {
+                    -w
+                }
+            }
+            _ => rng.gen_range(-1.0..1.0),
+        }
+    }
+
+    /// A random one-filter plan under a max pool or none, either order, at
+    /// threshold 0 or above: a target pixel and up to three pins near it,
+    /// half of them ±1e9.
+    fn random_or_plan(rng: &mut SmallRng) -> (LayerGeometry, ProbePlan) {
+        let pools = [
+            None,
+            Some((PoolKind::Max, 2, 2, 0)),
+            Some((PoolKind::Max, 3, 2, 1)),
+        ];
+        let orders = [MergedOrder::ActThenPool, MergedOrder::PoolThenAct];
+        let input = Shape3::new(rng.gen_range(1..3), 9, 9);
+        let (f, s, p) = (3, rng.gen_range(1..3), rng.gen_range(0..2));
+        let g = LayerGeometry {
+            pool: pools[rng.gen_range(0..pools.len())],
+            order: orders[rng.gen_range(0..2usize)],
+            threshold: if rng.gen_bool(0.5) {
+                0.0
+            } else {
+                rng.gen_range(0.01..0.5)
+            },
+            ..geom(input, 1, f, s, p)
+        };
+        let weights: Vec<f32> = (0..input.c * f * f).map(|_| switch_weight(rng)).collect();
+        let bias = match rng.gen_range(0..4u32) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-0.5..0.5),
+        };
+        let target = (
+            rng.gen_range(0..input.c),
+            rng.gen_range(0..9),
+            rng.gen_range(0..9),
+        );
+        let near =
+            |v: usize, rng: &mut SmallRng| (v + rng.gen_range(0..5usize)).saturating_sub(2).min(8);
+        let pins: Vec<Probe> = (0..rng.gen_range(0..4))
+            .map(|_| Probe {
+                c: rng.gen_range(0..input.c),
+                y: near(target.1, rng),
+                x: near(target.2, rng),
+                value: match rng.gen_range(0..4u32) {
+                    0 => 1e9,
+                    1 => -1e9,
+                    _ => rng.gen_range(-3.0..3.0),
+                },
+            })
+            .collect();
+        let weight = |c: usize, fy: usize, fx: usize| weights[(c * f + fy) * f + fx];
+        let plan = ProbePlan::new(&g, weight, bias, target, &pins, |_, _| false, 0);
+        (g, plan)
+    }
+
+    /// Asserts over the plans of `seeds` ([`random_or_plan`]) that the
+    /// count from the switch points equals evaluating every window: at
+    /// ±0, the grid's ends, ±`f32::MAX`, random values and each switch
+    /// key ±1.
+    fn assert_switch_counts_equal_evaluation(seeds: Range<u64>) {
+        let (mut ups, mut dns, mut always) = (0, 0, 0);
+        for seed in seeds {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (g, plan) = random_or_plan(&mut rng);
+            let switches = plan.switches.as_ref().expect("switch points");
+            ups += switches.ups.len();
+            dns += switches.dns.len();
+            always += switches.always;
+            let mut xs = vec![0.0, -0.0, 4096.0, -4096.0, 1e-4, -1e-4, f32::MAX, f32::MIN];
+            xs.extend((0..8).map(|_| rng.gen_range(-10.0..10.0f32)));
+            for &k in switches.ups.iter().chain(&switches.dns) {
+                xs.extend([k - 1, k, k + 1].map(from_order_key));
+            }
+            for x in xs {
+                assert_eq!(
+                    plan.count(x),
+                    plan.evaluate(x),
+                    "x = {x:e}, seed {seed}, {g:?}"
+                );
+            }
+        }
+        assert!(
+            ups > 0 && dns > 0 && always > 0,
+            "{ups} ups, {dns} dns, {always} always on"
+        );
+    }
+
+    #[test]
+    fn switch_point_counts_equal_the_evaluation() {
+        assert_switch_counts_equal_evaluation(0..400);
+    }
+
+    #[test]
+    #[ignore = "a 100x longer seed sweep; run with --release by scripts/check.sh"]
+    fn switch_point_counts_equal_the_evaluation_long() {
+        assert_switch_counts_equal_evaluation(0..40_000);
+    }
+
+    #[test]
+    fn only_windows_that_are_ors_of_finite_taps_get_switch_points() {
+        let input = Shape3::new(1, 8, 8);
+        let pins = [Probe {
+            c: 0,
+            y: 3,
+            x: 4,
+            value: 2.0,
+        }];
+        let plan = |g: &LayerGeometry, w: f32, bias: f32, pin: f32| {
+            let pins = [Probe {
+                value: pin,
+                ..pins[0]
+            }];
+            ProbePlan::new(g, |_, _, _| w, bias, (0, 3, 3), &pins, |_, _| false, 0)
+        };
+        let max = LayerGeometry {
+            pool: Some((PoolKind::Max, 2, 2, 0)),
+            ..geom(input, 1, 3, 1, 0)
+        };
+        let avg = LayerGeometry {
+            pool: Some((PoolKind::Avg, 2, 2, 0)),
+            order: MergedOrder::PoolThenAct,
+            ..max
+        };
+        let negative = LayerGeometry {
+            threshold: -0.1,
+            ..max
+        };
+        assert!(plan(&max, 0.5, -0.2, 2.0).switches.is_some());
+        assert!(plan(&geom(input, 1, 3, 1, 0), 0.5, -0.2, 2.0)
+            .switches
+            .is_some());
+        for (g, w, bias, pin) in [
+            (avg, 0.5, -0.2, 2.0),
+            (negative, 0.5, -0.2, 2.0),
+            (max, 0.5, f32::INFINITY, 2.0),
+            (max, 0.5, -0.2, f32::NEG_INFINITY),
+            (max, f32::NAN, -0.2, 2.0),
+        ] {
+            let plan = plan(&g, w, bias, pin);
+            assert!(plan.switches.is_none(), "{g:?}, w {w}, b {bias}, pin {pin}");
+            for x in [-3.0, -0.0, 0.4, 5.0] {
+                assert_eq!(plan.count(x), plan.evaluate(x));
+            }
+        }
     }
 
     fn reference_baseline(reference: &ReferenceOracle) -> Vec<u64> {

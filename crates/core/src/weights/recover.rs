@@ -31,6 +31,7 @@
 use cnnre_model::sync::Arc;
 use cnnre_nn::layer::PoolKind;
 use cnnre_tensor::{Shape3, Tensor4};
+use core::ops::Range;
 
 use crate::exec::map_ordered;
 
@@ -738,6 +739,8 @@ struct FilterRecovery {
     queries: u64,
     /// Victim searches answered from [`VictimSearches`]'s memo.
     memo_hits: u64,
+    /// Virtual-model searches run.
+    virtual_searches: u64,
 }
 
 /// Recovers every weight of filter `d` — the independent unit of work both
@@ -760,6 +763,7 @@ fn recover_filter(
         filter: RecoveredFilter::new(geom.input.c, geom.f),
         start,
         settled: Vec::new(),
+        virtual_searches: 0,
     };
     // Pass 1, descending raster order: a probe anchored so the target lands
     // on the last conv output stimulates only larger (already recovered)
@@ -811,6 +815,7 @@ fn recover_filter(
     FilterRecovery {
         queries: run.victim.oracle.query_count() - start,
         memo_hits: run.victim.hits,
+        virtual_searches: run.virtual_searches,
         filter: run.filter,
         settled: run.settled,
     }
@@ -851,6 +856,7 @@ fn emit_filter(spent: u64, rec: &FilterRecovery) -> u64 {
 fn finish_recovery(recoveries: Vec<FilterRecovery>, bias_positive: Vec<bool>) -> RatioRecovery {
     let total_queries: u64 = 1 + recoveries.iter().map(|r| r.queries).sum::<u64>();
     let memo_hits: u64 = recoveries.iter().map(|r| r.memo_hits).sum();
+    let virtual_searches: u64 = recoveries.iter().map(|r| r.virtual_searches).sum();
     let filters: Vec<RecoveredFilter> = recoveries.into_iter().map(|r| r.filter).collect();
     let (mut recovered, mut zeros, mut unrecovered) = (0u64, 0u64, 0u64);
     for f in &filters {
@@ -873,6 +879,8 @@ fn finish_recovery(recoveries: Vec<FilterRecovery>, bias_positive: Vec<bool>) ->
         // metric). The virtual model is not an oracle and sends none.
         reg.counter("oracle.victim_queries").add(total_queries);
         reg.counter("weights.search.memo_hits").add(memo_hits);
+        reg.counter("weights.virtual.searches")
+            .add(virtual_searches);
     }
     cnnre_obs::log_info!(
         "weights",
@@ -953,12 +961,13 @@ fn search_crossings(
 /// and a retry repeats a search whenever the weights learned since are not
 /// among its pins.
 ///
-/// Keys and answers sit in one flat arena, entry after entry. A key packs
-/// each probe into one word with [`probe_key`]: the target pixel first
-/// (value bits zero), then the pins in pin order, which fixes the victim's
-/// f32 summation order. Hits compare the whole key. Only
-/// unresolved weights are retried, so [`Self::forget`] drops a weight's
-/// entries once it resolves, and the live arena stays small.
+/// Keys and answers sit in two flat arenas, entry after entry. A key
+/// packs each probe into one word with [`probe_key`]: the target pixel
+/// first (value bits zero), then the pins in pin order, which fixes the
+/// victim's f32 summation order. An index of the entries in key order
+/// finds a key by binary search. Only unresolved weights are retried, so
+/// [`Self::forget`] drops a weight's entries once it resolves, and the
+/// live arenas stay small.
 struct VictimSearches<'a> {
     oracle: &'a mut dyn ZeroCountOracle,
     /// The attacked filter.
@@ -972,6 +981,8 @@ struct VictimSearches<'a> {
     /// The victim's crossings of the live entries, in entry order.
     answers: Vec<Crossing>,
     entries: Vec<MemoEntry>,
+    /// The live entries' indices in `entries`, in key order.
+    by_key: Vec<u32>,
     /// The key under construction, reused across lookups.
     scratch: Vec<u64>,
     /// Searches answered from the memo.
@@ -979,12 +990,26 @@ struct VictimSearches<'a> {
 }
 
 /// One remembered search: the weight it served, as its `(c, i, j)` raster
-/// index, and the lengths of its key and answer in the arena. Narrow
-/// fields keep the entry at 12 bytes; the live arena holds thousands.
+/// index, and where its key and answer sit in the arenas. Narrow fields
+/// keep the entry at 20 bytes; the live memo holds thousands.
 struct MemoEntry {
     weight: u32,
+    key_at: u32,
     key_len: u32,
+    answer_at: u32,
     answer_len: u32,
+}
+
+impl MemoEntry {
+    fn key(&self) -> Range<usize> {
+        let at = self.key_at as usize;
+        at..at + self.key_len as usize
+    }
+
+    fn answer(&self) -> Range<usize> {
+        let at = self.answer_at as usize;
+        at..at + self.answer_len as usize
+    }
 }
 
 impl<'a> VictimSearches<'a> {
@@ -999,6 +1024,7 @@ impl<'a> VictimSearches<'a> {
             keys: Vec::new(),
             answers: Vec::new(),
             entries: Vec::new(),
+            by_key: Vec::new(),
             scratch: Vec::new(),
             hits: 0,
         }
@@ -1025,66 +1051,70 @@ impl<'a> VictimSearches<'a> {
             pins.iter()
                 .map(|q| probe_key(input, q.c, q.y, q.x, q.value)),
         );
-        let (mut k, mut a) = (0, 0);
-        let mut known = None;
-        for e in &self.entries {
-            let (key_len, answer_len) = (e.key_len as usize, e.answer_len as usize);
-            if self.keys[k..k + key_len] == key[..] {
-                known = Some(a..a + answer_len);
-                break;
+        let entry = |e: u32| &self.entries[e as usize];
+        let answer = match self
+            .by_key
+            .binary_search_by(|&e| self.keys[entry(e).key()].cmp(&key))
+        {
+            Ok(i) => {
+                self.hits += 1;
+                self.answers[entry(self.by_key[i]).answer()].to_vec()
             }
-            k += key_len;
-            a += answer_len;
-        }
-        let answer = if let Some(answer) = known {
-            self.hits += 1;
-            self.answers[answer].to_vec()
-        } else {
-            let (oracle, d) = (&mut *self.oracle, self.d);
-            let found =
-                search_crossings(geom, t, pins, |probes| oracle.query_filter(d, probes), grid);
-            self.keys.extend_from_slice(&key);
-            self.answers.extend_from_slice(&found);
-            self.entries.push(MemoEntry {
-                weight: self.weight_index((t.c, t.i, t.j)),
-                key_len: narrow(key.len()),
-                answer_len: narrow(found.len()),
-            });
-            found
+            Err(i) => {
+                let (oracle, d) = (&mut *self.oracle, self.d);
+                let found =
+                    search_crossings(geom, t, pins, |probes| oracle.query_filter(d, probes), grid);
+                self.by_key.insert(i, narrow(self.entries.len()));
+                self.entries.push(MemoEntry {
+                    weight: self.weight_index((t.c, t.i, t.j)),
+                    key_at: narrow(self.keys.len()),
+                    key_len: narrow(key.len()),
+                    answer_at: narrow(self.answers.len()),
+                    answer_len: narrow(found.len()),
+                });
+                self.keys.extend_from_slice(&key);
+                self.answers.extend_from_slice(&found);
+                found
+            }
         };
         self.scratch = key;
         answer
     }
 
-    /// Drops the entries of a resolved weight, compacting the arena in
-    /// place.
+    /// Drops the entries of a resolved weight, compacting the arenas in
+    /// place and renumbering the index.
     fn forget(&mut self, weight: WeightPos) {
         let weight = self.weight_index(weight);
-        let (mut k, mut a) = (0, 0);
-        let (mut k_to, mut a_to) = (0, 0);
-        self.entries.retain(|e| {
-            let (key_len, answer_len) = (e.key_len as usize, e.answer_len as usize);
-            let (key, answer) = (k..k + key_len, a..a + answer_len);
-            k = key.end;
-            a = answer.end;
+        // Each entry's new index, `u32::MAX` for a dropped one.
+        let mut renumber = Vec::with_capacity(self.entries.len());
+        let (mut kept, mut k_to, mut a_to) = (0, 0, 0);
+        self.entries.retain_mut(|e| {
             if e.weight == weight {
+                renumber.push(u32::MAX);
                 return false;
             }
-            self.keys.copy_within(key, k_to);
-            self.answers.copy_within(answer, a_to);
-            k_to += key_len;
-            a_to += answer_len;
+            self.keys.copy_within(e.key(), k_to);
+            self.answers.copy_within(e.answer(), a_to);
+            (e.key_at, e.answer_at) = (narrow(k_to), narrow(a_to));
+            k_to += e.key_len as usize;
+            a_to += e.answer_len as usize;
+            renumber.push(kept);
+            kept += 1;
             true
         });
         self.keys.truncate(k_to);
         self.answers.truncate(a_to);
+        self.by_key.retain_mut(|e| {
+            *e = renumber[*e as usize];
+            *e != u32::MAX
+        });
     }
 }
 
 /// A [`MemoEntry`] field.
 fn narrow(n: usize) -> u32 {
     // lint:allow(panic): bounded by the filter's weight count, its pin
-    // count and the search grid, each far below 2^32
+    // count, the search grid and its searches, each far below 2^32
     u32::try_from(n).expect("memo entry field fits 32 bits")
 }
 
@@ -1149,9 +1179,6 @@ fn virtual_crossings(
     pins: &[Probe],
     grid: &ProbeGrid,
 ) -> Vec<Crossing> {
-    if cnnre_obs::enabled() {
-        cnnre_obs::counter("weights.virtual.searches").inc();
-    }
     let plan = virtual_plan(geom, filter, bias_positive, t, pins);
     search(&virtual_geometry(geom), pins, |x| plan.count(x), grid)
 }
@@ -1201,6 +1228,8 @@ struct FilterRun<'a> {
     start: u64,
     /// See [`FilterRecovery::settled`].
     settled: Vec<(WeightPos, u64)>,
+    /// Virtual-model searches run so far.
+    virtual_searches: u64,
 }
 
 impl FilterRun<'_> {
@@ -1279,6 +1308,11 @@ impl FilterRun<'_> {
     fn recover_one(&mut self, t: &Target, allow_zero: bool) -> Option<f64> {
         let (geom, filter, cfg, grid) = (self.geom, &self.filter, self.cfg, &self.grid);
         let bias_positive = self.bias_positive;
+        let searches = &mut self.virtual_searches;
+        let mut predict = |filter: &RecoveredFilter, pins: &[Probe]| {
+            *searches += 1;
+            virtual_crossings(geom, filter, bias_positive, t, pins, grid)
+        };
         // The fast (unpinned) path is sound only when every co-stimulated tap
         // carries an already-recovered weight: otherwise an unknown weight's
         // crossing is indistinguishable from the target's.
@@ -1288,7 +1322,7 @@ impl FilterRun<'_> {
         });
         if all_cotaps_known {
             let observed = self.victim.crossings(geom, t, &[], grid);
-            let predicted = virtual_crossings(geom, filter, bias_positive, t, &[], grid);
+            let predicted = predict(filter, &[]);
             let mut unmatched: Vec<Crossing> = observed
                 .iter()
                 .copied()
@@ -1305,7 +1339,7 @@ impl FilterRun<'_> {
                 // observation exactly (positions and step magnitudes).
                 let mut trial = filter.clone();
                 trial.set(t.c, t.i, t.j, Some(ratio));
-                let verify = virtual_crossings(geom, &trial, bias_positive, t, &[], grid);
+                let verify = predict(&trial, &[]);
                 if sets_match(&observed, &verify, cfg) {
                     return Some(ratio);
                 }
@@ -1323,7 +1357,7 @@ impl FilterRun<'_> {
         // target's crossing is exposed (Equation (10), generalized).
         let pins = build_pins(geom, filter, bias_positive, t)?;
         let observed2 = self.victim.crossings(geom, t, &pins, grid);
-        let predicted2 = virtual_crossings(geom, filter, bias_positive, t, &pins, grid);
+        let predicted2 = predict(filter, &pins);
         let unmatched2: Vec<Crossing> = observed2
             .iter()
             .copied()
@@ -1347,7 +1381,7 @@ impl FilterRun<'_> {
             for sentinel in [1.0, -1.0, 0.05, -0.05] {
                 let mut trial = filter.clone();
                 trial.set(t.c, t.i, t.j, Some(sentinel));
-                let control = virtual_crossings(geom, &trial, bias_positive, t, &pins, grid);
+                let control = predict(&trial, &pins);
                 let visible = control
                     .iter()
                     .any(|p| !predicted2.iter().any(|q| crossings_match(p.x, q.x, cfg)));
@@ -1363,7 +1397,7 @@ impl FilterRun<'_> {
             let ratio = ratio_from_crossing(geom, t, filter, cand.x, pin_term);
             let mut trial = filter.clone();
             trial.set(t.c, t.i, t.j, Some(ratio));
-            let verify = virtual_crossings(geom, &trial, bias_positive, t, &pins, grid);
+            let verify = predict(&trial, &pins);
             if sets_match(&observed2, &verify, cfg) {
                 return Some(ratio);
             }

@@ -134,6 +134,12 @@ echo "==> e2e structure-zoo count window (pinned candidate counts of the zoo, ~3
 cargo run --release --quiet --offline --manifest-path e2e/Cargo.toml -- \
     --workload structure-zoo --seconds 0
 
+echo "==> probe-plan switch points (long seed sweep, ~1 s)"
+# Tier-1 checks the switch-point count of a probe plan against evaluating
+# every window on 400 random plans; this sweep runs 100 times as many.
+cargo test --release -q -p cnnre-attacks --lib \
+    switch_point_counts_equal_the_evaluation_long -- --ignored
+
 echo "==> full-scale trace round trip (AlexNet trace to CSV and back, ~3 s)"
 # Drives AlexNet's 4.1M coalesced transactions through the CSV writer and
 # reader; the structure attack on the re-read trace must keep the 90
