@@ -212,11 +212,6 @@ pub const METRICS: &[MetricDef] = &[
         help: "summed wall-clock nanoseconds (dropped from deterministic exports)",
     },
     MetricDef {
-        name: "trace.segment.boundaries_rejected",
-        kind: "counter",
-        help: "candidate layer boundaries rejected by the segmenter",
-    },
-    MetricDef {
         name: "trace.segment.events",
         kind: "counter",
         help: "trace events consumed by the segmenter",

@@ -53,13 +53,13 @@ const MAX_RUN_LEN: u32 = WRITE_BIT - 1;
 /// large as one [`MemoryEvent`] and a trace in which no two transactions
 /// coalesce costs what a flat one would.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Run {
+pub(crate) struct Run {
     /// The first transaction's cycle.
-    cycle: Cycle,
+    pub(crate) cycle: Cycle,
     /// The first transaction's address.
-    addr: Addr,
+    pub(crate) addr: Addr,
     /// Cycles between consecutive transactions; 0 while the run holds one.
-    step: u32,
+    pub(crate) step: u32,
     /// The transaction count, with [`WRITE_BIT`] set for writes.
     len_kind: u32,
 }
@@ -72,7 +72,7 @@ impl Run {
         len_kind: 0,
     };
 
-    const fn single(ev: MemoryEvent) -> Self {
+    pub(crate) const fn single(ev: MemoryEvent) -> Self {
         Self {
             cycle: ev.cycle,
             addr: ev.addr,
@@ -81,11 +81,11 @@ impl Run {
         }
     }
 
-    const fn len(&self) -> u32 {
+    pub(crate) const fn len(&self) -> u32 {
         self.len_kind & MAX_RUN_LEN
     }
 
-    const fn kind(&self) -> AccessKind {
+    pub(crate) const fn kind(&self) -> AccessKind {
         if self.len_kind & WRITE_BIT == 0 {
             AccessKind::Read
         } else {
@@ -101,9 +101,14 @@ impl Run {
         }
     }
 
+    /// The `k`th transaction's cycle.
+    pub(crate) const fn cycle_at(&self, k: u32) -> Cycle {
+        self.cycle + k as u64 * self.step as u64
+    }
+
     /// The last transaction's cycle (the first's for an empty run).
-    const fn last_cycle(&self) -> Cycle {
-        self.cycle + self.len().saturating_sub(1) as u64 * self.step as u64
+    pub(crate) const fn last_cycle(&self) -> Cycle {
+        self.cycle_at(self.len().saturating_sub(1))
     }
 
     /// Appends `ev` when it continues the run: same kind, the next block's
@@ -213,6 +218,11 @@ impl Trace {
     #[must_use]
     pub fn run_count(&self) -> usize {
         self.runs.len()
+    }
+
+    /// The stored runs, in time order.
+    pub(crate) fn runs(&self) -> &[Run] {
+        &self.runs
     }
 
     /// DRAM burst size in bytes (transaction granularity).

@@ -6,19 +6,21 @@
 //! (which earlier layer's output each layer consumes), which reveals fire
 //! modules and bypass paths.
 //!
-//! [`observe`] makes one pass over the events: it drives the
-//! [`StreamingSegmenter`] and tallies each segment as its events arrive.
-//! The segmenter reports every read with the segment that last wrote the
-//! address, so classification keeps no last-writer map of its own; it
-//! keeps read stamps instead, which pick out each segment's first read of
-//! an address, so a segment's footprints are counters that never grow with
-//! its length.
+//! [`observe`] makes one pass over the trace's runs (DMA bursts, as the
+//! bus carries them): it drives the [`StreamingSegmenter`], which tallies
+//! each segment as its runs arrive. A read's writer stamp names the
+//! segment that last wrote the address, so classification keeps no
+//! last-writer map; read stamps pick out each segment's first read of an
+//! address, so a segment's footprints are counters that never grow with
+//! its length. Both are stamp pages walked a page at a time, not looked up
+//! per event.
+//!
+//! [`StreamingSegmenter`]: crate::segment::StreamingSegmenter
 
 use std::collections::BTreeMap;
 
-use crate::segment::{Access, Segment, SegmentConfig, StreamingSegmenter};
-use crate::stamps::{stamp_of, StampTable};
-use crate::{Addr, Cycle, Trace};
+use crate::segment::{Segment, SegmentConfig};
+use crate::{Cycle, Trace};
 
 /// Why a segment was classified the way it was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,8 +120,10 @@ impl TraceObservations {
 
 /// Segments a trace and extracts per-layer observations.
 ///
-/// One pass over the events drives a [`StreamingSegmenter`] and tallies
-/// each segment's footprints as its events arrive.
+/// One pass over the trace's runs drives a [`StreamingSegmenter`], which
+/// tallies each segment's footprints as its runs arrive.
+///
+/// [`StreamingSegmenter`]: crate::segment::StreamingSegmenter
 ///
 /// # Example
 ///
@@ -146,30 +150,14 @@ pub fn observe(trace: &Trace) -> TraceObservations {
 
 /// [`observe`] with explicit segmentation configuration.
 ///
-/// The pass runs under the `trace.segment` span, as [`segment_trace_with`]
-/// does, and is checked by the same `audit-hooks` assertion.
+/// [`segment_trace_with`] runs the same driver, so the pass runs under the
+/// same `trace.segment` span and is checked by the same `audit-hooks`
+/// assertion.
 ///
 /// [`segment_trace_with`]: crate::segment::segment_trace_with
 #[must_use]
 pub fn observe_with(trace: &Trace, config: SegmentConfig) -> TraceObservations {
-    let mut span = cnnre_obs::span("trace.segment");
-    span.add_cycles(trace.duration());
-    let mut segmenter = StreamingSegmenter::new(trace.block_bytes(), config);
-    let mut tally = Tally::new(trace.block_bytes());
-    let mut layers: Vec<LayerObservation> = Vec::new();
-    trace.events().for_each(|ev| {
-        let (completed, access) = segmenter.step(ev);
-        if let Some(seg) = completed {
-            layers.push(tally.close(layers.len(), seg));
-        }
-        tally.add(access, ev.addr);
-    });
-    if let Some(seg) = segmenter.finish() {
-        layers.push(tally.close(layers.len(), seg));
-    }
-    #[cfg(feature = "audit-hooks")]
-    crate::audit::assert_well_formed(trace, &layers.iter().map(|l| l.segment).collect::<Vec<_>>());
-    drop(span);
+    let mut layers = crate::segment::drive(trace, config);
 
     // A layer's execution time is boundary-to-boundary: from its first
     // transaction to the next layer's first transaction. (The span of its
@@ -213,53 +201,47 @@ pub fn observe_with(trace: &Trace, config: SegmentConfig) -> TraceObservations {
     }
 }
 
-/// The current segment's footprints, tallied event by event: each is a
-/// count of first accesses, so closing a segment sorts nothing.
-#[derive(Debug)]
-struct Tally {
-    /// Read stamps: the stamp of the segment that last read each address.
-    reads: StampTable,
-    /// The current segment's stamp.
-    stamp: u32,
+/// A segment's footprints, counted as the segmenter feeds its runs: each
+/// is a count of first accesses, so closing a segment sorts nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
     /// Distinct addresses written.
-    ofm_blocks: u64,
+    pub(crate) ofm_blocks: u64,
     /// Distinct never-written addresses read.
-    weight_blocks: u64,
+    pub(crate) weight_blocks: u64,
     /// Distinct feature-map addresses read, by producing segment.
     ifm_blocks: BTreeMap<usize, u64>,
+    /// The writer stamp of the latest first feature-map reads and their
+    /// count, not yet in `ifm_blocks`: a run of reads streams through one
+    /// producer's output, so it updates the map once.
+    pending: (u32, u64),
 }
 
 impl Tally {
-    fn new(block_bytes: u64) -> Self {
-        Self {
-            reads: StampTable::new(block_bytes),
-            stamp: stamp_of(0),
-            ofm_blocks: 0,
-            weight_blocks: 0,
-            ifm_blocks: BTreeMap::new(),
+    /// Counts a first read of an address whose writer stamp is `writer`
+    /// (not 0). Inside one segment every read of an address sees the same
+    /// writer, so its first read classifies it.
+    #[inline]
+    pub(crate) fn ifm_read(&mut self, writer: u32) {
+        if self.pending.0 != writer {
+            self.flush();
+            self.pending.0 = writer;
         }
+        self.pending.1 += 1;
     }
 
-    /// Counts `access` to `addr`. Inside one segment every read of an
-    /// address sees the same producer, so its first read classifies it.
-    fn add(&mut self, access: Access, addr: Addr) {
-        match access {
-            Access::Write { first } => self.ofm_blocks += u64::from(first),
-            Access::Read { producer } => {
-                if self.reads.replace(addr, self.stamp) != self.stamp {
-                    match producer {
-                        None => self.weight_blocks += 1,
-                        Some(p) => *self.ifm_blocks.entry(p).or_default() += 1,
-                    }
-                }
-            }
+    /// Adds the pending feature-map reads to `ifm_blocks`.
+    fn flush(&mut self) {
+        let (writer, blocks) = std::mem::take(&mut self.pending);
+        if blocks > 0 {
+            *self.ifm_blocks.entry(writer as usize - 1).or_default() += blocks;
         }
     }
 
     /// Classifies the completed segment `seg` (ordinal `index`) and resets
     /// the tally for the next one.
-    fn close(&mut self, index: usize, seg: Segment) -> LayerObservation {
-        self.stamp = stamp_of(index + 1);
+    pub(crate) fn close(&mut self, index: usize, seg: Segment) -> LayerObservation {
+        self.flush();
         let ofm_blocks = std::mem::take(&mut self.ofm_blocks);
         let weight_blocks = std::mem::take(&mut self.weight_blocks);
         let ifm_sources: Vec<IfmSource> = std::mem::take(&mut self.ifm_blocks)
@@ -294,6 +276,8 @@ impl Tally {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::StreamingSegmenter;
+    use crate::stamps::StampTable;
     use crate::{AccessKind, TraceBuilder};
 
     const BLK: u64 = 64;
@@ -432,8 +416,8 @@ mod tests {
     }
 
     /// The worst case of DESIGN §5: a scattered trace whose every event
-    /// names a stamp page of its own costs the two stamp tables at most
-    /// `BYTES_PER_PAGE_BOUND` per event.
+    /// names a stamp page of its own (so every run is one event) costs the
+    /// two stamp tables at most `BYTES_PER_PAGE_BOUND` per event.
     #[test]
     fn stamp_tables_stay_within_their_bound_on_scattered_traces() {
         let events = 4096u64;
@@ -450,17 +434,10 @@ mod tests {
         }
         let trace = b.finish();
         let mut segmenter = StreamingSegmenter::new(BLK, SegmentConfig::for_trace(&trace));
-        let mut tally = Tally::new(BLK);
-        let mut closed = 0;
-        for ev in trace.events() {
-            let (completed, access) = segmenter.step(ev);
-            if let Some(seg) = completed {
-                let _ = tally.close(closed, seg);
-                closed += 1;
-            }
-            tally.add(access, ev.addr);
+        for run in trace.runs() {
+            let _ = segmenter.feed(run);
         }
-        let (writers, reads) = (segmenter.writers(), &tally.reads);
+        let (writers, reads) = segmenter.tables();
         assert_eq!((writers.pages() + reads.pages()) as u64, events);
         let bytes = writers.heap_bytes() + reads.heap_bytes();
         let bound = events as usize * StampTable::BYTES_PER_PAGE_BOUND;

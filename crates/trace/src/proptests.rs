@@ -726,9 +726,10 @@ fn differential_trace(seed: u64, mode: AddrMode) -> Trace {
 }
 
 /// Checks segmentation and classification against the reference
-/// implementations at two slack settings.
+/// implementations at three slack settings: at slack 0 adjacent read-only
+/// blocks form separate regions, so a stretch of them is never one insert.
 fn assert_matches_reference(trace: &Trace, label: &str) {
-    for slack_blocks in [1, 4] {
+    for slack_blocks in [0, 1, 4] {
         let config = SegmentConfig {
             slack_bytes: trace.block_bytes() * slack_blocks,
         };
@@ -786,6 +787,125 @@ fn refetch_traces_reread_blocks() {
         reread * 2 > layers,
         "{reread} of {layers} layers re-read a block"
     );
+}
+
+/// A trace of DMA bursts: each burst is consecutive blocks of one kind, a
+/// fixed cycle step apart, so it is stored as one run (or part of a longer
+/// one, where a burst happens to continue the last). Feature maps grow
+/// from the bottom of the address space: output bursts land at the
+/// frontier of blocks touched so far or over touched blocks, and read
+/// bursts re-read touched blocks or cross the frontier into untouched
+/// ones. Weights are read in bursts far above. So a read run crosses from
+/// an older producer's blocks into the current segment's output (a RAW
+/// boundary) or into untouched blocks (a fresh region) at any of its
+/// events, not only its first.
+fn run_structured_trace(seed: u64) -> Trace {
+    let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x9FB2_1C65_1E98_DF25) ^ 0x5EED);
+    let block = [4u64, 48, 64][rng.gen_range(0usize..3)];
+    let weights = 1u64 << 40;
+    let (mut frontier, mut weight_frontier) = (0u64, weights);
+    let mut cycle = 0u64;
+    let mut b = TraceBuilder::new(block, 4);
+    for _ in 0..rng.gen_range(0usize..48) {
+        let len = rng.gen_range(1u64..40);
+        let (start, kind) = match rng.gen_range(0u32..8) {
+            0 | 1 => {
+                frontier += len;
+                (frontier - len, AccessKind::Write)
+            }
+            2 => (rng.gen_range(0..=frontier), AccessKind::Write),
+            // Re-read touched blocks, perhaps running past the frontier.
+            3 | 4 => (
+                rng.gen_range(0..=frontier)
+                    .saturating_sub(rng.gen_range(0..len)),
+                AccessKind::Read,
+            ),
+            // Cross the frontier into untouched blocks after `before`
+            // touched ones.
+            5 => {
+                let before = rng.gen_range(0..len).min(frontier);
+                let start = frontier - before;
+                frontier = frontier.max(start + len);
+                (start, AccessKind::Read)
+            }
+            // A fresh weight region, or a re-read of the last one.
+            _ => {
+                if rng.gen_bool(0.7) {
+                    weight_frontier += len + rng.gen_range(0u64..3);
+                }
+                (weight_frontier - len, AccessKind::Read)
+            }
+        };
+        let step = rng.gen_range(0u64..5);
+        for i in 0..len {
+            b.record(cycle, (start + i) * block, kind);
+            cycle += step;
+        }
+        cycle += rng.gen_range(0u64..3);
+    }
+    b.finish()
+}
+
+/// Checks [`run_structured_trace`]s against the references at slack 0, 1
+/// and 4 blocks, and the per-event `push` against the batch driver. Also
+/// checks that the generator does its job: across the seeds, both kinds
+/// of boundary fall on a run's first, a middle and its last event.
+fn assert_run_structured_traces_match_reference(seeds: std::ops::Range<u64>) {
+    // [RAW, fresh region] x [first, middle, last event of its run].
+    let mut placed = [[0usize; 3]; 2];
+    for seed in seeds {
+        let trace = run_structured_trace(seed);
+        let label = format!("run-structured seed {seed}");
+        assert_matches_reference(&trace, &label);
+        let batch = segment_trace(&trace);
+        let mut seg =
+            StreamingSegmenter::new(trace.block_bytes(), SegmentConfig::for_trace(&trace));
+        let mut streamed: Vec<_> = trace.events().filter_map(|e| seg.push(e)).collect();
+        streamed.extend(seg.finish());
+        assert_eq!(streamed, batch, "{label}: push");
+
+        let events: Vec<MemoryEvent> = trace.events().collect();
+        // Each run's first event; the trace's length closes the last run.
+        let mut starts: Vec<usize> = (trace.runs().iter())
+            .scan(0, |next, run| {
+                let first = *next;
+                *next += run.len() as usize;
+                Some(first)
+            })
+            .collect();
+        starts.push(trace.len());
+        for pair in batch.windows(2) {
+            let at = pair[1].first_event;
+            let r = starts.partition_point(|&first| first <= at) - 1;
+            let (first, len) = (starts[r], starts[r + 1] - starts[r]);
+            let raw = events[pair[0].first_event..at]
+                .iter()
+                .any(|e| e.kind.is_write() && e.addr == events[at].addr);
+            let position = match at - first {
+                0 => 0,
+                k if k + 1 == len => 2,
+                _ => 1,
+            };
+            placed[usize::from(!raw)][position] += 1;
+        }
+    }
+    assert!(
+        placed.iter().flatten().all(|&n| n > 0),
+        "boundaries by [RAW, fresh] x [first, middle, last]: {placed:?}"
+    );
+}
+
+/// The driver gives the references' output on traces whose runs are long,
+/// with boundaries inside runs.
+#[test]
+fn observe_matches_reference_on_run_structured_traces() {
+    assert_run_structured_traces_match_reference(0..CASES);
+}
+
+#[test]
+#[ignore = "a 100x longer seed sweep; run with --release by scripts/check.sh"]
+fn observe_matches_reference_on_run_structured_traces_long() {
+    assert_run_structured_traces_match_reference(0..100 * CASES);
 }
 
 /// The same agreement on the golden LeNet trace.

@@ -20,19 +20,23 @@
 //! Both signals are pure functions of (address, read/write, time) — exactly
 //! the threat model's observables.
 //!
-//! The segmenter keeps one stamp table (`crate::stamps`): for each written
+//! The segmenter keeps writer stamps (`crate::stamps`): for each written
 //! address, the ordinal + 1 of the segment that last wrote it. A read whose
 //! stamp is the current segment's is a RAW signal; a read with no stamp is
 //! a weight fetch and goes into the current segment's read-only
-//! `IntervalSet`, whose insert also answers the fresh-region probe. One
-//! stamp lookup or store per event, so [`crate::observe`] can classify each
-//! segment in the same pass.
+//! `IntervalSet`, whose insert also answers the fresh-region probe. It
+//! works a run at a time (a DMA burst: consecutive blocks of one kind), a
+//! stamp page at a time within the run, and tallies each segment's
+//! footprints as it goes, so [`crate::observe`] and [`segment_trace`] are
+//! one driver.
 
 use std::collections::BTreeMap;
 
 use cnnre_obs::log_debug;
 use cnnre_obs::stream::BoundarySignal;
 
+use crate::event::Run;
+use crate::observe::{LayerObservation, Tally};
 use crate::stamps::{stamp_of, StampTable};
 use crate::{Addr, Cycle, MemoryEvent, Trace};
 
@@ -138,12 +142,36 @@ impl IntervalSet {
             self.intervals.insert(c.lo, c.hi);
         }
         let (landed, extended) = self.insert_slow(addr, block, slack);
-        self.cursor = Some(Cursor {
-            lo: landed,
-            hi: self.intervals[&landed],
-            next: self.intervals.range(landed..).nth(1).map(|(&l, _)| l),
-        });
+        self.land(landed);
         extended
+    }
+
+    /// Extends the interval the last insert landed in to end at `hi` or
+    /// later, merging the intervals it now reaches. When the blocks up to
+    /// `hi` continue that insert's block without a gap and `slack >= 1`,
+    /// this is the set that inserting each of them would give, and each of
+    /// those inserts would have returned `true`.
+    pub(crate) fn extend(&mut self, hi: Addr, slack: u64) {
+        debug_assert!(self.cursor.is_some(), "extend follows an insert");
+        let Some(c) = &mut self.cursor else { return };
+        let hi = c.hi.max(hi);
+        if c.next.is_none_or(|n| n > hi.saturating_add(slack)) {
+            c.hi = hi;
+            return;
+        }
+        let lo = c.lo;
+        self.intervals.insert(lo, hi);
+        self.merge_forward(lo, slack);
+        self.land(lo);
+    }
+
+    /// Points the cursor at the interval starting at `lo`.
+    fn land(&mut self, lo: Addr) {
+        self.cursor = Some(Cursor {
+            lo,
+            hi: self.intervals[&lo],
+            next: self.intervals.range(lo..).nth(1).map(|(&l, _)| l),
+        });
     }
 
     /// The tree path of [`Self::insert`]: returns the start of the interval
@@ -227,7 +255,8 @@ pub fn segment_trace(trace: &Trace) -> Vec<Segment> {
     segment_trace_with(trace, SegmentConfig::for_trace(trace))
 }
 
-/// [`segment_trace`] with explicit configuration.
+/// [`segment_trace`] with explicit configuration: the segments of
+/// [`crate::observe::observe_with`]'s layers, from the same driver.
 ///
 /// With the `audit-hooks` feature enabled (the workspace turns it on for
 /// test builds), every returned segmentation is re-checked against the
@@ -236,25 +265,37 @@ pub fn segment_trace(trace: &Trace) -> Vec<Segment> {
 /// feed it corrupted traces.
 #[must_use]
 pub fn segment_trace_with(trace: &Trace, config: SegmentConfig) -> Vec<Segment> {
+    drive(trace, config)
+        .into_iter()
+        .map(|l| l.segment)
+        .collect()
+}
+
+/// The one driver behind [`segment_trace_with`] and `observe_with`: feeds
+/// the trace's runs to a [`StreamingSegmenter`] under the `trace.segment`
+/// span and returns each segment's observation, its cycles still the
+/// segment's own.
+pub(crate) fn drive(trace: &Trace, config: SegmentConfig) -> Vec<LayerObservation> {
     let mut span = cnnre_obs::span("trace.segment");
     span.add_cycles(trace.duration());
     let mut segmenter = StreamingSegmenter::new(trace.block_bytes(), config);
-    let mut segments = Vec::new();
-    trace.events().for_each(|ev| {
-        if let Some(segment) = segmenter.push(ev) {
-            segments.push(segment);
-        }
-    });
-    segments.extend(segmenter.finish());
+    let mut layers: Vec<LayerObservation> = (trace.runs().iter())
+        .filter_map(|run| segmenter.feed(run))
+        .collect();
+    layers.extend(segmenter.finish_layer());
     #[cfg(feature = "audit-hooks")]
-    crate::audit::assert_well_formed(trace, &segments);
-    segments
+    crate::audit::assert_well_formed(trace, &layers.iter().map(|l| l.segment).collect::<Vec<_>>());
+    layers
 }
 
 /// Incremental layer-boundary detection — the same algorithm as
 /// [`segment_trace`] but consuming one event at a time, so traces larger
 /// than memory (or arriving live from a bus probe) can be segmented
 /// without materializing a [`Trace`].
+///
+/// It is the batch driver too: [`segment_trace`] and
+/// [`crate::observe::observe`] feed it a trace's runs whole, and
+/// [`Self::push`] feeds it a run of one event.
 ///
 /// # Example
 ///
@@ -274,10 +315,19 @@ pub fn segment_trace_with(trace: &Trace, config: SegmentConfig) -> Vec<Segment> 
 /// ```
 #[derive(Debug)]
 pub struct StreamingSegmenter {
-    block: u64,
-    slack: u64,
     /// Writer stamps: the stamp of the segment that last wrote each address.
     writers: StampTable,
+    /// Read stamps: the stamp of the segment that last read each address.
+    reads: StampTable,
+    state: State,
+}
+
+/// The segmenter's state beside its stamp tables, apart so that a page
+/// walk can hold both tables' pages while it closes a segment.
+#[derive(Debug)]
+struct State {
+    block: u64,
+    slack: u64,
     ro_regions: IntervalSet,
     has_write: bool,
     /// Ordinal of the current segment: the number of accepted boundaries.
@@ -287,23 +337,12 @@ pub struct StreamingSegmenter {
     /// How many of the accepted boundaries were RAW; the rest were fresh
     /// read-only regions.
     raw_accepted: u64,
-    /// Boundary signals suppressed on a segment's first event.
-    rejected: u64,
+    /// The current segment's footprints so far.
+    tally: Tally,
     index: usize,
     seg_start: usize,
     seg_start_cycle: Cycle,
     prev_cycle: Cycle,
-}
-
-/// What one event was, as [`StreamingSegmenter::step`] saw it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Access {
-    /// A write; `first` when the current segment had not written the
-    /// address before.
-    Write { first: bool },
-    /// A read, with the ordinal of the earlier segment that last wrote the
-    /// address (`None` for a never-written, read-only address).
-    Read { producer: Option<usize> },
 }
 
 impl StreamingSegmenter {
@@ -311,128 +350,62 @@ impl StreamingSegmenter {
     #[must_use]
     pub fn new(block_bytes: u64, config: SegmentConfig) -> Self {
         Self {
-            block: block_bytes,
-            slack: config.slack_bytes,
             writers: StampTable::new(block_bytes),
-            ro_regions: IntervalSet::default(),
-            has_write: false,
-            ordinal: 0,
-            stamp: stamp_of(0),
-            raw_accepted: 0,
-            rejected: 0,
-            index: 0,
-            seg_start: 0,
-            seg_start_cycle: 0,
-            prev_cycle: 0,
+            reads: StampTable::new(block_bytes),
+            state: State {
+                block: block_bytes,
+                slack: config.slack_bytes,
+                ro_regions: IntervalSet::default(),
+                has_write: false,
+                ordinal: 0,
+                stamp: stamp_of(0),
+                raw_accepted: 0,
+                tally: Tally::default(),
+                index: 0,
+                seg_start: 0,
+                seg_start_cycle: 0,
+                prev_cycle: 0,
+            },
         }
     }
 
     /// Number of events consumed so far.
     #[must_use]
     pub const fn events_seen(&self) -> usize {
-        self.index
+        self.state.index
     }
 
-    /// The writer stamps.
+    /// The writer and read stamps.
     #[cfg(test)]
-    pub(crate) const fn writers(&self) -> &StampTable {
-        &self.writers
+    pub(crate) const fn tables(&self) -> (&StampTable, &StampTable) {
+        (&self.writers, &self.reads)
     }
 
     /// Feeds the next event (events must arrive in time order). Returns
     /// the just-*completed* segment when this event opens a new one.
     pub fn push(&mut self, ev: MemoryEvent) -> Option<Segment> {
-        self.step(ev).0
+        self.feed(&Run::single(ev)).map(|l| l.segment)
     }
 
-    /// [`Self::push`], also returning what the event was. The access
-    /// belongs to the segment the event lands in, which is the new one when
-    /// a segment completes.
-    ///
-    /// Inside one segment every read of an address sees the same producer:
-    /// a write followed by a read of the same address is a RAW boundary.
-    pub(crate) fn step(&mut self, ev: MemoryEvent) -> (Option<Segment>, Access) {
-        let mut signal = None;
-        let producer = if ev.kind.is_read() {
-            match self.writers.get(ev.addr) {
-                // A never-written read joins the read-only regions; the
-                // insert's answer is the fresh-region probe.
-                0 => {
-                    let known = self.ro_regions.insert(ev.addr, self.block, self.slack);
-                    if !known && self.has_write {
-                        signal = Some(BoundarySignal::FreshRegion);
-                    }
-                    None
-                }
-                // Written before: RAW when this segment wrote it.
-                w => {
-                    if w == self.stamp {
-                        signal = Some(BoundarySignal::Raw);
-                    }
-                    Some(w as usize - 1)
-                }
-            }
-        } else {
+    /// Feeds the next run of events, returning the observation of the
+    /// segment it completes, if any. A run of writes completes none; a run
+    /// of reads at most one (see `State::read_run`).
+    pub(crate) fn feed(&mut self, run: &Run) -> Option<LayerObservation> {
+        let st = &mut self.state;
+        if st.index == st.seg_start {
+            st.seg_start_cycle = run.cycle;
+        }
+        let len = u64::from(run.len());
+        let closed = if run.kind().is_write() {
+            st.has_write = true;
+            st.tally.ofm_blocks += self.writers.store(run.addr, len, st.stamp);
             None
-        };
-        let completed = match signal {
-            Some(signal) if self.index > self.seg_start => Some(self.close(ev, signal)),
-            Some(_) => {
-                // A boundary signal on the very first event of a segment
-                // carries no information — suppressed.
-                self.rejected += 1;
-                None
-            }
-            None => None,
-        };
-        if self.index == self.seg_start {
-            self.seg_start_cycle = ev.cycle;
-        }
-        // Apply the event to the (possibly fresh) segment state.
-        let access = if ev.kind.is_write() {
-            self.has_write = true;
-            let first = self.writers.replace(ev.addr, self.stamp) != self.stamp;
-            Access::Write { first }
         } else {
-            Access::Read { producer }
+            st.read_run(&mut self.writers, &mut self.reads, run)
         };
-        self.prev_cycle = ev.cycle;
-        self.index += 1;
-        (completed, access)
-    }
-
-    /// Accepts a boundary at `ev`: reports it and returns the completed
-    /// segment, leaving the state of a fresh one that `ev` opens.
-    fn close(&mut self, ev: MemoryEvent, signal: BoundarySignal) -> Segment {
-        let raw = signal == BoundarySignal::Raw;
-        self.raw_accepted += u64::from(raw);
-        log_debug!(
-            "trace.segment",
-            "boundary at event {} cycle {} ({})",
-            self.index,
-            ev.cycle,
-            if raw { "RAW" } else { "fresh region" }
-        );
-        if cnnre_obs::stream::enabled() {
-            cnnre_obs::stream::emit_at(
-                ev.cycle,
-                cnnre_obs::stream::EventPayload::LayerBoundary {
-                    index: self.ordinal as u64,
-                    signal,
-                },
-            );
-        }
-        let segment = self.current();
-        self.ordinal += 1;
-        self.stamp = stamp_of(self.ordinal);
-        self.seg_start = self.index;
-        self.ro_regions.clear();
-        if !raw {
-            // The fresh region's first block opens the new segment's set.
-            let _ = self.ro_regions.insert(ev.addr, self.block, self.slack);
-        }
-        self.has_write = false;
-        segment
+        st.index += run.len() as usize;
+        st.prev_cycle = run.last_cycle();
+        closed
     }
 
     /// Closes the stream, returning the trailing segment (if any events
@@ -440,26 +413,148 @@ impl StreamingSegmenter {
     /// registry here, once, and only while observability is on.
     #[must_use]
     pub fn finish(self) -> Option<Segment> {
-        if cnnre_obs::enabled() {
-            let reg = cnnre_obs::global();
-            reg.counter("trace.segment.events").add(self.index as u64);
-            reg.counter("trace.segment.raw_boundaries_accepted")
-                .add(self.raw_accepted);
-            reg.counter("trace.segment.fresh_region_boundaries_accepted")
-                .add(self.ordinal as u64 - self.raw_accepted);
-            reg.counter("trace.segment.boundaries_rejected")
-                .add(self.rejected);
-        }
-        (self.index > self.seg_start).then(|| self.current())
+        self.finish_layer().map(|l| l.segment)
     }
 
-    /// The current segment, up to the last event consumed.
-    const fn current(&self) -> Segment {
+    /// [`Self::finish`], returning the trailing segment's observation.
+    pub(crate) fn finish_layer(mut self) -> Option<LayerObservation> {
+        let st = &mut self.state;
+        if cnnre_obs::enabled() {
+            let reg = cnnre_obs::global();
+            reg.counter("trace.segment.events").add(st.index as u64);
+            reg.counter("trace.segment.raw_boundaries_accepted")
+                .add(st.raw_accepted);
+            reg.counter("trace.segment.fresh_region_boundaries_accepted")
+                .add(st.ordinal as u64 - st.raw_accepted);
+        }
+        let trailing = st.current(st.index, st.prev_cycle);
+        (st.index > st.seg_start).then(|| st.tally.close(st.ordinal, trailing))
+    }
+}
+
+impl State {
+    /// Feeds a run of reads, walking the writer and read stamps a page at a
+    /// time. The first read whose writer stamp is the current segment's is
+    /// a RAW boundary; a never-written read outside the current read-only
+    /// regions, after a write, is a fresh-region boundary. Either way the
+    /// new segment has no write yet, so nothing carries its stamp and no
+    /// region is fresh: a run holds at most one boundary, and the rest of
+    /// it is only tallied.
+    ///
+    /// With `slack >= 1`, a stretch of consecutive never-written reads is
+    /// one `IntervalSet` insert (the only one that can find a fresh region:
+    /// each later block is within slack of the one before) and one
+    /// extension. At slack 0 each is an insert of its own.
+    fn read_run(
+        &mut self,
+        writers: &mut StampTable,
+        reads: &mut StampTable,
+        run: &Run,
+    ) -> Option<LayerObservation> {
+        let mut closed = None;
+        let (mut k, mut addr) = (0u32, run.addr);
+        // The last address of the stretch of never-written reads whose
+        // first address the last insert took (never set at slack 0).
+        let mut stretch: Option<Addr> = None;
+        writers.walk_with(reads, run.addr, u64::from(run.len()), |writer, read| {
+            for (&w, r) in writer.iter().zip(read) {
+                let signal = if w != 0 {
+                    if let Some(last) = stretch.take() {
+                        self.extend_regions(last);
+                    }
+                    (w == self.stamp).then_some(BoundarySignal::Raw)
+                } else if self.slack > 0 && stretch.replace(addr).is_some() {
+                    None
+                } else {
+                    let known = self.ro_regions.insert(addr, self.block, self.slack);
+                    (!known && self.has_write).then_some(BoundarySignal::FreshRegion)
+                };
+                if let Some(signal) = signal {
+                    closed = Some(self.close(run, k, addr, signal));
+                }
+                // The read belongs to the segment it lands in: the new one
+                // at a boundary.
+                if *r != self.stamp {
+                    *r = self.stamp;
+                    match w {
+                        0 => self.tally.weight_blocks += 1,
+                        w => self.tally.ifm_read(w),
+                    }
+                }
+                k += 1;
+                // Wraps only after a run's last block.
+                addr = addr.wrapping_add(self.block);
+            }
+        });
+        if let Some(last) = stretch {
+            self.extend_regions(last);
+        }
+        closed
+    }
+
+    /// Extends the read-only region the last insert landed in over the
+    /// stretch of blocks up to `last`.
+    fn extend_regions(&mut self, last: Addr) {
+        self.ro_regions
+            .extend(last.saturating_add(self.block - 1), self.slack);
+    }
+
+    /// Accepts a boundary at `run`'s `k`th event, at `addr`: reports it and
+    /// returns the completed segment's observation, leaving the state of a
+    /// fresh segment that the event opens.
+    fn close(&mut self, run: &Run, k: u32, addr: Addr, signal: BoundarySignal) -> LayerObservation {
+        let (index, cycle) = (self.index + k as usize, run.cycle_at(k));
+        let end_cycle = k
+            .checked_sub(1)
+            .map_or(self.prev_cycle, |j| run.cycle_at(j));
+        // A RAW signal reads a stamp this segment wrote, and a fresh region
+        // needs a write in it, so the segment already holds an event.
+        debug_assert!(
+            index > self.seg_start,
+            "boundary on a segment's first event"
+        );
+        let raw = signal == BoundarySignal::Raw;
+        self.raw_accepted += u64::from(raw);
+        log_debug!(
+            "trace.segment",
+            "boundary at event {} cycle {} ({})",
+            index,
+            cycle,
+            if raw { "RAW" } else { "fresh region" }
+        );
+        if cnnre_obs::stream::enabled() {
+            cnnre_obs::stream::emit_at(
+                cycle,
+                cnnre_obs::stream::EventPayload::LayerBoundary {
+                    index: self.ordinal as u64,
+                    signal,
+                },
+            );
+        }
+        let layer = self
+            .tally
+            .close(self.ordinal, self.current(index, end_cycle));
+        self.ordinal += 1;
+        self.stamp = stamp_of(self.ordinal);
+        self.seg_start = index;
+        self.seg_start_cycle = cycle;
+        self.ro_regions.clear();
+        if !raw {
+            // The fresh region's first block opens the new segment's set.
+            let _ = self.ro_regions.insert(addr, self.block, self.slack);
+        }
+        self.has_write = false;
+        layer
+    }
+
+    /// The current segment, ending before event `end_event` and at
+    /// `end_cycle`.
+    const fn current(&self, end_event: usize, end_cycle: Cycle) -> Segment {
         Segment {
             first_event: self.seg_start,
-            end_event: self.index,
+            end_event,
             start_cycle: self.seg_start_cycle,
-            end_cycle: self.prev_cycle,
+            end_cycle,
         }
     }
 }

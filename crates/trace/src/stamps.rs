@@ -1,8 +1,8 @@
 //! Paged per-address segment stamps.
 //!
 //! [`StampTable`] maps each address a trace names to a `u32` stamp: the
-//! ordinal + 1 of the last segment that wrote it (the segmenter's table) or
-//! that read it (`observe`'s table), 0 for never. Comparing a stored stamp
+//! ordinal + 1 of the last segment that wrote it (the writer stamps) or
+//! that read it (the read stamps), 0 for never. Comparing a stored stamp
 //! with the current segment's answers "written (or read) in this segment
 //! already?" without any per-segment state, so closing a segment resets
 //! nothing.
@@ -12,15 +12,19 @@
 //! unaligned address lands in a page of its own phase, and every `u64`
 //! address has a key, `u64::MAX` included. Pages are found through an
 //! ordered directory, never a hash, so no address pattern can make lookups
-//! collide. A one-entry cache keeps the page the last lookup resolved, or
-//! the fact that it is absent: an access that stays in the previous
-//! access's page walks no tree.
+//! collide. The segmenter works a run of consecutive blocks at a time, so
+//! the table hands out a range a page step at a time, each step one
+//! page's slots as a slice: one division by the block size per range, one
+//! page lookup per step. A one-entry cache keeps the page the last step
+//! resolved, or the fact that it is absent: a step that stays in the
+//! previous step's page walks no tree.
 //!
-//! Memory is O(touched pages). Only [`StampTable::replace`] allocates a
-//! page, at most one per call, and `StampTable::BYTES_PER_PAGE_BOUND`
-//! bounds what each costs: 592 B.
+//! Memory is O(touched pages). Only a store allocates a page, at most one
+//! per block stored, and `StampTable::BYTES_PER_PAGE_BOUND` bounds what
+//! each costs: 592 B.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use crate::Addr;
 
@@ -31,6 +35,9 @@ use crate::Addr;
 pub(crate) const SLOTS: u64 = 64;
 
 type Page = [u32; SLOTS as usize];
+
+/// A page no address has a stamp in.
+const EMPTY_PAGE: Page = [0; SLOTS as usize];
 
 /// A page's directory key: (phase within the block, page number).
 type Key = (u64, u64);
@@ -74,25 +81,39 @@ impl StampTable {
         }
     }
 
-    /// `addr`'s page key and slot.
-    fn locate(&self, addr: Addr) -> (Key, usize) {
-        let index = addr / self.block;
-        ((addr % self.block, index / SLOTS), (index % SLOTS) as usize)
+    /// The page steps covering the `len` consecutive `block`-byte blocks
+    /// from `addr`, in address order: each is a page key and the slots the
+    /// blocks take in that page. One division serves the whole range.
+    fn steps(block: u64, addr: Addr, len: u64) -> impl Iterator<Item = (Key, Range<usize>)> {
+        let phase = addr % block;
+        let (mut index, mut left) = (addr / block, len);
+        std::iter::from_fn(move || {
+            let slot = index % SLOTS;
+            let take = (SLOTS - slot).min(left);
+            if take == 0 {
+                return None;
+            }
+            let step = (
+                (phase, index / SLOTS),
+                slot as usize..(slot + take) as usize,
+            );
+            // Wraps only past the last block of the address space.
+            index = index.wrapping_add(take);
+            left -= take;
+            Some(step)
+        })
     }
 
-    /// The stamp stored for `addr`, 0 when none.
-    pub(crate) fn get(&mut self, addr: Addr) -> u32 {
-        let (key, slot) = self.locate(addr);
+    /// The stamps of page `key`, all 0 when the table has no such page.
+    fn page(&mut self, key: Key) -> &Page {
         if self.cached.0 != key {
             self.cached = (key, self.directory.get(&key).copied());
         }
-        self.cached.1.map_or(0, |page| self.pages[page][slot])
+        self.cached.1.map_or(&EMPTY_PAGE, |page| &self.pages[page])
     }
 
-    /// Stores `stamp` for `addr`, returning the stamp it replaces (0 when
-    /// none).
-    pub(crate) fn replace(&mut self, addr: Addr, stamp: u32) -> u32 {
-        let (key, slot) = self.locate(addr);
+    /// The stamps of page `key`, allocating the page when it is new.
+    fn page_mut(&mut self, key: Key) -> &mut Page {
         let page = match self.cached {
             (cached, Some(page)) if cached == key => page,
             // One tree walk finds the page or makes room for a new one.
@@ -100,13 +121,46 @@ impl StampTable {
                 let next = self.pages.len();
                 let page = *self.directory.entry(key).or_insert(next);
                 if page == next {
-                    self.pages.push([0; SLOTS as usize]);
+                    self.pages.push(EMPTY_PAGE);
                 }
                 self.cached = (key, Some(page));
                 page
             }
         };
-        std::mem::replace(&mut self.pages[page][slot], stamp)
+        &mut self.pages[page]
+    }
+
+    /// Stores `stamp` for the `len` consecutive blocks from `addr`,
+    /// returning how many of them held another stamp.
+    pub(crate) fn store(&mut self, addr: Addr, len: u64, stamp: u32) -> u64 {
+        let mut changed = 0;
+        for (key, slots) in Self::steps(self.block, addr, len) {
+            for s in &mut self.page_mut(key)[slots] {
+                changed += u64::from(*s != stamp);
+                *s = stamp;
+            }
+        }
+        changed
+    }
+
+    /// Walks the `len` consecutive blocks from `addr` through two tables
+    /// of one block size at once, a page step at a time: `f` gets, slot for
+    /// slot, the step's stamps in `self` (0 where it has no page) and in
+    /// `stores` (its pages allocated when new) to update.
+    pub(crate) fn walk_with(
+        &mut self,
+        stores: &mut Self,
+        addr: Addr,
+        len: u64,
+        mut f: impl FnMut(&[u32], &mut [u32]),
+    ) {
+        debug_assert_eq!(self.block, stores.block, "tables of one block size");
+        for (key, slots) in Self::steps(self.block, addr, len) {
+            f(
+                &self.page(key)[slots.clone()],
+                &mut stores.page_mut(key)[slots],
+            );
+        }
     }
 
     /// Pages allocated so far.
@@ -143,6 +197,49 @@ mod tests {
 
     const BLK: u64 = 64;
     const PAGE_BYTES: u64 = BLK * SLOTS;
+
+    /// One address at a time, through the page steps of a one-block range.
+    impl StampTable {
+        fn get(&mut self, addr: Addr) -> u32 {
+            let (key, slots) = Self::steps(self.block, addr, 1).next().expect("one block");
+            self.page(key)[slots.start]
+        }
+
+        fn replace(&mut self, addr: Addr, stamp: u32) -> u32 {
+            let (key, slots) = Self::steps(self.block, addr, 1).next().expect("one block");
+            std::mem::replace(&mut self.page_mut(key)[slots.start], stamp)
+        }
+    }
+
+    /// A write run stores over pages it crosses, counting the slots that
+    /// changed; a read run walks both tables' pages together, seeing 0
+    /// where the first has no page.
+    #[test]
+    fn range_steps_cross_pages() {
+        let (mut writers, mut reads) = (StampTable::new(BLK), StampTable::new(BLK));
+        // Blocks 60..70 straddle pages 0 and 1; 64..66 were stamped 2.
+        assert_eq!(writers.store(64 * BLK, 2, 2), 2);
+        assert_eq!(writers.store(60 * BLK, 10, 3), 10);
+        assert_eq!(writers.store(60 * BLK, 10, 3), 0);
+        assert_eq!(writers.pages(), 2);
+        // Blocks 120..200: page 1's tail, all of page 2, page 3's head.
+        let mut seen = Vec::new();
+        writers.walk_with(&mut reads, 120 * BLK, 80, |w, r| {
+            seen.push(w.len());
+            assert!(w.iter().all(|&s| s == 0));
+            r.fill(4);
+        });
+        assert_eq!(seen, [8, 64, 8]);
+        assert_eq!((writers.pages(), reads.pages()), (2, 3));
+        let mut stamps: Vec<u32> = Vec::new();
+        writers.walk_with(&mut reads, 58 * BLK, 8, |w, _| stamps.extend(w));
+        assert_eq!(stamps, [0, 0, 3, 3, 3, 3, 3, 3]);
+        assert_eq!((reads.get(119 * BLK), reads.get(120 * BLK)), (0, 4));
+        assert_eq!((reads.get(199 * BLK), reads.get(200 * BLK)), (4, 0));
+        // One block at the top of the address space, in its own phase.
+        assert_eq!(writers.store(u64::MAX, 1, 5), 1);
+        assert_eq!(writers.get(u64::MAX), 5);
+    }
 
     #[test]
     fn stamps_cross_page_boundaries() {

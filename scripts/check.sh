@@ -140,6 +140,13 @@ echo "==> probe-plan switch points (long seed sweep, ~1 s)"
 cargo test --release -q -p cnnre-attacks --lib \
     switch_point_counts_equal_the_evaluation_long -- --ignored
 
+echo "==> run-structured traces against the reference segmenter (long seed sweep, ~8 s)"
+# Tier-1 checks segmentation and classification of 128 traces of DMA
+# bursts, with boundaries inside runs, against the reference
+# implementations; this sweep runs 100 times as many.
+cargo test --release -q -p cnnre-trace --lib \
+    observe_matches_reference_on_run_structured_traces_long -- --ignored
+
 echo "==> full-scale trace round trip (AlexNet trace to CSV and back, ~3 s)"
 # Drives AlexNet's 4.1M coalesced transactions through the CSV writer and
 # reader; the structure attack on the re-read trace must keep the 90
