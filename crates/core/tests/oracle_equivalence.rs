@@ -18,21 +18,63 @@ fn victim(
     channels: usize,
     pool: Option<(PoolKind, usize, usize, usize)>,
 ) -> (Conv2d, LayerGeometry) {
+    victim_of(
+        seed,
+        LayerGeometry {
+            input: Shape3::new(channels, 13, 13),
+            d_ofm: 3,
+            f: 3,
+            s: 1,
+            p: 0,
+            pool,
+            order: MergedOrder::ActThenPool,
+            threshold: 0.0,
+        },
+    )
+}
+
+/// A victim of geometry `geom` with He-initialized weights and negative
+/// biases.
+fn victim_of(seed: u64, geom: LayerGeometry) -> (Conv2d, LayerGeometry) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let geom = LayerGeometry {
-        input: Shape3::new(channels, 13, 13),
-        d_ofm: 3,
-        f: 3,
-        s: 1,
-        p: 0,
-        pool,
-        order: MergedOrder::ActThenPool,
-        threshold: 0.0,
-    };
-    let weights = init::he_conv(&mut rng, Shape4::new(3, channels, 3, 3));
-    let bias: Vec<f32> = (0..3).map(|_| -rng.gen_range(0.05..0.4f32)).collect();
-    let conv = Conv2d::from_parts(weights, bias, 1, 0).expect("victim");
+    let (d, c, f) = (geom.d_ofm, geom.input.c, geom.f);
+    let weights = init::he_conv(&mut rng, Shape4::new(d, c, f, f));
+    let bias: Vec<f32> = (0..d).map(|_| -rng.gen_range(0.05..0.4f32)).collect();
+    let conv = Conv2d::from_parts(weights, bias, geom.s, geom.p).expect("victim");
     (conv, geom)
+}
+
+/// Padded and strided victims, `(w, f, s, p, pool)` with one input
+/// channel and three filters: 3×3/s2/p1 unpooled, 5×5/s1/p2 under max
+/// 2/2, and 3×3/s1/p1 under an overlapping max 3/2. A probe near the
+/// border reaches outputs through the padding, and a stride skips
+/// outputs, so these cover the conv's index arithmetic through the whole
+/// accelerator on the sparse inputs the attack sends.
+fn padded_and_strided_victims() -> Vec<(Conv2d, LayerGeometry)> {
+    let max = |f, s| Some((PoolKind::Max, f, s, 0));
+    [
+        (25, 3, 2, 1, None),
+        (13, 5, 1, 2, max(2, 2)),
+        (13, 3, 1, 1, max(3, 2)),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(n, (w, f, s, p, pool))| {
+        victim_of(
+            20 + n as u64,
+            LayerGeometry {
+                input: Shape3::new(1, w, w),
+                d_ofm: 3,
+                f,
+                s,
+                p,
+                pool,
+                order: MergedOrder::ActThenPool,
+                threshold: 0.0,
+            },
+        )
+    })
+    .collect()
 }
 
 fn agree_on_probe_grid(conv: &Conv2d, geom: LayerGeometry, seed: u64) {
@@ -91,6 +133,13 @@ fn oracles_agree_with_max_pooling() {
 fn oracles_agree_on_multichannel_inputs() {
     let (conv, geom) = victim(3, 3, Some((PoolKind::Max, 2, 2, 0)));
     agree_on_probe_grid(&conv, geom, 300);
+}
+
+#[test]
+fn oracles_agree_on_padded_and_strided_probe_grids() {
+    for (n, (conv, geom)) in padded_and_strided_victims().into_iter().enumerate() {
+        agree_on_probe_grid(&conv, geom, 400 + n as u64);
+    }
 }
 
 #[test]
@@ -215,4 +264,11 @@ fn oracles_agree_on_unpooled_strided_padded_attack_probes() {
     };
     let conv = victim_with_dead_filter(6, geom, 1);
     agree_on_attack_probes(&conv, geom, 16);
+}
+
+#[test]
+fn oracles_agree_on_padded_and_strided_attack_probes() {
+    for (conv, geom) in padded_and_strided_victims() {
+        agree_on_attack_probes(&conv, geom, 16);
+    }
 }

@@ -1,10 +1,11 @@
 //! im2col / col2im lowering for convolution.
 //!
-//! Convolution is computed as one GEMM per feature map:
+//! Convolution of a dense input is computed as one GEMM per feature map:
 //! `Y[D_OFM × (OH·OW)] = W[D_OFM × (C·F·F)] · cols[(C·F·F) × (OH·OW)]`,
-//! where `cols` is produced by [`im2col`]. The transpose path ([`col2im`])
-//! scatters column gradients back to the input feature map for
-//! backpropagation.
+//! where `cols` is produced by [`im2col`]; a sparse input is scattered
+//! pixel by pixel over the outputs each one reaches (`reached`) instead.
+//! The transpose path ([`col2im`]) scatters column gradients back to
+//! the input feature map for backpropagation.
 
 use core::ops::Range;
 
@@ -50,6 +51,15 @@ pub(crate) fn in_bounds(n_out: usize, k: usize, win: Window, n_in: usize) -> Ran
         Some(last) => (last / win.s + 1).min(n_out),
         None => 0,
     };
+    lo..hi.max(lo)
+}
+
+/// The outputs `o` in `0..n_out` whose window covers input position `i`,
+/// `o·s <= i + p < o·s + f`: one contiguous range, the inverse of
+/// [`in_bounds`]. The tap of output `o` on `i` is `i + p - o·s`.
+pub(crate) fn reached(n_out: usize, i: usize, win: Window) -> Range<usize> {
+    let lo = (i + win.p + 1).saturating_sub(win.f).div_ceil(win.s);
+    let hi = ((i + win.p) / win.s + 1).min(n_out);
     lo..hi.max(lo)
 }
 

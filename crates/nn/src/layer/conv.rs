@@ -1,10 +1,18 @@
-//! 2-D convolution layer (im2col + GEMM).
+//! 2-D convolution layer: im2col + GEMM, or a scatter of the non-zero
+//! pixels for sparse inputs such as the weights attack's probes.
 
 use cnnre_tensor::rng::Rng;
 use cnnre_tensor::{init, Shape3, Shape4, Tensor3, Tensor4, TensorError};
 
 use crate::gemm::{gemm_acc, gemm_at_acc, gemm_bt_acc};
-use crate::im2col::{col2im, im2col, Window};
+use crate::im2col::{col2im, im2col, reached, Window};
+
+/// How many GEMM terms [`Conv2d::forward`]'s choice of path charges for
+/// one scatter term. Measured on a 2-CPU host, a scatter term costs about
+/// 16 GEMM terms, and the scatter broke even at `nnz ≈ 0.045–0.13·C·n` at
+/// strides 1–2 and at `nnz ≈ 0.22·C·n` or more at strides 3–4; `1/20`
+/// lies at or below each of these.
+const SCATTER_COST: usize = 20;
 
 /// A 2-D convolution with square filters, per-output-channel bias, stride and
 /// per-side zero padding — the paper's CONV layer with parameters
@@ -160,15 +168,19 @@ impl Conv2d {
             // lint:allow(panic): documented `# Panics` API contract of forward()
             .unwrap_or_else(|| panic!("conv geometry mismatch: input {}", input.shape()));
         let (oh, ow) = (out_shape.h, out_shape.w);
-        let k = self.d_ifm() * self.win.f * self.win.f;
-        let cols = im2col(input, self.win, oh, ow);
         let mut out = Tensor3::zeros(out_shape);
-        // Initialize each output channel with its bias, then accumulate GEMM.
+        // Initialize each output channel with its bias, then accumulate.
         for d in 0..self.d_ofm() {
             out.channel_mut(d)
                 .iter_mut()
                 .for_each(|v| *v = self.bias[d]);
         }
+        if let Some(pixels) = self.sparse_pixels(input, oh * ow) {
+            self.scatter_acc(input, &pixels, &mut out);
+            return out;
+        }
+        let k = self.d_ifm() * self.win.f * self.win.f;
+        let cols = im2col(input, self.win, oh, ow);
         gemm_acc(
             self.d_ofm(),
             k,
@@ -178,6 +190,72 @@ impl Conv2d {
             out.as_mut_slice(),
         );
         out
+    }
+
+    /// The positions of `input`'s non-zero pixels when [`Conv2d::forward`]
+    /// scatters them instead of running im2col and the GEMM over `n`
+    /// output positions, or `None` when it runs the GEMM.
+    ///
+    /// Per filter, the GEMM makes `C·F²·n` terms and the scatter about
+    /// `F²/S²` per non-zero pixel, each at many times the cost of a GEMM
+    /// term. So the scatter is taken when `nnz · SCATTER_COST < C·n`, and
+    /// never when a bias is `-0.0` or NaN or a weight is not finite: the
+    /// cases where the GEMM's `w·0` terms can change a result.
+    fn sparse_pixels(&self, input: &Tensor3, n: usize) -> Option<Vec<usize>> {
+        let budget = self.d_ifm() * n;
+        let mut pixels = Vec::new();
+        for (i, &v) in input.as_slice().iter().enumerate() {
+            // lint:allow(float-eq): the scatter skips exact zeros only.
+            if v != 0.0 {
+                if (pixels.len() + 1) * SCATTER_COST >= budget {
+                    return None;
+                }
+                pixels.push(i);
+            }
+        }
+        let sound = self
+            .bias
+            .iter()
+            .all(|b| !b.is_nan() && b.to_bits() != (-0.0f32).to_bits())
+            && self.weights.as_slice().iter().all(|w| w.is_finite());
+        sound.then_some(pixels)
+    }
+
+    /// Adds `w·x` into `out` for every pixel `x` of `input` at `pixels`
+    /// and every non-zero weight `w` that reaches an output with it.
+    ///
+    /// Pixels are walked in `(c, y, x)` order, which for any one output is
+    /// the GEMM's `(c, fy, fx)` order over its taps, so each output takes
+    /// the GEMM's non-zero products in the GEMM's order. The GEMM's other
+    /// terms are `w·0 = ±0`: with finite weights and no `-0.0` bias the
+    /// sum is never `-0.0` (round-to-nearest gives `+0.0` for exact
+    /// cancellation), and adding `±0` to anything else but `-0.0` leaves
+    /// it unchanged, so the two paths agree bit for bit.
+    fn scatter_acc(&self, input: &Tensor3, pixels: &[usize], out: &mut Tensor3) {
+        let shape = input.shape();
+        let (oh, ow) = (out.shape().h, out.shape().w);
+        let Window { f, s, p } = self.win;
+        let plane = shape.h * shape.w;
+        for &i in pixels {
+            let x = input.as_slice()[i];
+            let (c, iy, ix) = (i / plane, i % plane / shape.w, i % shape.w);
+            let (oys, oxs) = (reached(oh, iy, self.win), reached(ow, ix, self.win));
+            for d in 0..self.d_ofm() {
+                let taps = &self.weights.item(d)[c * f * f..(c + 1) * f * f];
+                let y = out.channel_mut(d);
+                for oy in oys.clone() {
+                    let row = &taps[(iy + p - oy * s) * f..][..f];
+                    let y_row = &mut y[oy * ow..(oy + 1) * ow];
+                    for ox in oxs.clone() {
+                        let wv = row[ix + p - ox * s];
+                        // lint:allow(float-eq): the GEMM's bit-exact zero-skip.
+                        if wv != 0.0 {
+                            y_row[ox] += wv * x;
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// The accumulated weight gradient, flattened like
@@ -396,10 +474,7 @@ mod tests {
         let (win, n) = (conv.window(), out_shape.h * out_shape.w);
         let k = conv.d_ifm() * win.f * win.f;
         let cols = reference::im2col(x, win, out_shape.h, out_shape.w);
-        let mut y: Vec<f32> = (0..conv.d_ofm())
-            .flat_map(|d| std::iter::repeat_n(conv.bias()[d], n))
-            .collect();
-        gemm_acc(conv.d_ofm(), k, n, conv.weights().as_slice(), &cols, &mut y);
+        let y = reference_forward(conv, &cols, n);
         let mut dw = vec![0.0; conv.weights().len()];
         gemm_bt_acc(conv.d_ofm(), n, k, dy.as_slice(), &cols, &mut dw);
         let db = (0..conv.d_ofm())
@@ -416,6 +491,133 @@ mod tests {
         );
         let dx = reference::col2im(&dcols, x.shape(), win, out_shape.h, out_shape.w);
         [y, dx.as_slice().to_vec(), dw, db]
+    }
+
+    /// The GEMM over `cols`, the reference lowering of the input, seeded
+    /// with each filter's bias over its `n` outputs.
+    fn reference_forward(conv: &Conv2d, cols: &[f32], n: usize) -> Vec<f32> {
+        let k = cols.len() / n;
+        let mut y: Vec<f32> = (0..conv.d_ofm())
+            .flat_map(|d| std::iter::repeat_n(conv.bias()[d], n))
+            .collect();
+        gemm_acc(conv.d_ofm(), k, n, conv.weights().as_slice(), cols, &mut y);
+        y
+    }
+
+    /// A seeded non-zero value of the kinds a probe carries: `±1e9` pins,
+    /// subnormals of either sign, and ordinary magnitudes.
+    fn pixel(rng: &mut SmallRng) -> f32 {
+        match rng.gen_range(0..6) {
+            0 => 1e9,
+            1 => -1e9,
+            2 => f32::from_bits(rng.gen_range(1..0x0080_0000u32)),
+            3 => -f32::from_bits(rng.gen_range(1..0x0080_0000u32)),
+            _ => rng.gen_range(-4.0..4.0),
+        }
+    }
+
+    /// One seeded layer and input for the scatter-against-GEMM sweep:
+    /// `(c, f, s, p)` in `1..=3`, `1..=6`, `1..=3`, `0..=3`; weights with
+    /// `±0.0` and subnormals of both signs, one in 40 layers with a
+    /// non-finite weight; biases with `±0.0`; and an input with 0–3
+    /// non-zero pixels and up to two `-0.0` ones, or one in 8 times a
+    /// dense input.
+    fn random_sparse_case(rng: &mut SmallRng) -> (Conv2d, Tensor3) {
+        use crate::im2col::reference::value;
+        let (c, f) = (rng.gen_range(1..=3usize), rng.gen_range(1..=6usize));
+        let (s, p, d) = (
+            rng.gen_range(1..=3usize),
+            rng.gen_range(0..=3usize),
+            rng.gen_range(1..=4usize),
+        );
+        let side_lo = f.saturating_sub(2 * p).max(1);
+        let (h, w) = (
+            rng.gen_range(side_lo..=f + 12),
+            rng.gen_range(side_lo..=f + 12),
+        );
+        let mut weights: Vec<f32> = (0..d * c * f * f)
+            .map(|_| match rng.gen_range(0..8) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::from_bits(rng.gen_range(1..0x0080_0000u32)),
+                3 => -f32::from_bits(rng.gen_range(1..0x0080_0000u32)),
+                _ => rng.gen_range(-1.0..1.0),
+            })
+            .collect();
+        if rng.gen_range(0..40) == 0 {
+            let at = rng.gen_range(0..weights.len());
+            weights[at] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][rng.gen_range(0..3usize)];
+        }
+        let bias = (0..d)
+            .map(|_| match rng.gen_range(0..6) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-1.0..1.0),
+            })
+            .collect();
+        let weights = Tensor4::from_vec(Shape4::new(d, c, f, f), weights).unwrap();
+        let conv = Conv2d::from_parts(weights, bias, s, p).unwrap();
+        let shape = Shape3::new(c, h, w);
+        if rng.gen_range(0..8) == 0 {
+            return (conv, Tensor3::from_fn(shape, |_, _, _| value(rng)));
+        }
+        let mut x = Tensor3::zeros(shape);
+        let at = |rng: &mut SmallRng| {
+            (
+                rng.gen_range(0..c),
+                rng.gen_range(0..h),
+                rng.gen_range(0..w),
+            )
+        };
+        for _ in 0..rng.gen_range(0..=2) {
+            x[at(rng)] = -0.0;
+        }
+        for _ in 0..rng.gen_range(0..=3) {
+            x[at(rng)] = pixel(rng);
+        }
+        (conv, x)
+    }
+
+    /// Runs `Conv2d::forward` on seeded sparse and dense cases and
+    /// compares its bits with the reference lowering and the GEMM; both
+    /// paths must be taken.
+    fn assert_sparse_forward_equals_dense(seeds: core::ops::Range<u64>) {
+        use crate::im2col::reference::{self, bits};
+        let (mut scattered, mut dense) = (0, 0);
+        for seed in seeds {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (conv, x) = random_sparse_case(&mut rng);
+            let out_shape = conv.out_shape(x.shape()).unwrap();
+            let n = out_shape.h * out_shape.w;
+            if conv.sparse_pixels(&x, n).is_some() {
+                scattered += 1;
+            } else {
+                dense += 1;
+            }
+            let cols = reference::im2col(&x, conv.window(), out_shape.h, out_shape.w);
+            assert_eq!(
+                bits(conv.forward(&x).as_slice()),
+                bits(&reference_forward(&conv, &cols, n)),
+                "seed {seed}: {:?} on {}",
+                conv.window(),
+                x.shape()
+            );
+        }
+        assert!(
+            scattered > 0 && dense > 0,
+            "{scattered} scattered, {dense} dense"
+        );
+    }
+
+    #[test]
+    fn sparse_forward_equals_the_dense_lowering_bit_for_bit() {
+        assert_sparse_forward_equals_dense(0..400);
+    }
+
+    #[test]
+    #[ignore = "a 100x longer seed sweep; run with --release by scripts/check.sh"]
+    fn sparse_forward_equals_the_dense_lowering_bit_for_bit_long() {
+        assert_sparse_forward_equals_dense(0..40_000);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! This crate is a substrate of the `cnn-reveng` workspace (see the
 //! workspace DESIGN.md). It provides:
 //!
-//! * [`layer`] — convolution (im2col + GEMM), max/average pooling,
-//!   thresholded ReLU, fully connected, concat and element-wise add, each
-//!   with forward *and* backward passes;
+//! * [`layer`] — convolution (im2col + GEMM, or a scatter for sparse
+//!   inputs), max/average pooling, thresholded ReLU, fully connected,
+//!   concat and element-wise add, each with forward *and* backward passes;
 //! * [`graph`] — DAG networks ([`graph::Network`]) with shape inference,
 //!   covering plain chains, SqueezeNet fire modules, and bypass paths;
 //! * [`train`] — softmax cross-entropy and a mini-batch SGD trainer (the

@@ -140,6 +140,13 @@ echo "==> probe-plan switch points (long seed sweep, ~1 s)"
 cargo test --release -q -p cnnre-attacks --lib \
     switch_point_counts_equal_the_evaluation_long -- --ignored
 
+echo "==> sparse conv forward against the GEMM (long seed sweep, ~1 s)"
+# Tier-1 checks Conv2d::forward's scatter path for sparse inputs against
+# im2col + GEMM, bit for bit, on 400 random layers and inputs; this sweep
+# runs 100 times as many.
+cargo test --release -q -p cnnre-nn --lib \
+    sparse_forward_equals_the_dense_lowering_bit_for_bit_long -- --ignored
+
 echo "==> run-structured traces against the reference segmenter (long seed sweep, ~8 s)"
 # Tier-1 checks segmentation and classification of 128 traces of DMA
 # bursts, with boundaries inside runs, against the reference
