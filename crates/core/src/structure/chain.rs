@@ -11,7 +11,7 @@ use cnnre_model::sync::Arc;
 use cnnre_trace::observe::{LayerKindHint, TraceObservations};
 
 use crate::structure::solver::{
-    solve_conv_layer, solve_fc_layer, FcParams, ObservedLayer, SolverConfig,
+    size_matches, solve_conv_layer, solve_fc_layer, FcParams, ObservedLayer, SolverConfig,
 };
 use crate::structure::LayerParams;
 
@@ -82,6 +82,9 @@ pub struct ObservedNode {
 pub struct ObservedNetwork {
     /// Nodes in execution order (node 0 is the input prologue).
     pub nodes: Vec<ObservedNode>,
+    /// Data elements per transaction block: the unit of every footprint in
+    /// `nodes`, a memory-system fact the trace carries.
+    pub elems_per_block: u64,
 }
 
 impl ObservedNetwork {
@@ -120,7 +123,10 @@ impl ObservedNetwork {
                 }
             })
             .collect();
-        Self { nodes }
+        Self {
+            nodes,
+            elems_per_block: obs.elems_per_block,
+        }
     }
 
     /// Number of compute layers (CONV/FC), the paper's "# of layers".
@@ -220,17 +226,23 @@ impl CandidateStructure {
     }
 }
 
+/// Across one candidate structure, the largest/smallest per-layer
+/// utilization (`MACs/cycles`) ratio allowed — the paper's "execution
+/// time ratio between layers should be consistent with the ratio of MAC
+/// operations".
+const CHAIN_UTIL_RATIO: f64 = 1.5;
+
+/// Largest block size, in elements, the solver accepts: a 4 KiB page of
+/// `f32`s, coarser than any DRAM burst. The size windows grow with the
+/// block, so the block size a hostile trace header claims would otherwise
+/// set the enumeration's length.
+const MAX_ELEMS_PER_BLOCK: u64 = 1024;
+
 /// Network-level solver configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetworkSolverConfig {
     /// Per-layer enumeration settings.
     pub layer: SolverConfig,
-    /// Across one candidate structure, the largest/smallest per-layer
-    /// utilization (`MACs/cycles`) ratio allowed — the paper's "execution
-    /// time ratio between layers should be consistent with the ratio of MAC
-    /// operations".
-    pub chain_util_ratio: f64,
-
     /// Abort if more than this many structures are enumerated.
     pub max_structures: usize,
 }
@@ -239,7 +251,6 @@ impl Default for NetworkSolverConfig {
     fn default() -> Self {
         Self {
             layer: SolverConfig::default(),
-            chain_util_ratio: 1.5,
             max_structures: 100_000,
         }
     }
@@ -252,6 +263,8 @@ pub enum SolveError {
     EmptyTrace,
     /// The enumeration exceeded [`NetworkSolverConfig::max_structures`].
     TooManyStructures(usize),
+    /// The trace's blocks hold more elements than the solver accepts.
+    BlockTooLarge(u64),
     /// A node's sources were structurally inconsistent (e.g. a merge of
     /// different interface shapes for every candidate assignment).
     NoCandidates {
@@ -265,6 +278,10 @@ impl core::fmt::Display for SolveError {
         match self {
             SolveError::EmptyTrace => write!(f, "the trace contains no layer segments"),
             SolveError::TooManyStructures(n) => write!(f, "more than {n} candidate structures"),
+            SolveError::BlockTooLarge(n) => write!(
+                f,
+                "blocks of {n} elements are too coarse to solve (at most {MAX_ELEMS_PER_BLOCK})"
+            ),
             SolveError::NoCandidates { node } => {
                 write!(f, "no consistent candidate for observed layer {node}")
             }
@@ -280,13 +297,17 @@ impl std::error::Error for SolveError {}
 /// # Errors
 ///
 /// Returns [`SolveError`] when the enumeration explodes past the configured
-/// cap, or when some node admits no candidate under any assignment.
+/// cap, when some node admits no candidate under any assignment, or when
+/// the blocks are too coarse to solve.
 pub fn enumerate_structures(
     net: &ObservedNetwork,
     input: (usize, usize),
     classes: usize,
     cfg: &NetworkSolverConfig,
 ) -> Result<Vec<CandidateStructure>, SolveError> {
+    if net.elems_per_block > MAX_ELEMS_PER_BLOCK {
+        return Err(SolveError::BlockTooLarge(net.elems_per_block));
+    }
     let _span = cnnre_obs::span("chain");
     let mut walk = Walk {
         net,
@@ -404,7 +425,7 @@ impl Walk<'_> {
             let structure = CandidateStructure {
                 choices: self.choices.clone(),
             };
-            if chain_utilization_consistent(net, &structure, cfg) {
+            if chain_utilization_consistent(net, &structure) {
                 if self.out.len() >= cfg.max_structures {
                     return Err(SolveError::TooManyStructures(cfg.max_structures));
                 }
@@ -431,7 +452,7 @@ impl Walk<'_> {
                 let w2 = (w as u64).pow(2);
                 for d_out in 1..=total_depth / 2 {
                     if total_depth.is_multiple_of(d_out)
-                        && cfg.layer.size_matches(obs.ofm_blocks, w2 * d_out as u64)
+                        && size_matches(obs.ofm_blocks, w2 * d_out as u64, net.elems_per_block)
                     {
                         self.descend(NodeChoice::Merge, (w, d_out))?;
                     }
@@ -474,12 +495,12 @@ impl Walk<'_> {
                 };
                 let cands = self.memo.get_or_compute((i, iface), || {
                     let mut cands: Vec<(NodeChoice, (usize, usize))> =
-                        solve_conv_layer(&obs, &[iface], &solve_cfg)
+                        solve_conv_layer(&obs, net.elems_per_block, &[iface], &solve_cfg)
                             .into_iter()
                             .map(|p| (NodeChoice::Conv(p), (p.w_ofm, p.d_ofm)))
                             .collect();
                     cands.extend(
-                        solve_fc_layer(&obs, &[iface], &solve_cfg)
+                        solve_fc_layer(&obs, net.elems_per_block, &[iface])
                             .into_iter()
                             .map(|fc| (NodeChoice::Fc(fc), (1, fc.out_features))),
                     );
@@ -517,12 +538,8 @@ impl Walk<'_> {
 
 /// The paper's cross-layer execution-time filter, applied per candidate
 /// structure: CONV layers' implied utilizations (`MACs/cycles`) must agree
-/// within [`NetworkSolverConfig::chain_util_ratio`].
-fn chain_utilization_consistent(
-    net: &ObservedNetwork,
-    structure: &CandidateStructure,
-    cfg: &NetworkSolverConfig,
-) -> bool {
+/// within `CHAIN_UTIL_RATIO`.
+fn chain_utilization_consistent(net: &ObservedNetwork, structure: &CandidateStructure) -> bool {
     let mut lo = f64::INFINITY;
     let mut hi = 0.0f64;
     for (node, choice) in net.nodes.iter().zip(&structure.choices) {
@@ -531,14 +548,14 @@ fn chain_utilization_consistent(
         };
         // Memory-bound layers (cycles dominated by their own transaction
         // count) tell us nothing about PE utilization.
-        if !obs.is_compute_bound(cfg.layer.min_compute_ratio) {
+        if !obs.is_compute_bound() {
             continue;
         }
         let util = p.macs() as f64 / obs.cycles.max(1) as f64;
         lo = lo.min(util);
         hi = hi.max(util);
     }
-    lo > hi || hi <= lo * cfg.chain_util_ratio
+    lo > hi || hi <= lo * CHAIN_UTIL_RATIO
 }
 
 /// Retains only structures in which every layer group in `groups` (e.g. the
@@ -600,8 +617,11 @@ mod tests {
     use super::*;
     use crate::structure::PoolParams;
 
+    /// Elements per block of a 64-byte burst of `f32`s.
+    const EPB: u64 = 16;
+
     fn blocks(e: u64) -> u64 {
-        e.div_ceil(16)
+        e.div_ceil(EPB)
     }
 
     fn obs_for(p: &LayerParams, util: f64) -> ObservedLayer {
@@ -645,6 +665,7 @@ mod tests {
             pool: Some(PoolParams { f: 2, s: 2, p: 0 }),
         };
         let net = ObservedNetwork {
+            elems_per_block: EPB,
             nodes: vec![
                 ObservedNode {
                     kind: ObservedKind::Input,
@@ -727,6 +748,7 @@ mod tests {
             pool: None,
         };
         let net = ObservedNetwork {
+            elems_per_block: EPB,
             nodes: vec![
                 ObservedNode {
                     kind: ObservedKind::Input,
@@ -786,6 +808,7 @@ mod tests {
             pool: Some(PoolParams { f: 8, s: 8, p: 0 }),
         };
         let net = ObservedNetwork {
+            elems_per_block: EPB,
             nodes: vec![
                 ObservedNode {
                     kind: ObservedKind::Input,
@@ -870,6 +893,7 @@ mod tests {
         let mut o2 = obs_for(&c2, 0.8);
         o2.cycles *= 10; // slow layer: utilization 0.08
         let net = ObservedNetwork {
+            elems_per_block: EPB,
             nodes: vec![
                 ObservedNode {
                     kind: ObservedKind::Input,

@@ -29,7 +29,10 @@ pub use chain::{
 pub use params::{LayerParams, PoolParams};
 pub use ranking::{rank_candidates, RankedCandidate, RankingConfig};
 pub use search_space::{reduction_report, Log10Size, ReductionRow, SearchSpaceBounds};
-pub use solver::{solve_conv_layer, solve_fc_layer, FcParams, ObservedLayer, SolverConfig};
+pub use solver::{
+    fltr_size_matches, size_matches, solve_conv_layer, solve_fc_layer, FcParams, ObservedLayer,
+    SolverConfig,
+};
 
 use cnnre_trace::Trace;
 

@@ -29,74 +29,66 @@ impl ObservedLayer {
     /// say anything about MAC counts ("the inference of most CNN models is
     /// compute-bound", §3.1; FC and very shallow layers are not).
     #[must_use]
-    pub fn is_compute_bound(&self, min_compute_ratio: f64) -> bool {
+    pub fn is_compute_bound(&self) -> bool {
         let traffic = (self.ifm_blocks + self.ofm_blocks + self.fltr_blocks).max(1) as f64;
-        self.cycles as f64 >= min_compute_ratio * traffic
+        self.cycles as f64 >= MIN_COMPUTE_RATIO * traffic
     }
 }
 
-/// Tuning of the candidate enumeration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Candidates must achieve at least this fraction of peak utilization
+/// (`MACs / cycles ≥ MIN_UTILIZATION · pe_count`). The paper's filter:
+/// "the execution time is roughly proportional to the number of MAC
+/// operations".
+const MIN_UTILIZATION: f64 = 0.4;
+/// ... and at most this fraction (slightly above 1.0: the adversary's
+/// MAC formula ignores pooling-overlap recompute).
+const MAX_UTILIZATION: f64 = 1.25;
+/// Cap on `W_OFM` as a multiple of `W_IFM` (padding can in principle
+/// enlarge maps, but never past `2·W_IFM` under Eq. (5)/(7)).
+const MAX_W_OFM_FACTOR: usize = 2;
+/// Absolute slack, in transaction blocks, on feature-map size matching.
+/// OFM footprints come from counting distinct written blocks and are
+/// essentially exact, so this is 0.
+const FMAP_SLACK_BLOCKS: u64 = 0;
+/// Absolute slack, in transaction blocks, on filter-size matching.
+/// Weight footprints come from read extents (prefetch/burst slop), and
+/// the paper's CONV2₂ alternative differs from the true filter size by
+/// 256 elements (1 KiB), so the paper's pipeline must have tolerated at
+/// least that much.
+const FLTR_SLACK_BLOCKS: u64 = 16;
+/// Practicality prior: largest pooling window enumerated (every pooled
+/// row of the paper's Table 4 uses `F_pool ≤ 4`; real networks of the
+/// era use 2–4). Global pooling (`F_pool = W_conv → W_OFM = 1`) is
+/// always additionally considered. Pooling need not tile the input
+/// exactly: real networks (e.g. the CIFAR ConvNet) use ceil-division
+/// pooling.
+const MAX_POOL_FILTER: usize = 4;
+/// Practicality prior: largest per-side pooling padding enumerated
+/// (every Table-4 row uses 0).
+const MAX_POOL_PADDING: usize = 0;
+/// Layers whose measured cycles are below this multiple of their
+/// transaction count are memory-bound: the execution-time filter is
+/// skipped for them (it would reject the truth).
+const MIN_COMPUTE_RATIO: f64 = 2.0;
+/// One-sided upper margin on input-feature-map matching: a strided
+/// consumer may skip trailing rows of its input, so the measured IFM
+/// footprint is a lower bound on `SIZE_IFM` (10%).
+const IFM_UPPER_MARGIN: f64 = 0.10;
+/// Practicality prior: pooling must at least halve the feature-map
+/// width (`2·W_OFM ≤ W_conv`). Pooling exists to down-sample; every
+/// pooled row of the paper's Table 4 and every real network in the
+/// study satisfies this.
+const POOL_HALVES_WIDTH: bool = true;
+
+/// Tuning of the candidate enumeration: the facts no trace carries. The
+/// block size comes from the trace (the `elems_per_block` argument of
+/// [`solve_conv_layer`] and [`solve_fc_layer`]); the practicality priors
+/// and matching tolerances are constants of this module.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverConfig {
-    /// Data elements per DRAM transaction block (a memory-system parameter
-    /// the adversary knows).
-    pub elems_per_block: u64,
     /// Peak MACs/cycle of the accelerator (a hardware parameter the
     /// adversary knows — e.g. from the device datasheet).
     pub pe_count: u64,
-    /// Candidates must achieve at least this fraction of peak utilization
-    /// (`MACs / cycles ≥ min_utilization · pe_count`). The paper's filter:
-    /// "the execution time is roughly proportional to the number of MAC
-    /// operations".
-    pub min_utilization: f64,
-    /// ... and at most this fraction (slightly above 1.0: the adversary's
-    /// MAC formula ignores pooling-overlap recompute).
-    pub max_utilization: f64,
-    /// Cap on `W_OFM` as a multiple of `W_IFM` (padding can in principle
-    /// enlarge maps, but never past `2·W_IFM` under Eq. (5)/(7)).
-    pub max_w_ofm_factor: usize,
-    /// Absolute slack, in transaction blocks, on feature-map size matching.
-    /// OFM footprints come from counting distinct written blocks and are
-    /// essentially exact, so this defaults to 0.
-    pub fmap_slack_blocks: u64,
-    /// Absolute slack, in transaction blocks, on filter-size matching.
-    /// Weight footprints come from read extents (prefetch/burst slop), and
-    /// the paper's CONV2₂ alternative differs from the true filter size by
-    /// 256 elements (1 KiB), so the paper's pipeline must have tolerated at
-    /// least that much.
-    pub fltr_slack_blocks: u64,
-    /// Practicality prior: largest pooling window enumerated (every pooled
-    /// row of the paper's Table 4 uses `F_pool ≤ 4`; real networks of the
-    /// era use 2–4). Global pooling (`F_pool = W_conv → W_OFM = 1`) is
-    /// always additionally considered.
-    pub max_pool_filter: usize,
-    /// Practicality prior: largest per-side pooling padding enumerated
-    /// (every Table-4 row uses 0).
-    pub max_pool_padding: usize,
-    /// Practicality prior: require the pooling window to tile the input
-    /// exactly (`(W_conv + 2·P_pool − F_pool) mod S_pool = 0`), as every
-    /// Table-4 row does. Off by default — real networks (e.g. the CIFAR
-    /// ConvNet) do use ceil-division pooling.
-    pub exact_pool_division: bool,
-    /// Layers whose measured cycles are below this multiple of their
-    /// transaction count are memory-bound: the execution-time filter is
-    /// skipped for them (it would reject the truth).
-    pub min_compute_ratio: f64,
-    /// One-sided upper margin on input-feature-map matching: a strided
-    /// consumer may skip trailing rows of its input, so the measured IFM
-    /// footprint is a lower bound on `SIZE_IFM` (default 10%).
-    pub ifm_upper_margin: f64,
-    /// Practicality prior: pooling must at least halve the feature-map
-    /// width (`2·W_OFM ≤ W_conv`). Pooling exists to down-sample; every
-    /// pooled row of the paper's Table 4 and every real network in the
-    /// study satisfies this.
-    pub pool_halves_width: bool,
-    /// Keep only one representative of candidates that differ *only* in
-    /// `P_conv` while producing the same pre-pool width (floor division
-    /// makes adjacent paddings collide; such variants are entirely
-    /// indistinguishable through the side channel and near-equivalent
-    /// functionally). The representative uses the smallest padding.
-    pub dedup_padding: bool,
     /// Worker threads for the enumeration (sharded over the
     /// `(input, W_OFM)` grid through [`crate::exec::map_ordered`], which
     /// merges shard outputs in grid order — candidate ranking is
@@ -108,72 +100,13 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         Self {
-            elems_per_block: 16,
             pe_count: 256,
-            min_utilization: 0.4,
-            max_utilization: 1.25,
-            max_w_ofm_factor: 2,
-            fmap_slack_blocks: 0,
-            fltr_slack_blocks: 16,
-            min_compute_ratio: 2.0,
-            ifm_upper_margin: 0.10,
-            max_pool_filter: 4,
-            max_pool_padding: 0,
-            exact_pool_division: false,
-            pool_halves_width: true,
-            dedup_padding: true,
             threads: crate::exec::default_threads(),
         }
     }
 }
 
 impl SolverConfig {
-    fn matches_with_slack(&self, blocks: u64, elems: u64, slack: u64) -> bool {
-        if blocks == 0 {
-            return elems == 0;
-        }
-        let lo = blocks.saturating_sub(1 + slack) * self.elems_per_block;
-        let hi = (blocks + slack) * self.elems_per_block;
-        elems > lo && elems <= hi
-    }
-
-    /// `true` when `elems` is a plausible feature-map element count for a
-    /// footprint of `blocks` transactions:
-    /// `elems ∈ ((blocks−1−slack)·epb, (blocks+slack)·epb]` with the
-    /// feature-map slack.
-    #[must_use]
-    pub fn size_matches(&self, blocks: u64, elems: u64) -> bool {
-        self.matches_with_slack(blocks, elems, self.fmap_slack_blocks)
-    }
-
-    /// Effective filter slack for a measurement of `blocks`: the configured
-    /// ceiling, further capped at 0.1% of the measurement so that small
-    /// layers stay block-exact.
-    #[must_use]
-    pub fn fltr_slack_for(&self, blocks: u64) -> u64 {
-        self.fltr_slack_blocks.min(blocks.div_ceil(1000))
-    }
-
-    /// Like [`SolverConfig::size_matches`] but with the (larger, relative)
-    /// filter slack window.
-    #[must_use]
-    pub fn fltr_size_matches(&self, blocks: u64, elems: u64) -> bool {
-        self.matches_with_slack(blocks, elems, self.fltr_slack_for(blocks))
-    }
-
-    /// Input-feature-map matching: the candidate `SIZE_IFM` may exceed the
-    /// measured footprint by up to [`SolverConfig::ifm_upper_margin`]
-    /// (strided consumers skip trailing input rows).
-    #[must_use]
-    pub fn ifm_size_matches(&self, blocks: u64, elems: u64) -> bool {
-        if blocks == 0 {
-            return elems == 0;
-        }
-        let lo = blocks.saturating_sub(1 + self.fmap_slack_blocks) * self.elems_per_block;
-        let hi = (blocks * self.elems_per_block) as f64 * (1.0 + self.ifm_upper_margin);
-        elems > lo && elems as f64 <= hi
-    }
-
     /// `true` when a candidate MAC count is consistent with the measured
     /// cycle count under the utilization window.
     #[must_use]
@@ -182,9 +115,53 @@ impl SolverConfig {
             return false;
         }
         let util = macs as f64 / cycles as f64;
-        util >= self.min_utilization * self.pe_count as f64
-            && util <= self.max_utilization * self.pe_count as f64
+        util >= MIN_UTILIZATION * self.pe_count as f64
+            && util <= MAX_UTILIZATION * self.pe_count as f64
     }
+}
+
+fn matches_with_slack(blocks: u64, elems: u64, epb: u64, slack: u64) -> bool {
+    if blocks == 0 {
+        return elems == 0;
+    }
+    let lo = blocks.saturating_sub(1 + slack) * epb;
+    let hi = (blocks + slack) * epb;
+    elems > lo && elems <= hi
+}
+
+/// `true` when `elems` is a plausible feature-map element count for a
+/// footprint of `blocks` transactions of `epb` elements each:
+/// `elems ∈ ((blocks−1−slack)·epb, (blocks+slack)·epb]` with the
+/// feature-map slack.
+#[must_use]
+pub fn size_matches(blocks: u64, elems: u64, epb: u64) -> bool {
+    matches_with_slack(blocks, elems, epb, FMAP_SLACK_BLOCKS)
+}
+
+/// Effective filter slack for a measurement of `blocks`: the slack
+/// ceiling, further capped at 0.1% of the measurement so that small
+/// layers stay block-exact.
+fn fltr_slack_for(blocks: u64) -> u64 {
+    FLTR_SLACK_BLOCKS.min(blocks.div_ceil(1000))
+}
+
+/// Like [`size_matches`] but with the (larger, relative) filter slack
+/// window.
+#[must_use]
+pub fn fltr_size_matches(blocks: u64, elems: u64, epb: u64) -> bool {
+    matches_with_slack(blocks, elems, epb, fltr_slack_for(blocks))
+}
+
+/// Input-feature-map matching: the candidate `SIZE_IFM` may exceed the
+/// measured footprint by up to `IFM_UPPER_MARGIN` (strided consumers skip
+/// trailing input rows).
+fn ifm_size_matches(blocks: u64, elems: u64, epb: u64) -> bool {
+    if blocks == 0 {
+        return elems == 0;
+    }
+    let lo = blocks.saturating_sub(1 + FMAP_SLACK_BLOCKS) * epb;
+    let hi = (blocks * epb) as f64 * (1.0 + IFM_UPPER_MARGIN);
+    elems > lo && elems as f64 <= hi
 }
 
 /// A fully connected layer candidate: the degenerate convolution whose
@@ -200,6 +177,8 @@ pub struct FcParams {
 
 /// Enumerates all CONV-layer parameter vectors consistent with `obs`, for
 /// each possible input interface `(w_ifm, d_ifm)` in `inputs`.
+/// `elems_per_block` is the trace's block size in data elements: the
+/// footprints of `obs` count blocks of that many elements.
 ///
 /// Results are sorted and deduplicated. With [`SolverConfig::threads`]
 /// above 1 the `(input, W_OFM)` grid is sharded across
@@ -208,6 +187,7 @@ pub struct FcParams {
 #[must_use]
 pub fn solve_conv_layer(
     obs: &ObservedLayer,
+    elems_per_block: u64,
     inputs: &[(usize, usize)],
     cfg: &SolverConfig,
 ) -> Vec<LayerParams> {
@@ -220,17 +200,18 @@ pub fn solve_conv_layer(
         }
         // Equation (1): the input footprint must match (one-sided: strided
         // layers may read slightly less than the full map).
-        if !cfg.ifm_size_matches(obs.ifm_blocks, (w_ifm as u64).pow(2) * d_ifm as u64) {
+        let ifm_elems = (w_ifm as u64).pow(2) * d_ifm as u64;
+        if !ifm_size_matches(obs.ifm_blocks, ifm_elems, elems_per_block) {
             continue;
         }
-        let max_w = (w_ifm * cfg.max_w_ofm_factor).max(1);
+        let max_w = (w_ifm * MAX_W_OFM_FACTOR).max(1);
         for w_ofm in 1..=max_w {
             shards.push((w_ifm, d_ifm, w_ofm));
         }
     }
     let (obs_v, cfg_v) = (*obs, *cfg);
     let results = crate::exec::map_ordered(cfg.threads, shards, move |_, (w_ifm, d_ifm, w_ofm)| {
-        solve_conv_shard(&obs_v, &cfg_v, w_ifm, d_ifm, w_ofm)
+        solve_conv_shard(&obs_v, &cfg_v, elems_per_block, w_ifm, d_ifm, w_ofm)
     });
     // Ordered reduction: concatenating in shard order reproduces the exact
     // pre-sort vector of the sequential nested loops; counters are sums.
@@ -244,26 +225,28 @@ pub fn solve_conv_layer(
     let enumerated = out.len();
     out.sort_unstable();
     out.dedup();
-    if cfg.dedup_padding {
-        // Group by everything except P_conv (including the implied pre-pool
-        // width) and keep the smallest padding of each group.
-        // lint:allow(hash-iter): membership-only dedup (insert + retain);
-        // iteration order is never observed
-        let mut seen = std::collections::HashSet::new();
-        out.retain(|p| {
-            let key = (
-                p.w_ifm,
-                p.d_ifm,
-                p.w_ofm,
-                p.d_ofm,
-                p.f_conv,
-                p.s_conv,
-                p.conv_out_w(),
-                p.pool,
-            );
-            seen.insert(key)
-        });
-    }
+    // Keep one representative of candidates that differ *only* in `P_conv`
+    // while producing the same pre-pool width (floor division makes
+    // adjacent paddings collide; such variants are entirely
+    // indistinguishable through the side channel and near-equivalent
+    // functionally): group by everything except P_conv (including the
+    // implied pre-pool width) and keep the smallest padding of each group.
+    // lint:allow(hash-iter): membership-only dedup (insert + retain);
+    // iteration order is never observed
+    let mut seen = std::collections::HashSet::new();
+    out.retain(|p| {
+        let key = (
+            p.w_ifm,
+            p.d_ifm,
+            p.w_ofm,
+            p.d_ofm,
+            p.f_conv,
+            p.s_conv,
+            p.conv_out_w(),
+            p.pool,
+        );
+        seen.insert(key)
+    });
     if cnnre_obs::enabled() {
         let reg = cnnre_obs::global();
         reg.counter("solver.conv.geometry_candidates")
@@ -293,29 +276,29 @@ pub fn solve_conv_layer(
 fn solve_conv_shard(
     obs: &ObservedLayer,
     cfg: &SolverConfig,
+    epb: u64,
     w_ifm: usize,
     d_ifm: usize,
     w_ofm: usize,
 ) -> (Vec<LayerParams>, ConvSolveCounters) {
     let mut out = Vec::new();
     let mut ctr = ConvSolveCounters::default();
-    let epb = cfg.elems_per_block;
     // Window bounds, widened by the slack; the per-candidate
     // `size_matches` check below remains authoritative.
-    let ofm_lo = obs.ofm_blocks.saturating_sub(1 + cfg.fmap_slack_blocks) * epb;
-    let ofm_hi = (obs.ofm_blocks + cfg.fmap_slack_blocks) * epb;
+    let ofm_lo = obs.ofm_blocks.saturating_sub(1 + FMAP_SLACK_BLOCKS) * epb;
+    let ofm_hi = (obs.ofm_blocks + FMAP_SLACK_BLOCKS) * epb;
     let w2 = (w_ofm as u64).pow(2);
     // Equation (2): d_ofm values with w_ofm² · d_ofm in the window.
     let d_min = (ofm_lo / w2) + 1;
     let d_max = ofm_hi / w2;
     for d_ofm in d_min..=d_max {
-        if !cfg.size_matches(obs.ofm_blocks, w2 * d_ofm) {
+        if !size_matches(obs.ofm_blocks, w2 * d_ofm, epb) {
             continue;
         }
         // Equation (3): filter widths with f² · d_ifm · d_ofm in the
         // filter window.
         let denom = d_ifm as u64 * d_ofm;
-        let fltr_slack = cfg.fltr_slack_for(obs.fltr_blocks);
+        let fltr_slack = fltr_slack_for(obs.fltr_blocks);
         let fltr_lo = obs.fltr_blocks.saturating_sub(1 + fltr_slack) * epb;
         let fltr_hi = (obs.fltr_blocks + fltr_slack) * epb;
         let f_min = isqrt_ceil(fltr_lo / denom + 1);
@@ -324,7 +307,7 @@ fn solve_conv_shard(
             // lint:allow(cast): f <= w_ifm/2 and w_ifm is already a
             // usize feature-map width; no truncation possible
             let f = f as usize;
-            if f == 0 || !cfg.fltr_size_matches(obs.fltr_blocks, (f as u64).pow(2) * denom) {
+            if f == 0 || !fltr_size_matches(obs.fltr_blocks, (f as u64).pow(2) * denom, epb) {
                 continue;
             }
             enumerate_strides_and_padding(
@@ -391,9 +374,7 @@ fn enumerate_strides_and_padding(
             // Execution-time filter (Algorithm 1, step 4) — MACs depend only
             // on the convolution part, so apply before pool enumeration.
             // Memory-bound layers carry no timing information.
-            if obs.is_compute_bound(cfg.min_compute_ratio)
-                && !cfg.macs_match(base.macs(), obs.cycles)
-            {
+            if obs.is_compute_bound() && !cfg.macs_match(base.macs(), obs.cycles) {
                 ctr.time_filter_rejected += 1;
                 continue;
             }
@@ -403,13 +384,10 @@ fn enumerate_strides_and_padding(
             }
             // Pooling candidates (only genuine down-sampling pools; a
             // width-preserving pool is invisible to the side channel).
-            if w_ofm < w_conv && (!cfg.pool_halves_width || 2 * w_ofm <= w_conv) {
-                for f_p in 2..=cfg.max_pool_filter.min(w_conv) {
+            if w_ofm < w_conv && (!POOL_HALVES_WIDTH || 2 * w_ofm <= w_conv) {
+                for f_p in 2..=MAX_POOL_FILTER.min(w_conv) {
                     for s_p in 1..=f_p {
-                        for p_p in 0..=cfg.max_pool_padding.min(f_p.saturating_sub(1)) {
-                            if cfg.exact_pool_division && (w_conv + 2 * p_p - f_p) % s_p != 0 {
-                                continue;
-                            }
+                        for p_p in (0..=MAX_POOL_PADDING).take_while(|&p| p < f_p) {
                             if cnnre_nn::geometry::pool_out(w_conv, f_p, s_p, p_p) == Some(w_ofm) {
                                 let cand = LayerParams {
                                     pool: Some(PoolParams {
@@ -446,25 +424,26 @@ fn enumerate_strides_and_padding(
 }
 
 /// Enumerates fully connected candidates consistent with `obs` for each
-/// input interface.
+/// input interface, with footprints in blocks of `elems_per_block`
+/// elements (see [`solve_conv_layer`]).
 #[must_use]
 pub fn solve_fc_layer(
     obs: &ObservedLayer,
+    elems_per_block: u64,
     inputs: &[(usize, usize)],
-    cfg: &SolverConfig,
 ) -> Vec<FcParams> {
     let mut out = Vec::new();
-    let epb = cfg.elems_per_block;
+    let epb = elems_per_block;
     for &(w_ifm, d_ifm) in inputs {
         let in_features = (w_ifm as u64).pow(2) * d_ifm as u64;
-        if in_features == 0 || !cfg.ifm_size_matches(obs.ifm_blocks, in_features) {
+        if in_features == 0 || !ifm_size_matches(obs.ifm_blocks, in_features, epb) {
             continue;
         }
         // W_OFM = 1, so SIZE_OFM = D_OFM directly.
-        let d_lo = obs.ofm_blocks.saturating_sub(1 + cfg.fmap_slack_blocks) * epb + 1;
-        let d_hi = (obs.ofm_blocks + cfg.fmap_slack_blocks) * epb;
+        let d_lo = obs.ofm_blocks.saturating_sub(1 + FMAP_SLACK_BLOCKS) * epb + 1;
+        let d_hi = (obs.ofm_blocks + FMAP_SLACK_BLOCKS) * epb;
         for d_ofm in d_lo..=d_hi {
-            if cfg.fltr_size_matches(obs.fltr_blocks, in_features * d_ofm) {
+            if fltr_size_matches(obs.fltr_blocks, in_features * d_ofm, epb) {
                 out.push(FcParams {
                     // lint:allow(cast): bounded by observed IFM trace size
                     in_features: in_features as usize,
@@ -511,17 +490,20 @@ fn isqrt_ceil(n: u64) -> u64 {
 mod tests {
     use super::*;
 
-    fn blocks(elems: u64, epb: u64) -> u64 {
-        elems.div_ceil(epb)
+    /// Elements per block of a 64-byte burst of `f32`s.
+    const EPB: u64 = 16;
+
+    fn blocks(elems: u64) -> u64 {
+        elems.div_ceil(EPB)
     }
 
     /// Builds the observation a given ground-truth layer would produce at
     /// `utilization` of peak.
     fn observe_truth(truth: &LayerParams, cfg: &SolverConfig, utilization: f64) -> ObservedLayer {
         ObservedLayer {
-            ifm_blocks: blocks(truth.size_ifm(), cfg.elems_per_block),
-            ofm_blocks: blocks(truth.size_ofm(), cfg.elems_per_block),
-            fltr_blocks: blocks(truth.size_fltr(), cfg.elems_per_block),
+            ifm_blocks: blocks(truth.size_ifm()),
+            ofm_blocks: blocks(truth.size_ofm()),
+            fltr_blocks: blocks(truth.size_fltr()),
             cycles: (truth.macs() as f64 / (utilization * cfg.pe_count as f64)).ceil() as u64,
         }
     }
@@ -551,24 +533,15 @@ mod tests {
 
     #[test]
     fn ground_truth_is_always_enumerated() {
-        // With padding dedup (the default), the truth may be represented by
-        // its smallest-padding equivalent; without, it appears verbatim.
-        let dedup = SolverConfig::default();
-        let exact = SolverConfig {
-            dedup_padding: false,
-            ..SolverConfig::default()
-        };
+        // Under the padding dedup the truth may be represented by its
+        // smallest-padding equivalent.
+        let cfg = SolverConfig::default();
         for (name, truth) in crate::structure::params::tests::table4_rows() {
-            let obs = observe_truth(&truth, &dedup, 0.8);
-            let candidates = solve_conv_layer(&obs, &[(truth.w_ifm, truth.d_ifm)], &dedup);
+            let obs = observe_truth(&truth, &cfg, 0.8);
+            let candidates = solve_conv_layer(&obs, EPB, &[(truth.w_ifm, truth.d_ifm)], &cfg);
             assert!(
                 contains_up_to_padding(&candidates, &truth),
                 "{name} missing under dedup; got {candidates:?}"
-            );
-            let candidates = solve_conv_layer(&obs, &[(truth.w_ifm, truth.d_ifm)], &exact);
-            assert!(
-                candidates.contains(&truth),
-                "{name} missing verbatim; got {candidates:?}"
             );
         }
     }
@@ -589,7 +562,7 @@ mod tests {
             pool: Some(PoolParams { f: 3, s: 2, p: 0 }),
         };
         let obs = observe_truth(&truth, &cfg, 0.8);
-        let candidates = solve_conv_layer(&obs, &[(227, 3)], &cfg);
+        let candidates = solve_conv_layer(&obs, EPB, &[(227, 3)], &cfg);
         assert!(candidates.contains(&truth));
         // The Table-4 alternative: P_conv per-side 2, pool 4/2.
         let alt = LayerParams {
@@ -610,8 +583,8 @@ mod tests {
         );
         // Every candidate's sizes reproduce the observation exactly.
         for c in &candidates {
-            assert!(cfg.size_matches(obs.ofm_blocks, c.size_ofm()), "{c}");
-            assert!(cfg.size_matches(obs.fltr_blocks, c.size_fltr()), "{c}");
+            assert!(size_matches(obs.ofm_blocks, c.size_ofm(), EPB), "{c}");
+            assert!(size_matches(obs.fltr_blocks, c.size_fltr(), EPB), "{c}");
         }
     }
 
@@ -619,12 +592,12 @@ mod tests {
     fn fc_layer_is_unique_for_alexnet_fc6() {
         let cfg = SolverConfig::default();
         let obs = ObservedLayer {
-            ifm_blocks: blocks(9216, 16),
-            ofm_blocks: blocks(4096, 16),
-            fltr_blocks: blocks(9216 * 4096, 16),
+            ifm_blocks: blocks(9216),
+            ofm_blocks: blocks(4096),
+            fltr_blocks: blocks(9216 * 4096),
             cycles: 1_000_000,
         };
-        let fcs = solve_fc_layer(&obs, &[(6, 256)], &cfg);
+        let fcs = solve_fc_layer(&obs, EPB, &[(6, 256)]);
         assert_eq!(
             fcs,
             vec![FcParams {
@@ -633,7 +606,7 @@ mod tests {
             }]
         );
         // And the conv interpretation dies under Eq. (5).
-        let convs = solve_conv_layer(&obs, &[(6, 256)], &cfg);
+        let convs = solve_conv_layer(&obs, EPB, &[(6, 256)], &cfg);
         assert!(convs.is_empty(), "{convs:?}");
     }
 
@@ -645,7 +618,7 @@ mod tests {
         // Claim the layer ran 100x longer: utilization would be 0.008 ->
         // every candidate dies.
         obs.cycles *= 100;
-        let candidates = solve_conv_layer(&obs, &[(truth.w_ifm, truth.d_ifm)], &cfg);
+        let candidates = solve_conv_layer(&obs, EPB, &[(truth.w_ifm, truth.d_ifm)], &cfg);
         assert!(candidates.is_empty());
     }
 
@@ -654,24 +627,27 @@ mod tests {
         let cfg = SolverConfig::default();
         let truth = crate::structure::params::tests::table4_rows()[4].1;
         let obs = observe_truth(&truth, &cfg, 0.8);
-        let candidates = solve_conv_layer(&obs, &[(12, 256)], &cfg);
+        let candidates = solve_conv_layer(&obs, EPB, &[(12, 256)], &cfg);
         assert!(candidates.is_empty());
     }
 
     #[test]
     fn size_window_semantics() {
-        let cfg = SolverConfig::default();
-        assert!(cfg.size_matches(1, 1));
-        assert!(cfg.size_matches(1, 16));
-        assert!(!cfg.size_matches(1, 17));
-        assert!(!cfg.size_matches(2, 16));
-        assert!(cfg.size_matches(2, 17));
-        assert!(cfg.size_matches(0, 0));
-        assert!(!cfg.size_matches(0, 5));
+        assert!(size_matches(1, 1, EPB));
+        assert!(size_matches(1, 16, EPB));
+        assert!(!size_matches(1, 17, EPB));
+        assert!(!size_matches(2, 16, EPB));
+        assert!(size_matches(2, 17, EPB));
+        assert!(size_matches(0, 0, EPB));
+        assert!(!size_matches(0, 5, EPB));
+        // The window scales with the block size.
+        assert!(size_matches(3, 33, EPB));
+        assert!(!size_matches(3, 33, 8));
+        assert!(size_matches(3, 17, 8));
         // Filter windows tolerate a 1 KiB mismatch (the C2_2 case).
-        assert!(cfg.fltr_size_matches(38416, 614_400));
-        assert!(cfg.fltr_size_matches(38416, 614_656));
-        assert!(!cfg.fltr_size_matches(38416, 615_000));
-        assert!(!cfg.size_matches(38416, 614_400));
+        assert!(fltr_size_matches(38416, 614_400, EPB));
+        assert!(fltr_size_matches(38416, 614_656, EPB));
+        assert!(!fltr_size_matches(38416, 615_000, EPB));
+        assert!(!size_matches(38416, 614_400, EPB));
     }
 }

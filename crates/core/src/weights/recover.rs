@@ -42,16 +42,17 @@ use crate::weights::search::{
     find_crossings, find_monotone_crossings, Crossing, ProbeGrid, SearchConfig,
 };
 
+/// Relative tolerance for matching an observed crossing to a predicted
+/// one.
+const MATCH_REL_TOL: f64 = 1e-5;
+/// Absolute matching tolerance (for crossings near zero).
+const MATCH_ABS_TOL: f64 = 1e-8;
+
 /// Recovery configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
     /// Crossing search settings.
     pub search: SearchConfig,
-    /// Relative tolerance for matching an observed crossing to a predicted
-    /// one.
-    pub match_rel_tol: f64,
-    /// Absolute matching tolerance (for crossings near zero).
-    pub match_abs_tol: f64,
     /// Worker count for [`recover_ratios_parallel`] (filters are recovered
     /// as independent worker tasks via [`crate::exec::map_ordered`]).
     /// Defaults to [`crate::exec::default_threads`]; the sequential
@@ -64,8 +65,6 @@ impl Default for RecoveryConfig {
     fn default() -> Self {
         Self {
             search: SearchConfig::default(),
-            match_rel_tol: 1e-5,
-            match_abs_tol: 1e-8,
             threads: crate::exec::default_threads(),
         }
     }
@@ -181,8 +180,8 @@ impl RatioRecovery {
     }
 }
 
-fn crossings_match(a: f64, b: f64, cfg: &RecoveryConfig) -> bool {
-    (a - b).abs() <= cfg.match_abs_tol + cfg.match_rel_tol * a.abs().max(b.abs())
+fn crossings_match(a: f64, b: f64) -> bool {
+    (a - b).abs() <= MATCH_ABS_TOL + MATCH_REL_TOL * a.abs().max(b.abs())
 }
 
 /// One weight-recovery work item: the target weight, its probe pixel, the
@@ -757,7 +756,6 @@ fn recover_filter(
     let mut run = FilterRun {
         geom,
         bias_positive,
-        cfg,
         victim: VictimSearches::new(oracle, geom, d),
         grid: ProbeGrid::new(&cfg.search),
         filter: RecoveredFilter::new(geom.input.c, geom.f),
@@ -1186,11 +1184,11 @@ fn virtual_crossings(
 /// Whether the observed and predicted crossing sets coincide one-to-one,
 /// including the count-step magnitudes (a coincident extra crossing at the
 /// same position shows up as a delta mismatch).
-fn sets_match(observed: &[Crossing], predicted: &[Crossing], cfg: &RecoveryConfig) -> bool {
+fn sets_match(observed: &[Crossing], predicted: &[Crossing]) -> bool {
     let covered = |a: &[Crossing], b: &[Crossing]| {
         a.iter().all(|x| {
             b.iter()
-                .any(|y| crossings_match(x.x, y.x, cfg) && x.delta == y.delta)
+                .any(|y| crossings_match(x.x, y.x) && x.delta == y.delta)
         })
     };
     covered(observed, predicted) && covered(predicted, observed)
@@ -1199,18 +1197,14 @@ fn sets_match(observed: &[Crossing], predicted: &[Crossing], cfg: &RecoveryConfi
 /// Observed crossings that coincide in position with a predicted one but
 /// exceed its step magnitude — the signature of the target's crossing
 /// hiding behind a known weight's.
-fn excess_coincidences(
-    observed: &[Crossing],
-    predicted: &[Crossing],
-    cfg: &RecoveryConfig,
-) -> Vec<Crossing> {
+fn excess_coincidences(observed: &[Crossing], predicted: &[Crossing]) -> Vec<Crossing> {
     observed
         .iter()
         .copied()
         .filter(|o| {
             predicted
                 .iter()
-                .any(|p| crossings_match(o.x, p.x, cfg) && o.delta.abs() > p.delta.abs())
+                .any(|p| crossings_match(o.x, p.x) && o.delta.abs() > p.delta.abs())
         })
         .collect()
 }
@@ -1219,9 +1213,8 @@ fn excess_coincidences(
 struct FilterRun<'a> {
     geom: &'a LayerGeometry,
     bias_positive: bool,
-    cfg: &'a RecoveryConfig,
     victim: VictimSearches<'a>,
-    /// The probe grid of `cfg.search`, shared by every search.
+    /// The probe grid of [`RecoveryConfig::search`], shared by every search.
     grid: ProbeGrid,
     filter: RecoveredFilter,
     /// The oracle's query count when the filter's recovery began.
@@ -1306,7 +1299,7 @@ impl FilterRun<'_> {
     /// One attempt at the target weight from anchor `t`; `allow_zero` lets
     /// a pinned attempt that sees no crossing conclude a zero weight.
     fn recover_one(&mut self, t: &Target, allow_zero: bool) -> Option<f64> {
-        let (geom, filter, cfg, grid) = (self.geom, &self.filter, self.cfg, &self.grid);
+        let (geom, filter, grid) = (self.geom, &self.filter, &self.grid);
         let bias_positive = self.bias_positive;
         let searches = &mut self.virtual_searches;
         let mut predict = |filter: &RecoveredFilter, pins: &[Probe]| {
@@ -1326,12 +1319,12 @@ impl FilterRun<'_> {
             let mut unmatched: Vec<Crossing> = observed
                 .iter()
                 .copied()
-                .filter(|o| !predicted.iter().any(|p| crossings_match(o.x, p.x, cfg)))
+                .filter(|o| !predicted.iter().any(|p| crossings_match(o.x, p.x)))
                 .collect();
             if unmatched.is_empty() {
                 // The target's crossing may coincide with a known weight's: the
                 // step magnitude then exceeds the prediction.
-                unmatched = excess_coincidences(&observed, &predicted, cfg);
+                unmatched = excess_coincidences(&observed, &predicted);
             }
             if let [single] = unmatched[..] {
                 let ratio = ratio_from_crossing(geom, t, filter, single.x, 0.0);
@@ -1340,7 +1333,7 @@ impl FilterRun<'_> {
                 let mut trial = filter.clone();
                 trial.set(t.c, t.i, t.j, Some(ratio));
                 let verify = predict(&trial, &[]);
-                if sets_match(&observed, &verify, cfg) {
+                if sets_match(&observed, &verify) {
                     return Some(ratio);
                 }
             }
@@ -1361,12 +1354,12 @@ impl FilterRun<'_> {
         let unmatched2: Vec<Crossing> = observed2
             .iter()
             .copied()
-            .filter(|o| !predicted2.iter().any(|p| crossings_match(o.x, p.x, cfg)))
+            .filter(|o| !predicted2.iter().any(|p| crossings_match(o.x, p.x)))
             .collect();
         let pin_term = formula_pin_term(geom, t, &pins, filter);
         let unmatched2 = if unmatched2.is_empty() {
             // A coincident crossing hides behind a known weight's step.
-            excess_coincidences(&observed2, &predicted2, cfg)
+            excess_coincidences(&observed2, &predicted2)
         } else {
             unmatched2
         };
@@ -1384,7 +1377,7 @@ impl FilterRun<'_> {
                 let control = predict(&trial, &pins);
                 let visible = control
                     .iter()
-                    .any(|p| !predicted2.iter().any(|q| crossings_match(p.x, q.x, cfg)));
+                    .any(|p| !predicted2.iter().any(|q| crossings_match(p.x, q.x)));
                 if !visible {
                     return None; // the setup is blind: do not conclude zero
                 }
@@ -1398,7 +1391,7 @@ impl FilterRun<'_> {
             let mut trial = filter.clone();
             trial.set(t.c, t.i, t.j, Some(ratio));
             let verify = predict(&trial, &pins);
-            if sets_match(&observed2, &verify, cfg) {
+            if sets_match(&observed2, &verify) {
                 return Some(ratio);
             }
         }

@@ -2,7 +2,8 @@
 //! in-tree seeded generator (deterministic case sweeps, no network deps).
 
 use cnnre_attacks::structure::{
-    solve_conv_layer, solve_fc_layer, LayerParams, ObservedLayer, PoolParams, SolverConfig,
+    fltr_size_matches, size_matches, solve_conv_layer, solve_fc_layer, LayerParams, ObservedLayer,
+    PoolParams, SolverConfig,
 };
 use cnnre_attacks::weights::{
     full_weights, recover_bias, recover_fc_ratios, recover_ratios, FunctionalFcOracle,
@@ -66,8 +67,11 @@ fn for_each_layer(cases: usize, mut body: impl FnMut(LayerParams)) {
     }
 }
 
+/// Elements per block of a 64-byte burst of `f32`s.
+const EPB: u64 = 16;
+
 fn observation_of(truth: &LayerParams, cfg: &SolverConfig, utilization: f64) -> ObservedLayer {
-    let blocks = |e: u64| e.div_ceil(cfg.elems_per_block);
+    let blocks = |e: u64| e.div_ceil(EPB);
     ObservedLayer {
         ifm_blocks: blocks(truth.size_ifm()),
         ofm_blocks: blocks(truth.size_ofm()),
@@ -85,7 +89,7 @@ fn solver_always_contains_the_generating_layer() {
     for_each_layer(64, |truth| {
         let cfg = SolverConfig::default();
         let obs = observation_of(&truth, &cfg, 0.8);
-        let candidates = solve_conv_layer(&obs, &[(truth.w_ifm, truth.d_ifm)], &cfg);
+        let candidates = solve_conv_layer(&obs, EPB, &[(truth.w_ifm, truth.d_ifm)], &cfg);
         let found = candidates.iter().any(|c| {
             *c == truth
                 || (LayerParams {
@@ -108,13 +112,16 @@ fn solver_candidates_reproduce_the_observation() {
     for_each_layer(64, |truth| {
         let cfg = SolverConfig::default();
         let obs = observation_of(&truth, &cfg, 0.8);
-        let candidates = solve_conv_layer(&obs, &[(truth.w_ifm, truth.d_ifm)], &cfg);
+        let candidates = solve_conv_layer(&obs, EPB, &[(truth.w_ifm, truth.d_ifm)], &cfg);
         for c in &candidates {
             assert!(c.is_consistent(), "{c}");
-            assert!(cfg.size_matches(obs.ofm_blocks, c.size_ofm()), "{c}");
-            assert!(cfg.fltr_size_matches(obs.fltr_blocks, c.size_fltr()), "{c}");
+            assert!(size_matches(obs.ofm_blocks, c.size_ofm(), EPB), "{c}");
+            assert!(
+                fltr_size_matches(obs.fltr_blocks, c.size_fltr(), EPB),
+                "{c}"
+            );
             // The execution-time filter only applies to compute-bound layers.
-            if obs.is_compute_bound(cfg.min_compute_ratio) {
+            if obs.is_compute_bound() {
                 assert!(cfg.macs_match(c.macs(), obs.cycles), "{c}");
             }
         }
@@ -129,20 +136,20 @@ fn fc_solver_is_exact() {
         let w = rng.gen_range(2usize..12);
         let d = rng.gen_range(1usize..16);
         let out = rng.gen_range(8usize..256);
-        let cfg = SolverConfig::default();
         let in_features = (w * w * d) as u64;
-        let blocks = |e: u64| e.div_ceil(cfg.elems_per_block);
+        let blocks = |e: u64| e.div_ceil(EPB);
         let obs = ObservedLayer {
             ifm_blocks: blocks(in_features),
             ofm_blocks: blocks(out as u64),
             fltr_blocks: blocks(in_features * out as u64),
             cycles: 1_000,
         };
-        let fcs = solve_fc_layer(&obs, &[(w, d)], &cfg);
+        let fcs = solve_fc_layer(&obs, EPB, &[(w, d)]);
         assert!(fcs.iter().any(|f| f.out_features == out));
         // All candidates' filter sizes reproduce the footprint.
         for f in &fcs {
-            assert!(cfg.fltr_size_matches(obs.fltr_blocks, (f.in_features * f.out_features) as u64));
+            let fltr_elems = (f.in_features * f.out_features) as u64;
+            assert!(fltr_size_matches(obs.fltr_blocks, fltr_elems, EPB));
         }
     }
 }

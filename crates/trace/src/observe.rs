@@ -94,28 +94,6 @@ impl TraceObservations {
             .filter(|l| l.kind == LayerKindHint::Compute)
             .collect()
     }
-
-    /// Inclusive lower and exclusive upper bound on an element count whose
-    /// block footprint is `blocks`: the true size is in
-    /// `((blocks−1)·epb, blocks·epb]`.
-    #[must_use]
-    pub fn element_bounds(&self, blocks: u64) -> (u64, u64) {
-        if blocks == 0 {
-            return (0, 0);
-        }
-        (
-            (blocks - 1) * self.elems_per_block,
-            blocks * self.elems_per_block,
-        )
-    }
-
-    /// True when `candidate_elems` is consistent with a measured footprint
-    /// of `blocks` blocks.
-    #[must_use]
-    pub fn size_matches(&self, blocks: u64, candidate_elems: u64) -> bool {
-        let (lo, hi) = self.element_bounds(blocks);
-        candidate_elems > lo && candidate_elems <= hi
-    }
 }
 
 /// Segments a trace and extracts per-layer observations.
@@ -370,18 +348,6 @@ mod tests {
                 }
             ]
         );
-    }
-
-    #[test]
-    fn element_bounds_and_matching() {
-        let obs = observe(&chain_trace());
-        assert_eq!(obs.elems_per_block, 16);
-        assert_eq!(obs.element_bounds(3), (32, 48));
-        assert!(obs.size_matches(3, 33));
-        assert!(obs.size_matches(3, 48));
-        assert!(!obs.size_matches(3, 32));
-        assert!(!obs.size_matches(3, 49));
-        assert_eq!(obs.element_bounds(0), (0, 0));
     }
 
     #[test]

@@ -95,6 +95,40 @@ fn trace_csv_analyze_roundtrip() {
     std::fs::remove_file(&csv).ok();
 }
 
+/// `analyze` solves at the block size in the file's header: a trace
+/// captured with 32-byte bursts lists structures, not an error.
+#[test]
+fn analyze_uses_the_block_size_of_the_trace() {
+    use cnn_reveng::accel::{AccelConfig, Accelerator};
+    use cnn_reveng::nn::models::lenet;
+    use cnnre_tensor::rng::{SeedableRng, SmallRng};
+
+    let dir = std::env::temp_dir().join("cnnre-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let csv = dir.join("lenet-32b.csv");
+    let mut rng = SmallRng::seed_from_u64(0);
+    let exec = Accelerator::new(AccelConfig::default().with_block_bytes(32))
+        .run_trace_only(&lenet(1, 10, &mut rng))
+        .expect("network lowers onto the accelerator");
+    let mut text = Vec::new();
+    cnn_reveng::trace::io::write_csv(&exec.trace, &mut text).expect("write csv");
+    std::fs::write(&csv, text).expect("write csv file");
+
+    let out = cnnre()
+        .args(["analyze", csv.to_str().expect("utf-8 path")])
+        .args(["--input", "32x1", "--classes", "10"])
+        .output()
+        .expect("runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = stdout_of(&out);
+    assert!(text.contains("possible structures"), "{text}");
+    std::fs::remove_file(&csv).ok();
+}
+
 #[test]
 fn analyze_rejects_malformed_files() {
     let dir = std::env::temp_dir().join("cnnre-cli-test");

@@ -5,7 +5,7 @@
 //! confident wrong answer on garbage.
 
 use cnn_reveng::accel::{AccelConfig, Accelerator};
-use cnn_reveng::attacks::structure::{recover_structures, NetworkSolverConfig};
+use cnn_reveng::attacks::structure::{recover_structures, NetworkSolverConfig, SolveError};
 use cnn_reveng::nn::models::lenet;
 use cnn_reveng::trace::{AccessKind, Trace, TraceBuilder};
 use cnnre_tensor::rng::SmallRng;
@@ -117,4 +117,30 @@ fn wrong_class_count_prior_fails_cleanly() {
     // 7000 classes cannot match the observed classifier footprint.
     let r = recover_structures(&trace, (32, 1), 7000, &NetworkSolverConfig::default());
     assert!(r.is_err() || r.as_ref().unwrap().is_empty());
+}
+
+#[test]
+fn absurd_block_size_is_rejected_not_enumerated() {
+    // A trace header may claim any block size, and the solver counts
+    // footprints in it: at 2^40-byte blocks every size window is
+    // astronomically wide. A prologue writes the input, one layer reads
+    // weights and the input and writes its output, a second reads it.
+    let block = 1u64 << 40;
+    let mut b = TraceBuilder::new(block, 4);
+    for (cycle, (addr, kind)) in [
+        (0, AccessKind::Write),
+        (5 * block, AccessKind::Read),
+        (0, AccessKind::Read),
+        (block, AccessKind::Write),
+        (6 * block, AccessKind::Read),
+        (block, AccessKind::Read),
+        (2 * block, AccessKind::Write),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        b.record(cycle as u64, addr, kind);
+    }
+    let r = recover_structures(&b.finish(), (32, 1), 10, &NetworkSolverConfig::default());
+    assert_eq!(r.err(), Some(SolveError::BlockTooLarge(1 << 38)));
 }

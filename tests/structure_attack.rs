@@ -4,7 +4,7 @@
 use cnn_reveng::accel::{AccelConfig, Accelerator};
 use cnn_reveng::attacks::structure::{
     filter_modular, filter_modular_pools, recover_structures, CandidateStructure, LayerParams,
-    NetworkSolverConfig,
+    NetworkSolverConfig, SolveError,
 };
 use cnn_reveng::nn::models::{alexnet, convnet, lenet, squeezenet, ConvSpec};
 use cnn_reveng::nn::Network;
@@ -42,6 +42,14 @@ fn truth_found(structures: &[CandidateStructure], specs: &[ConvSpec]) -> bool {
     })
 }
 
+/// LeNet's two conv layers: 5×5 filters, stride 1, 2×2/2 max pooling.
+fn lenet_truth() -> [ConvSpec; 2] {
+    [
+        ConvSpec::new(6, 5, 1, 0).with_pool(cnn_reveng::nn::models::PoolSpec::max(2, 2)),
+        ConvSpec::new(16, 5, 1, 0).with_pool(cnn_reveng::nn::models::PoolSpec::max(2, 2)),
+    ]
+}
+
 #[test]
 fn lenet_structure_space_is_small_and_contains_truth() {
     let mut rng = SmallRng::seed_from_u64(0);
@@ -54,12 +62,8 @@ fn lenet_structure_space_is_small_and_contains_truth() {
         "LeNet candidate count out of band: {}",
         structures.len()
     );
-    let truth = [
-        ConvSpec::new(6, 5, 1, 0).with_pool(cnn_reveng::nn::models::PoolSpec::max(2, 2)),
-        ConvSpec::new(16, 5, 1, 0).with_pool(cnn_reveng::nn::models::PoolSpec::max(2, 2)),
-    ];
     assert!(
-        truth_found(&structures, &truth),
+        truth_found(&structures, &lenet_truth()),
         "true LeNet structure missing"
     );
     // All structures end in a 10-class FC layer.
@@ -166,4 +170,44 @@ fn squeezenet_structure_space_collapses_under_modularity() {
         "modular SqueezeNet count out of band: {}",
         modular.len()
     );
+}
+
+/// Footprints are counted in the trace's own blocks: the true LeNet
+/// geometry is recovered whatever the DRAM burst size, not only at 64 B.
+#[test]
+fn lenet_structure_is_recovered_at_every_block_size() {
+    let mut rng = SmallRng::seed_from_u64(0);
+    let net = lenet(1, 10, &mut rng);
+    for block_bytes in [16, 32, 64, 128] {
+        let accel = Accelerator::new(AccelConfig::default().with_block_bytes(block_bytes));
+        let exec = accel
+            .run_trace_only(&net)
+            .expect("network lowers onto the accelerator");
+        assert_eq!(exec.trace.block_bytes(), block_bytes);
+        let structures =
+            recover_structures(&exec.trace, (32, 1), 10, &NetworkSolverConfig::default())
+                .unwrap_or_else(|e| panic!("{block_bytes}-byte blocks: {e}"));
+        assert!(
+            truth_found(&structures, &lenet_truth()),
+            "{block_bytes}-byte blocks: true LeNet structure missing among {}",
+            structures.len()
+        );
+    }
+}
+
+/// The candidate cap is enforced: LeNet has more than one candidate
+/// structure, so a cap of one aborts the enumeration.
+#[test]
+fn structure_cap_aborts_the_enumeration() {
+    let mut rng = SmallRng::seed_from_u64(0);
+    let net = lenet(1, 10, &mut rng);
+    let exec = Accelerator::new(AccelConfig::default())
+        .run_trace_only(&net)
+        .expect("network lowers onto the accelerator");
+    let cfg = NetworkSolverConfig {
+        max_structures: 1,
+        ..NetworkSolverConfig::default()
+    };
+    let result = recover_structures(&exec.trace, (32, 1), 10, &cfg);
+    assert_eq!(result.err(), Some(SolveError::TooManyStructures(1)));
 }
