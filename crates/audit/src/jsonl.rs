@@ -1,4 +1,4 @@
-//! A minimal JSONL reader for candidate-layer records.
+//! The candidate-layer JSONL schema, read line by line.
 //!
 //! Each line is one flat JSON object describing a candidate layer:
 //!
@@ -13,14 +13,16 @@
 //! records carry `in_features`/`out_features`. `structure` groups lines
 //! into chains (default 0), `layer` orders them (default: line order), and
 //! the optional `*_blocks` fields attach measured footprints for the size
-//! equations. Unknown keys are ignored. The parser is hand-rolled — the
-//! workspace takes no external dependencies — and accepts exactly the
-//! subset above: unsigned integers, one level of object nesting, strings
-//! and `true`/`false`/`null` (skipped).
+//! equations. Unknown keys are ignored. Each line is read with
+//! [`cnnre_obs::json::parse`], so it must be one valid JSON object with
+//! unique keys; the schema walk below then requires every known field to
+//! be an unsigned integer (`null` counts as absent) and `pool` to be an
+//! object.
 
 use std::collections::BTreeMap;
 
 use cnnre_attacks::structure::{FcParams, LayerParams, PoolParams};
+use cnnre_obs::json::{self, Value};
 
 use crate::geometry::{CandidateChain, CandidateLayer, ObservedSizes};
 
@@ -39,162 +41,23 @@ impl core::fmt::Display for ParseError {
     }
 }
 
-/// One parsed value: only numbers and nested number maps are retained.
-enum Value {
-    Num(u64),
-    Obj(BTreeMap<String, u64>),
-    Skipped,
-}
+/// One line's object.
+type Record = BTreeMap<String, Value>;
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str) -> Self {
-        Self {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect_byte(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect_byte(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'\\' {
-                return Err("escape sequences are not supported in keys".to_string());
-            }
-            if b == b'"' {
-                let s = core::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid UTF-8".to_string())?;
-                self.pos += 1;
-                return Ok(s.to_string());
-            }
-            self.pos += 1;
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected an unsigned integer at byte {start}"));
-        }
-        core::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| "integer out of range".to_string())
-    }
-
-    fn value(&mut self, nested: bool) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'0'..=b'9') => Ok(Value::Num(self.number()?)),
-            Some(b'"') => {
-                self.string()?;
-                Ok(Value::Skipped)
-            }
-            Some(b'{') if !nested => {
-                let mut obj = BTreeMap::new();
-                self.expect_byte(b'{')?;
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Obj(obj));
-                }
-                loop {
-                    let key = self.string()?;
-                    self.expect_byte(b':')?;
-                    if let Value::Num(n) = self.value(true)? {
-                        obj.insert(key, n);
-                    }
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Obj(obj));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(b't') | Some(b'f') | Some(b'n') => {
-                while self
-                    .bytes
-                    .get(self.pos)
-                    .is_some_and(u8::is_ascii_alphabetic)
-                {
-                    self.pos += 1;
-                }
-                Ok(Value::Skipped)
-            }
-            _ => Err(format!("unsupported value at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<BTreeMap<String, Value>, String> {
-        let mut out = BTreeMap::new();
-        self.expect_byte(b'{')?;
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect_byte(b':')?;
-            out.insert(key, self.value(false)?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.skip_ws();
-                    if self.pos != self.bytes.len() {
-                        return Err(format!("trailing content at byte {}", self.pos));
-                    }
-                    return Ok(out);
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
-fn get_num(obj: &BTreeMap<String, Value>, key: &str) -> Option<u64> {
+/// The unsigned integer under `key`: `None` when absent or `null`.
+fn get_num(obj: &Record, key: &str) -> Result<Option<u64>, String> {
     match obj.get(key) {
-        Some(Value::Num(n)) => Some(*n),
-        _ => None,
+        None | Some(Value::Null) => Ok(None),
+        Some(v) => v
+            .num::<u64>()
+            .map(Some)
+            .ok_or_else(|| format!("'{key}' must be an unsigned integer")),
     }
 }
 
-fn as_usize(n: u64, key: &str) -> Result<usize, String> {
+/// The unsigned integer under `key`, which must be present.
+fn required(obj: &Record, key: &str) -> Result<usize, String> {
+    let n = get_num(obj, key)?.ok_or_else(|| format!("missing required field '{key}'"))?;
     usize::try_from(n).map_err(|_| format!("{key} out of range"))
 }
 
@@ -207,21 +70,15 @@ fn as_usize(n: u64, key: &str) -> Result<usize, String> {
 pub fn parse_candidates(input: &str) -> Result<Vec<CandidateChain>, ParseError> {
     let mut grouped: BTreeMap<u64, Vec<(u64, CandidateLayer)>> = BTreeMap::new();
     for (li, line) in input.lines().enumerate() {
-        let line_no = li + 1;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        let obj = Cursor::new(trimmed).object().map_err(|detail| ParseError {
-            line: line_no,
+        let (structure, order, layer) = parse_record(trimmed).map_err(|detail| ParseError {
+            line: li + 1,
             detail,
         })?;
-        let layer = parse_layer(&obj).map_err(|detail| ParseError {
-            line: line_no,
-            detail,
-        })?;
-        let structure = get_num(&obj, "structure").unwrap_or(0);
-        let order = get_num(&obj, "layer").unwrap_or(li as u64);
+        let order = order.unwrap_or(li as u64);
         grouped.entry(structure).or_default().push((order, layer));
     }
     Ok(grouped
@@ -236,38 +93,37 @@ pub fn parse_candidates(input: &str) -> Result<Vec<CandidateChain>, ParseError> 
         .collect())
 }
 
-fn parse_layer(obj: &BTreeMap<String, Value>) -> Result<CandidateLayer, String> {
-    let observed = ObservedSizes {
-        ifm_blocks: get_num(obj, "ifm_blocks"),
-        ofm_blocks: get_num(obj, "ofm_blocks"),
-        fltr_blocks: get_num(obj, "fltr_blocks"),
+/// One line's `(structure, layer, candidate)`; `structure` defaults to 0.
+fn parse_record(line: &str) -> Result<(u64, Option<u64>, CandidateLayer), String> {
+    let Value::Obj(obj) = json::parse(line)? else {
+        return Err("expected a JSON object".to_string());
     };
-    if let (Some(inf), Some(outf)) = (get_num(obj, "in_features"), get_num(obj, "out_features")) {
+    let structure = get_num(&obj, "structure")?.unwrap_or(0);
+    Ok((structure, get_num(&obj, "layer")?, parse_layer(&obj)?))
+}
+
+fn parse_layer(obj: &Record) -> Result<CandidateLayer, String> {
+    let observed = ObservedSizes {
+        ifm_blocks: get_num(obj, "ifm_blocks")?,
+        ofm_blocks: get_num(obj, "ofm_blocks")?,
+        fltr_blocks: get_num(obj, "fltr_blocks")?,
+    };
+    if get_num(obj, "in_features")?.is_some() && get_num(obj, "out_features")?.is_some() {
         return Ok(CandidateLayer::Fc {
             params: FcParams {
-                in_features: as_usize(inf, "in_features")?,
-                out_features: as_usize(outf, "out_features")?,
+                in_features: required(obj, "in_features")?,
+                out_features: required(obj, "out_features")?,
             },
             observed,
         });
     }
-    let field = |key: &str| -> Result<usize, String> {
-        get_num(obj, key)
-            .ok_or_else(|| format!("missing required field '{key}'"))
-            .and_then(|n| as_usize(n, key))
-    };
     let pool = match obj.get("pool") {
         Some(Value::Obj(p)) => {
-            let pf = |key: &str| -> Result<usize, String> {
-                p.get(key)
-                    .copied()
-                    .ok_or_else(|| format!("pool object missing '{key}'"))
-                    .and_then(|n| as_usize(n, key))
-            };
+            let field = |key| required(p, key).map_err(|e| format!("pool: {e}"));
             Some(PoolParams {
-                f: pf("f")?,
-                s: pf("s")?,
-                p: pf("p")?,
+                f: field("f")?,
+                s: field("s")?,
+                p: field("p")?,
             })
         }
         Some(_) => return Err("'pool' must be an object".to_string()),
@@ -275,13 +131,13 @@ fn parse_layer(obj: &BTreeMap<String, Value>) -> Result<CandidateLayer, String> 
     };
     Ok(CandidateLayer::Conv {
         params: LayerParams {
-            w_ifm: field("w_ifm")?,
-            d_ifm: field("d_ifm")?,
-            w_ofm: field("w_ofm")?,
-            d_ofm: field("d_ofm")?,
-            f_conv: field("f_conv")?,
-            s_conv: field("s_conv")?,
-            p_conv: field("p_conv")?,
+            w_ifm: required(obj, "w_ifm")?,
+            d_ifm: required(obj, "d_ifm")?,
+            w_ofm: required(obj, "w_ofm")?,
+            d_ofm: required(obj, "d_ofm")?,
+            f_conv: required(obj, "f_conv")?,
+            s_conv: required(obj, "s_conv")?,
+            p_conv: required(obj, "p_conv")?,
             pool,
         },
         observed,
@@ -332,6 +188,27 @@ mod tests {
         assert!(parse_candidates("{\"w_ifm\":}").is_err());
         assert!(parse_candidates("[1,2]").is_err());
         assert!(parse_candidates("{\"a\":1} extra").is_err());
+    }
+
+    #[test]
+    fn bare_words_and_duplicate_keys_are_rejected() {
+        let conv = "\"w_ifm\":8,\"d_ifm\":1,\"w_ofm\":6,\"d_ofm\":4,\"f_conv\":3,\
+                    \"s_conv\":1,\"p_conv\":0";
+        assert!(parse_candidates(&format!("{{{conv}}}")).is_ok());
+        assert!(parse_candidates(&format!("{{{conv},\"ifm_blocks\": nope}}")).is_err());
+        assert!(parse_candidates(&format!("{{{conv},\"w_ifm\":9}}")).is_err());
+        for bad in ["-1", "1.5", "1e3", "\"49\"", "18446744073709551616"] {
+            let line = format!("{{{conv},\"ifm_blocks\":{bad}}}");
+            assert!(parse_candidates(&line).is_err(), "{line}");
+        }
+    }
+
+    #[test]
+    fn escaped_string_values_parse() {
+        let input = "{\"name\": \"conv\\\"1\",\"w_ifm\":8,\"d_ifm\":1,\"w_ofm\":6,\
+                     \"d_ofm\":4,\"f_conv\":3,\"s_conv\":1,\"p_conv\":0}";
+        let chains = parse_candidates(input).expect("escaped string value parses");
+        assert_eq!(chains[0].layers.len(), 1);
     }
 
     #[test]

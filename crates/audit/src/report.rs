@@ -5,6 +5,8 @@
 //! with a stable key order, and mapped to the same process exit codes
 //! (0 clean, 1 findings, 2 operational error).
 
+use cnnre_obs::json;
+
 /// One invariant violation found in an artifact.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
@@ -131,18 +133,19 @@ impl AuditReport {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\"", escape(note)));
+            json::push_str(&mut out, note);
         }
         out.push_str("],\n");
         out.push_str("  \"findings\": [");
         for (i, f) in self.findings.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"code\": \"{}\", \"subject\": \"{}\", \"detail\": \"{}\"}}",
-                escape(&f.code),
-                escape(&f.subject),
-                escape(&f.detail)
-            ));
+            out.push_str("    {\"code\": ");
+            json::push_str(&mut out, &f.code);
+            out.push_str(", \"subject\": ");
+            json::push_str(&mut out, &f.subject);
+            out.push_str(", \"detail\": ");
+            json::push_str(&mut out, &f.detail);
+            out.push('}');
         }
         if !self.findings.is_empty() {
             out.push_str("\n  ");
@@ -150,23 +153,6 @@ impl AuditReport {
         out.push_str("]\n}\n");
         out
     }
-}
-
-/// JSON string escaping (quotes, backslashes, control characters).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

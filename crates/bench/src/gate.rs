@@ -29,6 +29,8 @@
 
 use std::collections::BTreeMap;
 
+use cnnre_obs::json::{self, Value};
+
 /// Gate thresholds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateConfig {
@@ -58,151 +60,35 @@ pub struct BenchSnapshot {
 }
 
 /// Parses the flat JSON object `cnnre-obs` writes for `BENCH_*.json`
-/// files: one object, string value for `"experiment"`, finite numbers (or
-/// `null`, which is skipped) for everything else.
+/// files, read with [`json::parse`]: one object, a string value for
+/// `"experiment"`, and a finite number (or `null`, which is skipped) for
+/// every other key.
 ///
 /// # Errors
 ///
-/// Returns a description of the first syntax problem — the gate maps any
-/// parse error to exit code 2.
+/// Returns a description of the first syntax or schema problem — a
+/// duplicate key or a number that overflows `f64` included; the gate maps
+/// any parse error to exit code 2.
 pub fn parse_bench_json(text: &str) -> Result<BenchSnapshot, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
+    let Value::Obj(mut members) = json::parse(text)? else {
+        return Err("expected a JSON object".into());
     };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut experiment = None;
-    let mut metrics = BTreeMap::new();
-    loop {
-        p.skip_ws();
-        if p.peek() == Some(b'}') {
-            p.pos += 1;
-            break;
-        }
-        if !metrics.is_empty() || experiment.is_some() {
-            p.expect(b',')?;
-            p.skip_ws();
-        }
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        if key == "experiment" {
-            if experiment.is_some() {
-                return Err("duplicate \"experiment\" key".into());
-            }
-            experiment = Some(p.string()?);
-        } else {
-            // A `null` value is a non-finite export — ungateable, skipped.
-            if let Some(v) = p.number_or_null()? {
-                if metrics.insert(key.clone(), v).is_some() {
-                    return Err(format!("duplicate metric \"{key}\""));
-                }
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing content at byte {}", p.pos));
-    }
-    let experiment = experiment.ok_or("missing \"experiment\" key")?;
+    let Some(Value::Str(experiment)) = members.remove("experiment") else {
+        return Err("missing \"experiment\" string".into());
+    };
+    let metrics = members
+        .into_iter()
+        // A `null` value is a non-finite export — ungateable, skipped.
+        .filter(|(_, value)| *value != Value::Null)
+        .map(|(key, value)| match value.num::<f64>() {
+            Some(v) if v.is_finite() => Ok((key, v)),
+            _ => Err(format!("\"{key}\" must be a finite number")),
+        })
+        .collect::<Result<_, String>>()?;
     Ok(BenchSnapshot {
         experiment,
         metrics,
     })
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    out.push(match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'n' => '\n',
-                        b'r' => '\r',
-                        b't' => '\t',
-                        other => return Err(format!("unsupported escape '\\{}'", other as char)),
-                    });
-                    self.pos += 1;
-                }
-                Some(c) => {
-                    // Multi-byte UTF-8 passes through unchanged.
-                    let start = self.pos;
-                    let len = match c {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let end = (start + len).min(self.bytes.len());
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn number_or_null(&mut self) -> Result<Option<f64>, String> {
-        if self.bytes[self.pos..].starts_with(b"null") {
-            self.pos += 4;
-            return Ok(None);
-        }
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid number".to_string())?;
-        text.parse::<f64>()
-            .map(Some)
-            .map_err(|_| format!("invalid number '{text}' at byte {start}"))
-    }
 }
 
 /// Outcome for one metric.
@@ -277,12 +163,13 @@ impl GateReport {
             .max()
             .unwrap_or(6)
             .max(6);
+        // Values print as the snapshot writer prints them.
         let num = |v: Option<f64>| match v {
-            // Fixed formatting mirrors the snapshot writer: integral
-            // values print without a fraction (the `v == v.trunc()`
-            // comparison is an exact integrality test, not a tolerance).
-            Some(v) if v == v.trunc() && v.abs() < 1e15 => format!("{}", v as i64),
-            Some(v) => format!("{v}"),
+            Some(v) => {
+                let mut s = String::new();
+                json::push_f64(&mut s, v);
+                s
+            }
             None => "-".to_string(),
         };
         for d in &self.deltas {
@@ -671,5 +558,32 @@ mod tests {
         // null values (non-finite exports) are skipped, not errors.
         let with_null = "{\"experiment\": \"x\", \"a.b\": null}";
         assert!(parse_bench_json(with_null).unwrap().metrics.is_empty());
+    }
+
+    #[test]
+    fn escaped_names_round_trip_through_the_obs_writer() {
+        use cnnre_obs::export::MetricValue;
+        let mut written = cnnre_obs::Snapshot::default();
+        let name = "fig\u{1}\"q\"".to_string();
+        written.entries.insert(name, MetricValue::Counter(7));
+        let text = written.to_bench_json("fig\u{1}");
+        let snap = parse_bench_json(&text).unwrap();
+        assert_eq!(snap.experiment, "fig\u{1}");
+        assert_eq!(snap.metrics.get("fig\u{1}\"q\""), Some(&7.0));
+    }
+
+    #[test]
+    fn non_finite_and_non_numeric_values_are_errors() {
+        for bad in [
+            "{\"experiment\": \"x\", \"a\": 1e999}",
+            "{\"experiment\": \"x\", \"a\": -1e999}",
+            "{\"experiment\": \"x\", \"a\": \"7\"}",
+            "{\"experiment\": \"x\", \"a\": [1]}",
+            "{\"experiment\": 3}",
+            "{\"experiment\": \"x\", \"a\": 1, \"a\": 2}",
+            "{\"a\": 1}",
+        ] {
+            assert!(parse_bench_json(bad).is_err(), "{bad}");
+        }
     }
 }

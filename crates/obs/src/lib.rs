@@ -2,7 +2,7 @@
 //!
 //! Everything in this crate is built on `std` alone (atomics, `Mutex`,
 //! `Instant`) — the workspace builds offline, so the usual `tracing` /
-//! `metrics` stacks are off the table. The crate provides four things:
+//! `metrics` stacks are off the table. The crate provides five things:
 //!
 //! * a global, thread-safe [`Registry`] of named [counters](Counter),
 //!   [gauges](Gauge) and per-layer/per-epoch [series](Series);
@@ -11,7 +11,10 @@
 //! * a leveled stderr [logger](log) gated by the `CNNRE_LOG` environment
 //!   variable (and the CLI `--log-level` flag);
 //! * [exporters](export): sorted JSON, a flat `BENCH_*.json`-compatible
-//!   snapshot, and the Prometheus text format [served live](http).
+//!   snapshot, and the Prometheus text format [served live](http);
+//! * the workspace's one [JSON](json) module: the exporters' writer and
+//!   the strict reader that the perf gate, the candidate auditor and
+//!   `cnnre obs-probe` parse those files with.
 //!
 //! # Cost model
 //!
@@ -61,7 +64,7 @@
 pub mod catalog;
 pub mod export;
 pub mod http;
-mod json;
+pub mod json;
 pub mod log;
 pub mod profile;
 mod registry;

@@ -154,6 +154,13 @@ echo "==> run-structured traces against the reference segmenter (long seed sweep
 cargo test --release -q -p cnnre-trace --lib \
     observe_matches_reference_on_run_structured_traces_long -- --ignored
 
+echo "==> JSON readers on mutated goldens (long seed sweep, ~7 s)"
+# Tier-1 feeds 20,000 mutants of the committed BENCH baselines and the
+# golden candidate JSONL to the JSON reader, the perf gate's and the
+# candidate auditor's parsers, none of which may panic; this sweep runs
+# 300,000.
+cargo test --release -q --test json_fuzz mutated_goldens_parse_or_error_long -- --ignored
+
 echo "==> full-scale trace round trip (AlexNet trace to CSV and back, ~3 s)"
 # Drives AlexNet's 4.1M coalesced transactions through the CSV writer and
 # reader; the structure attack on the re-read trace must keep the 90

@@ -29,6 +29,7 @@ use cnn_reveng::nn::Network;
 use cnn_reveng::tensor::{init, Shape3, Shape4};
 use cnn_reveng::trace::defense::{obfuscate, OramConfig};
 use cnnre_bench::{Harness, MetricsFile};
+use cnnre_obs::json::{self, Value};
 use cnnre_tensor::rng::SmallRng;
 use cnnre_tensor::rng::{Rng, SeedableRng};
 
@@ -503,24 +504,21 @@ fn cmd_obs_probe(args: &[String]) -> i32 {
 }
 
 /// Cross-checks the `/metrics` Prometheus text against a flat JSON
-/// metrics export: every deterministic scalar `"name": value` line must
-/// agree with the `cnnre_`-mangled sample. Series families are skipped
-/// (their exposition shape differs); at least one scalar must
-/// match so an empty intersection cannot pass vacuously.
+/// metrics export: every deterministic number member of its top-level
+/// object must agree with the `cnnre_`-mangled sample. `experiment`,
+/// volatile names and arrays (series, whose exposition shape differs) are
+/// skipped; at least one scalar must match so an empty intersection
+/// cannot pass vacuously.
 fn compare_metrics_against_json(prom: &str, json_path: &str) -> Result<(), String> {
     let text =
         std::fs::read_to_string(json_path).map_err(|e| format!("cannot read {json_path}: {e}"))?;
+    let Value::Obj(members) = json::parse(&text).map_err(|e| format!("{json_path}: {e}"))? else {
+        return Err(format!("{json_path}: not a JSON object"));
+    };
     let mut matched = 0usize;
     let mut mismatches = Vec::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some(rest) = line.strip_prefix('"') else {
-            continue;
-        };
-        let Some((name, value)) = rest.split_once("\": ") else {
-            continue;
-        };
-        let Ok(expected) = value.trim().parse::<f64>() else {
+    for (name, value) in &members {
+        let Some(expected) = value.num::<f64>() else {
             continue;
         };
         if name == "experiment" || cnnre_obs::export::is_volatile(name) {

@@ -261,6 +261,18 @@ fn serve_obs_cli_flow_roundtrips_between_processes() {
         ["accel.run_trace_only", "attack.structure"],
         "{progress}"
     );
+    // The probe parses the export rather than its line layout: the same
+    // members on one line must pass as well.
+    let export = std::fs::read_to_string(&held.metrics).expect("metrics export");
+    let one_line = held.tmp.join("one_line.json");
+    std::fs::write(&one_line, export.lines().map(str::trim).collect::<String>())
+        .expect("one-line export written");
+    let probe = Command::new(env!("CARGO_BIN_EXE_cnnre"))
+        .args(["obs-probe", &held.addr, "--against"])
+        .arg(&one_line)
+        .status()
+        .expect("obs-probe runs");
+    assert!(probe.success(), "obs-probe rejected a one-line export");
     let probe = Command::new(env!("CARGO_BIN_EXE_cnnre"))
         .args(["obs-probe", &held.addr, "--against"])
         .arg(&held.metrics)
